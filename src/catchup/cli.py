@@ -28,31 +28,10 @@ from .diagnostics import (
     predictor_feasibility,
     stability_experiment,
 )
-from .geometry import (
-    ExactProjection,
-    GeometryError,
-    IterativeProjection,
-    PerturbedProjection,
-    ProjectionError,
-)
+from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
-from .operators import (
-    MinimalNorm,
-    Randomized,
-    SignConvention,
-    model_from_config,
-)
-from .scheme import (
-    ExplicitErrors,
-    ExplicitSteps,
-    Polynomial,
-    PowerOfStep,
-    SchemeError,
-    Uniform,
-    ZeroError,
-    make_schedule,
-    run as run_scheme,
-)
+from .operators import SELECTION_RULES, MinimalNorm, model_from_config
+from .scheme import ERROR_RULES, STEP_RULES, SchemeError, make_schedule, run as run_scheme
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CERTIFICATE", "EXIT_CONFIG", "EXIT_RUNTIME"]
 
@@ -61,9 +40,7 @@ EXIT_CERTIFICATE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# certificates a plain run can verify; the starred defaults are cheap
-RUN_TAGS = ("energy", "beta_bound", "defect_sum", "feas_L2", "feas_cesaro",
-            "feas_measure", "truncation")
+# the cheap hard certificates a run checks unless told otherwise
 DEFAULT_RUN_TAGS = ("energy", "defect_sum", "feas_L2", "feas_cesaro", "feas_measure")
 # these hold up to an O(mesh) term, so their failure is advisory unless --strict
 INFORMATIONAL_TAGS = frozenset({"beta_bound", "stability"})
@@ -119,74 +96,50 @@ def _point_from(model, value, label: str) -> np.ndarray:
         raise ConfigError(f"{label} violates the constraint set: {e}") from None
 
 
+def _from_registry(family: str, registry: dict, spec, seed=None, default=None):
+    """Build the rule or policy that a config record {"kind": ..., ...}
+    names, from the registry of its family."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{family} must be a mapping with a 'kind'")
+    kind = spec.get("kind", default)
+    try:
+        build = registry[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown {family} kind {kind!r} (known: {sorted(registry)})") from None
+    try:
+        return build(spec, seed)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"{family}: {e}") from None
+
+
 def _schedule_from(cfg: dict, mu_override: float | None = None):
     if "T" not in cfg:
         raise ConfigError("config needs a horizon 'T'")
-    T = cfg["T"]
-    spec = dict(cfg.get("schedule") or {})
+    spec = cfg.get("schedule")
     if mu_override is not None:
         spec = {"kind": "uniform", "mu0": mu_override}
     if not spec:
         raise ConfigError("config needs a 'schedule' entry")
-    kind = spec.get("kind")
+    steps = _from_registry("schedule", STEP_RULES, spec)
+    errors = _from_registry("error rule", ERROR_RULES, cfg.get("errors") or {}, default="zero")
     try:
-        if kind == "uniform":
-            steps = Uniform(float(spec["mu0"]))
-        elif kind == "polynomial":
-            steps = Polynomial(float(spec["mu0"]), float(spec["alpha"]))
-        elif kind == "explicit":
-            steps = ExplicitSteps(tuple(float(v) for v in spec["values"]))
-        else:
-            raise ConfigError(f"unknown schedule kind {kind!r}")
-        errors = _errors_from(cfg.get("errors"))
-        return make_schedule(T=float(T), steps=steps, errors=errors)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+        return make_schedule(T=float(cfg["T"]), steps=steps, errors=errors)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"schedule: {e}") from None
 
 
-def _errors_from(spec):
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind in (None, "zero"):
-        return ZeroError()
-    if kind == "power_of_step":
-        return PowerOfStep(float(spec["eps0"]), float(spec["beta"]))
-    if kind == "explicit":
-        return ExplicitErrors(tuple(float(v) for v in spec["values"]))
-    raise ConfigError(f"unknown error rule kind {kind!r}")
-
-
-def _selection_from(cfg: dict, seed: int | None):
-    spec = dict(cfg.get("selection") or {"kind": "minimal_norm"})
-    kind = spec.get("kind", "minimal_norm")
-    if kind == "minimal_norm":
-        return MinimalNorm()
-    if kind in ("sign", "sign_convention"):
-        try:
-            return SignConvention(int(spec.get("sign", 0)))
-        except ValueError as e:
-            raise ConfigError(f"selection: {e}") from None
-    if kind == "randomized":
-        if "seed" in spec:
-            return Randomized(int(spec["seed"]))
-        return Randomized(seed if seed is not None else 0)
-    raise ConfigError(f"unknown selection kind {kind!r}")
-
-
-def _projection_from(cfg: dict, seed: int | None):
-    spec = dict(cfg.get("projection") or {"kind": "exact"})
-    kind = spec.get("kind", "exact")
-    if kind == "exact":
-        return ExactProjection()
-    if kind == "perturbed":
-        s = int(spec["seed"]) if "seed" in spec else (seed + 1 if seed is not None else 0)
-        return PerturbedProjection(seed=s, slack_fraction=float(spec.get("slack_fraction", 0.9)))
-    if kind == "iterative":
-        return IterativeProjection()
-    raise ConfigError(f"unknown projection kind {kind!r}")
+def _setup(args):
+    """What run, study and stability share: the config, its model, the
+    master seed (--seed over the config's), and the selection rule and
+    projection policy, minimal-norm and exact unless the config names others."""
+    cfg = _load_config(args.config)
+    model = _model_from(cfg)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    selection = _from_registry("selection", SELECTION_RULES, cfg.get("selection") or {}, seed,
+                               default="minimal_norm")
+    projection = _from_registry("projection", PROJECTION_POLICIES, cfg.get("projection") or {},
+                                seed, default="exact")
+    return cfg, model, seed, selection, projection
 
 
 def _tags_from(value, default=DEFAULT_RUN_TAGS):
@@ -214,12 +167,24 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _failure_manifest(out: Path, command: str, kind: str, error: Exception, partial=None):
+def _failure(out: Path, command: str, error: Exception) -> int:
+    """Write the failure manifest of a scheme or geometry error and return
+    its exit code.  An error carrying a partial run stopped on a failed
+    per-step check: `certificate`, exit 1, with the partial trajectory.
+    Anything else failed outside the checks: `scheme` or `geometry`, exit 3."""
+    partial = getattr(error, "partial_run", None)
+    if partial is not None:
+        kind, code = "certificate", EXIT_CERTIFICATE
+    else:
+        kind = "scheme" if isinstance(error, SchemeError) else "geometry"
+        code = EXIT_RUNTIME
     payload = {"command": command, "failed": kind, "error": str(error)}
     if partial is not None:
         payload["partial"] = partial.to_manifest()
         partial.to_csv(out / "trajectory.csv")
     _write_json(out / "manifest.json", payload)
+    print(f"{kind} failure: {error}", file=sys.stderr)
+    return code
 
 
 # --- diagnostics assembly ----------------------------------------------------
@@ -233,22 +198,27 @@ def _truncation_entry(model, completed):
                             selection=MinimalNorm(), projection=ExactProjection())
 
 
+# tag -> the entries a check of a completed run yields; the checkers are
+# looked up when a report is made, and one call may yield several tags
+_RUN_CHECKS = {
+    "energy": lambda model, completed: [check_discrete_energy(completed)],
+    "beta_bound": lambda model, completed: [check_beta_domination(completed)],
+    "defect_sum": lambda model, completed: [defect_summability(completed)],
+    **dict.fromkeys(("feas_L2", "feas_cesaro", "feas_measure"),
+                    lambda model, completed: predictor_feasibility(completed)),
+    "truncation": lambda model, completed: [_truncation_entry(model, completed)],
+}
+# certificates a plain run can verify
+RUN_TAGS = tuple(_RUN_CHECKS)
+
+
 def _run_report(model, completed, tags) -> DiagnosticsReport:
     report = DiagnosticsReport()
-    feas = None
+    entries = {}
     for tag in tags:
-        if tag == "energy":
-            report.add(check_discrete_energy(completed))
-        elif tag == "beta_bound":
-            report.add(check_beta_domination(completed))
-        elif tag == "defect_sum":
-            report.add(defect_summability(completed))
-        elif tag in ("feas_L2", "feas_cesaro", "feas_measure"):
-            if feas is None:
-                feas = {e.theorem_tag: e for e in predictor_feasibility(completed)}
-            report.add(feas[tag])
-        elif tag == "truncation":
-            report.add(_truncation_entry(model, completed))
+        if tag not in entries:
+            entries.update((e.theorem_tag, e) for e in _RUN_CHECKS[tag](model, completed))
+        report.add(entries[tag])
     return report
 
 
@@ -264,31 +234,17 @@ def _verdict(report: DiagnosticsReport, strict: bool):
 # --- subcommands --------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    model = _model_from(cfg)
+    cfg, model, seed, selection, projection = _setup(args)
     x0 = _point_from(model, cfg.get("x0", 0.0), "x0")
     schedule = _schedule_from(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    selection = _selection_from(cfg, seed)
-    projection = _projection_from(cfg, seed)
     tags = _tags_from(args.diagnostics if args.diagnostics is not None else cfg.get("diagnostics"))
     out = _out_dir(args, cfg)
 
     try:
         completed = run_scheme(model, x0, schedule,
                                selection=selection, projection=projection)
-    except SchemeError as e:
-        if e.partial_run is not None:
-            _failure_manifest(out, "run", "certificate", e, partial=e.partial_run)
-            print(f"certificate failure: {e}", file=sys.stderr)
-            return EXIT_CERTIFICATE
-        _failure_manifest(out, "run", "scheme", e)
-        print(f"scheme failure: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (GeometryError, ProjectionError) as e:
-        _failure_manifest(out, "run", "geometry", e)
-        print(f"geometry failure: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (SchemeError, GeometryError) as e:
+        return _failure(out, "run", e)
 
     report = _run_report(model, completed, tags)
     code, hard, soft = _verdict(report, args.strict)
@@ -327,25 +283,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = _load_config(args.config)
-    model = _model_from(cfg)
+    cfg, model, seed, selection, projection = _setup(args)
     x0 = _point_from(model, cfg.get("x0", 0.0), "x0")
     if "T" not in cfg:
         raise ConfigError("config needs a horizon 'T'")
-    T = float(cfg["T"])
     study = cfg.get("study") or {}
-    levels = study.get("levels")
-    if not levels or len(levels) < 3:
+    try:
+        T = float(cfg["T"])
+        levels = [float(v) for v in study.get("levels") or []]
+        refine = int(study.get("reference_refine", 8))
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"study: {e}") from None
+    if len(levels) < 3:
         raise ConfigError("study needs at least 3 refinement levels")
-    levels = [float(v) for v in levels]
     if any(m <= 0 for m in levels) or any(b >= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("study levels must be positive and strictly decreasing")
-    refine = int(study.get("reference_refine", 8))
     if refine < 2:
         raise ConfigError("reference_refine must be at least 2")
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    selection = _selection_from(cfg, seed)
-    projection = _projection_from(cfg, seed)
     out = _out_dir(args, cfg)
 
     mu_ref = levels[-1] / refine
@@ -376,14 +330,8 @@ def cmd_study(args) -> int:
                 "defect_sum": defect.to_record(),
                 "energy": energy.to_record(),
             })
-    except SchemeError as e:
-        _failure_manifest(out, "study", "scheme", e, partial=e.partial_run)
-        print(f"scheme failure: {e}", file=sys.stderr)
-        return EXIT_CERTIFICATE if e.partial_run is not None else EXIT_RUNTIME
-    except (GeometryError, ProjectionError) as e:
-        _failure_manifest(out, "study", "geometry", e)
-        print(f"geometry failure: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (SchemeError, GeometryError) as e:
+        return _failure(out, "study", e)
 
     errs = [r[3] for r in rows]
     decreasing = all(b <= 1.1 * a for a, b in zip(errs, errs[1:]))
@@ -445,8 +393,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg = _load_config(args.config)
-    model = _model_from(cfg)
+    cfg, model, seed, selection, projection = _setup(args)
     pair = cfg.get("x0")
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(p, (list, tuple)) for p in pair)):
@@ -454,9 +401,6 @@ def cmd_stability(args) -> int:
     x0_one = _point_from(model, pair[0], "x0[0]")
     x0_two = _point_from(model, pair[1], "x0[1]")
     schedule = _schedule_from(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    selection = _selection_from(cfg, seed)
-    projection = _projection_from(cfg, seed)
     tol_mesh = cfg.get("tol_mesh")
     out = _out_dir(args, cfg)
 
@@ -468,14 +412,8 @@ def cmd_stability(args) -> int:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    except SchemeError as e:
-        _failure_manifest(out, "stability", "scheme", e, partial=e.partial_run)
-        print(f"scheme failure: {e}", file=sys.stderr)
-        return EXIT_CERTIFICATE if e.partial_run is not None else EXIT_RUNTIME
-    except (GeometryError, ProjectionError) as e:
-        _failure_manifest(out, "stability", "geometry", e)
-        print(f"geometry failure: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except (SchemeError, GeometryError) as e:
+        return _failure(out, "stability", e)
 
     entry = result["entry"]
     r1, r2 = result["runs"]

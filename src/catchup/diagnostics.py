@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .geometry import ExactProjection, approx_project
 from .operators import MinimalNorm, MonotoneModel, select_F
-from .scheme import DiscreteRun, StepSchedule, run as run_scheme, step as scheme_step
+from .scheme import DiscreteRun, StepSchedule, _young_split, run as run_scheme, step as scheme_step
 
 __all__ = [
     "CertificateEntry",
@@ -33,7 +33,6 @@ __all__ = [
     "local_truncation",
     "corrector_stability_check",
     "run_constants",
-    "REPORT_TAGS",
 ]
 
 # float fuzz added to bounds before comparing; certificates must hold
@@ -108,18 +107,6 @@ class DiagnosticsReport:
         return "\n".join(lines)
 
 
-REPORT_TAGS = (
-    "energy",
-    "beta_bound",
-    "defect_sum",
-    "feas_L2",
-    "feas_cesaro",
-    "feas_measure",
-    "truncation",
-    "stability",
-)
-
-
 def run_constants(run: DiscreteRun, c: float | None = None) -> dict:
     """Measured constants of a run plus the Young-split bookkeeping.
 
@@ -128,19 +115,14 @@ def run_constants(run: DiscreteRun, c: float | None = None) -> dict:
     induced selection bound, q_T comes from the schedule.
     """
     model = run.model
-    gamma = model.gamma
-    if c is None:
-        c = gamma
-    if not (0.0 < c < 2.0 * gamma):
-        raise ValueError(f"c must lie in (0, {2.0 * gamma}), got {c}")
-    delta = eta = (2.0 * gamma - c) / 2.0
+    c, delta, eta = _young_split(model.gamma, c)
     R_T = run.measured_radius()
     M_T = model.a + model.b * R_T
     q_T = run.schedule.q_T
     return {
-        "c": float(c),
-        "delta": float(delta),
-        "eta": float(eta),
+        "c": c,
+        "delta": delta,
+        "eta": eta,
         "R_T": float(R_T),
         "M_T": float(M_T),
         "q_T": float(q_T),

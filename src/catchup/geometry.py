@@ -12,7 +12,7 @@ cone {v : <v, z - x> <= delta for all z in C}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -95,8 +95,10 @@ class ConvexSet:
 
     def require_member(self, x) -> NDArray:
         x = _as_vector(x, self.dim)
+        if not np.all(np.isfinite(x)):
+            raise GeometryError(f"point {x} is not in the set (non-finite coordinates)")
         d = self.distance(x)
-        if d > membership_tol(x):
+        if not d <= membership_tol(x):  # a NaN distance fails too
             raise GeometryError(
                 f"point {x} is not in the set (distance {d:.3e} exceeds tolerance)"
             )
@@ -286,25 +288,37 @@ class Halfspace(ConvexSet):
         return f"Halfspace(normal={self.normal.tolist()}, offset={self.offset})"
 
 
-def _dykstra(projectors, y: NDArray, budget: int, tol: float):
+def _dykstra(projectors, y: NDArray, budget: int):
     """Dykstra's alternating-correction scheme for projecting onto an intersection.
 
-    Returns (z, converged).  Unlike plain alternating projections, the
-    correction terms make the limit the metric projection onto the
-    intersection, not just some feasible point.
+    Yields (z, corrections, points) after each of at most `budget` sweeps:
+    the iterate, the correction q_i of every member and the point z_i that
+    member's projection produced in the sweep.  Unlike plain alternating
+    projections, the correction terms make the limit the metric projection
+    onto the intersection, not just some feasible point.  The lists are
+    updated in place by the next sweep.
     """
     z = y.copy()
-    m = len(projectors)
-    corrections = [np.zeros_like(y) for _ in range(m)]
+    corrections = [np.zeros_like(y) for _ in projectors]
+    points = [z] * len(projectors)
     for _ in range(budget):
-        z_prev = z.copy()
         for i, proj in enumerate(projectors):
             w = z + corrections[i]
             z = proj(w)
             corrections[i] = w - z
+            points[i] = z
+        yield z, corrections, points
+
+
+def _dykstra_limit(projectors, y: NDArray, budget: int, tol: float) -> NDArray:
+    """The first Dykstra iterate that moved by at most tol in its sweep, or
+    the last one when the budget runs out."""
+    z_prev = y
+    for z, _, _ in _dykstra(projectors, y, budget):
         if float(np.linalg.norm(z - z_prev)) <= tol:
-            return z, True
-    return z, False
+            break
+        z_prev = z
+    return z
 
 
 class Intersection(ConvexSet):
@@ -334,7 +348,7 @@ class Intersection(ConvexSet):
     def project(self, y) -> NDArray:
         y = _as_vector(y, self.dim)
         tol = 1e-13 * (1.0 + float(np.linalg.norm(y)))
-        z, _ = _dykstra([m.project for m in self.members], y, self.budget, tol)
+        z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
         if not all(m.contains(z) for m in self.members):
             raise ProjectionError(
                 f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
@@ -354,8 +368,7 @@ class Intersection(ConvexSet):
         u = _as_vector(u, self.dim)
         projectors = [lambda v, m=m: m.tangent_project(x, v) for m in self.members]
         tol = 1e-14 * (1.0 + float(np.linalg.norm(u)))
-        z, _ = _dykstra(projectors, u, self.budget, tol)
-        return z
+        return _dykstra_limit(projectors, u, self.budget, tol)
 
     def contains(self, x, tol: float | None = None) -> bool:
         x = _as_vector(x, self.dim)
@@ -408,12 +421,28 @@ def moreau_decompose(C: ConvexSet, x, u) -> ConePair:
 
 
 # --- approximate projection policies -------------------------------------
+#
+# A policy's `project(C, y, eps, rng)` returns a point z of C with
+# |z - y|^2 <= d_C(y)^2 + eps; `seed` is None for deterministic policies,
+# else the seed of the generator a run hands to `project`.  `exact` marks
+# the metric projection, under which a normal term must pass its cone
+# certificate.  `from_config(spec, seed)` builds the policy from its config
+# record, with `seed` the run's master seed.
 
 @dataclass(frozen=True)
 class ExactProjection:
     """Return the metric projection (valid for any eps)."""
 
     name = "exact"
+    seed = None
+    exact = True
+
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
+        return C.project(y)
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -428,6 +457,33 @@ class PerturbedProjection:
     seed: int = 0
     slack_fraction: float = 0.9
     name = "perturbed"
+    exact = False
+
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
+        z0 = C.project(y)
+        if eps == 0.0:
+            return z0
+        d = float(np.linalg.norm(z0 - y))
+        slack = self.slack_fraction * eps
+        r = -d + np.sqrt(d * d + slack)
+        if rng is None:
+            rng = np.random.default_rng(self.seed)
+        direction = rng.standard_normal(C.dim)
+        nrm = float(np.linalg.norm(direction))
+        if nrm == 0.0:
+            return z0
+        z = C.project(z0 + (r / nrm) * direction)
+        # By nonexpansiveness |z - z0| <= r, hence |z - y| <= d + r and the
+        # contract holds by construction; verify anyway and fall back.
+        if float(np.sum((z - y) ** 2)) <= d * d + eps:
+            return z
+        return z0
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        # an unseeded spec draws from the master seed, offset from the selection's
+        s = int(spec["seed"]) if "seed" in spec else (seed + 1 if seed is not None else 0)
+        return cls(seed=s, slack_fraction=float(spec.get("slack_fraction", 0.9)))
 
 
 @dataclass(frozen=True)
@@ -441,10 +497,44 @@ class IterativeProjection:
     Dykstra corrections q_i (each lies in the normal cone of its member at
     the point it was produced, so the halfspace contains C).  The bound
     converges to the true distance, so any eps > 0 is eventually
-    certifiable when the sweeps converge.
+    certifiable when the sweeps converge.  Other sets are projected exactly.
     """
 
     name = "iterative"
+    seed = None
+    exact = False
+
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
+        if not isinstance(C, Intersection):
+            return C.project(y)
+        members = C.members
+        lb = C.distance_lower_bound(y) ** 2
+        for z, corrections, points in _dykstra([m.project for m in members], y, C.budget):
+            n = np.sum(corrections, axis=0)
+            nn = float(np.linalg.norm(n))
+            if nn > 0.0:
+                sep = (float(n @ y) - sum(float(q @ p) for q, p in zip(corrections, points))) / nn
+                if sep > 0.0:
+                    lb = max(lb, sep * sep)
+            feasible = all(m.distance(z) <= membership_tol(z) for m in members)
+            if feasible and float(np.sum((z - y) ** 2)) <= lb + eps:
+                return z
+        raise ProjectionError(
+            "Dykstra sweeps could not certify the eps-inequality "
+            f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
+        )
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls()
+
+
+# config kind -> policy builder
+PROJECTION_POLICIES = {
+    "exact": ExactProjection.from_config,
+    "perturbed": PerturbedProjection.from_config,
+    "iterative": IterativeProjection.from_config,
+}
 
 
 def approx_project(C: ConvexSet, y, eps: float, policy=None, rng=None) -> NDArray:
@@ -458,59 +548,7 @@ def approx_project(C: ConvexSet, y, eps: float, policy=None, rng=None) -> NDArra
     y = _as_vector(y, C.dim)
     if policy is None:
         policy = ExactProjection()
-
-    if isinstance(policy, ExactProjection):
-        return C.project(y)
-
-    if isinstance(policy, PerturbedProjection):
-        z0 = C.project(y)
-        if eps == 0.0:
-            return z0
-        d = float(np.linalg.norm(z0 - y))
-        slack = policy.slack_fraction * eps
-        r = -d + np.sqrt(d * d + slack)
-        if rng is None:
-            rng = np.random.default_rng(policy.seed)
-        direction = rng.standard_normal(C.dim)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
-            return z0
-        z = C.project(z0 + (r / nrm) * direction)
-        # By nonexpansiveness |z - z0| <= r, hence |z - y| <= d + r and the
-        # contract holds by construction; verify anyway and fall back.
-        if float(np.sum((z - y) ** 2)) <= d * d + eps:
-            return z
-        return z0
-
-    if isinstance(policy, IterativeProjection):
-        if not isinstance(C, Intersection):
-            return C.project(y)
-        members = C.members
-        lb = C.distance_lower_bound(y) ** 2
-        z = y.copy()
-        corrections = [np.zeros_like(y) for _ in members]
-        base_inner = [0.0] * len(members)
-        for _ in range(C.budget):
-            for i, m in enumerate(members):
-                w = z + corrections[i]
-                z = m.project(w)
-                corrections[i] = w - z
-                base_inner[i] = float(corrections[i] @ z)
-            n = np.sum(corrections, axis=0)
-            nn = float(np.linalg.norm(n))
-            if nn > 0.0:
-                sep = (float(n @ y) - sum(base_inner)) / nn
-                if sep > 0.0:
-                    lb = max(lb, sep * sep)
-            feasible = all(m.distance(z) <= membership_tol(z) for m in members)
-            if feasible and float(np.sum((z - y) ** 2)) <= lb + eps:
-                return z
-        raise ProjectionError(
-            "Dykstra sweeps could not certify the eps-inequality "
-            f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
-        )
-
-    raise TypeError(f"unknown projection policy {policy!r}")
+    return policy.project(C, y, eps, rng)
 
 
 # --- delta-approximate normal cone certificates ---------------------------
@@ -604,20 +642,32 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | 
     )
 
 
-def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float, center=None) -> NDArray:
-    """Draw n points of C by projecting uniform samples from a window box.
+def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float) -> NDArray:
+    """Draw n points of C by projecting uniform samples from the window box
+    [-radius, radius]^dim.
 
     Biased toward the boundary (everything outside projects onto it), which
     is what the falsification-style assumption checks want.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    c = np.zeros(C.dim) if center is None else _as_vector(center, C.dim)
-    raw = rng.uniform(-radius, radius, size=(n, C.dim)) + c
+    raw = rng.uniform(-radius, radius, size=(n, C.dim))
     return np.asarray([C.project(q) for q in raw])
 
 
-_SET_BUILDERS = {}
+def _build_intersection(cfg):
+    members = [set_from_config(m) for m in cfg["members"]]
+    return Intersection(members, budget=int(cfg.get("budget", 200)))
+
+
+_SET_BUILDERS = {
+    "box": lambda cfg: Box(cfg["lower"], cfg["upper"]),
+    "ball": lambda cfg: Ball(cfg["center"], cfg["radius"]),
+    "halfspace": lambda cfg: Halfspace(cfg["normal"], cfg["offset"]),
+    "nonneg_orthant": lambda cfg: NonnegOrthant(int(cfg["dim"])),
+    "halfline": lambda cfg: Halfline(),
+    "intersection": _build_intersection,
+}
 
 
 def set_from_config(cfg: dict) -> ConvexSet:
@@ -630,41 +680,3 @@ def set_from_config(cfg: dict) -> ConvexSet:
     except KeyError:
         raise ValueError(f"unknown set type {kind!r} (known: {sorted(_SET_BUILDERS)})") from None
     return builder(cfg)
-
-
-def _register(kind):
-    def deco(fn):
-        _SET_BUILDERS[kind] = fn
-        return fn
-    return deco
-
-
-@_register("box")
-def _build_box(cfg):
-    return Box(cfg["lower"], cfg["upper"])
-
-
-@_register("ball")
-def _build_ball(cfg):
-    return Ball(cfg["center"], cfg["radius"])
-
-
-@_register("halfspace")
-def _build_halfspace(cfg):
-    return Halfspace(cfg["normal"], cfg["offset"])
-
-
-@_register("nonneg_orthant")
-def _build_orthant(cfg):
-    return NonnegOrthant(int(cfg["dim"]))
-
-
-@_register("halfline")
-def _build_halfline(cfg):
-    return Halfline()
-
-
-@_register("intersection")
-def _build_intersection(cfg):
-    members = [set_from_config(m) for m in cfg["members"]]
-    return Intersection(members, budget=int(cfg.get("budget", 200)))

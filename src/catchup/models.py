@@ -22,8 +22,6 @@ from .scheme import SchemeError, Uniform, make_schedule, run
 __all__ = [
     "OneDimModel",
     "DryFrictionModel",
-    "onedim_equilibrium",
-    "onedim_exact_flow",
     "reference_solution",
     "equilibrium_residual",
     "named_model_from_config",
@@ -174,14 +172,6 @@ class DryFrictionModel(MonotoneModel):
             "upper": self.C.upper.tolist(),
             "gamma": self.gamma,
         }
-
-
-def onedim_equilibrium(model: OneDimModel) -> float:
-    return model.equilibrium()
-
-
-def onedim_exact_flow(model: OneDimModel, x0: float, t) -> NDArray:
-    return model.exact_flow(x0, t)
 
 
 def reference_solution(model: MonotoneModel, x0, T: float, n_steps: int):

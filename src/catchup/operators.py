@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ConvexSet, _as_vector, membership_tol, sample_points
+from .geometry import ConvexSet, _as_vector, sample_points
 
 __all__ = [
     "IntervalBox",
@@ -165,8 +165,8 @@ class SeparableL1(RegularPart):
 
     def __init__(self, weights):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((w >= 0) & np.isfinite(w)):
+            raise ValueError("weights must be finite and nonnegative")
         self.weights = w
         self.dim = w.shape[0]
         self.weights.flags.writeable = False
@@ -225,6 +225,8 @@ class AffineField:
         b = np.atleast_1d(np.asarray(offset, dtype=float))
         if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
             raise ValueError("matrix and offset dimensions must agree")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("drift matrix and offset must be finite")
         self.matrix = A
         self.offset = b
         self.dim = b.shape[0]
@@ -246,6 +248,12 @@ def field_from_config(cfg: dict):
 
 
 # --- selection rules for set-valued G -------------------------------------
+#
+# A rule's `pick(box, f_val, rng)` returns the point g of the interval box
+# G(x) that the selection f(x) - g uses; `seed` is None for deterministic
+# rules, else the seed of the generator a run hands to `pick`.
+# `from_config(spec, seed)` builds the rule from its config record, with
+# `seed` the run's master seed.
 
 @dataclass(frozen=True)
 class MinimalNorm:
@@ -253,6 +261,14 @@ class MinimalNorm:
     g as the point of G(x) closest to f(x)."""
 
     name = "minimal_norm"
+    seed = None
+
+    def pick(self, box: IntervalBox, f_val: NDArray, rng=None) -> NDArray:
+        return box.clip(f_val)
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -262,10 +278,22 @@ class SignConvention:
 
     sign: int = 0
     name = "sign_convention"
+    seed = None
 
     def __post_init__(self):
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0, or +1")
+
+    def pick(self, box: IntervalBox, f_val: NDArray, rng=None) -> NDArray:
+        if self.sign < 0:
+            return box.lower.copy()
+        if self.sign > 0:
+            return box.upper.copy()
+        return box.midpoint()
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls(int(spec.get("sign", 0)))
 
 
 @dataclass(frozen=True)
@@ -275,21 +303,25 @@ class Randomized:
     seed: int = 0
     name = "randomized"
 
-
-def _pick_from_interval(box: IntervalBox, f_val: NDArray, rule, rng=None) -> NDArray:
-    if isinstance(rule, MinimalNorm):
-        return box.clip(f_val)
-    if isinstance(rule, SignConvention):
-        if rule.sign < 0:
-            return box.lower.copy()
-        if rule.sign > 0:
-            return box.upper.copy()
-        return box.midpoint()
-    if isinstance(rule, Randomized):
+    def pick(self, box: IntervalBox, f_val: NDArray, rng=None) -> NDArray:
         if rng is None:
-            rng = np.random.default_rng(rule.seed)
+            rng = np.random.default_rng(self.seed)
         return rng.uniform(box.lower, box.upper)
-    raise TypeError(f"unknown selection rule {rule!r}")
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        if "seed" in spec:
+            return cls(int(spec["seed"]))
+        return cls(seed if seed is not None else 0)
+
+
+# config kind -> rule builder
+SELECTION_RULES = {
+    "minimal_norm": MinimalNorm.from_config,
+    "sign": SignConvention.from_config,
+    "sign_convention": SignConvention.from_config,
+    "randomized": Randomized.from_config,
+}
 
 
 def select_F(model: "MonotoneModel", x, rule=None, rng=None) -> NDArray:
@@ -298,7 +330,7 @@ def select_F(model: "MonotoneModel", x, rule=None, rng=None) -> NDArray:
         rule = MinimalNorm()
     x = _as_vector(x, model.dim)
     f_val = model.f(x)
-    g = _pick_from_interval(model.G.value(x), f_val, rule, rng=rng)
+    g = rule.pick(model.G.value(x), f_val, rng)
     return f_val - g
 
 
@@ -329,6 +361,9 @@ class MonotoneModel:
         self.C = C
         a, b = growth
         r_star, M, gamma = dissipativity
+        # NaN passes every sign test below, so finiteness comes first
+        if not np.all(np.isfinite([a, b, r_star, M, gamma] + ([] if ell is None else [ell]))):
+            raise ValueError("model constants must be finite")
         if a < 0 or b < 0:
             raise ValueError("growth constants must be nonnegative")
         if gamma <= 0:
@@ -406,6 +441,17 @@ def model_from_config(cfg: dict) -> MonotoneModel:
 
 # --- empirical falsification checks ---------------------------------------
 
+def _sampling_defaults(model: MonotoneModel, rng, radius):
+    """A seed-0 generator and the set's bounding radius (or a window scaled
+    by r_star for unbounded sets) unless the caller gave them."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if radius is None:
+        r = model.C.bounding_radius()
+        radius = r if np.isfinite(r) else 10.0 * (1.0 + model.r_star)
+    return rng, radius
+
+
 def check_linear_growth(model: MonotoneModel, rng=None, n_samples: int = 200,
                         radius: float | None = None) -> dict:
     """Try to falsify sup_{w in F(x)} |w| <= a + b |x| over sampled feasible x.
@@ -414,11 +460,7 @@ def check_linear_growth(model: MonotoneModel, rng=None, n_samples: int = 200,
     norm); failure to falsify proves nothing, and the record says which
     points were tried.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if radius is None:
-        r = model.C.bounding_radius()
-        radius = r if np.isfinite(r) else 10.0 * (1.0 + model.r_star)
+    rng, radius = _sampling_defaults(model, rng, radius)
     pts = sample_points(model.C, rng, n_samples, radius)
     worst_margin = np.inf
     worst_x = None
@@ -447,11 +489,7 @@ def check_tangent_dissipativity(model: MonotoneModel, rng=None, n_samples: int =
     With use_global the level is M_global and every sample counts;
     otherwise only samples with |x| >= r_star are tested.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if radius is None:
-        r = model.C.bounding_radius()
-        radius = r if np.isfinite(r) else 10.0 * (1.0 + model.r_star)
+    rng, radius = _sampling_defaults(model, rng, radius)
     pts = sample_points(model.C, rng, n_samples, radius)
     level = model.M_global if use_global else model.M
     worst_margin = np.inf
@@ -490,13 +528,9 @@ def estimate_one_sided_lipschitz(model: MonotoneModel, rng=None, n_pairs: int = 
     Returns the estimate together with the declared level when the model
     has one; a sampled estimate above the declared level falsifies it.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng, radius = _sampling_defaults(model, rng, radius)
     if rule is None:
         rule = MinimalNorm()
-    if radius is None:
-        r = model.C.bounding_radius()
-        radius = r if np.isfinite(r) else 10.0 * (1.0 + model.r_star)
     pts = sample_points(model.C, rng, 2 * n_pairs, radius)
     best = -np.inf
     witness = None

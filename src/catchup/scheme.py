@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,14 +26,12 @@ from .geometry import (
     ConvexSet,
     ExactProjection,
     GeometryError,
-    PerturbedProjection,
     ProbeSpec,
     _as_vector,
     approx_project,
     in_approx_normal_cone,
-    membership_tol,
 )
-from .operators import MinimalNorm, MonotoneModel, Randomized, select_F
+from .operators import MinimalNorm, MonotoneModel, select_F
 
 __all__ = [
     "SchemeError",
@@ -65,11 +64,43 @@ class SchemeError(Exception):
 
 
 # --- step-size and error schedules ----------------------------------------
+#
+# A step rule's `resolve(T)` returns the steps that fit the horizon T, their
+# node times and a label; an error rule's `resolve(mus)` returns eps_k for
+# each step, a label and warnings.  `from_config(spec, seed)` builds a rule
+# from its config record (rules draw nothing, so the seed goes unused).
+
+def _fill_horizon(steps, T: float):
+    """The leading steps whose running sum stays within T, and their node times."""
+    mus = []
+    t = 0.0
+    for mu in steps:
+        if t + mu > T * (1.0 + 1e-12):
+            break
+        mus.append(mu)
+        t += mu
+    mus = np.asarray(mus, dtype=float)
+    return mus, np.concatenate([[0.0], np.cumsum(mus)])
+
 
 @dataclass(frozen=True)
 class Uniform:
     """Constant step mu0 on the whole horizon."""
     mu0: float
+
+    def resolve(self, T: float):
+        mu0 = float(self.mu0)
+        if not mu0 > 0:
+            raise ValueError("mu0 must be positive")
+        n = int(np.floor(T / mu0 + 1e-9))
+        if n < 1:
+            raise ValueError(f"horizon {T} is shorter than one step {mu0}")
+        # exact arithmetic grid; accumulation would drift over many steps
+        return np.full(n, mu0), np.arange(n + 1) * mu0, f"uniform(mu0={mu0})"
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls(float(spec["mu0"]))
 
 
 @dataclass(frozen=True)
@@ -77,6 +108,21 @@ class Polynomial:
     """Decaying steps mu_k = mu0 / (k+1)^alpha with alpha in (0, 1]."""
     mu0: float
     alpha: float
+
+    def resolve(self, T: float):
+        mu0, alpha = float(self.mu0), float(self.alpha)
+        if not mu0 > 0:
+            raise ValueError("mu0 must be positive")
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError("alpha must lie in (0, 1]")
+        mus, times = _fill_horizon((mu0 / (k + 1) ** alpha for k in itertools.count()), T)
+        if not mus.size:
+            raise ValueError(f"horizon {T} is shorter than the first step {mu0}")
+        return mus, times, f"polynomial(mu0={mu0}, alpha={alpha})"
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls(float(spec["mu0"]), float(spec["alpha"]))
 
 
 @dataclass(frozen=True)
@@ -87,10 +133,34 @@ class ExplicitSteps:
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(float(v) for v in values))
 
+    def resolve(self, T: float):
+        vals = np.asarray(self.values, dtype=float)
+        if vals.size == 0:
+            raise ValueError("explicit step list is empty")
+        if not np.all(vals > 0):
+            raise ValueError("explicit steps must be positive")
+        if np.any(np.diff(vals) > 1e-12 * vals[:-1]):
+            raise ValueError("explicit steps must be nonincreasing")
+        mus, times = _fill_horizon(vals, T)
+        if not mus.size:
+            raise ValueError("horizon is shorter than the first explicit step")
+        return mus, times, f"explicit({mus.size} steps)"
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls(spec["values"])
+
 
 @dataclass(frozen=True)
 class ZeroError:
     """Exact projections: eps_k = 0."""
+
+    def resolve(self, mus: NDArray):
+        return np.zeros_like(mus), "zero", []
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -100,6 +170,18 @@ class PowerOfStep:
     eps0: float
     beta: float
 
+    def resolve(self, mus: NDArray):
+        eps0, beta = float(self.eps0), float(self.beta)
+        if not eps0 >= 0:
+            raise ValueError("eps0 must be nonnegative")
+        if not beta > 0:
+            raise ValueError("beta must be positive")
+        return eps0 * mus ** (2.0 + beta), f"power_of_step(eps0={eps0}, beta={beta})", []
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls(float(spec["eps0"]), float(spec["beta"]))
+
 
 @dataclass(frozen=True)
 class ExplicitErrors:
@@ -108,6 +190,48 @@ class ExplicitErrors:
 
     def __init__(self, values):
         object.__setattr__(self, "values", tuple(float(v) for v in values))
+
+    def resolve(self, mus: NDArray):
+        vals = np.asarray(self.values, dtype=float)
+        if vals.size < mus.size:
+            raise ValueError(
+                f"explicit error list has {vals.size} entries, schedule needs {mus.size}"
+            )
+        eps = vals[: mus.size].copy()
+        if not np.all(eps >= 0):
+            raise ValueError("errors must be nonnegative")
+        ratio = eps / mus ** 2
+        worse = np.nonzero(ratio[1:] > ratio[:-1] * (1.0 + 1e-9) + 1e-300)[0]
+        if worse.size:
+            k = int(worse[0]) + 1
+            raise ValueError(
+                f"error list violates eps_k/mu_k^2 decay at index {k}: "
+                f"ratio rises from {ratio[k - 1]:.3e} to {ratio[k]:.3e}"
+            )
+        warnings = []
+        if ratio[-1] > 0.0 and ratio[-1] > 0.9 * ratio[0]:
+            warnings.append(
+                "explicit errors keep eps_k/mu_k^2 from decaying "
+                f"(ratio stays near {ratio[0]:.3e}); refinement guarantees degrade"
+            )
+        return eps, f"explicit({eps.size} values)", warnings
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int | None):
+        return cls(spec["values"])
+
+
+# config kind -> rule builder
+STEP_RULES = {
+    "uniform": Uniform.from_config,
+    "polynomial": Polynomial.from_config,
+    "explicit": ExplicitSteps.from_config,
+}
+ERROR_RULES = {
+    "zero": ZeroError.from_config,
+    "power_of_step": PowerOfStep.from_config,
+    "explicit": ExplicitErrors.from_config,
+}
 
 
 @dataclass(frozen=True)
@@ -166,106 +290,15 @@ class StepSchedule:
         }
 
 
-def _resolve_steps(steps, T: float):
-    if isinstance(steps, Uniform):
-        mu0 = float(steps.mu0)
-        if mu0 <= 0:
-            raise ValueError("mu0 must be positive")
-        n = int(np.floor(T / mu0 + 1e-9))
-        if n < 1:
-            raise ValueError(f"horizon {T} is shorter than one step {mu0}")
-        return np.full(n, mu0), f"uniform(mu0={mu0})"
-    if isinstance(steps, Polynomial):
-        mu0, alpha = float(steps.mu0), float(steps.alpha)
-        if mu0 <= 0:
-            raise ValueError("mu0 must be positive")
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        mus = []
-        t = 0.0
-        k = 0
-        while True:
-            mu = mu0 / (k + 1) ** alpha
-            if t + mu > T * (1.0 + 1e-12):
-                break
-            mus.append(mu)
-            t += mu
-            k += 1
-        if not mus:
-            raise ValueError(f"horizon {T} is shorter than the first step {mu0}")
-        return np.asarray(mus), f"polynomial(mu0={mu0}, alpha={alpha})"
-    if isinstance(steps, ExplicitSteps):
-        vals = np.asarray(steps.values, dtype=float)
-        if vals.size == 0:
-            raise ValueError("explicit step list is empty")
-        if np.any(vals <= 0):
-            raise ValueError("explicit steps must be positive")
-        if np.any(np.diff(vals) > 1e-12 * vals[:-1]):
-            raise ValueError("explicit steps must be nonincreasing")
-        mus = []
-        t = 0.0
-        for mu in vals:
-            if t + mu > T * (1.0 + 1e-12):
-                break
-            mus.append(float(mu))
-            t += mu
-        if not mus:
-            raise ValueError("horizon is shorter than the first explicit step")
-        return np.asarray(mus), f"explicit({len(mus)} steps)"
-    raise TypeError(f"unknown step rule {steps!r}")
-
-
-def _resolve_errors(errors, mus: NDArray):
-    warnings = []
-    if errors is None:
-        errors = ZeroError()
-    if isinstance(errors, ZeroError):
-        return np.zeros_like(mus), "zero", warnings
-    if isinstance(errors, PowerOfStep):
-        eps0, beta = float(errors.eps0), float(errors.beta)
-        if eps0 < 0:
-            raise ValueError("eps0 must be nonnegative")
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        return eps0 * mus ** (2.0 + beta), f"power_of_step(eps0={eps0}, beta={beta})", warnings
-    if isinstance(errors, ExplicitErrors):
-        vals = np.asarray(errors.values, dtype=float)
-        if vals.size < mus.size:
-            raise ValueError(
-                f"explicit error list has {vals.size} entries, schedule needs {mus.size}"
-            )
-        eps = vals[: mus.size].copy()
-        if np.any(eps < 0):
-            raise ValueError("errors must be nonnegative")
-        ratio = eps / mus ** 2
-        worse = np.nonzero(ratio[1:] > ratio[:-1] * (1.0 + 1e-9) + 1e-300)[0]
-        if worse.size:
-            k = int(worse[0]) + 1
-            raise ValueError(
-                f"error list violates eps_k/mu_k^2 decay at index {k}: "
-                f"ratio rises from {ratio[k - 1]:.3e} to {ratio[k]:.3e}"
-            )
-        if ratio[-1] > 0.0 and ratio[-1] > 0.9 * ratio[0]:
-            warnings.append(
-                "explicit errors keep eps_k/mu_k^2 from decaying "
-                f"(ratio stays near {ratio[0]:.3e}); refinement guarantees degrade"
-            )
-        return eps, f"explicit({eps.size} values)", warnings
-    raise TypeError(f"unknown error rule {errors!r}")
-
-
 def make_schedule(T: float, steps, errors=None) -> StepSchedule:
     """Resolve step and error rules into a concrete grid on [0, T]."""
     T = float(T)
-    if T <= 0:
-        raise ValueError("horizon must be positive")
-    mus, kind = _resolve_steps(steps, T)
-    eps, error_rule, warnings = _resolve_errors(errors, mus)
-    if isinstance(steps, Uniform):
-        # exact arithmetic grid; accumulation would drift over many steps
-        times = np.arange(mus.size + 1) * float(steps.mu0)
-    else:
-        times = np.concatenate([[0.0], np.cumsum(mus)])
+    if not (T > 0 and np.isfinite(T)):
+        raise ValueError("horizon must be positive and finite")
+    if errors is None:
+        errors = ZeroError()
+    mus, times, kind = steps.resolve(T)
+    eps, error_rule, warnings = errors.resolve(mus)
     return StepSchedule(
         mus=mus, eps=eps, times=times, horizon=T,
         kind=kind, error_rule=error_rule, warnings=tuple(warnings),
@@ -381,12 +414,6 @@ class DiscreteRun:
         """Piecewise-constant predictor: y_{k+1} on [t_k, t_{k+1})."""
         return self.Y[self._cell(t)].copy()
 
-    def interpolate_selection(self, t: float) -> NDArray:
-        return self.W[self._cell(t)].copy()
-
-    def interpolate_normal(self, t: float) -> NDArray:
-        return self.V[self._cell(t)].copy()
-
     def to_manifest(self) -> dict:
         cert_summary = summarize_certificates(self.certificates)
         return {
@@ -459,18 +486,26 @@ def summarize_certificates(certificates) -> dict:
     }
 
 
+def _young_split(gamma: float, c: float | None = None):
+    """A contraction rate c in (0, 2 gamma), gamma by default, and the even
+    Young split delta = eta = (2 gamma - c) / 2 of the remaining margin."""
+    if c is None:
+        c = gamma
+    if not (0.0 < c < 2.0 * gamma):
+        raise ValueError(f"c must lie in (0, {2.0 * gamma}), got {c}")
+    delta = (2.0 * gamma - c) / 2.0
+    return float(c), float(delta), float(delta)
+
+
 def _apriori_constants(model: MonotoneModel, schedule: StepSchedule, x0: NDArray,
                        c: float | None = None) -> dict:
     """The rough growth chain: a contraction rate c in (0, 2 gamma) splits
     2 gamma - c evenly between the two Young couplings, and the recursion
     a_{k+1} <= (1 + Lam mu) a_k + A mu + B mu^2 integrates to the
-    exponential envelope K(T) bounding max_k |x_k|^2 ahead of the run."""
-    gamma = model.gamma
-    if c is None:
-        c = gamma
-    if not (0.0 < c < 2.0 * gamma):
-        raise ValueError("c must lie in (0, 2 gamma)")
-    delta = eta = (2.0 * gamma - c) / 2.0
+    exponential envelope K(T) bounding max_k |x_k|^2 ahead of the run.
+    An envelope beyond float range is vacuous: its K_T, R_T, M_T and L_T
+    are recorded as None."""
+    c, delta, eta = _young_split(model.gamma, c)
     a, b = model.a, model.b
     q_T = schedule.q_T
     mu_T = schedule.mu_norm
@@ -480,23 +515,24 @@ def _apriori_constants(model: MonotoneModel, schedule: StepSchedule, x0: NDArray
     A = 2.0 * M_tilde + 2.0 * a * a * coupling + q_T / delta
     B = 8.0 * a * a + 2.0 * q_T
     T = schedule.T
-    K = float(np.exp(max(Lam, 0.0) * T) * (float(x0 @ x0) + A * T + B * schedule.sum_mu_sq))
-    R = float(np.sqrt(K))
-    M_T = a + b * R
-    return {
-        "c": float(c),
-        "delta": float(delta),
-        "eta": float(eta),
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = float(np.exp(max(Lam, 0.0) * T) * (float(x0 @ x0) + A * T + B * schedule.sum_mu_sq))
+    constants = {
+        "c": c,
+        "delta": delta,
+        "eta": eta,
         "Lambda_T": float(Lam),
         "A_T": float(A),
         "B_T": float(B),
-        "K_T": K,
-        "R_T": R,
-        "M_T": float(M_T),
         "q_T": float(q_T),
-        "L_T": float(2.0 * M_T + np.sqrt(q_T)),
         "M_tilde": float(M_tilde),
     }
+    if not np.isfinite(K):
+        return constants | {"K_T": None, "R_T": None, "M_T": None, "L_T": None, "vacuous": True}
+    R = float(np.sqrt(K))
+    M_T = a + b * R
+    return constants | {"K_T": K, "R_T": R, "M_T": float(M_T),
+                        "L_T": float(2.0 * M_T + np.sqrt(q_T))}
 
 
 def run(model: MonotoneModel, x0, schedule: StepSchedule,
@@ -524,28 +560,23 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     V = np.empty((n, d))
     X[0] = x0
 
-    seeds = {}
-    sel_rng = None
-    if isinstance(selection, Randomized):
-        sel_rng = np.random.default_rng(selection.seed)
-        seeds["selection"] = selection.seed
-    proj_rng = None
-    if isinstance(projection, PerturbedProjection):
-        proj_rng = np.random.default_rng(projection.seed)
-        seeds["projection"] = projection.seed
+    policies = {"selection": selection, "projection": projection}
+    seeds = {key: policy.seed for key, policy in policies.items() if policy.seed is not None}
+    sel_rng, proj_rng = (None if policy.seed is None else np.random.default_rng(policy.seed)
+                         for policy in policies.values())
     spec = probe_spec if probe_spec is not None else ProbeSpec()
     if certify_normals:
         seeds["probes"] = spec.seed
 
-    exact = isinstance(projection, ExactProjection)
     certificates = []
 
-    def partial(k):
+    def result(k, apriori=None):
+        """The run over its first k steps."""
         return DiscreteRun(
             model, schedule, X[: k + 1], W[:k], Y[:k], P[:k], V[:k],
-            selection_name=getattr(selection, "name", "custom"),
-            projection_name=getattr(projection, "name", "custom"),
-            seeds=seeds, certificates=certificates, warnings=schedule.warnings,
+            selection_name=selection.name, projection_name=projection.name,
+            seeds=seeds, certificates=certificates, apriori=apriori,
+            warnings=schedule.warnings,
         )
 
     for k in range(n):
@@ -558,7 +589,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 sel_rng=sel_rng, proj_rng=proj_rng,
             )
         except SchemeError as exc:
-            raise SchemeError(f"step {k} failed: {exc}", partial_run=partial(k)) from exc
+            raise SchemeError(f"step {k} failed: {exc}", partial_run=result(k)) from exc
         X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
         if certify_normals and np.any(p):
             delta_k = schedule.delta(k)
@@ -566,24 +597,18 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             rec = cert.to_record()
             rec["k"] = k
             certificates.append(rec)
-            if exact and not cert.holds:
+            if projection.exact and not cert.holds:
                 raise SchemeError(
                     f"step {k}: normal term failed its cone certificate under exact "
                     f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
-                    partial_run=partial(k + 1),
+                    partial_run=result(k + 1),
                 )
 
     apriori = _apriori_constants(model, schedule, x0)
-    apriori["within_bound"] = bool(
+    apriori["within_bound"] = None if apriori.get("vacuous") else bool(
         np.max(np.sum(X * X, axis=1)) <= apriori["K_T"] * (1.0 + 1e-9)
     )
-    return DiscreteRun(
-        model, schedule, X, W, Y, P, V,
-        selection_name=getattr(selection, "name", "custom"),
-        projection_name=getattr(projection, "name", "custom"),
-        seeds=seeds, certificates=certificates, apriori=apriori,
-        warnings=schedule.warnings,
-    )
+    return result(n, apriori)
 
 
 # --- serialization round trip ----------------------------------------------
@@ -591,10 +616,11 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
 def read_run_csv(path_or_text: str) -> dict:
     """Parse a trajectory CSV back into arrays.
 
-    Accepts a path or the raw text.  Returns a dict with keys times, X, W,
-    P, V, mus, eps (arrays shaped as in DiscreteRun).
+    Accepts a path or the raw text, told apart by the newline every CSV
+    text has.  Returns a dict with keys times, X, W, P, V, mus, eps (arrays
+    shaped as in DiscreteRun).
     """
-    if "\n" in path_or_text or "," in path_or_text:
+    if "\n" in path_or_text:
         text = path_or_text
     else:
         with open(path_or_text) as fh:

@@ -35,7 +35,6 @@ from catchup.models import (
     DryFrictionModel,
     OneDimModel,
     equilibrium_residual,
-    onedim_exact_flow,
     reference_solution,
 )
 from catchup.scheme import PowerOfStep, Uniform, make_schedule, run
@@ -107,7 +106,7 @@ def test_uniform_convergence_to_exact_flow():
     errs = []
     for mu in (0.008, 0.004, 0.002, 0.001):
         r = run(model, [0.0], make_schedule(5.0, Uniform(mu)), certify_normals=False)
-        exact = onedim_exact_flow(model, 0.0, r.times)
+        exact = model.exact_flow(0.0, r.times)
         errs.append(float(np.max(np.abs(r.X[:, 0] - exact))))
     halving = all(b <= 0.55 * a for a, b in zip(errs, errs[1:]))
     criterion(

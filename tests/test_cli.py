@@ -167,6 +167,16 @@ class TestStudyCommand:
         assert main(["study", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "3 refinement levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"T": "soon", "study": {"levels": [0.04, 0.02, 0.01]}},
+        {"study": {"levels": ["fine", 0.02, 0.01]}},
+        {"study": {"levels": [0.04, 0.02, 0.01], "reference_refine": "x"}},
+        {"study": [0.04, 0.02, 0.01]},
+    ], ids=["T", "levels", "reference_refine", "study-list"])
+    def test_malformed_study_is_config_error(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "c.json", onedim_config(**overrides))
+        assert main(["study", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_non_refining_levels_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", onedim_config(
             study={"levels": [0.01, 0.02, 0.005]},
@@ -244,3 +254,149 @@ class TestModelsCommand:
         out = capsys.readouterr().out
         assert "onedim" in out
         assert "dry_friction" in out
+
+
+# a ball cut by a halfspace, pushed against the corner by a constant drift
+POLYGON_MODEL = {
+    "f": {"type": "affine", "A": [[0, 0], [0, 0]], "b": [8.0, 4.0]},
+    "G": {"type": "zero", "dim": 2},
+    "C": {"type": "intersection", "members": [
+        {"type": "ball", "center": [0, 0], "radius": 1.0},
+        {"type": "halfspace", "normal": [1, 0], "offset": 0.5},
+    ]},
+    "constants": {"a": 9.0, "b": 0.0, "r_star": 0.5, "M": 10.0, "gamma": 1.0},
+}
+
+
+class TestConfigKinds:
+    """Every documented kind of each config family reaches the manifest under
+    its recorded name; an unknown kind is a config error."""
+
+    @pytest.mark.parametrize("spec, recorded", [
+        ({"kind": "uniform", "mu0": 0.01}, "uniform"),
+        ({"kind": "polynomial", "mu0": 0.05, "alpha": 0.5}, "polynomial"),
+        ({"kind": "explicit", "values": [0.01] * 50}, "explicit"),
+    ])
+    def test_schedule_kinds(self, tmp_path, spec, recorded):
+        cfg = write_config(tmp_path / "c.json", onedim_config(T=0.5, schedule=spec))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["schedule"]["kind"].startswith(recorded + "(")
+
+    @pytest.mark.parametrize("spec, recorded", [
+        (None, "zero"),
+        ({"kind": "zero"}, "zero"),
+        ({"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}, "power_of_step("),
+        ({"kind": "explicit", "values": [1e-6] * 50}, "explicit("),
+    ])
+    def test_error_kinds(self, tmp_path, spec, recorded):
+        payload = onedim_config(T=0.5)
+        if spec is not None:
+            payload["errors"] = spec
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["schedule"]["error_rule"].startswith(recorded)
+
+    @pytest.mark.parametrize("spec, recorded", [
+        ({"kind": "minimal_norm"}, "minimal_norm"),
+        ({"kind": "sign", "sign": 1}, "sign_convention"),
+        ({"kind": "sign_convention", "sign": -1}, "sign_convention"),
+        ({"kind": "randomized"}, "randomized"),
+    ])
+    def test_selection_kinds(self, tmp_path, spec, recorded):
+        cfg = write_config(tmp_path / "c.json", onedim_config(T=0.5, selection=spec))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--seed", "3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["selection"] == recorded
+        assert manifest["run"]["policies"]["selection"] == recorded
+
+    @pytest.mark.parametrize("kind", ["exact", "perturbed", "iterative"])
+    def test_projection_kinds(self, tmp_path, kind):
+        cfg = write_config(tmp_path / "c.json", {
+            "model": POLYGON_MODEL, "x0": [0.0, 0.0], "T": 0.5,
+            "schedule": {"kind": "uniform", "mu0": 0.05},
+            "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
+            "projection": {"kind": kind},
+        })
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--seed", "3"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["projection"] == kind
+        assert manifest["run"]["policies"]["projection"] == kind
+
+    @pytest.mark.parametrize("family", ["schedule", "errors", "selection", "projection"])
+    def test_unknown_kind_is_config_error(self, tmp_path, capsys, family):
+        cfg = write_config(tmp_path / "c.json",
+                           onedim_config(**{family: {"kind": "no_such_kind"}}))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "no_such_kind" in capsys.readouterr().err
+
+    def test_study_budget_failure_is_a_certificate_failure(self, tmp_path):
+        model = json.loads(json.dumps(POLYGON_MODEL))
+        model["C"]["budget"] = 1
+        cfg = write_config(tmp_path / "c.json", {
+            "model": model, "x0": [0.0, 0.0], "T": 1.0,
+            "projection": {"kind": "iterative"},
+            "study": {"levels": [0.25, 0.125, 0.0625]},
+        })
+        out = tmp_path / "out"
+        assert main(["study", cfg, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == "certificate"
+        assert "partial" in manifest
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+class TestBoundaryValidation:
+    GENERIC = {
+        "f": {"type": "affine", "A": [[-1.0]], "b": [2.0]},
+        "G": {"type": "linear", "matrix": [[1.0]]},
+        "C": {"type": "halfline"},
+        "constants": {"a": 2.0, "b": 2.0, "r_star": 1.0, "M": 1.0,
+                      "gamma": 1.0, "ell": -2.0},
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["a", "b", "r_star", "M", "gamma", "ell",
+                                       "onedim r_star", "x0", "drift", "l1 weights"])
+    def test_non_finite_input_is_config_error(self, tmp_path, where, value):
+        model = json.loads(json.dumps(self.GENERIC))
+        x0 = [0.5]
+        if where == "x0":
+            x0 = [value]
+        elif where == "onedim r_star":
+            model = {"model": "onedim", "a": 1, "b": 2, "r_star": value}
+        elif where == "drift":
+            model["f"]["b"] = [value]
+        elif where == "l1 weights":
+            model["G"] = {"type": "l1", "weights": [value]}
+        else:
+            model["constants"][where] = value
+        cfg = write_config(tmp_path / "c.json", onedim_config(model=model, x0=x0, T=0.1))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_overflowing_envelope_is_vacuous(self, tmp_path):
+        # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so
+        # exp(Lambda_T T) leaves float range at T = 20
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {"model": "dry_friction", "K": [[3.0]], "tau": [0.0],
+                      "weights": [1.0], "lower": [-1.0], "upper": [1.0]},
+            "x0": [0.5],
+            "T": 20.0,
+            "schedule": {"kind": "uniform", "mu0": 0.1},
+        })
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=_reject_constant)
+        apriori = manifest["run"]["apriori"]
+        assert apriori["vacuous"] is True
+        assert apriori["within_bound"] is None
+        assert all(apriori[key] is None for key in ("K_T", "R_T", "M_T", "L_T"))

@@ -9,8 +9,6 @@ from catchup.models import (
     OneDimModel,
     equilibrium_residual,
     named_model_from_config,
-    onedim_equilibrium,
-    onedim_exact_flow,
     reference_solution,
 )
 
@@ -31,9 +29,9 @@ class TestOneDimModel:
             OneDimModel(0.0, 1.0)
 
     def test_equilibrium_branches(self):
-        assert onedim_equilibrium(OneDimModel(1.0, 2.0)) == pytest.approx(1.0)
-        assert onedim_equilibrium(OneDimModel(1.0, -1.0)) == 0.0
-        assert onedim_equilibrium(OneDimModel(1.0, 0.0)) == 0.0
+        assert OneDimModel(1.0, 2.0).equilibrium() == pytest.approx(1.0)
+        assert OneDimModel(1.0, -1.0).equilibrium() == 0.0
+        assert OneDimModel(1.0, 0.0).equilibrium() == 0.0
 
     def test_equilibrium_satisfies_inclusion(self):
         for b in (2.0, -1.0, 0.0):

@@ -117,6 +117,23 @@ class TestSchedules:
         with pytest.raises(ValueError):
             make_schedule(0.005, Uniform(0.01))
 
+    # NaN slips through a plain `x <= 0` test; a NaN step in the polynomial
+    # rule would never exceed the horizon and fill memory
+    @pytest.mark.parametrize("T, steps, errors", [
+        (float("inf"), Uniform(0.1), None),
+        (float("nan"), Uniform(0.1), None),
+        (1.0, Uniform(float("nan")), None),
+        (1.0, Polynomial(float("nan"), alpha=0.5), None),
+        (1.0, ExplicitSteps([0.1, float("nan")]), None),
+        (1.0, Uniform(0.1), PowerOfStep(float("nan"), beta=1.0)),
+        (1.0, Uniform(0.1), PowerOfStep(1.0, beta=float("nan"))),
+        (1.0, Uniform(0.1), ExplicitErrors([float("nan")] * 10)),
+    ], ids=["T=inf", "T=nan", "uniform-nan", "polynomial-nan", "explicit-nan",
+            "eps0-nan", "beta-nan", "explicit-errors-nan"])
+    def test_non_finite_schedule_rejected(self, T, steps, errors):
+        with pytest.raises(ValueError):
+            make_schedule(T, steps, errors)
+
 
 class TestStep:
     def test_interior_step_frozen(self):
@@ -358,6 +375,13 @@ class TestSerialization:
     def test_csv_file_output(self, tmp_path):
         r = self.make_run()
         path = tmp_path / "traj.csv"
+        r.to_csv(str(path))
+        data = read_run_csv(str(path))
+        np.testing.assert_array_equal(data["X"], r.X)
+
+    def test_csv_path_with_comma(self, tmp_path):
+        r = self.make_run()
+        path = tmp_path / "a,b.csv"
         r.to_csv(str(path))
         data = read_run_csv(str(path))
         np.testing.assert_array_equal(data["X"], r.X)
