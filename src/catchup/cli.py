@@ -30,7 +30,7 @@ from .diagnostics import (
 )
 from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
-from .operators import SELECTION_RULES, MinimalNorm, model_from_config
+from .operators import SELECTION_RULES, model_from_config
 from .scheme import ERROR_RULES, STEP_RULES, SchemeError, make_schedule, run as run_scheme
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CERTIFICATE", "EXIT_CONFIG", "EXIT_RUNTIME"]
@@ -43,7 +43,7 @@ EXIT_RUNTIME = 3
 # the cheap hard certificates a run checks unless told otherwise
 DEFAULT_RUN_TAGS = ("energy", "defect_sum", "feas_L2", "feas_cesaro", "feas_measure")
 # these hold up to an O(mesh) term, so their failure is advisory unless --strict
-INFORMATIONAL_TAGS = frozenset({"beta_bound", "stability"})
+INFORMATIONAL_TAGS = frozenset({"beta_bound"})
 
 _MODEL_SUMMARIES = {
     "onedim": "scalar relaxation b - a*x with unit monotone part on the half-line x >= 0",
@@ -163,6 +163,27 @@ def _out_dir(args, cfg: dict) -> Path:
     return path
 
 
+def _config_record(args, model, seed, selection, projection, x0, T, **extra) -> dict:
+    """The manifest `config` of run, study and stability: the keys they
+    share, then each command's own `extra` keys."""
+    return {
+        "model": model.to_config(),
+        "x0": np.asarray(x0).tolist(),
+        "T": T,
+        "selection": selection.name,
+        "projection": projection.name,
+        "seed": seed,
+        "strict": bool(args.strict),
+        **extra,
+    }
+
+
+def _exit_code(hard, soft, strict: bool) -> int:
+    """Exit 1 on a failed hard check, or on an informational one under
+    --strict; `hard` and `soft` are the failures (or whether there are any)."""
+    return EXIT_CERTIFICATE if hard or (strict and soft) else EXIT_OK
+
+
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -189,46 +210,38 @@ def _failure(out: Path, command: str, error: Exception) -> int:
 
 # --- diagnostics assembly ----------------------------------------------------
 
-def _truncation_entry(model, completed):
+def _truncation_entry(completed):
     mu_min = float(np.min(completed.schedule.mus))
     T = completed.T
     n_ref = int(np.ceil(64.0 * T / mu_min))
-    reference = reference_solution(model, completed.X[0], T, n_ref)
-    return local_truncation(model, reference, completed.schedule,
-                            selection=MinimalNorm(), projection=ExactProjection())
+    reference = reference_solution(completed.model, completed.X[0], T, n_ref)
+    return local_truncation(completed.model, reference, completed.schedule)
 
 
 # tag -> the entries a check of a completed run yields; the checkers are
 # looked up when a report is made, and one call may yield several tags
 _RUN_CHECKS = {
-    "energy": lambda model, completed: [check_discrete_energy(completed)],
-    "beta_bound": lambda model, completed: [check_beta_domination(completed)],
-    "defect_sum": lambda model, completed: [defect_summability(completed)],
+    "energy": lambda completed: [check_discrete_energy(completed)],
+    "beta_bound": lambda completed: [check_beta_domination(completed)],
+    "defect_sum": lambda completed: [defect_summability(completed)],
     **dict.fromkeys(("feas_L2", "feas_cesaro", "feas_measure"),
-                    lambda model, completed: predictor_feasibility(completed)),
-    "truncation": lambda model, completed: [_truncation_entry(model, completed)],
+                    lambda completed: predictor_feasibility(completed)),
+    "truncation": lambda completed: [_truncation_entry(completed)],
 }
 # certificates a plain run can verify
 RUN_TAGS = tuple(_RUN_CHECKS)
+# the certificates study checks at every level
+STUDY_TAGS = ("feas_L2", "defect_sum", "energy")
 
 
-def _run_report(model, completed, tags) -> DiagnosticsReport:
+def _run_report(completed, tags) -> DiagnosticsReport:
     report = DiagnosticsReport()
     entries = {}
     for tag in tags:
         if tag not in entries:
-            entries.update((e.theorem_tag, e) for e in _RUN_CHECKS[tag](model, completed))
+            entries.update((e.theorem_tag, e) for e in _RUN_CHECKS[tag](completed))
         report.add(entries[tag])
     return report
-
-
-def _verdict(report: DiagnosticsReport, strict: bool):
-    hard = [e.theorem_tag for e in report if not e.passed and e.theorem_tag not in INFORMATIONAL_TAGS]
-    soft = [e.theorem_tag for e in report if not e.passed and e.theorem_tag in INFORMATIONAL_TAGS]
-    code = EXIT_OK
-    if hard or (strict and soft):
-        code = EXIT_CERTIFICATE
-    return code, hard, soft
 
 
 # --- subcommands --------------------------------------------------------------
@@ -246,24 +259,17 @@ def cmd_run(args) -> int:
     except (SchemeError, GeometryError) as e:
         return _failure(out, "run", e)
 
-    report = _run_report(model, completed, tags)
-    code, hard, soft = _verdict(report, args.strict)
+    report = _run_report(completed, tags)
+    hard = [e.theorem_tag for e in report if not e.passed and e.theorem_tag not in INFORMATIONAL_TAGS]
+    soft = [e.theorem_tag for e in report if not e.passed and e.theorem_tag in INFORMATIONAL_TAGS]
+    code = _exit_code(hard, soft, args.strict)
 
     completed.to_csv(out / "trajectory.csv")
     (out / "diagnostics.json").write_text(report.to_json() + "\n")
     manifest = {
         "command": "run",
-        "config": {
-            "model": model.to_config(),
-            "x0": [float(v) for v in x0],
-            "T": schedule.horizon,
-            "schedule": schedule.to_config(),
-            "selection": selection.name,
-            "projection": projection.name,
-            "seed": seed,
-            "diagnostics": list(tags),
-            "strict": bool(args.strict),
-        },
+        "config": _config_record(args, model, seed, selection, projection, x0, schedule.horizon,
+                                 schedule=schedule.to_config(), diagnostics=list(tags)),
         "run": completed.to_manifest(),
         "certificates": {e.theorem_tag: e.to_record() for e in report},
         "hard_failures": hard,
@@ -307,85 +313,61 @@ def cmd_study(args) -> int:
         reference = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu_ref),
                                selection=selection, projection=ExactProjection(),
                                certify_normals=False)
-        rows = []
         per_level = []
-        for i, mu in enumerate(levels):
-            sched = _schedule_from(cfg, mu_override=mu)
-            completed = run_scheme(model, x0, sched, selection=selection,
-                                   projection=projection, certify_normals=False)
+        for mu in levels:
+            completed = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu),
+                                   selection=selection, projection=projection,
+                                   certify_normals=False)
             gaps = [float(np.linalg.norm(completed.X[k] - reference.interpolate_state(t)))
                     for k, t in enumerate(completed.times)]
-            sup_err = max(gaps)
-            feas = predictor_feasibility(completed)[0]
-            defect = defect_summability(completed)
-            energy = check_discrete_energy(completed)
-            rows.append((i, mu, completed.n_steps, sup_err,
-                         feas.measured, feas.bound,
-                         defect.measured, defect.bound, energy.measured))
-            per_level.append({
-                "mu": mu,
-                "n_steps": completed.n_steps,
-                "sup_error": sup_err,
-                "feas_L2": feas.to_record(),
-                "defect_sum": defect.to_record(),
-                "energy": energy.to_record(),
-            })
+            certificates = {e.theorem_tag: e.to_record()
+                            for e in _run_report(completed, STUDY_TAGS)}
+            per_level.append({"mu": mu, "n_steps": completed.n_steps,
+                              "sup_error": max(gaps), **certificates})
     except (SchemeError, GeometryError) as e:
         return _failure(out, "study", e)
 
-    errs = [r[3] for r in rows]
-    decreasing = all(b <= 1.1 * a for a, b in zip(errs, errs[1:]))
-    feas_ok = all(lvl["feas_L2"]["pass"] for lvl in per_level)
-    energy_ok = all(lvl["energy"]["pass"] for lvl in per_level)
-    defect_ok = all(lvl["defect_sum"]["pass"] for lvl in per_level)
+    errs = [lvl["sup_error"] for lvl in per_level]
     if all(e > 0 for e in errs):
-        slope = np.polyfit(np.log([r[1] for r in rows]), np.log(errs), 1)
-        order = float(slope[0])
+        order = float(np.polyfit(np.log(levels), np.log(errs), 1)[0])
     else:
         order = None
+    passed = {tag: all(lvl[tag]["pass"] for lvl in per_level) for tag in STUDY_TAGS}
+    checks = {
+        "sup_errors_decreasing": all(b <= 1.1 * a for a, b in zip(errs, errs[1:])),
+        "feas_L2_bounded": passed["feas_L2"],
+        "energy_all_pass": passed["energy"],
+        "defect_sum_all_pass": passed["defect_sum"],
+    }
 
-    header = ("level,mu,n_steps,sup_error,feas_L2,feas_L2_bound,"
-              "defect_sum,defect_sum_bound,energy_residual")
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([str(r[0]), repr(r[1]), str(r[2])]
-                              + [repr(float(v)) for v in r[3:]]))
+    lines = ["level,mu,n_steps,sup_error,feas_L2,feas_L2_bound,"
+             "defect_sum,defect_sum_bound,energy_residual"]
+    for i, lvl in enumerate(per_level):
+        values = (lvl["sup_error"], lvl["feas_L2"]["measured"], lvl["feas_L2"]["bound"],
+                  lvl["defect_sum"]["measured"], lvl["defect_sum"]["bound"],
+                  lvl["energy"]["measured"])
+        lines.append(",".join([str(i), repr(lvl["mu"]), str(lvl["n_steps"])]
+                              + [repr(float(v)) for v in values]))
     (out / "study.csv").write_text("\n".join(lines) + "\n")
 
-    code = EXIT_OK if (decreasing and feas_ok and energy_ok and defect_ok) else EXIT_CERTIFICATE
+    code = _exit_code(not all(checks.values()), False, args.strict)
     manifest = {
         "command": "study",
-        "config": {
-            "model": model.to_config(),
-            "x0": [float(v) for v in x0],
-            "T": T,
-            "levels": levels,
-            "reference_mu": mu_ref,
-            "selection": selection.name,
-            "projection": projection.name,
-            "seed": seed,
-            "strict": bool(args.strict),
-        },
+        "config": _config_record(args, model, seed, selection, projection, x0, T,
+                                 levels=levels, reference_mu=mu_ref),
         "levels": per_level,
         "empirical_order": order,
-        "checks": {
-            "sup_errors_decreasing": decreasing,
-            "feas_L2_bounded": feas_ok,
-            "energy_all_pass": energy_ok,
-            "defect_sum_all_pass": defect_ok,
-        },
+        "checks": checks,
         "exit_code": code,
     }
     _write_json(out / "manifest.json", manifest)
     _write_json(out / "diagnostics.json", {
-        **{f"level_{lvl['n_steps']}": {
-            "energy": lvl["energy"], "defect_sum": lvl["defect_sum"], "feas_L2": lvl["feas_L2"],
-        } for lvl in per_level},
-        "summary": manifest["checks"] | {"empirical_order": order},
+        **{f"level_{lvl['n_steps']}": {tag: lvl[tag] for tag in STUDY_TAGS} for lvl in per_level},
+        "summary": checks | {"empirical_order": order},
     })
 
-    for r in rows:
-        print(f"mu={r[1]:<8g} steps={r[2]:<6d} sup_error={r[3]:.6e}")
+    for lvl in per_level:
+        print(f"mu={lvl['mu']:<8g} steps={lvl['n_steps']:<6d} sup_error={lvl['sup_error']:.6e}")
     if order is not None:
         print(f"empirical order: {order:.3f}")
     print(("ok" if code == EXIT_OK else "FAILED") + f": wrote {out}")
@@ -416,39 +398,22 @@ def cmd_stability(args) -> int:
         return _failure(out, "stability", e)
 
     entry = result["entry"]
-    r1, r2 = result["runs"]
-    gaps = np.linalg.norm(r1.X - r2.X, axis=1)
-    envelope = np.exp(model.ell * schedule.times) * entry.detail["gap0"]
-
-    lines = ["t,gap,envelope,ratio"]
-    for t, g, env, rr in zip(schedule.times, gaps, envelope, result["profile"]):
-        lines.append(",".join(repr(float(v)) for v in (t, g, env, rr)))
+    rows = zip(schedule.times, result["gaps"], result["envelope"], result["profile"])
+    lines = ["t,gap,envelope,ratio"] + [",".join(repr(float(v)) for v in row) for row in rows]
     (out / "stability.csv").write_text("\n".join(lines) + "\n")
 
     # passing only thanks to a wide mesh tolerance is reported, not
     # failed; --strict upgrades that to an error
     informational = entry.passed and entry.measured > 1.05
-    code = EXIT_OK
-    if not entry.passed:
-        code = EXIT_CERTIFICATE
-    elif args.strict and informational:
-        code = EXIT_CERTIFICATE
+    code = _exit_code(not entry.passed, informational, args.strict)
 
     report = DiagnosticsReport()
     report.add(entry)
     (out / "diagnostics.json").write_text(report.to_json() + "\n")
     manifest = {
         "command": "stability",
-        "config": {
-            "model": model.to_config(),
-            "x0": [[float(v) for v in x0_one], [float(v) for v in x0_two]],
-            "T": schedule.horizon,
-            "schedule": schedule.to_config(),
-            "selection": selection.name,
-            "projection": projection.name,
-            "seed": seed,
-            "strict": bool(args.strict),
-        },
+        "config": _config_record(args, model, seed, selection, projection, [x0_one, x0_two],
+                                 schedule.horizon, schedule=schedule.to_config()),
         "stability": entry.to_record(),
         "informational": informational,
         "max_ratio": entry.measured,

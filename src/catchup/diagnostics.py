@@ -51,6 +51,19 @@ class CertificateEntry:
     passed: bool
     detail: dict = field(default_factory=dict)
 
+    @classmethod
+    def check(cls, theorem_tag: str, measured: float, bound: float,
+              slack: float | None = None, detail: dict | None = None) -> "CertificateEntry":
+        """The entry of the claim measured <= bound, judged by `_within`.
+
+        The margin is bound - measured.  With a slack of the caller's own
+        (energy, beta_bound, stability) it is written -(measured - bound),
+        the same number except that a zero margin is -0.0, as energy and
+        beta_bound have always reported it."""
+        margin = bound - measured if slack is None else -(measured - bound)
+        return cls(theorem_tag, measured, bound, margin, _within(measured, bound, slack),
+                   detail or {})
+
     def to_record(self) -> dict:
         rec = {
             "measured": self.measured,
@@ -62,6 +75,14 @@ class CertificateEntry:
         if self.detail:
             rec["detail"] = self.detail
         return rec
+
+
+def _within(measured: float, bound: float, slack: float | None = None) -> bool:
+    """The verdict of every certificate: measured <= bound up to a roundoff
+    slack, by default _FUZZ * (1 + bound)."""
+    if slack is None:
+        return bool(measured <= bound + _FUZZ * (1 + bound))
+    return bool(measured <= bound + slack)
 
 
 class DiagnosticsReport:
@@ -117,7 +138,7 @@ def run_constants(run: DiscreteRun, c: float | None = None) -> dict:
     model = run.model
     c, delta, eta = _young_split(model.gamma, c)
     R_T = run.measured_radius()
-    M_T = model.a + model.b * R_T
+    M_T = model.growth_bound(R_T)
     q_T = run.schedule.q_T
     return {
         "c": c,
@@ -162,13 +183,8 @@ def check_discrete_energy(run: DiscreteRun, c: float | None = None) -> Certifica
     rhs = (1.0 - k["c"] * mus) * a2[:-1] + C0 * mus + C1 * mus ** 2
     residuals = a2[1:] - rhs
     worst = float(np.max(residuals)) if residuals.size else 0.0
-    slack = _FUZZ * (1.0 + float(np.max(a2)))
-    return CertificateEntry(
-        theorem_tag="energy",
-        measured=worst,
-        bound=0.0,
-        margin=-worst,
-        passed=bool(worst <= slack),
+    return CertificateEntry.check(
+        "energy", worst, 0.0, slack=_FUZZ * (1.0 + float(np.max(a2))),
         detail={
             "C0": C0, "C1": C1, "worst_step": int(np.argmax(residuals)) if residuals.size else -1,
             **{key: k[key] for key in ("c", "delta", "eta", "R_T", "M_T", "q_T", "M_tilde")},
@@ -196,13 +212,8 @@ def check_beta_domination(run: DiscreteRun, level: float | None = None,
     overshoot = a2 - beta
     worst = float(np.max(overshoot))
     k_worst = int(np.argmax(overshoot))
-    slack = _FUZZ * (1.0 + float(np.max(a2)))
-    return CertificateEntry(
-        theorem_tag="beta_bound",
-        measured=worst,
-        bound=0.0,
-        margin=-worst,
-        passed=bool(worst <= slack),
+    return CertificateEntry.check(
+        "beta_bound", worst, 0.0, slack=_FUZZ * (1.0 + float(np.max(a2))),
         detail={
             "level": float(level), "gamma": float(gamma),
             "worst_time": float(run.times[k_worst]),
@@ -221,12 +232,8 @@ def defect_summability(run: DiscreteRun) -> CertificateEntry:
     k = run_constants(run)
     total = float(np.sum(run.P * run.P))
     bound = k["M_T"] ** 2 * run.schedule.sum_mu_sq + float(np.sum(run.schedule.eps))
-    return CertificateEntry(
-        theorem_tag="defect_sum",
-        measured=total,
-        bound=bound,
-        margin=bound - total,
-        passed=bool(total <= bound + _FUZZ * (1.0 + bound)),
+    return CertificateEntry.check(
+        "defect_sum", total, bound,
         detail={"M_T": k["M_T"], "sum_mu_sq": run.schedule.sum_mu_sq,
                 "sum_eps": float(np.sum(run.schedule.eps))},
     )
@@ -255,41 +262,20 @@ def predictor_feasibility(run: DiscreteRun,
     cesaro = float(np.sum(sched.mus * d)) / T
     cesaro_bound = float(np.sqrt(L2 / T))
     entries = [
-        CertificateEntry(
-            theorem_tag="feas_L2",
-            measured=L2,
-            bound=L2_bound,
-            margin=L2_bound - L2,
-            passed=bool(L2 <= L2_bound + _FUZZ * (1.0 + L2_bound)),
+        CertificateEntry.check(
+            "feas_L2", L2, L2_bound,
             detail={"C_T": C_T, "mu_norm": mu_norm, "T": T, "max_distance": float(d.max(initial=0.0))},
         ),
-        CertificateEntry(
-            theorem_tag="feas_cesaro",
-            measured=cesaro,
-            bound=cesaro_bound,
-            margin=cesaro_bound - cesaro,
-            passed=bool(cesaro <= cesaro_bound + _FUZZ * (1.0 + cesaro_bound)),
-            detail={"T": T},
-        ),
+        CertificateEntry.check("feas_cesaro", cesaro, cesaro_bound, detail={"T": T}),
     ]
-    measure_detail = {}
-    worst_margin = np.inf
-    ok = True
-    for thr in thresholds:
-        meas = float(np.sum(sched.mus[d > thr])) / T
-        cheb = cesaro / thr
-        measure_detail[f"{thr:g}"] = {"measured": meas, "bound": cheb}
-        ok = ok and meas <= cheb + _FUZZ * (1.0 + cheb)
-        if cheb - meas < worst_margin:
-            worst_margin = cheb - meas
-            worst_pair = (meas, cheb)
+    # (threshold, measure, Chebyshev bound); the entry shows the pair with
+    # the least margin and passes when every pair does
+    pairs = [(f"{thr:g}", float(np.sum(sched.mus[d > thr])) / T, cesaro / thr)
+             for thr in thresholds]
+    _, meas, cheb = min(pairs, key=lambda pair: pair[2] - pair[1])
     entries.append(CertificateEntry(
-        theorem_tag="feas_measure",
-        measured=worst_pair[0],
-        bound=worst_pair[1],
-        margin=worst_margin,
-        passed=bool(ok),
-        detail={"thresholds": measure_detail},
+        "feas_measure", meas, cheb, cheb - meas, all(_within(m, b) for _, m, b in pairs),
+        {"thresholds": {thr: {"measured": m, "bound": b} for thr, m, b in pairs}},
     ))
     return entries
 
@@ -322,18 +308,15 @@ def stability_experiment(model: MonotoneModel, x0_one, x0_two, schedule: StepSch
     gaps = np.linalg.norm(r1.X - r2.X, axis=1)
     envelope = np.exp(ell * schedule.times) * gap0
     profile = gaps / envelope
-    max_r = float(np.max(profile))
-    entry = CertificateEntry(
-        theorem_tag="stability",
-        measured=max_r,
-        bound=1.0 + tol_mesh,
-        margin=1.0 + tol_mesh - max_r,
-        passed=bool(max_r <= 1.0 + tol_mesh + _FUZZ),
+    entry = CertificateEntry.check(
+        "stability", float(np.max(profile)), 1.0 + tol_mesh, slack=_FUZZ,
         detail={"ell": float(ell), "tol_mesh": float(tol_mesh), "gap0": gap0},
     )
     return {
         "entry": entry,
         "times": schedule.times.copy(),
+        "gaps": gaps,
+        "envelope": envelope,
         "profile": profile,
         "runs": (r1, r2),
     }
@@ -373,15 +356,11 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
         defect = float(np.linalg.norm(z - reference.interpolate_state(t_next)))
         ratios[k] = defect / (schedule.mus[k] + np.sqrt(schedule.eps[k]))
         radius = max(radius, float(np.linalg.norm(z)))
-    M_T = model.a + model.b * radius
+    M_T = model.growth_bound(radius)
     C_T = max(3.0 * M_T, 1.0)
     worst = float(np.max(ratios)) if ratios.size else 0.0
-    return CertificateEntry(
-        theorem_tag="truncation",
-        measured=worst,
-        bound=C_T,
-        margin=C_T - worst,
-        passed=bool(worst <= C_T + _FUZZ * (1.0 + C_T)),
+    return CertificateEntry.check(
+        "truncation", worst, C_T,
         detail={
             "M_T": M_T, "mesh_ratio": ratio,
             "mean_ratio": float(np.mean(ratios)) if ratios.size else 0.0,
@@ -414,7 +393,7 @@ def corrector_stability_check(model: MonotoneModel, x, x_bar, mu: float, eps: fl
     u_bar = approx_project(C, x_bar + mu * w_bar, eps, policy=proj)
     dx2 = float(np.sum((x - x_bar) ** 2))
     lhs = float(np.sum((u - u_bar) ** 2))
-    m = model.a + model.b * max(float(np.linalg.norm(x)), float(np.linalg.norm(x_bar)))
+    m = model.growth_bound(max(float(np.linalg.norm(x)), float(np.linalg.norm(x_bar))))
     c_T = 4.0 * model.ell
     C_T = max(8.0 * m * m, 8.0)
     rhs = (2.0 + c_T * mu) * dx2 + C_T * (mu * mu + eps)
@@ -422,7 +401,7 @@ def corrector_stability_check(model: MonotoneModel, x, x_bar, mu: float, eps: fl
         "lhs": lhs,
         "rhs": rhs,
         "margin": rhs - lhs,
-        "holds": bool(lhs <= rhs + _FUZZ * (1.0 + rhs)),
+        "holds": _within(lhs, rhs),
         "c_T": c_T,
         "C_T": C_T,
         "m": m,

@@ -125,6 +125,9 @@ class Box(ConvexSet):
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise ValueError("box bounds must be vectors of equal length")
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            if np.any(np.isnan(bound)):
+                raise ValueError(f"box {name} bound must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box requires lower <= upper componentwise")
         self.dim = self.lower.shape[0]
@@ -203,6 +206,10 @@ class Ball(ConvexSet):
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("ball center must be finite")
+        if not np.isfinite(self.radius):
+            raise ValueError("ball radius must be finite")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         self.dim = self.center.shape[0]
@@ -253,13 +260,17 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset: float):
         n = np.atleast_1d(np.asarray(normal, dtype=float))
+        self.offset = float(offset)
+        if not np.all(np.isfinite(n)):
+            raise ValueError("halfspace normal must be finite")
+        if not np.isfinite(self.offset):
+            raise ValueError("halfspace offset must be finite")
         nrm = float(np.linalg.norm(n))
         if nrm == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError("halfspace normal must be a unit vector")
         self.normal = n
-        self.offset = float(offset)
         self.dim = n.shape[0]
         self.normal.flags.writeable = False
 
@@ -349,7 +360,7 @@ class Intersection(ConvexSet):
         y = _as_vector(y, self.dim)
         tol = 1e-13 * (1.0 + float(np.linalg.norm(y)))
         z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
-        if not all(m.contains(z) for m in self.members):
+        if not self.contains(z):
             raise ProjectionError(
                 f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
             )
@@ -516,8 +527,7 @@ class IterativeProjection:
                 sep = (float(n @ y) - sum(float(q @ p) for q, p in zip(corrections, points))) / nn
                 if sep > 0.0:
                     lb = max(lb, sep * sep)
-            feasible = all(m.distance(z) <= membership_tol(z) for m in members)
-            if feasible and float(np.sum((z - y) ** 2)) <= lb + eps:
+            if C.contains(z) and float(np.sum((z - y) ** 2)) <= lb + eps:
                 return z
         raise ProjectionError(
             "Dykstra sweeps could not certify the eps-inequality "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Box, Halfline
+from .geometry import Box, Halfline, membership_tol
 from .operators import AffineField, LinearPart, MonotoneModel, SeparableL1
 from .scheme import SchemeError, Uniform, make_schedule, run
 
@@ -213,7 +213,7 @@ def equilibrium_residual(model: MonotoneModel, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     f_val = model.f(x)
     g = model.G.value(x)
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(x)))
+    tol = membership_tol(x)
     lo = g.lower.copy()
     hi = g.upper.copy()
     at_lower = x <= C.lower + tol

@@ -307,6 +307,14 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 
 # --- single step -----------------------------------------------------------
 
+def _defect_contract(p, w, x, mu: float, eps: float):
+    """(|p|^2, mu^2 |w|^2 + eps, verdict) of the eps-contract on the defect
+    p of a step from x, with roundoff slack scaled to the step's sizes."""
+    lhs = float(p @ p)
+    rhs = mu * mu * float(w @ w) + eps
+    return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + float(x @ x))
+
+
 def step(model: MonotoneModel, x, mu: float, eps: float,
          selection=None, projection=None, sel_rng=None, proj_rng=None):
     """One predictor-projection update from a feasible point.
@@ -327,10 +335,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}") from exc
     p = x_next - y
-    lhs = float(p @ p)
-    rhs = mu * mu * float(w @ w) + eps
-    slack = 1e-9 * (1.0 + rhs + float(x @ x))
-    if lhs > rhs + slack:
+    lhs, rhs, ok = _defect_contract(p, w, x, mu, eps)
+    if not ok:
         raise SchemeError(
             f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}"
         )
@@ -530,14 +536,14 @@ def _apriori_constants(model: MonotoneModel, schedule: StepSchedule, x0: NDArray
     if not np.isfinite(K):
         return constants | {"K_T": None, "R_T": None, "M_T": None, "L_T": None, "vacuous": True}
     R = float(np.sqrt(K))
-    M_T = a + b * R
+    M_T = model.growth_bound(R)
     return constants | {"K_T": K, "R_T": R, "M_T": float(M_T),
                         "L_T": float(2.0 * M_T + np.sqrt(q_T))}
 
 
 def run(model: MonotoneModel, x0, schedule: StepSchedule,
         selection=None, projection=None,
-        certify_normals: bool = True, probe_spec: ProbeSpec | None = None) -> DiscreteRun:
+        certify_normals: bool = True) -> DiscreteRun:
     """Iterate the scheme over the whole grid.
 
     Per-step invariants are asserted as they are produced; a failure
@@ -564,9 +570,8 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     seeds = {key: policy.seed for key, policy in policies.items() if policy.seed is not None}
     sel_rng, proj_rng = (None if policy.seed is None else np.random.default_rng(policy.seed)
                          for policy in policies.values())
-    spec = probe_spec if probe_spec is not None else ProbeSpec()
     if certify_normals:
-        seeds["probes"] = spec.seed
+        seeds["probes"] = ProbeSpec().seed
 
     certificates = []
 
@@ -593,7 +598,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
         if certify_normals and np.any(p):
             delta_k = schedule.delta(k)
-            cert = in_approx_normal_cone(C, x_next, v, delta_k, probes=spec)
+            cert = in_approx_normal_cone(C, x_next, v, delta_k)
             rec = cert.to_record()
             rec["k"] = k
             certificates.append(rec)
@@ -685,9 +690,7 @@ def verify_run_invariants(data: dict, C: ConvexSet | None = None) -> dict:
                 + 1e-15 * (1.0 + float(np.linalg.norm(X[k]))) / mu)
         if float(np.linalg.norm(vel - (W[k] - V[k]))) > wtol:
             fail("velocity_identity", k)
-        lhs = float(P[k] @ P[k])
-        rhs = mu * mu * float(W[k] @ W[k]) + eps[k]
-        if lhs > rhs + 1e-9 * (1.0 + rhs + float(X[k] @ X[k])):
+        if not _defect_contract(P[k], W[k], X[k], mu, eps[k])[2]:
             fail("defect_contract", k)
         if C is not None and not C.contains(X[k + 1]):
             fail("feasibility", k)

@@ -382,6 +382,20 @@ class TestBoundaryValidation:
         cfg = write_config(tmp_path / "c.json", onedim_config(model=model, x0=x0, T=0.1))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("field, C", [
+        ("lower", {"type": "box", "lower": [float("nan")], "upper": [1.0]}),
+        ("upper", {"type": "box", "lower": [-1.0], "upper": [float("nan")]}),
+        ("center", {"type": "ball", "center": [float("nan")], "radius": 1.0}),
+        ("radius", {"type": "ball", "center": [0.0], "radius": float("nan")}),
+        ("normal", {"type": "halfspace", "normal": [float("nan")], "offset": 1.0}),
+        ("offset", {"type": "halfspace", "normal": [1.0], "offset": float("nan")}),
+    ])
+    def test_nan_set_parameter_is_named(self, tmp_path, capsys, field, C):
+        cfg = write_config(tmp_path / "c.json",
+                           onedim_config(model={**self.GENERIC, "C": C}, x0=[0.5], T=0.1))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so
         # exp(Lambda_T T) leaves float range at T = 20

@@ -246,6 +246,8 @@ class TestStabilityExperiment:
         assert out["entry"].measured <= 1.05
         assert out["profile"][0] == pytest.approx(1.0)
         assert np.all(out["profile"] <= 1.0 + 1e-12)
+        np.testing.assert_array_equal(out["profile"], out["gaps"] / out["envelope"])
+        assert out["gaps"][0] == out["entry"].detail["gap0"]
 
     def test_contraction_through_the_wall(self):
         # one trajectory sticks before the other; the gap keeps
