@@ -31,7 +31,7 @@ from .diagnostics import (
 from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
 from .operators import SELECTION_RULES, model_from_config
-from .scheme import ERROR_RULES, STEP_RULES, SchemeError, make_schedule, run as run_scheme
+from .scheme import ERROR_RULES, STEP_RULES, SchemeError, csv_text, make_schedule, run as run_scheme
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CERTIFICATE", "EXIT_CONFIG", "EXIT_RUNTIME"]
 
@@ -80,7 +80,7 @@ def _model_from(cfg: dict):
             return named_model_from_config(spec)
         if isinstance(spec, dict):
             return model_from_config(spec)
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise ConfigError(f"model: {e}") from None
     raise ConfigError("'model' must be a mapping")
 
@@ -108,7 +108,7 @@ def _from_registry(family: str, registry: dict, spec, seed=None, default=None):
         raise ConfigError(f"unknown {family} kind {kind!r} (known: {sorted(registry)})") from None
     try:
         return build(spec, seed)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{family}: {e}") from None
 
 
@@ -163,7 +163,7 @@ def _out_dir(args, cfg: dict) -> Path:
     return path
 
 
-def _config_record(args, model, seed, selection, projection, x0, T, **extra) -> dict:
+def _config_record(model, seed, selection, projection, x0, T, **extra) -> dict:
     """The manifest `config` of run, study and stability: the keys they
     share, then each command's own `extra` keys."""
     return {
@@ -173,12 +173,11 @@ def _config_record(args, model, seed, selection, projection, x0, T, **extra) -> 
         "selection": selection.name,
         "projection": projection.name,
         "seed": seed,
-        "strict": bool(args.strict),
         **extra,
     }
 
 
-def _exit_code(hard, soft, strict: bool) -> int:
+def _exit_code(hard, soft=False, strict: bool = False) -> int:
     """Exit 1 on a failed hard check, or on an informational one under
     --strict; `hard` and `soft` are the failures (or whether there are any)."""
     return EXIT_CERTIFICATE if hard or (strict and soft) else EXIT_OK
@@ -268,8 +267,9 @@ def cmd_run(args) -> int:
     (out / "diagnostics.json").write_text(report.to_json() + "\n")
     manifest = {
         "command": "run",
-        "config": _config_record(args, model, seed, selection, projection, x0, schedule.horizon,
-                                 schedule=schedule.to_config(), diagnostics=list(tags)),
+        "config": _config_record(model, seed, selection, projection, x0, schedule.horizon,
+                                 strict=args.strict, schedule=schedule.to_config(),
+                                 diagnostics=list(tags)),
         "run": completed.to_manifest(),
         "certificates": {e.theorem_tag: e.to_record() for e in report},
         "hard_failures": hard,
@@ -298,7 +298,7 @@ def cmd_study(args) -> int:
         T = float(cfg["T"])
         levels = [float(v) for v in study.get("levels") or []]
         refine = int(study.get("reference_refine", 8))
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"study: {e}") from None
     if len(levels) < 3:
         raise ConfigError("study needs at least 3 refinement levels")
@@ -318,12 +318,12 @@ def cmd_study(args) -> int:
             completed = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu),
                                    selection=selection, projection=projection,
                                    certify_normals=False)
-            gaps = [float(np.linalg.norm(completed.X[k] - reference.interpolate_state(t)))
-                    for k, t in enumerate(completed.times)]
+            gaps = completed.X - reference.interpolate_state(completed.times)
             certificates = {e.theorem_tag: e.to_record()
                             for e in _run_report(completed, STUDY_TAGS)}
             per_level.append({"mu": mu, "n_steps": completed.n_steps,
-                              "sup_error": max(gaps), **certificates})
+                              "sup_error": max(float(np.linalg.norm(gap)) for gap in gaps),
+                              **certificates})
     except (SchemeError, GeometryError) as e:
         return _failure(out, "study", e)
 
@@ -340,20 +340,18 @@ def cmd_study(args) -> int:
         "defect_sum_all_pass": passed["defect_sum"],
     }
 
-    lines = ["level,mu,n_steps,sup_error,feas_L2,feas_L2_bound,"
-             "defect_sum,defect_sum_bound,energy_residual"]
-    for i, lvl in enumerate(per_level):
-        values = (lvl["sup_error"], lvl["feas_L2"]["measured"], lvl["feas_L2"]["bound"],
-                  lvl["defect_sum"]["measured"], lvl["defect_sum"]["bound"],
-                  lvl["energy"]["measured"])
-        lines.append(",".join([str(i), repr(lvl["mu"]), str(lvl["n_steps"])]
-                              + [repr(float(v)) for v in values]))
-    (out / "study.csv").write_text("\n".join(lines) + "\n")
+    header = ["level", "mu", "n_steps", "sup_error", "feas_L2", "feas_L2_bound",
+              "defect_sum", "defect_sum_bound", "energy_residual"]
+    rows = ((i, lvl["mu"], lvl["n_steps"], lvl["sup_error"],
+             lvl["feas_L2"]["measured"], lvl["feas_L2"]["bound"],
+             lvl["defect_sum"]["measured"], lvl["defect_sum"]["bound"], lvl["energy"]["measured"])
+            for i, lvl in enumerate(per_level))
+    (out / "study.csv").write_text(csv_text(header, rows))
 
-    code = _exit_code(not all(checks.values()), False, args.strict)
+    code = _exit_code(not all(checks.values()))
     manifest = {
         "command": "study",
-        "config": _config_record(args, model, seed, selection, projection, x0, T,
+        "config": _config_record(model, seed, selection, projection, x0, T,
                                  levels=levels, reference_mu=mu_ref),
         "levels": per_level,
         "empirical_order": order,
@@ -399,8 +397,7 @@ def cmd_stability(args) -> int:
 
     entry = result["entry"]
     rows = zip(schedule.times, result["gaps"], result["envelope"], result["profile"])
-    lines = ["t,gap,envelope,ratio"] + [",".join(repr(float(v)) for v in row) for row in rows]
-    (out / "stability.csv").write_text("\n".join(lines) + "\n")
+    (out / "stability.csv").write_text(csv_text(["t", "gap", "envelope", "ratio"], rows))
 
     # passing only thanks to a wide mesh tolerance is reported, not
     # failed; --strict upgrades that to an error
@@ -412,8 +409,9 @@ def cmd_stability(args) -> int:
     (out / "diagnostics.json").write_text(report.to_json() + "\n")
     manifest = {
         "command": "stability",
-        "config": _config_record(args, model, seed, selection, projection, [x0_one, x0_two],
-                                 schedule.horizon, schedule=schedule.to_config()),
+        "config": _config_record(model, seed, selection, projection, [x0_one, x0_two],
+                                 schedule.horizon, strict=args.strict,
+                                 schedule=schedule.to_config()),
         "stability": entry.to_record(),
         "informational": informational,
         "max_ratio": entry.measured,
@@ -446,23 +444,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_run = sub.add_parser("run", help="one trajectory with certificate checks")
+    p_study = sub.add_parser("study", help="dyadic mesh refinement against a fine reference")
+    p_stab = sub.add_parser("stability", help="contraction profile for two starts")
+    for p in (p_run, p_study, p_stab):
         p.add_argument("config", help="JSON experiment description")
         p.add_argument("--out", default=None, help="output directory (default: cwd or config)")
         p.add_argument("--seed", type=int, default=None, help="master seed for randomized policies")
+    for p in (p_run, p_stab):  # a study has no informational checks
         p.add_argument("--strict", action="store_true",
                        help="treat informational mesh failures as errors")
-
-    p_run = sub.add_parser("run", help="one trajectory with certificate checks")
-    common(p_run)
     p_run.add_argument("--diagnostics", default=None,
                        help="comma-separated certificate tags, or 'all'")
-
-    p_study = sub.add_parser("study", help="dyadic mesh refinement against a fine reference")
-    common(p_study)
-
-    p_stab = sub.add_parser("stability", help="contraction profile for two starts")
-    common(p_stab)
 
     p_models = sub.add_parser("models", help="inspect the ready-made models")
     p_models.add_argument("action", choices=["list"])

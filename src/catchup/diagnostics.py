@@ -347,13 +347,12 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
     C = model.C
     ratios = np.empty(schedule.n_steps)
     radius = reference.measured_radius()
+    ref_states = reference.interpolate_state(schedule.times)
     for k in range(schedule.n_steps):
-        t_k = schedule.times[k]
-        t_next = schedule.times[k + 1]
-        xk = C.project(reference.interpolate_state(t_k))
+        xk = C.project(ref_states[k])
         z, _, _, _, _ = scheme_step(model, xk, float(schedule.mus[k]),
                                     float(schedule.eps[k]), selection=sel, projection=proj)
-        defect = float(np.linalg.norm(z - reference.interpolate_state(t_next)))
+        defect = float(np.linalg.norm(z - ref_states[k + 1]))
         ratios[k] = defect / (schedule.mus[k] + np.sqrt(schedule.eps[k]))
         radius = max(radius, float(np.linalg.norm(z)))
     M_T = model.growth_bound(radius)

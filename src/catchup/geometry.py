@@ -41,9 +41,10 @@ __all__ = [
     "set_from_config",
 ]
 
-# x is considered a member of C when distance(C, x) <= MEMBERSHIP_RTOL * (1 + |x|).
-# Scheme iterates land within roundoff of the boundary, so exact membership
-# tests are useless; this scale-aware tolerance is used everywhere.
+# x is considered a member of C when distance(C, x) <= MEMBERSHIP_RTOL * (1 + |x|),
+# and of an intersection when that holds for every member set.  Scheme
+# iterates land within roundoff of the boundary, so exact membership tests
+# are useless; this scale-aware tolerance is used everywhere.
 MEMBERSHIP_RTOL = 1e-9
 
 # Default probe window half-width for unbounded sets: W = PROBE_WINDOW_SCALE * (1 + |x|).
@@ -97,10 +98,9 @@ class ConvexSet:
         x = _as_vector(x, self.dim)
         if not np.all(np.isfinite(x)):
             raise GeometryError(f"point {x} is not in the set (non-finite coordinates)")
-        d = self.distance(x)
-        if not d <= membership_tol(x):  # a NaN distance fails too
+        if not self.contains(x):  # a NaN distance fails too
             raise GeometryError(
-                f"point {x} is not in the set (distance {d:.3e} exceeds tolerance)"
+                f"point {x} is not in the set (distance {self.distance(x):.3e} exceeds tolerance)"
             )
         return x
 

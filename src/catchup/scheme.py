@@ -15,6 +15,7 @@ run container with its interpolants, and CSV/manifest serialization.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 from dataclasses import dataclass
@@ -307,12 +308,13 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 
 # --- single step -----------------------------------------------------------
 
-def _defect_contract(p, w, x, mu: float, eps: float):
+def _defect_contract(p, w, x, mu, eps):
     """(|p|^2, mu^2 |w|^2 + eps, verdict) of the eps-contract on the defect
-    p of a step from x, with roundoff slack scaled to the step's sizes."""
-    lhs = float(p @ p)
-    rhs = mu * mu * float(w @ w) + eps
-    return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + float(x @ x))
+    p of a step from x, with roundoff slack scaled to the step's sizes.
+    Stacked steps (one per row, with arrays of mu and eps) give arrays."""
+    lhs = np.vecdot(p, p)
+    rhs = mu * mu * np.vecdot(w, w) + eps
+    return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + np.vecdot(x, x))
 
 
 def step(model: MonotoneModel, x, mu: float, eps: float,
@@ -396,24 +398,21 @@ class DiscreteRun:
         return float(np.max(np.linalg.norm(self.X, axis=1)))
 
     def measured_sup_w(self) -> float:
-        if self.W.size == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.W, axis=1)))
+        return float(np.max(np.linalg.norm(self.W, axis=1), initial=0.0))
 
-    def _cell(self, t: float) -> int:
+    def _cell(self, t):
+        """The cell index of a time, or elementwise of an array of times."""
         times = self.times
         n = self.n_steps
-        if t < times[0] - 1e-12 or t > times[n] + 1e-12:
+        if np.any(t < times[0] - 1e-12) or np.any(t > times[n] + 1e-12):
             raise ValueError(f"t={t} outside the grid range [0, {times[n]}]")
-        k = int(np.searchsorted(times[: n + 1], t, side="right")) - 1
-        return min(max(k, 0), n - 1)
+        return np.clip(np.searchsorted(times[: n + 1], t, side="right") - 1, 0, n - 1)
 
-    def interpolate_state(self, t: float) -> NDArray:
-        """Piecewise-affine interpolant through the iterates."""
+    def interpolate_state(self, t) -> NDArray:
+        """Piecewise-affine interpolant through the iterates, at a time or
+        at each time of an array (one row per time)."""
         k = self._cell(t)
-        mu = self.schedule.mus[k]
-        lam = (t - self.times[k]) / mu
-        lam = min(max(lam, 0.0), 1.0)
+        lam = np.clip((t - self.times[k]) / self.schedule.mus[k], 0.0, 1.0)[..., None]
         return (1.0 - lam) * self.X[k] + lam * self.X[k + 1]
 
     def interpolate_predictor(self, t: float) -> NDArray:
@@ -443,30 +442,12 @@ class DiscreteRun:
     def to_csv(self, path=None) -> str | None:
         """Columnar dump: k, t, state, selection, defect, normal term,
         step, tolerance.  The last row carries only (k, t, state)."""
-        d = self.dim
-        header = (["k", "t"]
-                  + [f"x{i}" for i in range(d)]
-                  + [f"w{i}" for i in range(d)]
-                  + [f"p{i}" for i in range(d)]
-                  + [f"v{i}" for i in range(d)]
-                  + ["mu", "eps"])
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        n = self.n_steps
-        for k in range(n):
-            row = [k, repr(float(self.times[k]))]
-            row += [repr(float(v)) for v in self.X[k]]
-            row += [repr(float(v)) for v in self.W[k]]
-            row += [repr(float(v)) for v in self.P[k]]
-            row += [repr(float(v)) for v in self.V[k]]
-            row += [repr(float(self.schedule.mus[k])), repr(float(self.schedule.eps[k]))]
-            writer.writerow(row)
-        last = [n, repr(float(self.times[n]))]
-        last += [repr(float(v)) for v in self.X[n]]
-        last += [""] * (3 * d + 2)
-        writer.writerow(last)
-        text = buf.getvalue()
+        d, n = self.dim, self.n_steps
+        header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
+        body = np.column_stack([self.times[:n], self.X[:n], self.W, self.P, self.V,
+                                self.schedule.mus[:n], self.schedule.eps[:n]])
+        last = (n, float(self.times[n]), *self.X[n].tolist(), *[None] * (3 * d + 2))
+        text = csv_text(header, itertools.chain(((k, *body[k].tolist()) for k in range(n)), [last]))
         if path is None:
             return text
         with open(path, "w") as fh:
@@ -618,85 +599,77 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
 
 # --- serialization round trip ----------------------------------------------
 
+def csv_text(header, rows) -> str:
+    """The table format of every CSV file the package writes: a header
+    line, then one line per row, with ints written through str, floats
+    through repr (full precision), None as an empty cell, "\n" line ends."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else str(v) if isinstance(v, int) else repr(float(v))
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def read_run_csv(path_or_text: str) -> dict:
     """Parse a trajectory CSV back into arrays.
 
     Accepts a path or the raw text, told apart by the newline every CSV
     text has.  Returns a dict with keys times, X, W, P, V, mus, eps (arrays
-    shaped as in DiscreteRun).
+    shaped as in DiscreteRun), column slices of one table.
     """
     if "\n" in path_or_text:
         text = path_or_text
     else:
         with open(path_or_text) as fh:
             text = fh.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2:
+    n = text.rstrip("\n").count("\n") - 1
+    if n < 0:
         raise ValueError("trajectory CSV has no data rows")
-    header = rows[0]
+    rows = csv.reader(io.StringIO(text))
+    header = next(rows)
     d = sum(1 for name in header if name.startswith("x"))
     if d == 0 or len(header) != 2 + 4 * d + 2:
         raise ValueError("unrecognized trajectory CSV header")
-    body = rows[1:]
-    n = len(body) - 1
-    times = np.empty(n + 1)
-    X = np.empty((n + 1, d))
-    W = np.empty((n, d))
-    P = np.empty((n, d))
-    V = np.empty((n, d))
-    mus = np.empty(n)
-    eps = np.empty(n)
-    for i, row in enumerate(body):
-        times[i] = float(row[1])
-        X[i] = [float(v) for v in row[2: 2 + d]]
-        if i < n:
-            W[i] = [float(v) for v in row[2 + d: 2 + 2 * d]]
-            P[i] = [float(v) for v in row[2 + 2 * d: 2 + 3 * d]]
-            V[i] = [float(v) for v in row[2 + 3 * d: 2 + 4 * d]]
-            mus[i] = float(row[2 + 4 * d])
-            eps[i] = float(row[2 + 4 * d + 1])
-    return {"times": times, "X": X, "W": W, "P": P, "V": V, "mus": mus, "eps": eps}
+    # columns t, x, w, p, v, mu, eps; the last row holds only t and x
+    table = np.empty((n + 1, 4 * d + 3))
+    for i, row in enumerate(rows):
+        width = 4 * d + 3 if i < n else d + 1
+        table[i, :width] = [float(v) for v in row[1: 1 + width]]
+    body = table[:n]
+    return {"times": table[:, 0], "X": table[:, 1: 1 + d],
+            "W": body[:, 1 + d: 1 + 2 * d], "P": body[:, 1 + 2 * d: 1 + 3 * d],
+            "V": body[:, 1 + 3 * d: 1 + 4 * d],
+            "mus": body[:, 1 + 4 * d], "eps": body[:, 2 + 4 * d]}
 
 
 def verify_run_invariants(data: dict, C: ConvexSet | None = None) -> dict:
     """Re-check the per-step identities on raw arrays (e.g. after a CSV
     round trip): update bookkeeping, velocity split, defect contract, and
     feasibility when the set is supplied.  Returns a report dict; the
-    `ok` flag is the conjunction."""
-    times, X, W, P, V = data["times"], data["X"], data["W"], data["P"], data["V"]
+    `ok` flag is the conjunction, and `first_violation` names the earliest
+    failing step (checks in that order on a tie)."""
+    times, W, P, V = data["times"], data["W"], data["P"], data["V"]
     mus, eps = data["mus"], data["eps"]
     n = W.shape[0]
-    report = {
-        "update_identity": True,
-        "velocity_identity": True,
-        "defect_contract": True,
-        "feasibility": True if C is not None else None,
-        "first_violation": None,
-    }
-
-    def fail(key, k):
-        report[key] = False
-        if report["first_violation"] is None:
-            report["first_violation"] = {"check": key, "k": int(k)}
-
-    for k in range(n):
-        mu = mus[k]
-        xtol = 1e-12 * (1.0 + float(np.linalg.norm(X[k])))
-        if float(np.linalg.norm(X[k + 1] - (X[k] + mu * W[k] + P[k]))) > xtol:
-            fail("update_identity", k)
-        vel = (X[k + 1] - X[k]) / mu
+    x, x_next, mu = data["X"][:n], data["X"][1: n + 1], mus[:, None]
+    size = functools.partial(np.linalg.norm, axis=1)
+    # one mask per identity, True at the steps that break it
+    failed = {
+        "update_identity": size(x_next - (x + mu * W + P)) > 1e-12 * (1.0 + size(x)),
         # the division amplifies the predictor's roundoff by 1/mu
-        wtol = (1e-12 * (1.0 + float(np.linalg.norm(W[k])) + float(np.linalg.norm(V[k])))
-                + 1e-15 * (1.0 + float(np.linalg.norm(X[k]))) / mu)
-        if float(np.linalg.norm(vel - (W[k] - V[k]))) > wtol:
-            fail("velocity_identity", k)
-        if not _defect_contract(P[k], W[k], X[k], mu, eps[k])[2]:
-            fail("defect_contract", k)
-        if C is not None and not C.contains(X[k + 1]):
-            fail("feasibility", k)
-    if abs(times[0]) > 1e-12 or np.max(np.abs(np.diff(times) - mus)) > 1e-9:
-        fail("update_identity", -1)
-    report["ok"] = all(v is not False for v in
-                       (report["update_identity"], report["velocity_identity"],
-                        report["defect_contract"], report["feasibility"]))
+        "velocity_identity": size((x_next - x) / mu - (W - V))
+        > 1e-12 * (1.0 + size(W) + size(V)) + 1e-15 * (1.0 + size(x)) / mus,
+        "defect_contract": ~_defect_contract(P, W, x, mus, eps)[2],
+    }
+    if C is not None:
+        failed["feasibility"] = np.array([not C.contains(z) for z in x_next], dtype=bool)
+    report = {key: not mask.any() for key, mask in failed.items()}
+    report.setdefault("feasibility", None)
+    first = min(((int(np.argmax(mask)), order, key)
+                 for order, (key, mask) in enumerate(failed.items()) if mask.any()), default=None)
+    report["first_violation"] = None if first is None else {"check": first[2], "k": first[0]}
+    if abs(times[0]) > 1e-12 or np.max(np.abs(np.diff(times) - mus), initial=0.0) > 1e-9:
+        report["update_identity"] = False
+        report["first_violation"] = (report["first_violation"]
+                                     or {"check": "update_identity", "k": -1})
+    report["ok"] = all(report[key] is not False for key in failed)
     return report

@@ -102,6 +102,8 @@ class TestRunCommand:
         assert manifest["failed"] == "certificate"
         assert "partial" in manifest
         assert (out / "trajectory.csv").exists()
+        # the run stopped at step 0, and its one-row trajectory still audits
+        assert verify_run_invariants(read_run_csv(str(out / "trajectory.csv")))["ok"]
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg_payload = onedim_config(
@@ -176,6 +178,14 @@ class TestStudyCommand:
     def test_malformed_study_is_config_error(self, tmp_path, overrides):
         cfg = write_config(tmp_path / "c.json", onedim_config(**overrides))
         assert main(["study", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_strict_is_not_a_study_flag(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            study={"levels": [0.04, 0.02, 0.01]},
+        ))
+        with pytest.raises(SystemExit) as exc:
+            main(["study", cfg, "--out", str(tmp_path / "o"), "--strict"])
+        assert exc.value.code == 2
 
     def test_non_refining_levels_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", onedim_config(
@@ -395,6 +405,21 @@ class TestBoundaryValidation:
                            onedim_config(model={**self.GENERIC, "C": C}, x0=[0.5], T=0.1))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entry", [
+        ("run", {"selection": {"kind": "randomized", "seed": float("inf")}}),
+        ("run", {"selection": {"kind": "sign", "sign": float("inf")}}),
+        ("run", {"projection": {"kind": "perturbed", "seed": float("inf")}}),
+        ("run", {"model": {**GENERIC, "C": {"type": "intersection", "budget": float("inf"),
+                                            "members": [{"type": "halfline"}]}}}),
+        ("run", {"model": {**GENERIC, "C": {"type": "nonneg_orthant", "dim": float("inf")}}}),
+        ("study", {"study": {"levels": [0.04, 0.02, 0.01], "reference_refine": float("inf")}}),
+    ], ids=["selection.seed", "selection.sign", "projection.seed", "C.budget",
+            "nonneg_orthant.dim", "study.reference_refine"])
+    def test_overflowing_integer_is_config_error(self, tmp_path, command, entry):
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            **{"model": self.GENERIC, "x0": [0.5], "T": 0.1, **entry}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
 
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so

@@ -154,6 +154,29 @@ class TestIntersection:
         assert not C.contains([0.9, 0.0])
         assert not C.contains([0.0, 1.5])
 
+    def outside_corner(self, offset, step):
+        """The cap Ball(0, 1) n Halfspace([1, 0], offset) and a point `step`
+        outside its upper corner, along the bisector of the two normals."""
+        C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], offset)])
+        corner = np.array([offset, np.sqrt(1.0 - offset ** 2)])
+        bisector = corner + np.array([1.0, 0.0])
+        bisector /= np.linalg.norm(bisector)
+        return C, corner + step * bisector, bisector
+
+    @pytest.mark.parametrize("offset, step", [(-0.99, 1e-8), (0.0, 2.5e-9)])
+    def test_membership_is_judged_by_members(self, offset, step):
+        # each member holds the point within tolerance, while its distance
+        # to the intersection exceeds it
+        C, x, _ = self.outside_corner(offset, step)
+        assert C.contains(x) and C.distance(x) > membership_tol(x)
+        np.testing.assert_array_equal(C.require_member(x), x)
+
+    def test_normal_cone_at_a_member_point(self):
+        # at the right-angle corner, where Dykstra projects every probe
+        # within its budget
+        C, x, bisector = self.outside_corner(0.0, 2.5e-9)
+        assert in_approx_normal_cone(C, x, bisector, 0.0).holds
+
     def test_bounded_via_members(self):
         C = self.cap()
         assert C.is_bounded()

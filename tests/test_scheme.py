@@ -302,6 +302,13 @@ class TestInterpolants:
         with pytest.raises(ValueError):
             r.interpolate_state(r.T + 0.5)
 
+    def test_array_of_times_matches_scalar_calls(self):
+        r = self.make_run()
+        ts = np.concatenate([r.times, 0.5 * (r.times[1:] + r.times[:-1]),
+                             np.random.default_rng(0).uniform(0.0, r.T, 50)])
+        stacked = np.stack([r.interpolate_state(t) for t in ts])
+        assert np.array_equal(r.interpolate_state(ts), stacked)
+
     def test_lipschitz_bound(self):
         r = self.make_run()
         M_T = r.measured_sup_w()
@@ -347,6 +354,20 @@ class TestSerialization:
         np.testing.assert_array_equal(data["mus"], r.schedule.mus)
         np.testing.assert_array_equal(data["eps"], r.schedule.eps)
 
+    def test_csv_literal_text(self):
+        s = make_schedule(1.0, Uniform(0.5), ExplicitErrors([0.25, 0.125]))
+        X = [[0.0, 1.0], [0.5, -0.25], [1.5, 0.1]]
+        W = [[2.0, -3.0], [1.0, 0.75]]
+        P = [[-0.5, 0.25], [0.5, 0.0]]
+        V = [[1.0, -0.5], [-1.0, -0.0]]
+        r = DiscreteRun(None, s, X, W, np.zeros((2, 2)), P, V)
+        assert r.to_csv() == (
+            "k,t,x0,x1,w0,w1,p0,p1,v0,v1,mu,eps\n"
+            "0,0.0,0.0,1.0,2.0,-3.0,-0.5,0.25,1.0,-0.5,0.5,0.25\n"
+            "1,0.5,0.5,-0.25,1.0,0.75,0.5,0.0,-1.0,-0.0,0.5,0.125\n"
+            "2,1.0,1.5,0.1,,,,,,,,\n"
+        )
+
     def test_round_trip_reverifies(self):
         r = self.make_run()
         data = read_run_csv(r.to_csv())
@@ -359,7 +380,7 @@ class TestSerialization:
         data["X"][3] += 0.5
         report = verify_run_invariants(data, C=r.model.C)
         assert not report["ok"]
-        assert report["first_violation"] is not None
+        assert report["first_violation"] == {"check": "update_identity", "k": 2}
 
     def test_manifest_shape(self):
         r = self.make_run()
