@@ -191,14 +191,17 @@ def _failure(out: Path, command: str, error: Exception) -> int:
     """Write the failure manifest of a scheme or geometry error and return
     its exit code.  An error carrying a partial run stopped on a failed
     per-step check: `certificate`, exit 1, with the partial trajectory.
-    Anything else failed outside the checks: `scheme` or `geometry`, exit 3."""
+    Anything else failed outside the checks: `scheme` or `geometry`, exit 3.
+    `reason` is the `SchemeError.kind` of the failed check (null for an
+    error without one)."""
     partial = getattr(error, "partial_run", None)
     if partial is not None:
         kind, code = "certificate", EXIT_CERTIFICATE
     else:
         kind = "scheme" if isinstance(error, SchemeError) else "geometry"
         code = EXIT_RUNTIME
-    payload = {"command": command, "failed": kind, "error": str(error)}
+    payload = {"command": command, "failed": kind, "reason": getattr(error, "kind", None),
+               "error": str(error)}
     if partial is not None:
         payload["partial"] = partial.to_manifest()
         partial.to_csv(out / "trajectory.csv")

@@ -254,7 +254,7 @@ def predictor_feasibility(run: DiscreteRun,
     C = run.model.C
     sched = run.schedule
     T = run.T
-    d = np.array([C.distance(y) for y in run.Y])
+    d = C.distance(run.Y)
     L2 = float(np.sum(sched.mus * d * d))
     C_T = k["M_T"] ** 2 * sched.sum_mu_sq + float(np.sum(sched.eps))
     mu_norm = sched.mu_norm

@@ -59,8 +59,9 @@ class ProjectionError(GeometryError):
     """A projection policy could not certify its output within budget."""
 
 
-def membership_tol(x: NDArray) -> float:
-    return MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(x)))
+def membership_tol(x: NDArray) -> float | NDArray:
+    """The membership tolerance of a point, or of each row of a stack."""
+    return _per_row(MEMBERSHIP_RTOL * (1.0 + _norm(x)))
 
 
 def _as_vector(y, dim: int | None = None) -> NDArray:
@@ -72,20 +73,54 @@ def _as_vector(y, dim: int | None = None) -> NDArray:
     return v
 
 
+def _as_points(y, dim: int) -> NDArray:
+    """y as a vector (dim,) or a stack of vectors (m, dim)."""
+    p = np.atleast_1d(np.asarray(y, dtype=float))
+    if p.ndim > 2:
+        raise ValueError(f"expected a vector or a stack of vectors, got shape {p.shape}")
+    if p.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {p.shape[-1]}")
+    return p
+
+
+def _norm(a: NDArray):
+    """Euclidean norm over the last axis.  Each row is summed like the 1-D
+    `np.linalg.norm` (sqrt of the row's dot product), so a row of a stack
+    gets the bits of that row on its own; `np.linalg.norm(a, axis=1)` sums
+    in another order."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _per_row(values):
+    """A Python scalar for the result of one point, the array for a stack."""
+    return values if values.ndim else values.item()
+
+
 class ConvexSet:
-    """Base class: a nonempty closed convex subset of R^dim."""
+    """Base class: a nonempty closed convex subset of R^dim.
+
+    `project`, `distance` and `contains` take a vector (dim,) or a stack of
+    vectors (m, dim).  Row i of a stacked result equals, bit for bit, the
+    result of the call on row i alone; a vector gives an array, a float
+    and a bool, a stack an (m, dim) array, an (m,) float array and an (m,)
+    bool array.
+    """
 
     dim: int
 
     def project(self, y) -> NDArray:
+        """The metric projection of a vector (dim,) or of each row of a stack (m, dim)."""
         raise NotImplementedError
 
-    def distance(self, y) -> float:
-        y = _as_vector(y, self.dim)
-        return float(np.linalg.norm(y - self.project(y)))
+    def distance(self, y) -> float | NDArray:
+        """The distance to the set of a vector, or of each row of a stack."""
+        y = _as_points(y, self.dim)
+        return _per_row(_norm(y - self.project(y)))
 
-    def contains(self, x, tol: float | None = None) -> bool:
-        x = _as_vector(x, self.dim)
+    def contains(self, x, tol: float | None = None) -> bool | NDArray:
+        """Whether a vector, or each row of a stack, is within `tol` of the
+        set; by default the tolerance is `membership_tol` of the point."""
+        x = _as_points(x, self.dim)
         if tol is None:
             tol = membership_tol(x)
         return self.distance(x) <= tol
@@ -135,7 +170,7 @@ class Box(ConvexSet):
         self.upper.flags.writeable = False
 
     def project(self, y) -> NDArray:
-        y = _as_vector(y, self.dim)
+        y = _as_points(y, self.dim)
         return np.clip(y, self.lower, self.upper)
 
     def tangent_project(self, x, u) -> NDArray:
@@ -216,16 +251,18 @@ class Ball(ConvexSet):
         self.center.flags.writeable = False
 
     def project(self, y) -> NDArray:
-        y = _as_vector(y, self.dim)
+        y = _as_points(y, self.dim)
         d = y - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius:
-            return y.copy()
-        return self.center + (self.radius / nrm) * d
+        nrm = _norm(d)
+        inside = nrm <= self.radius
+        # rows inside stay put; only the others are scaled onto the sphere
+        # (an inside row divides by inf, so a zero norm is never a divisor)
+        scale = self.radius / np.where(inside, np.inf, nrm)
+        return np.where(inside[..., None], y, self.center + scale[..., None] * d)
 
-    def distance(self, y) -> float:
-        y = _as_vector(y, self.dim)
-        return max(float(np.linalg.norm(y - self.center)) - self.radius, 0.0)
+    def distance(self, y) -> float | NDArray:
+        y = _as_points(y, self.dim)
+        return _per_row(np.maximum(_norm(y - self.center) - self.radius, 0.0))
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -275,15 +312,14 @@ class Halfspace(ConvexSet):
         self.normal.flags.writeable = False
 
     def project(self, y) -> NDArray:
-        y = _as_vector(y, self.dim)
-        s = float(self.normal @ y) - self.offset
-        if s <= 0:
-            return y.copy()
-        return y - s * self.normal
+        y = _as_points(y, self.dim)
+        s = np.vecdot(y, self.normal) - self.offset
+        inside = s <= 0
+        return np.where(inside[..., None], y, y - s[..., None] * self.normal)
 
-    def distance(self, y) -> float:
-        y = _as_vector(y, self.dim)
-        return max(float(self.normal @ y) - self.offset, 0.0)
+    def distance(self, y) -> float | NDArray:
+        y = _as_points(y, self.dim)
+        return _per_row(np.maximum(np.vecdot(y, self.normal) - self.offset, 0.0))
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -321,15 +357,21 @@ def _dykstra(projectors, y: NDArray, budget: int):
         yield z, corrections, points
 
 
-def _dykstra_limit(projectors, y: NDArray, budget: int, tol: float) -> NDArray:
-    """The first Dykstra iterate that moved by at most tol in its sweep, or
-    the last one when the budget runs out."""
+def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
+    """For a vector y, or for each row of a stack: the first Dykstra iterate
+    that moved by at most tol (a float, or one per row) in its sweep, or
+    the last one when the budget runs out.  The sweeps stop once no row is
+    pending."""
+    limit = y.copy()
+    pending = np.ones(y.shape[:-1], dtype=bool)
     z_prev = y
     for z, _, _ in _dykstra(projectors, y, budget):
-        if float(np.linalg.norm(z - z_prev)) <= tol:
+        np.copyto(limit, z, where=pending[..., None])
+        pending &= ~(_norm(z - z_prev) <= tol)
+        if not pending.any():
             break
         z_prev = z
-    return z
+    return limit
 
 
 class Intersection(ConvexSet):
@@ -357,10 +399,10 @@ class Intersection(ConvexSet):
         self.dim = members[0].dim
 
     def project(self, y) -> NDArray:
-        y = _as_vector(y, self.dim)
-        tol = 1e-13 * (1.0 + float(np.linalg.norm(y)))
+        y = _as_points(y, self.dim)
+        tol = 1e-13 * (1.0 + _norm(y))
         z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
-        if not self.contains(z):
+        if not np.all(self.contains(z)):
             raise ProjectionError(
                 f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
             )
@@ -381,11 +423,16 @@ class Intersection(ConvexSet):
         tol = 1e-14 * (1.0 + float(np.linalg.norm(u)))
         return _dykstra_limit(projectors, u, self.budget, tol)
 
-    def contains(self, x, tol: float | None = None) -> bool:
-        x = _as_vector(x, self.dim)
+    def contains(self, x, tol: float | None = None) -> bool | NDArray:
+        x = _as_points(x, self.dim)
         if tol is None:
             tol = membership_tol(x)
-        return all(m.distance(x) <= tol for m in self.members)
+        inside = np.ones(x.shape[:-1], dtype=bool)
+        for m in self.members:
+            inside &= m.distance(x) <= tol
+            if not inside.any():
+                break
+        return _per_row(inside)
 
     def is_bounded(self) -> bool:
         return any(m.is_bounded() for m in self.members)
@@ -600,26 +647,24 @@ class NormalConeCertificate:
         }
 
 
-def _probe_points(C: ConvexSet, x: NDArray, spec: ProbeSpec) -> NDArray:
+def _probe_points(C: ConvexSet, x: NDArray, spec: ProbeSpec) -> tuple[NDArray, float]:
+    """The probe points and the window half-width W: x itself, then, each
+    projected onto C, the window's axis extremes x -+ W e_i, its corners
+    x + W s (for dim <= 10) and `spec.n_random` uniform draws from it."""
     W = spec.window if spec.window is not None else PROBE_WINDOW_SCALE * (1.0 + float(np.linalg.norm(x)))
     dim = C.dim
-    probes = [x.copy()]
-    # axis extremes of the window, projected back onto the set
-    for i in range(dim):
-        for s in (-1.0, 1.0):
-            q = x.copy()
-            q[i] += s * W
-            probes.append(C.project(q))
-    # window corners (all sign patterns) for small dimensions
+    # axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...); each row adds
+    # to one coordinate of a copy of x, so a -0.0 elsewhere stays -0.0
+    extremes = np.repeat(x[None, :], 2 * dim, axis=0)
+    extremes[np.arange(2 * dim), np.arange(2 * dim) // 2] += np.tile([-W, W], dim)
+    queries = [extremes]
     if dim <= 10:
-        for mask in range(2 ** dim):
-            signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(dim)])
-            probes.append(C.project(x + W * signs))
+        # corner j has sign +1 in coordinate i when bit i of j is set
+        bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+        queries.append(x + W * np.where(bits == 1, 1.0, -1.0))
     rng = np.random.default_rng(spec.seed)
-    for _ in range(spec.n_random):
-        q = x + rng.uniform(-W, W, size=dim)
-        probes.append(C.project(q))
-    return np.asarray(probes), W
+    queries.append(x + rng.uniform(-W, W, size=(spec.n_random, dim)))
+    return np.vstack([x[None, :], C.project(np.vstack(queries))]), W
 
 
 def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | None = None) -> NormalConeCertificate:
@@ -661,8 +706,7 @@ def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float)
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    raw = rng.uniform(-radius, radius, size=(n, C.dim))
-    return np.asarray([C.project(q) for q in raw])
+    return C.project(rng.uniform(-radius, radius, size=(n, C.dim)))
 
 
 def _build_intersection(cfg):

@@ -56,12 +56,18 @@ class SchemeError(Exception):
     """A step or invariant of the iteration failed.
 
     When raised from `run`, the partial trajectory computed so far is
-    attached as `partial_run` for diagnosis.
+    attached as `partial_run` for diagnosis.  `kind` says which check of
+    the stepping loop failed: `projection_budget` (the projection policy
+    could not certify its output within budget), `contract` (the defect
+    contract), `infeasible` (the projected point left the set) or
+    `normal_cone` (a normal term failed its cone certificate under exact
+    projection); it is None for a failure outside the loop.
     """
 
-    def __init__(self, message, partial_run=None):
+    def __init__(self, message, partial_run=None, kind: str | None = None):
         super().__init__(message)
         self.partial_run = partial_run
+        self.kind = kind
 
 
 # --- step-size and error schedules ----------------------------------------
@@ -335,15 +341,17 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     try:
         x_next = approx_project(C, y, eps, policy=projection or ExactProjection(), rng=proj_rng)
     except GeometryError as exc:
-        raise SchemeError(f"projection failed: {exc}") from exc
+        raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
     lhs, rhs, ok = _defect_contract(p, w, x, mu, eps)
     if not ok:
         raise SchemeError(
-            f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}"
+            f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}",
+            kind="contract",
         )
     if not C.contains(x_next):
-        raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})")
+        raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
+                          kind="infeasible")
     if np.any(p):
         v = -p / mu
     else:
@@ -575,7 +583,8 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 sel_rng=sel_rng, proj_rng=proj_rng,
             )
         except SchemeError as exc:
-            raise SchemeError(f"step {k} failed: {exc}", partial_run=result(k)) from exc
+            raise SchemeError(f"step {k} failed: {exc}", partial_run=result(k),
+                              kind=exc.kind) from exc
         X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
         if certify_normals and np.any(p):
             delta_k = schedule.delta(k)
@@ -587,7 +596,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 raise SchemeError(
                     f"step {k}: normal term failed its cone certificate under exact "
                     f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
-                    partial_run=result(k + 1),
+                    partial_run=result(k + 1), kind="normal_cone",
                 )
 
     apriori = _apriori_constants(model, schedule, x0)
@@ -661,7 +670,7 @@ def verify_run_invariants(data: dict, C: ConvexSet | None = None) -> dict:
         "defect_contract": ~_defect_contract(P, W, x, mus, eps)[2],
     }
     if C is not None:
-        failed["feasibility"] = np.array([not C.contains(z) for z in x_next], dtype=bool)
+        failed["feasibility"] = ~C.contains(x_next)
     report = {key: not mask.any() for key, mask in failed.items()}
     report.setdefault("feasibility", None)
     first = min(((int(np.argmax(mask)), order, key)

@@ -104,3 +104,59 @@ def catching_up_halfline(a, b, x0, mu, n):
         x = max(y, 0.0)
         xs.append(x)
     return np.array(xs)
+
+
+def probe_points_loop(C, x, n_random=16, seed=0, window=None):
+    """The probe points of the sampled normal-cone certificate, built the
+    slow way: one projection call per probe, in the certificate's order (x
+    itself, the axis extremes x -+ W e_i, the window corners for dim <= 10,
+    then n_random uniform draws of size dim from one generator)."""
+    x = np.asarray(x, dtype=float)
+    W = window if window is not None else 10.0 * (1.0 + float(np.linalg.norm(x)))
+    dim = x.shape[0]
+    probes = [x.copy()]
+    for i in range(dim):
+        for s in (-1.0, 1.0):
+            q = x.copy()
+            q[i] += s * W
+            probes.append(C.project(q))
+    if dim <= 10:
+        for mask in range(2 ** dim):
+            signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(dim)])
+            probes.append(C.project(x + W * signs))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        probes.append(C.project(x + rng.uniform(-W, W, size=dim)))
+    return np.asarray(probes), W
+
+
+def normal_cone_record(C, x, v, delta, n_random=16, seed=0, window=None):
+    """The certificate record for v at x over the loop-built probes: the
+    worst <v, z - x>, its probe, and the verdict with the certificate's
+    roundoff allowance 1e-12 (1 + |v| (1 + W))."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    pts, W = probe_points_loop(C, x, n_random, seed, window)
+    vals = (pts - x) @ v
+    worst = int(np.argmax(vals))
+    tol = 1e-12 * (1.0 + float(np.linalg.norm(v)) * (1.0 + W))
+    return {
+        "holds": bool(float(vals[worst]) <= delta + tol),
+        "worst_violation": float(vals[worst]),
+        "witness": pts[worst].tolist(),
+        "delta": float(delta),
+        "window": float(W),
+        "n_probes": int(pts.shape[0]),
+        "seed": int(seed),
+    }
+
+
+def distance_formula(C, y):
+    """Distance of the vector y to a leaf set or an intersection, written
+    out with the 1-D `np.linalg.norm` and Python's `max`."""
+    y = np.asarray(y, dtype=float)
+    if hasattr(C, "radius"):
+        return max(float(np.linalg.norm(y - C.center)) - C.radius, 0.0)
+    if hasattr(C, "offset"):
+        return max(float(C.normal @ y) - C.offset, 0.0)
+    return float(np.linalg.norm(y - C.project(y)))

@@ -100,10 +100,40 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"] == "certificate"
+        assert manifest["reason"] == "projection_budget"
         assert "partial" in manifest
         assert (out / "trajectory.csv").exists()
         # the run stopped at step 0, and its one-row trajectory still audits
         assert verify_run_invariants(read_run_csv(str(out / "trajectory.csv")))["ok"]
+
+    @pytest.mark.parametrize("drift, reason", [([4.0, 4.0], "contract"),
+                                               ([4.0, 2.0], "normal_cone")])
+    def test_failed_check_is_named(self, tmp_path, drift, reason):
+        # one Dykstra sweep onto two halfspaces meeting at 45 degrees lands
+        # in the wedge but not at the metric projection: pushed towards the
+        # apex, the defect outgrows mu |w|; pushed to one side, the normal
+        # term leaves the normal cone at the projected point
+        r = 0.5 ** 0.5
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {
+                "f": {"type": "affine", "A": [[0, 0], [0, 0]], "b": drift},
+                "G": {"type": "zero", "dim": 2},
+                "C": {"type": "intersection", "budget": 1, "members": [
+                    {"type": "halfspace", "normal": [0, 1], "offset": 0.0},
+                    {"type": "halfspace", "normal": [r, r], "offset": 0.0},
+                ]},
+                "constants": {"a": 5.0, "b": 0.0, "r_star": 0.5, "M": 10.0, "gamma": 1.0},
+            },
+            "x0": [0.0, 0.0],
+            "T": 1.0,
+            "schedule": {"kind": "uniform", "mu0": 0.25},
+        })
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == "certificate"
+        assert manifest["reason"] == reason
+        assert manifest["error"].startswith("step 0")
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg_payload = onedim_config(
@@ -357,6 +387,7 @@ class TestConfigKinds:
         assert main(["study", cfg, "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"] == "certificate"
+        assert manifest["reason"] == "projection_budget"
         assert "partial" in manifest
 
 

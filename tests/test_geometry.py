@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,16 @@ from catchup.geometry import (
     moreau_decompose,
     sample_points,
     set_from_config,
+    _probe_points,
 )
 
-from oracles import cone_grid_project, grid_project
+from oracles import (
+    cone_grid_project,
+    distance_formula,
+    grid_project,
+    normal_cone_record,
+    probe_points_loop,
+)
 
 
 def vectors(dim, lo=-10.0, hi=10.0):
@@ -382,3 +391,109 @@ class TestProjectionProperties:
         for policy in (ExactProjection(), PerturbedProjection(seed=0)):
             z = approx_project(C, y, eps, policy=policy)
             assert float(np.sum((z - y) ** 2)) <= d2 + eps + 1e-10
+
+
+# Sets whose stacked calls must match their per-row calls bit for bit:
+# bounded and half-infinite boxes, an orthant, the two smooth leaf sets and a
+# cap projected by Dykstra.
+STACKED_SETS = {
+    "box": Box([-1.0, 0.0, -2.0], [2.0, 3.0, 0.0]),
+    "box_infinite": Box([-np.inf, 0.0, -1.0], [1.0, np.inf, np.inf]),
+    "orthant": NonnegOrthant(3),
+    "ball": Ball([0.5, -0.5, 0.0], 1.5),
+    "halfspace": Halfspace([0.6, 0.0, -0.8], 0.25),
+    "intersection": Intersection([Ball([0.0, 0.0, 0.0], 1.0), Halfspace([1.0, 0.0, 0.0], 0.5)]),
+}
+
+# rows of a query stack: raw draws (with signed zeros), their projections
+# (boundary points), and shrunken copies of those (mostly inside)
+coordinates = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.5, -1.0]),
+)
+query_rows = st.lists(st.tuples(st.lists(coordinates, min_size=3, max_size=3),
+                                st.sampled_from(["raw", "boundary", "inside"])),
+                      min_size=0, max_size=12)
+
+
+def _stack(C, rows):
+    out = []
+    for coords, kind in rows:
+        y = np.array(coords)
+        if kind != "raw":
+            y = C.project(y)
+        if kind == "inside":
+            y = 0.5 * y
+        out.append(y)
+    return np.array(out).reshape(len(rows), C.dim)
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("name", sorted(STACKED_SETS))
+    @given(rows=query_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_single_calls(self, name, rows):
+        C = STACKED_SETS[name]
+        Y = _stack(C, rows)
+        m = Y.shape[0]
+        expected = {
+            "project": np.array([C.project(y) for y in Y]).reshape(m, C.dim),
+            "distance": np.array([C.distance(y) for y in Y], dtype=float),
+            "contains": np.array([C.contains(y) for y in Y], dtype=bool),
+        }
+        # the single calls still compute what the 1-D formulas compute
+        formula = np.array([distance_formula(C, y) for y in Y], dtype=float)
+        assert expected["distance"].tobytes() == formula.tobytes()
+        for method, want in expected.items():
+            got = getattr(C, method)(Y)
+            assert got.shape == want.shape and got.dtype == want.dtype, method
+            assert got.tobytes() == want.tobytes(), method
+
+    @pytest.mark.parametrize("name", sorted(STACKED_SETS))
+    def test_single_calls_keep_their_types_and_shape_checks(self, name):
+        C = STACKED_SETS[name]
+        y = np.full(C.dim, 4.0)
+        assert C.project(y).shape == (C.dim,)
+        assert type(C.distance(y)) is float and type(C.contains(y)) is bool
+        for bad in (np.zeros(C.dim + 1), np.zeros((2, C.dim + 1)), np.zeros((1, 2, C.dim))):
+            for method in ("project", "distance", "contains"):
+                with pytest.raises(ValueError):
+                    getattr(C, method)(bad)
+
+
+def _certificate_cases(dim):
+    """(name, set, member point, vector) per set type at the given dimension."""
+    rng = np.random.default_rng(dim)
+    normal = rng.standard_normal(dim)
+    normal /= np.linalg.norm(normal)
+    half = np.arange(dim) % 2 == 0
+    sets = {
+        "box": Box(-np.ones(dim), 2.0 * np.ones(dim)),
+        "box_infinite": Box(np.where(half, -np.inf, -1.0), np.where(half, 1.0, np.inf)),
+        "orthant": NonnegOrthant(dim),
+        "ball": Ball(np.zeros(dim), 1.5),
+        "halfspace": Halfspace(normal, 0.25),
+        "intersection": Intersection([Ball(np.zeros(dim), 1.0), Halfspace(normal, 0.5)]),
+    }
+    cases = []
+    for name, C in sets.items():
+        x = C.project(3.0 * rng.standard_normal(dim))
+        if C.contains(np.where(np.arange(dim) == 1, -0.0, x)):
+            x[1] = -0.0  # a signed zero the axis-extreme probes must keep
+        cases.append((name, C, x, rng.standard_normal(dim)))
+    return cases
+
+
+class TestStackedProbes:
+    @pytest.mark.parametrize("dim", [2, 8, 11])
+    def test_certificate_matches_the_per_probe_loop(self, dim):
+        # at dim 11 the window corners are skipped
+        for name, C, x, v in _certificate_cases(dim):
+            pts, W = _probe_points(C, x, ProbeSpec())
+            want_pts, want_W = probe_points_loop(C, x)
+            assert W == want_W and pts.tobytes() == want_pts.tobytes(), (name, dim)
+            for delta in (0.0, 0.5):
+                got = in_approx_normal_cone(C, x, v, delta).to_record()
+                want = normal_cone_record(C, x, v, delta)
+                assert json.dumps(got) == json.dumps(want), (name, dim)
+        assert want["n_probes"] == 1 + 2 * dim + (2 ** dim if dim <= 10 else 0) + 16

@@ -14,9 +14,13 @@ The matrix: for seeds 1-3, the configs `bench/workloads.generate` makes
 for every benchmark workload, run as `run` and
 `run --diagnostics all --strict` (each run.json), `stability` and
 `stability --strict` (the scalar stability.json) and `study` (the polygon
-study.json); plus three onedim runs with `--diagnostics all`: the README
-example, a sticking run (b < 0), and a polynomial schedule with perturbed
-projection and randomized selection.
+study.json); plus runs with `--diagnostics all` of pinned configs: three
+onedim runs (the README example, a sticking run with b < 0, and a
+polynomial schedule with perturbed projection and randomized selection),
+and four runs whose normal-cone certificates probe sets the benchmark
+configs do not: an affine field pushing out of a lone ball, one pushing
+out of a lone halfspace, the orthant of dimension 3, and an
+11-dimensional dry-friction box (too many corners to probe them).
 """
 
 from __future__ import annotations
@@ -33,16 +37,43 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-ONEDIM_CASES = {
-    "readme": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 10.0,
-               "schedule": {"kind": "uniform", "mu0": 0.01}},
-    "sticking": {"model": {"model": "onedim", "a": 1, "b": -1}, "x0": [0.5], "T": 2.0,
-                 "schedule": {"kind": "uniform", "mu0": 0.01}},
-    "randomized": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 2.0,
-                   "schedule": {"kind": "polynomial", "mu0": 0.05, "alpha": 0.5},
-                   "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
-                   "selection": {"kind": "randomized"},
-                   "projection": {"kind": "perturbed"}},
+
+def _pushed_out(b: list[float], C: dict, x0: list[float]) -> dict:
+    """f(x) = b - x on C, whose equilibrium b lies outside C; |f(x)| <= |b| + |x|
+    and <f(x), x> <= |b|^2 / 2 - |x|^2 / 2."""
+    d = len(b)
+    size = sum(v * v for v in b) ** 0.5
+    return {"model": {"f": {"type": "affine", "A": [[-float(i == j) for j in range(d)]
+                                                      for i in range(d)], "b": b},
+                      "G": {"type": "zero", "dim": d}, "C": C,
+                      "constants": {"a": size, "b": 1.0, "r_star": 1.0,
+                                    "M": size * size / 2.0, "gamma": 0.5}},
+            "x0": x0, "T": 2.0, "schedule": {"kind": "uniform", "mu0": 0.01}}
+
+
+FRICTION_11 = {"model": "dry_friction",
+               "K": [[1.0 if i == j else 0.05 for j in range(11)] for i in range(11)],
+               "tau": [(-1.0) ** (i // 2) * 3.0 if i % 2 == 0 else 0.1 * i for i in range(11)],
+               "weights": [0.2] * 11, "lower": [-1.0] * 11, "upper": [1.0] * 11}
+
+PINNED_CASES = {
+    "onedim-readme": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 10.0,
+                      "schedule": {"kind": "uniform", "mu0": 0.01}},
+    "onedim-sticking": {"model": {"model": "onedim", "a": 1, "b": -1}, "x0": [0.5], "T": 2.0,
+                        "schedule": {"kind": "uniform", "mu0": 0.01}},
+    "onedim-randomized": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 2.0,
+                          "schedule": {"kind": "polynomial", "mu0": 0.05, "alpha": 0.5},
+                          "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
+                          "selection": {"kind": "randomized"},
+                          "projection": {"kind": "perturbed"}},
+    "ball-outward": _pushed_out([3.0, 1.0], {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                                [0.0, 0.0]),
+    "halfspace-outward": _pushed_out([2.0, 0.5], {"type": "halfspace", "normal": [0.6, 0.8],
+                                                  "offset": 0.5}, [0.0, 0.0]),
+    "orthant-3": _pushed_out([-1.0, 2.0, -0.5], {"type": "nonneg_orthant", "dim": 3},
+                             [1.0, 1.0, 1.0]),
+    "friction-11": {"model": FRICTION_11, "x0": [0.0] * 11, "T": 2.0,
+                    "schedule": {"kind": "uniform", "mu0": 0.01}},
 }
 
 
@@ -65,9 +96,9 @@ def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
                 for argv in variants[fname]:
                     label = f"{name}-{seed}-" + "-".join(a.strip("-") for a in argv)
                     matrix.append((label, files, [argv[0], fname, "--seed", "1", *argv[1:]]))
-    for name, cfg in ONEDIM_CASES.items():
+    for name, cfg in PINNED_CASES.items():
         files = {"run.json": (json.dumps(cfg) + "\n").encode()}
-        matrix.append((f"onedim-{name}", files,
+        matrix.append((name, files,
                        ["run", "run.json", "--seed", "1", "--diagnostics", "all"]))
     return matrix
 
