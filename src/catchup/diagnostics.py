@@ -348,9 +348,9 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
     ratios = np.empty(schedule.n_steps)
     radius = reference.measured_radius()
     ref_states = reference.interpolate_state(schedule.times)
+    starts = C.project(ref_states[:-1])
     for k in range(schedule.n_steps):
-        xk = C.project(ref_states[k])
-        z, _, _, _, _ = scheme_step(model, xk, float(schedule.mus[k]),
+        z, _, _, _, _ = scheme_step(model, starts[k], float(schedule.mus[k]),
                                     float(schedule.eps[k]), selection=sel, projection=proj)
         defect = float(np.linalg.norm(z - ref_states[k + 1]))
         ratios[k] = defect / (schedule.mus[k] + np.sqrt(schedule.eps[k]))

@@ -64,8 +64,15 @@ def membership_tol(x: NDArray) -> float | NDArray:
     return _per_row(MEMBERSHIP_RTOL * (1.0 + _norm(x)))
 
 
+# a float64 ndarray of at least one dimension is what the converters below
+# would make of it, so they return it as it is and only check its shape
+_FLOAT = np.dtype(float)
+
+
 def _as_vector(y, dim: int | None = None) -> NDArray:
-    v = np.atleast_1d(np.asarray(y, dtype=float))
+    v = y
+    if not (type(y) is np.ndarray and y.dtype is _FLOAT and y.ndim):
+        v = np.atleast_1d(np.asarray(y, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
@@ -75,7 +82,9 @@ def _as_vector(y, dim: int | None = None) -> NDArray:
 
 def _as_points(y, dim: int) -> NDArray:
     """y as a vector (dim,) or a stack of vectors (m, dim)."""
-    p = np.atleast_1d(np.asarray(y, dtype=float))
+    p = y
+    if not (type(y) is np.ndarray and y.dtype is _FLOAT and y.ndim):
+        p = np.atleast_1d(np.asarray(y, dtype=float))
     if p.ndim > 2:
         raise ValueError(f"expected a vector or a stack of vectors, got shape {p.shape}")
     if p.shape[-1] != dim:
@@ -170,8 +179,7 @@ class Box(ConvexSet):
         self.upper.flags.writeable = False
 
     def project(self, y) -> NDArray:
-        y = _as_points(y, self.dim)
-        return np.clip(y, self.lower, self.upper)
+        return _as_points(y, self.dim).clip(self.lower, self.upper)
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)

@@ -212,15 +212,11 @@ def equilibrium_residual(model: MonotoneModel, x) -> float:
         raise ValueError("equilibrium residuals are implemented for box sets only")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     f_val = model.f(x)
-    g = model.G.value(x)
+    lo, hi = model.G.value(x)
     tol = membership_tol(x)
-    lo = g.lower.copy()
-    hi = g.upper.copy()
-    at_lower = x <= C.lower + tol
-    at_upper = x >= C.upper - tol
     # normal cone at a lower face contributes (-inf, 0], at an upper face [0, inf)
-    lo[at_lower] = -np.inf
-    hi[at_upper] = np.inf
+    lo = np.where(x <= C.lower + tol, -np.inf, lo)
+    hi = np.where(x >= C.upper - tol, np.inf, hi)
     resid = np.maximum(0.0, np.maximum(lo - f_val, f_val - hi))
     return float(np.linalg.norm(resid))
 

@@ -71,13 +71,6 @@ class IntervalBox:
     def is_singleton(self, tol: float = 0.0) -> bool:
         return bool(np.all(self.upper - self.lower <= tol))
 
-    def midpoint(self) -> NDArray:
-        return 0.5 * (self.lower + self.upper)
-
-    def clip(self, v) -> NDArray:
-        """Nearest point of the interval box to v."""
-        return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
-
     def contains(self, v, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=float)
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
@@ -108,9 +101,11 @@ class IntervalBox:
 
 
 class RegularPart:
-    """Base class for the single- or set-valued regular part G."""
+    """Base class for the single- or set-valued regular part G, whose
+    `value(x)` returns the bounds (lower, upper) of the interval box G(x);
+    a singleton may return one array twice, so callers must not write to it."""
 
-    def value(self, x) -> IntervalBox:
+    def value(self, x) -> tuple[NDArray, NDArray]:
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -123,8 +118,9 @@ class ZeroPart(RegularPart):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
-    def value(self, x) -> IntervalBox:
-        return IntervalBox.singleton(np.zeros(self.dim))
+    def value(self, x) -> tuple[NDArray, NDArray]:
+        g = np.zeros(self.dim)
+        return g, g
 
     def to_config(self) -> dict:
         return {"type": "zero", "dim": self.dim}
@@ -146,9 +142,9 @@ class LinearPart(RegularPart):
         self.dim = M.shape[0]
         self.matrix.flags.writeable = False
 
-    def value(self, x) -> IntervalBox:
-        x = _as_vector(x, self.dim)
-        return IntervalBox.singleton(self.matrix @ x)
+    def value(self, x) -> tuple[NDArray, NDArray]:
+        g = self.matrix @ _as_vector(x, self.dim)
+        return g, g
 
     def to_config(self) -> dict:
         return {"type": "linear", "matrix": self.matrix.tolist()}
@@ -171,28 +167,28 @@ class SeparableL1(RegularPart):
         self.dim = w.shape[0]
         self.weights.flags.writeable = False
 
-    def value(self, x) -> IntervalBox:
+    def value(self, x) -> tuple[NDArray, NDArray]:
         x = _as_vector(x, self.dim)
         lo = np.where(x == 0.0, -self.weights, self.weights * np.sign(x))
         hi = np.where(x == 0.0, self.weights, self.weights * np.sign(x))
-        return IntervalBox(lo, hi)
+        return lo, hi
 
     def to_config(self) -> dict:
         return {"type": "l1", "weights": self.weights.tolist()}
 
 
 class CustomPart(RegularPart):
-    """Wrap a callable x -> IntervalBox (or x -> vector for singletons)."""
+    """Wrap a callable x -> IntervalBox (or x -> vector for singletons); its
+    output goes through IntervalBox, the check that orders its bounds."""
 
     def __init__(self, fn, dim: int):
         self.fn = fn
         self.dim = int(dim)
 
-    def value(self, x) -> IntervalBox:
+    def value(self, x) -> tuple[NDArray, NDArray]:
         out = self.fn(np.asarray(x, dtype=float))
-        if isinstance(out, IntervalBox):
-            return out
-        return IntervalBox.singleton(out)
+        box = out if isinstance(out, IntervalBox) else IntervalBox.singleton(out)
+        return box.lower, box.upper
 
     def to_config(self) -> dict:
         raise ValueError("a custom regular part has no serializable form")
@@ -249,9 +245,10 @@ def field_from_config(cfg: dict):
 
 # --- selection rules for set-valued G -------------------------------------
 #
-# A rule's `pick(box, f_val, rng)` returns the point g of the interval box
-# G(x) that the selection f(x) - g uses; `seed` is None for deterministic
-# rules, else the seed of the generator a run hands to `pick`.
+# A rule's `pick(lower, upper, f_val, rng)` returns the point g of the
+# interval box [lower, upper] = G(x) that the selection f(x) - g uses;
+# `seed` is None for deterministic rules, else the seed of the generator a
+# run hands to `pick`.
 # `from_config(spec, seed)` builds the rule from its config record, with
 # `seed` the run's master seed.
 
@@ -263,8 +260,8 @@ class MinimalNorm:
     name = "minimal_norm"
     seed = None
 
-    def pick(self, box: IntervalBox, f_val: NDArray, rng=None) -> NDArray:
-        return box.clip(f_val)
+    def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
+        return np.asarray(f_val, dtype=float).clip(lower, upper)
 
     @classmethod
     def from_config(cls, spec: dict, seed: int | None):
@@ -284,12 +281,12 @@ class SignConvention:
         if self.sign not in (-1, 0, 1):
             raise ValueError("sign must be -1, 0, or +1")
 
-    def pick(self, box: IntervalBox, f_val: NDArray, rng=None) -> NDArray:
+    def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
         if self.sign < 0:
-            return box.lower.copy()
+            return lower.copy()
         if self.sign > 0:
-            return box.upper.copy()
-        return box.midpoint()
+            return upper.copy()
+        return 0.5 * (lower + upper)
 
     @classmethod
     def from_config(cls, spec: dict, seed: int | None):
@@ -303,10 +300,10 @@ class Randomized:
     seed: int = 0
     name = "randomized"
 
-    def pick(self, box: IntervalBox, f_val: NDArray, rng=None) -> NDArray:
+    def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        return rng.uniform(box.lower, box.upper)
+        return rng.uniform(lower, upper)
 
     @classmethod
     def from_config(cls, spec: dict, seed: int | None):
@@ -330,8 +327,7 @@ def select_F(model: "MonotoneModel", x, rule=None, rng=None) -> NDArray:
         rule = MinimalNorm()
     x = _as_vector(x, model.dim)
     f_val = model.f(x)
-    g = rule.pick(model.G.value(x), f_val, rng)
-    return f_val - g
+    return f_val - rule.pick(*model.G.value(x), f_val, rng)
 
 
 def globalize_constants(a: float, b: float, r_star: float, M: float, gamma: float) -> float:
@@ -396,8 +392,8 @@ class MonotoneModel:
         """The set F(x) = f(x) - G(x) as an interval box."""
         x = _as_vector(x, self.dim)
         f_val = self.f(x)
-        g = self.G.value(x)
-        return IntervalBox(f_val - g.upper, f_val - g.lower)
+        lo, hi = self.G.value(x)
+        return IntervalBox(f_val - hi, f_val - lo)
 
     def to_config(self) -> dict:
         return {

@@ -352,10 +352,10 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     if not C.contains(x_next):
         raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
                           kind="infeasible")
-    if np.any(p):
+    if p.any():
         v = -p / mu
     else:
-        v = np.zeros_like(p)
+        v = np.zeros(p.shape)
     return x_next, y, w, p, v
 
 
@@ -586,7 +586,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             raise SchemeError(f"step {k} failed: {exc}", partial_run=result(k),
                               kind=exc.kind) from exc
         X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
-        if certify_normals and np.any(p):
+        if certify_normals and p.any():
             delta_k = schedule.delta(k)
             cert = in_approx_normal_cone(C, x_next, v, delta_k)
             rec = cert.to_record()

@@ -2,12 +2,19 @@
 
 Everything here is deliberately dumb: dense grid searches and direct
 formula transcriptions with no shared code with the package under test.
-Slow is fine; these run on tiny inputs.
+Slow is fine; these run on tiny inputs.  The one exception is
+`reference_step`, the stepping code as it was while G(x) travelled as an
+IntervalBox: it keeps the package's IntervalBox, projection policies and
+sets, so that the lean step can be compared with it byte for byte.
 """
 
 import itertools
 
 import numpy as np
+
+from catchup.geometry import GeometryError
+from catchup.operators import IntervalBox, MinimalNorm, Randomized
+from catchup.scheme import SchemeError
 
 
 def grid_project(contains, y, lo, hi, n=201):
@@ -160,3 +167,64 @@ def distance_formula(C, y):
     if hasattr(C, "offset"):
         return max(float(C.normal @ y) - C.offset, 0.0)
     return float(np.linalg.norm(y - C.project(y)))
+
+
+def reference_value(G, x):
+    """G(x) as an IntervalBox, as each regular part built it."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if hasattr(G, "fn"):
+        out = G.fn(x)
+        return out if isinstance(out, IntervalBox) else IntervalBox.singleton(out)
+    if hasattr(G, "weights"):
+        lo = np.where(x == 0.0, -G.weights, G.weights * np.sign(x))
+        hi = np.where(x == 0.0, G.weights, G.weights * np.sign(x))
+        return IntervalBox(lo, hi)
+    if hasattr(G, "matrix"):
+        return IntervalBox.singleton(G.matrix @ x)
+    return IntervalBox.singleton(np.zeros(G.dim))
+
+
+def reference_pick(rule, box, f_val, rng):
+    """The point of the box a selection rule picks, read off the box."""
+    if isinstance(rule, MinimalNorm):
+        return np.clip(np.asarray(f_val, dtype=float), box.lower, box.upper)
+    if isinstance(rule, Randomized):
+        if rng is None:
+            rng = np.random.default_rng(rule.seed)
+        return rng.uniform(box.lower, box.upper)
+    if rule.sign < 0:
+        return box.lower.copy()
+    if rule.sign > 0:
+        return box.upper.copy()
+    return 0.5 * (box.lower + box.upper)
+
+
+def reference_select_F(model, x, rule, rng=None):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    f_val = model.f(x)
+    return f_val - reference_pick(rule, reference_value(model.G, x), f_val, rng)
+
+
+def reference_step(model, x, mu, eps, selection, projection, sel_rng=None, proj_rng=None):
+    """(x_next, y, w, p, v) of one predictor-projection step, with every
+    check of the stepping loop; a failed check raises SchemeError."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (model.dim,):
+        raise ValueError(f"expected a vector of dimension {model.dim}, got shape {x.shape}")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    C = model.C
+    w = reference_select_F(model, x, selection, sel_rng)
+    y = x + mu * w
+    try:
+        x_next = projection.project(C, y, eps, proj_rng)
+    except GeometryError as exc:
+        raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
+    p = x_next - y
+    rhs = mu * mu * float(w @ w) + eps
+    if not float(p @ p) <= rhs + 1e-9 * (1.0 + rhs + float(x @ x)):
+        raise SchemeError("defect contract violated", kind="contract")
+    if not C.contains(x_next):
+        raise SchemeError("projected point left the set", kind="infeasible")
+    v = -p / mu if np.any(p) else np.zeros_like(p)
+    return x_next, y, w, p, v

@@ -61,21 +61,21 @@ def friction_model(tau, K=None, weights=None, lower=-2.0, upper=2.0):
 class TestIntervalBox:
     def test_l1_interval_at_zero(self):
         G = SeparableL1([1.0])
-        box = G.value([0.0])
+        box = IntervalBox(*G.value([0.0]))
         np.testing.assert_allclose(box.lower, [-1.0])
         np.testing.assert_allclose(box.upper, [1.0])
         assert not box.is_singleton()
 
     def test_l1_singleton_off_zero(self):
         G = SeparableL1([1.0, 2.0])
-        box = G.value([0.5, -0.3])
+        box = IntervalBox(*G.value([0.5, -0.3]))
         np.testing.assert_allclose(box.lower, [1.0, -2.0])
         np.testing.assert_allclose(box.upper, [1.0, -2.0])
         assert box.is_singleton()
 
     def test_linear_identity_value(self):
         G = LinearPart(np.eye(1))
-        box = G.value([3.0])
+        box = IntervalBox(*G.value([3.0]))
         np.testing.assert_allclose(box.lower, [3.0])
         assert box.is_singleton()
 
@@ -261,8 +261,8 @@ class TestOneSidedLipschitz:
         pts = rng.uniform(-2, 2, size=(2, 2))
         pts[rng.random(size=(2, 2)) < 0.3] = 0.0
         x1, x2 = pts
-        for g1 in G.value(x1).vertices():
-            for g2 in G.value(x2).vertices():
+        for g1 in IntervalBox(*G.value(x1)).vertices():
+            for g2 in IntervalBox(*G.value(x2)).vertices():
                 assert float((g1 - g2) @ (x1 - x2)) >= -1e-12
 
 

@@ -14,12 +14,16 @@ from catchup.geometry import (
 )
 from catchup.operators import (
     AffineField,
+    CustomPart,
+    IntervalBox,
     LinearPart,
     MinimalNorm,
     MonotoneModel,
     Randomized,
     SeparableL1,
+    SignConvention,
     ZeroPart,
+    select_F,
 )
 from catchup.scheme import (
     DiscreteRun,
@@ -37,7 +41,7 @@ from catchup.scheme import (
     verify_run_invariants,
 )
 
-from oracles import catching_up_halfline, onedim_hit_time
+from oracles import catching_up_halfline, onedim_hit_time, reference_step
 
 
 def scalar_model(a=1.0, b=2.0):
@@ -173,6 +177,110 @@ class TestStep:
         m = scalar_model()
         with pytest.raises(Exception):
             step(m, [-1.0], mu=0.1, eps=0.0)
+
+
+# the state space [-0.5, 0.3]^2 lies inside both sets
+STEP_SETS = {
+    "ball_halfspace": Intersection([Ball([0.0, 0.0], 1.5), Halfspace([0.6, 0.8], 0.5)]),
+    "box": Box([-0.5, -0.5], [1.0, 0.3]),
+}
+STEP_PARTS = {
+    "zero": ZeroPart(2),
+    "linear": LinearPart([[2.0, 0.5], [0.5, 1.0]]),
+    "l1": SeparableL1([0.7, 0.3]),
+    "custom_vector": CustomPart(lambda x: x ** 3, 2),
+    "custom_box": CustomPart(
+        lambda x: IntervalBox(np.minimum(x, 0.0) - 0.2, np.maximum(x, 0.0) + 0.2), 2),
+}
+STEP_SELECTIONS = {
+    "minimal_norm": lambda seed: MinimalNorm(),
+    "sign-1": lambda seed: SignConvention(-1),
+    "sign0": lambda seed: SignConvention(0),
+    "sign+1": lambda seed: SignConvention(1),
+    "randomized": Randomized,
+}
+STEP_PROJECTIONS = {
+    "exact": lambda seed: ExactProjection(),
+    "perturbed": PerturbedProjection,
+    "iterative": lambda seed: IterativeProjection(),
+}
+
+
+def step_outcome(stepper, model, x, mu, eps, sel, proj, seed):
+    """The dtype, shape and bytes of each array a step returns, or the
+    kind of the SchemeError it raises; seeded policies and generators are
+    built afresh, so both sides draw the same numbers."""
+    selection, projection = STEP_SELECTIONS[sel](seed), STEP_PROJECTIONS[proj](seed + 1)
+    try:
+        out = stepper(model, x, mu, eps, selection=selection, projection=projection,
+                      sel_rng=np.random.default_rng(seed),
+                      proj_rng=np.random.default_rng(seed + 1))
+    except SchemeError as exc:
+        return exc.kind
+    return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+class TestStepMatchesReference:
+    """The step that passes interval bounds as arrays gives the bytes of
+    the step that built an IntervalBox for G(x)."""
+
+    @given(
+        st.sampled_from(sorted(STEP_PARTS)),
+        st.sampled_from(sorted(STEP_SELECTIONS)),
+        st.sampled_from(sorted(STEP_PROJECTIONS)),
+        st.sampled_from(sorted(STEP_SETS)),
+        st.tuples(*[st.one_of(st.just(0.0), st.floats(-0.5, 0.3))] * 2),
+        st.tuples(*[st.floats(-4.0, 4.0)] * 2),
+        st.floats(0.01, 0.5),
+        st.sampled_from([0.0, 1e-4, 1e-2]),
+        st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_step_bytes(self, part, sel, proj, set_name, x, b, mu, eps, seed):
+        model = MonotoneModel(AffineField(-np.eye(2), b), STEP_PARTS[part], STEP_SETS[set_name],
+                              growth=(10.0, 10.0), dissipativity=(1.0, 10.0, 0.5))
+        x = np.array(x)
+        args = (model, x, mu, eps, sel, proj, seed)
+        assert step_outcome(step, *args) == step_outcome(reference_step, *args)
+
+
+class TestStepInputs:
+    def test_custom_part_with_disordered_bounds_rejected(self):
+        G = CustomPart(lambda x: IntervalBox(x + 1.0, x), 1)
+        m = MonotoneModel(AffineField([[-1.0]], [0.0]), G, Halfline(),
+                          growth=(1.0, 1.0), dissipativity=(1.0, 1.0, 0.5))
+        with pytest.raises(ValueError, match="lower <= upper"):
+            select_F(m, [0.5])
+        with pytest.raises(ValueError, match="lower <= upper"):
+            step(m, [0.5], mu=0.1, eps=0.0)
+
+    @pytest.mark.parametrize("x", [[0.5], np.array([1]), np.array([0.5], dtype=np.float32),
+                                   np.array(0.5)], ids=["list", "int", "float32", "0-d"])
+    def test_vector_likes_step_like_a_float64_vector(self, x):
+        # the predictor 0.5 - 0.4 * 2 leaves the halfline, so p and v are nonzero
+        m = scalar_model(b=-1.0)
+        expected = step(m, np.asarray(x, dtype=float).reshape(1), mu=0.4, eps=0.0)
+        got = step(m, x, mu=0.4, eps=0.0)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+            [(a.dtype, a.shape, a.tobytes()) for a in expected]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("shape", ["stack", "long"])
+    def test_misshapen_state_rejected(self, dim, shape):
+        m = MonotoneModel(AffineField(-np.eye(dim), np.ones(dim)), ZeroPart(dim),
+                          Box(-np.ones(dim), np.ones(dim)),
+                          growth=(2.0, 1.0), dissipativity=(1.0, 1.0, 0.5))
+        x = np.zeros((1, dim)) if shape == "stack" else np.zeros(dim + 1)
+        for bad in (x, x.tolist()):
+            with pytest.raises(ValueError):
+                step(m, bad, mu=0.1, eps=0.0)
+            with pytest.raises(ValueError):
+                select_F(m, bad)
+        with pytest.raises(ValueError):
+            m.C.project(np.zeros((2, 1, dim)))
+        if shape == "long":
+            with pytest.raises(ValueError):
+                m.C.project(x)
 
 
 class TestRun:

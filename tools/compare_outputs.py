@@ -20,7 +20,10 @@ polynomial schedule with perturbed projection and randomized selection),
 and four runs whose normal-cone certificates probe sets the benchmark
 configs do not: an affine field pushing out of a lone ball, one pushing
 out of a lone halfspace, the orthant of dimension 3, and an
-11-dimensional dry-friction box (too many corners to probe them).
+11-dimensional dry-friction box (too many corners to probe them), the
+last also with two other selections of its set-valued l1 part: the lower
+end of each interval, and a randomized one under perturbed projection and
+power_of_step errors.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ PINNED_CASES = {
                              [1.0, 1.0, 1.0]),
     "friction-11": {"model": FRICTION_11, "x0": [0.0] * 11, "T": 2.0,
                     "schedule": {"kind": "uniform", "mu0": 0.01}},
+    "friction-11-sign": {"model": FRICTION_11, "x0": [0.0] * 11, "T": 2.0,
+                         "schedule": {"kind": "uniform", "mu0": 0.01},
+                         "selection": {"kind": "sign", "sign": -1}},
+    "friction-11-randomized": {"model": FRICTION_11, "x0": [0.0] * 11, "T": 2.0,
+                               "schedule": {"kind": "uniform", "mu0": 0.01},
+                               "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
+                               "selection": {"kind": "randomized"},
+                               "projection": {"kind": "perturbed"}},
 }
 
 
