@@ -37,6 +37,7 @@ __all__ = [
     "approx_project",
     "moreau_decompose",
     "in_approx_normal_cone",
+    "probe_stack",
     "sample_points",
     "set_from_config",
 ]
@@ -49,6 +50,9 @@ MEMBERSHIP_RTOL = 1e-9
 
 # Default probe window half-width for unbounded sets: W = PROBE_WINDOW_SCALE * (1 + |x|).
 PROBE_WINDOW_SCALE = 10.0
+
+# The window corners are probed up to this dimension (2^dim of them).
+MAX_CORNER_DIM = 10
 
 
 class GeometryError(Exception):
@@ -625,12 +629,25 @@ class ProbeSpec:
     `window` is the half-width W of the sampling box [x - W, x + W]; when
     None it defaults to PROBE_WINDOW_SCALE * (1 + |x|).  Deterministic
     probes (projected window corners and axis extremes) are always
-    included alongside `n_random` projected uniform draws.
+    included alongside `n_random` projected uniform draws.  A window that
+    is not positive and finite, or an `n_random` that is not a
+    nonnegative integer, raises ValueError.
     """
 
     n_random: int = 16
     seed: int = 0
     window: float | None = None
+
+    def __post_init__(self):
+        n = self.n_random
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"n_random must be a nonnegative integer, got {n!r}")
+        if self.window is not None and not (np.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"probe window must be positive and finite, got {self.window!r}")
+
+    def count(self, dim: int) -> int:
+        """The probe points of one certificate in R^dim."""
+        return 1 + 2 * dim + (2 ** dim if dim <= MAX_CORNER_DIM else 0) + self.n_random
 
 
 @dataclass(frozen=True)
@@ -655,41 +672,64 @@ class NormalConeCertificate:
         }
 
 
-def _probe_points(C: ConvexSet, x: NDArray, spec: ProbeSpec) -> tuple[NDArray, float]:
-    """The probe points and the window half-width W: x itself, then, each
-    projected onto C, the window's axis extremes x -+ W e_i, its corners
-    x + W s (for dim <= 10) and `spec.n_random` uniform draws from it."""
-    W = spec.window if spec.window is not None else PROBE_WINDOW_SCALE * (1.0 + float(np.linalg.norm(x)))
-    dim = C.dim
+def probe_stack(C: ConvexSet, X, spec: ProbeSpec) -> tuple[NDArray, NDArray]:
+    """The probe points of the certificates at the rows x_i of X (m, dim),
+    projected in one call, and their window half-widths W (m,).
+
+    Row i of the (m, P, dim) points holds x_i itself, then, each projected
+    onto C, the window's axis extremes x_i -+ W_i e_j, its corners
+    x_i + W_i s (for dim <= MAX_CORNER_DIM) and `spec.n_random` uniform
+    draws from it, the same draws for every row.  Row i is bit for bit
+    what the certificate at x_i alone probes.
+    """
+    X = _as_points(X, C.dim)
+    m, dim = X.shape
+    if spec.window is None:
+        W = PROBE_WINDOW_SCALE * (1.0 + _norm(X))
+    else:
+        W = np.full(m, float(spec.window))
+    base = X[:, None, :]
+    Wc = W[:, None, None]
     # axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...); each row adds
     # to one coordinate of a copy of x, so a -0.0 elsewhere stays -0.0
-    extremes = np.repeat(x[None, :], 2 * dim, axis=0)
-    extremes[np.arange(2 * dim), np.arange(2 * dim) // 2] += np.tile([-W, W], dim)
+    axes = np.arange(2 * dim)
+    extremes = np.repeat(base, 2 * dim, axis=1)
+    extremes[:, axes, axes // 2] += np.where(axes % 2 == 1, W[:, None], -W[:, None])
     queries = [extremes]
-    if dim <= 10:
+    if dim <= MAX_CORNER_DIM:
         # corner j has sign +1 in coordinate i when bit i of j is set
         bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
-        queries.append(x + W * np.where(bits == 1, 1.0, -1.0))
-    rng = np.random.default_rng(spec.seed)
-    queries.append(x + rng.uniform(-W, W, size=(spec.n_random, dim)))
-    return np.vstack([x[None, :], C.project(np.vstack(queries))]), W
+        queries.append(base + Wc * np.where(bits == 1, 1.0, -1.0))
+    # rng.uniform(-W, W) computes -W + (W - -W) U from the draws U of `random`
+    U = np.random.default_rng(spec.seed).random((spec.n_random, dim))
+    queries.append(base + (-Wc + (Wc - -Wc) * U))
+    Q = np.concatenate(queries, axis=1)
+    projected = C.project(Q.reshape(-1, dim)).reshape(Q.shape)
+    return np.concatenate([base, projected], axis=1), W
 
 
-def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | None = None) -> NormalConeCertificate:
+def _probe_points(C: ConvexSet, x: NDArray, spec: ProbeSpec) -> tuple[NDArray, float]:
+    """The probe points of the certificate at the vector x and its window W."""
+    pts, W = probe_stack(C, x[None, :], spec)
+    return pts[0], float(W[0])
+
+
+def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | None = None,
+                          points: tuple[NDArray, float] | None = None) -> NormalConeCertificate:
     """Sampled certificate for v in {u : <u, z - x> <= delta for all z in C}.
 
     The quantifier runs over all of C, which is not checkable for unbounded
     sets; the certificate therefore samples a declared window around x and
     records it.  `holds` is the verdict over the probed points only.
+    `points`, when given, is the certificate's row of `probe_stack` at x
+    with its window, (points (P, dim), W), which it then does not rebuild.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     x = C.require_member(x)
     v = _as_vector(v, C.dim)
     spec = probes if probes is not None else ProbeSpec()
-    pts, W = _probe_points(C, x, spec)
-    if pts.shape[0] == 0:
-        raise GeometryError("empty probe set")
+    pts, W = points if points is not None else _probe_points(C, x, spec)
     vals = (pts - x) @ v
     worst = int(np.argmax(vals))
     worst_val = float(vals[worst])

@@ -31,6 +31,7 @@ from .geometry import (
     _as_vector,
     approx_project,
     in_approx_normal_cone,
+    probe_stack,
 )
 from .operators import MinimalNorm, MonotoneModel, select_F
 
@@ -361,6 +362,11 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
 
 # --- full runs --------------------------------------------------------------
 
+# Probe points that the queued normal-cone certificates of a run may project
+# in one call: blocks of 163 certificates in R^2, 14 in R^8.
+PROBE_ROW_BUDGET = 4096
+
+
 class DiscreteRun:
     """A completed (or aborted) trajectory with all per-step data.
 
@@ -541,6 +547,15 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     sampled normal-cone certificate for v_k at slack delta_k; with exact
     projections a failed certificate is an error (the inclusion is exact
     there), otherwise it is recorded and left to the diagnostics layer.
+
+    Certificates never feed back into the trajectory, so they are taken in
+    blocks: the certified steps queue up until their probe points reach
+    PROBE_ROW_BUDGET, a step fails or the grid ends, and then the whole
+    queue is probed with one projection call and judged in step order.
+    The first failure still wins: a certificate failing at step k raises
+    with the run over its first k + 1 steps, whatever later steps of its
+    block computed, and a step failing after queued certificates raises
+    only once those have passed.
     """
     C = model.C
     selection = selection or MinimalNorm()
@@ -559,10 +574,13 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     seeds = {key: policy.seed for key, policy in policies.items() if policy.seed is not None}
     sel_rng, proj_rng = (None if policy.seed is None else np.random.default_rng(policy.seed)
                          for policy in policies.values())
+    probes = ProbeSpec()
     if certify_normals:
-        seeds["probes"] = ProbeSpec().seed
+        seeds["probes"] = probes.seed
 
     certificates = []
+    queued = []  # the steps whose certificate is still to be taken
+    block = max(1, PROBE_ROW_BUDGET // probes.count(d))
 
     def result(k, apriori=None):
         """The run over its first k steps."""
@@ -572,6 +590,31 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             seeds=seeds, certificates=certificates, apriori=apriori,
             warnings=schedule.warnings,
         )
+
+    def certify():
+        """Take the queued certificates in step order."""
+        if not queued:
+            return
+        try:
+            points, windows = probe_stack(C, X[np.array(queued) + 1], probes)
+        except GeometryError:
+            # a probe point failed to project: certify one step at a time, so
+            # that the error comes at its own step, after the verdicts before it
+            points = None
+        for i, k in enumerate(queued):
+            delta_k = schedule.delta(k)
+            cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k, probes,
+                                         None if points is None else (points[i], float(windows[i])))
+            rec = cert.to_record()
+            rec["k"] = k
+            certificates.append(rec)
+            if projection.exact and not cert.holds:
+                raise SchemeError(
+                    f"step {k}: normal term failed its cone certificate under exact "
+                    f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
+                    partial_run=result(k + 1), kind="normal_cone",
+                ) from None
+        queued.clear()
 
     for k in range(n):
         mu = float(schedule.mus[k])
@@ -583,21 +626,18 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 sel_rng=sel_rng, proj_rng=proj_rng,
             )
         except SchemeError as exc:
+            certify()
             raise SchemeError(f"step {k} failed: {exc}", partial_run=result(k),
                               kind=exc.kind) from exc
+        except Exception:
+            certify()
+            raise
         X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
         if certify_normals and p.any():
-            delta_k = schedule.delta(k)
-            cert = in_approx_normal_cone(C, x_next, v, delta_k)
-            rec = cert.to_record()
-            rec["k"] = k
-            certificates.append(rec)
-            if projection.exact and not cert.holds:
-                raise SchemeError(
-                    f"step {k}: normal term failed its cone certificate under exact "
-                    f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
-                    partial_run=result(k + 1), kind="normal_cone",
-                )
+            queued.append(k)
+            if len(queued) == block:
+                certify()
+    certify()
 
     apriori = _apriori_constants(model, schedule, x0)
     apriori["within_bound"] = None if apriori.get("vacuous") else bool(

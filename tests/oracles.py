@@ -2,19 +2,22 @@
 
 Everything here is deliberately dumb: dense grid searches and direct
 formula transcriptions with no shared code with the package under test.
-Slow is fine; these run on tiny inputs.  The one exception is
+Slow is fine; these run on tiny inputs.  The two exceptions are
 `reference_step`, the stepping code as it was while G(x) travelled as an
-IntervalBox: it keeps the package's IntervalBox, projection policies and
-sets, so that the lean step can be compared with it byte for byte.
+IntervalBox, and `reference_run`, the stepping loop as it was while every
+normal-cone certificate was taken right after its step: they keep the
+package's IntervalBox, projection policies, sets, step and certificate, so
+that the lean step and the blocked certificates can be compared with them
+byte for byte.
 """
 
 import itertools
 
 import numpy as np
 
-from catchup.geometry import GeometryError
+from catchup.geometry import ExactProjection, GeometryError, in_approx_normal_cone
 from catchup.operators import IntervalBox, MinimalNorm, Randomized
-from catchup.scheme import SchemeError
+from catchup.scheme import DiscreteRun, SchemeError, step
 
 
 def grid_project(contains, y, lo, hi, n=201):
@@ -228,3 +231,46 @@ def reference_step(model, x, mu, eps, selection, projection, sel_rng=None, proj_
         raise SchemeError("projected point left the set", kind="infeasible")
     v = -p / mu if np.any(p) else np.zeros_like(p)
     return x_next, y, w, p, v
+
+
+def reference_run(model, x0, schedule, selection=None, projection=None):
+    """The run of `scheme.run` with normal-cone certificates, each taken
+    right after its step: (X, W, Y, P, V, certificate records).  A failed
+    step or certificate raises the SchemeError the loop raised, with the
+    partial run; a certificate's GeometryError propagates as it is."""
+    C = model.C
+    selection = selection or MinimalNorm()
+    projection = projection or ExactProjection()
+    x0 = C.require_member(x0)
+    n, d = schedule.n_steps, model.dim
+    X = np.empty((n + 1, d))
+    W, Y, P, V = (np.empty((n, d)) for _ in range(4))
+    X[0] = x0
+    sel_rng = None if selection.seed is None else np.random.default_rng(selection.seed)
+    proj_rng = None if projection.seed is None else np.random.default_rng(projection.seed)
+    certificates = []
+
+    def partial(k):
+        return DiscreteRun(model, schedule, X[: k + 1], W[:k], Y[:k], P[:k], V[:k],
+                           certificates=certificates)
+
+    for k in range(n):
+        mu, eps = float(schedule.mus[k]), float(schedule.eps[k])
+        try:
+            x_next, y, w, p, v = step(model, X[k], mu, eps, selection=selection,
+                                      projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
+        except SchemeError as exc:
+            raise SchemeError(f"step {k} failed: {exc}", partial_run=partial(k),
+                              kind=exc.kind) from exc
+        X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
+        if np.any(p):
+            delta_k = float(schedule.eps[k] / (2.0 * schedule.mus[k]))
+            cert = in_approx_normal_cone(C, x_next, v, delta_k)
+            certificates.append({**cert.to_record(), "k": k})
+            if projection.exact and not cert.holds:
+                raise SchemeError(
+                    f"step {k}: normal term failed its cone certificate under exact "
+                    f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
+                    partial_run=partial(k + 1), kind="normal_cone",
+                )
+    return X, W, Y, P, V, certificates

@@ -22,6 +22,7 @@ from catchup.geometry import (
     in_approx_normal_cone,
     membership_tol,
     moreau_decompose,
+    probe_stack,
     sample_points,
     set_from_config,
     _probe_points,
@@ -497,3 +498,78 @@ class TestStackedProbes:
                 want = normal_cone_record(C, x, v, delta)
                 assert json.dumps(got) == json.dumps(want), (name, dim)
         assert want["n_probes"] == 1 + 2 * dim + (2 ** dim if dim <= 10 else 0) + 16
+
+
+def _probe_sets(dim):
+    """One set per type `set_from_config` builds, in R^dim."""
+    normal = np.cos(np.arange(dim) + 1.0)
+    normal /= np.linalg.norm(normal)
+    half = np.arange(dim) % 2 == 0
+    configs = {
+        "box": {"type": "box", "lower": [-1.0] * dim, "upper": [2.0] * dim},
+        "box_infinite": {"type": "box", "lower": np.where(half, -np.inf, -1.0).tolist(),
+                         "upper": np.where(half, 1.0, np.inf).tolist()},
+        "nonneg_orthant": {"type": "nonneg_orthant", "dim": dim},
+        "ball": {"type": "ball", "center": [0.25] * dim, "radius": 1.5},
+        "halfspace": {"type": "halfspace", "normal": normal.tolist(), "offset": 0.25},
+        "intersection": {"type": "intersection", "members": [
+            {"type": "ball", "center": [0.0] * dim, "radius": 1.0},
+            {"type": "halfspace", "normal": normal.tolist(), "offset": 0.5}]},
+    }
+    if dim == 1:
+        configs["halfline"] = {"type": "halfline"}
+    return {name: set_from_config(cfg) for name, cfg in configs.items()}
+
+
+PROBE_CASES = [(dim, name) for dim in (1, 2, 8, 11) for name in sorted(_probe_sets(dim))]
+
+
+class TestProbeStack:
+    """Row i of the stacked probe builder is the per-probe loop at row i."""
+
+    @pytest.mark.parametrize("dim, name", PROBE_CASES)
+    @given(data=st.data(), window=st.one_of(st.none(), st.floats(0.5, 40.0)),
+           n_random=st.sampled_from([0, 3, 16]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=4, deadline=None)
+    def test_rows_match_the_per_probe_loop(self, dim, name, data, window, n_random, seed):
+        C = _probe_sets(dim)[name]
+        rows = data.draw(st.lists(st.tuples(st.lists(coordinates, min_size=dim, max_size=dim),
+                                            st.sampled_from(["raw", "boundary", "inside"])),
+                                  min_size=1, max_size=40))
+        X = _stack(C, rows)
+        spec = ProbeSpec(n_random=n_random, seed=seed, window=window)
+        try:
+            pts, W = probe_stack(C, X, spec)
+        except ProjectionError:
+            with pytest.raises(ProjectionError):
+                for x in X:
+                    probe_points_loop(C, x, n_random, seed, window)
+            return
+        assert pts.shape == (X.shape[0], spec.count(dim), dim) and W.shape == (X.shape[0],)
+        for i, x in enumerate(X):
+            want_pts, want_W = probe_points_loop(C, x, n_random, seed, window)
+            assert pts[i].tobytes() == want_pts.tobytes(), i
+            assert W[i].tobytes() == np.float64(want_W).tobytes(), i
+
+    @pytest.mark.parametrize("window", [1.0, 10.000000000000002, 37.3, 1e-300, 3])
+    def test_draws_are_the_generators_uniform_draws(self, window):
+        # the builder draws U once and scales it as Generator.uniform does
+        for seed in range(5):
+            want = np.random.default_rng(seed).uniform(-window, window, size=(16, 3))
+            U = np.random.default_rng(seed).random((16, 3))
+            W = np.float64(window)
+            assert (-W + (W - -W) * U).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_spec_rejects_a_bad_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            ProbeSpec(window=window)
+
+    @pytest.mark.parametrize("n_random", [-1, 2.5, 3.0, True, "4"])
+    def test_spec_rejects_a_bad_draw_count(self, n_random):
+        with pytest.raises(ValueError, match="n_random"):
+            ProbeSpec(n_random=n_random)
+
+    def test_spec_accepts_an_explicit_window_and_no_draws(self):
+        spec = ProbeSpec(n_random=np.int64(0), window=2)
+        assert spec.count(2) == 1 + 4 + 4 and spec.count(11) == 1 + 22

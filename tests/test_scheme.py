@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import catchup.scheme as scheme
 from catchup.geometry import (
     Ball,
     Box,
     ExactProjection,
+    GeometryError,
     Halfline,
     Halfspace,
     Intersection,
     IterativeProjection,
     PerturbedProjection,
+    ProjectionError,
 )
 from catchup.operators import (
     AffineField,
@@ -41,7 +44,7 @@ from catchup.scheme import (
     verify_run_invariants,
 )
 
-from oracles import catching_up_halfline, onedim_hit_time, reference_step
+from oracles import catching_up_halfline, onedim_hit_time, reference_run, reference_step
 
 
 def scalar_model(a=1.0, b=2.0):
@@ -533,3 +536,125 @@ class TestProperties:
         np.testing.assert_allclose(x1, [x0] + mu * w + p, atol=1e-12)
         if not np.any(p):
             assert not np.any(v)
+
+
+class ScriptedProjection:
+    """The metric projection, except at the steps named in `faults` (the
+    policy is called once per step): `shift` moves the projection down the
+    face x_0 = 1 by mu / 4, a feasible point inside the defect contract
+    whose normal term leaves the cone; `far` returns the far corner, which
+    breaks the contract; `budget` raises ProjectionError and `bad` a
+    ValueError, which the step does not catch."""
+
+    name = "scripted"
+    seed = None
+    exact = True
+
+    def __init__(self, faults, mu):
+        self.faults = faults
+        self.mu = mu
+        self.calls = 0
+
+    def project(self, C, y, eps, rng=None):
+        fault = self.faults.get(self.calls)
+        self.calls += 1
+        if fault == "shift":
+            return C.project(y) - [0.0, 0.25 * self.mu]
+        if fault == "far":
+            return np.array([-1.0, -1.0])
+        if fault == "budget":
+            raise ProjectionError("scripted budget")
+        if fault == "bad":
+            raise ValueError("scripted bad input")
+        return C.project(y)
+
+
+class FarProbeBox(Box):
+    """A box whose stacked projection fails like an exhausted Dykstra budget
+    once a query row reaches 21.5 in some coordinate: the probes of a
+    certificate at x reach 11 + 10 |x|, so they fail once |x| > 1.05."""
+
+    def project(self, y):
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2 and np.max(np.abs(y)) >= 21.5:
+            raise ProjectionError("Dykstra sweep budget 1 exhausted before reaching feasibility")
+        return super().project(y)
+
+
+def run_outcome(runner, C, faults, x0=(1.0, 0.0), drift=(1.0, 0.5), mu=0.05, T=1.0):
+    """What a run does with the scripted faults: its arrays as bytes and
+    its certificate records, or the error it raises with the message and,
+    for a SchemeError, the kind and the partial run's bytes and records."""
+    model = MonotoneModel(AffineField(np.zeros((2, 2)), list(drift)), ZeroPart(2), C,
+                          growth=(2.0, 0.0), dissipativity=(1.0, 10.0, 0.5))
+    try:
+        out = runner(model, np.array(x0), make_schedule(T, Uniform(mu)),
+                     projection=ScriptedProjection(faults, mu))
+    except SchemeError as exc:
+        part = exc.partial_run
+        return ("SchemeError", exc.kind, str(exc), part.n_steps,
+                [a.tobytes() for a in (part.X, part.W, part.Y, part.P, part.V)],
+                part.certificates)
+    except (GeometryError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(out, DiscreteRun):
+        out = (out.X, out.W, out.Y, out.P, out.V, out.certificates)
+    return ("ok", [a.tobytes() for a in out[:5]], out[5])
+
+
+BOX = Box([-1.0, -1.0], [1.0, 1.0])
+
+
+class TestBlockedCertificates:
+    """Certificates taken in blocks give the run, records and first
+    failure of the loop that certified each step right after it."""
+
+    @pytest.fixture(params=[None, 75], ids=["one-block", "blocks-of-3"])
+    def row_budget(self, request, monkeypatch):
+        # 75 probe rows hold three certificates in R^2 (25 rows each)
+        if request.param is not None:
+            monkeypatch.setattr(scheme, "PROBE_ROW_BUDGET", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("faults", [
+        {},
+        {5: "shift"},
+        {19: "shift"},
+        {3: "shift", 4: "far"},
+        {3: "shift", 4: "budget"},
+        {3: "shift", 5: "bad"},
+        {7: "far"},
+        {7: "budget"},
+        {6: "bad"},
+        {0: "far"},
+    ], ids=repr)
+    def test_matches_the_step_by_step_loop(self, row_budget, faults):
+        got = run_outcome(run, BOX, faults)
+        assert got == run_outcome(reference_run, BOX, faults)
+        if faults:
+            first = min(faults)
+            assert got[0] == ("SchemeError" if faults[first] != "bad" else "ValueError")
+            if faults[first] == "shift":
+                assert got[1] == "normal_cone" and got[3] == first + 1
+                assert [c["k"] for c in got[5]] == list(range(first + 1))
+            elif got[0] == "SchemeError":
+                assert got[3] == first and len(got[5]) == first
+
+    @pytest.mark.parametrize("faults", [{}, {5: "shift"}, {7: "far"}], ids=repr)
+    def test_probe_failure_comes_after_earlier_verdicts(self, row_budget, faults):
+        got = run_outcome(run, FarProbeBox([-1.0, -1.0], [1.0, 1.0]), faults)
+        assert got == run_outcome(reference_run, FarProbeBox([-1.0, -1.0], [1.0, 1.0]), faults)
+        if not faults:
+            assert got == ("ProjectionError",
+                           "Dykstra sweep budget 1 exhausted before reaching feasibility")
+        else:
+            assert got[:2] == ("SchemeError", "normal_cone" if 5 in faults else "contract")
+
+    def test_probe_failure_on_a_budget_one_intersection(self, row_budget):
+        # a single sweep (halfspace x_0 <= -0.5, then the unit ball) takes the
+        # steps' predictors into the set, but not the far probe points
+        C = Intersection([Halfspace([1.0, 0.0], -0.5), Ball([0.0, 0.0], 1.0)], budget=1)
+        kw = dict(x0=(-0.9, 0.0), drift=(1.0, 0.2), mu=0.1)
+        got = run_outcome(run, C, {}, **kw)
+        assert got == run_outcome(reference_run, C, {}, **kw)
+        assert got[0] == "ProjectionError" and "budget 1 exhausted" in got[1]

@@ -6,9 +6,10 @@ Each case runs one `catchup` command in a fresh interpreter, once with
 OLD_SRC and once with NEW_SRC on PYTHONPATH, from a directory of its own
 that holds the case's config.  Paths on the command line are relative, so
 the output of both sides can be compared byte for byte: every file under
-the case directory, the exit code, stdout and stderr.  One line is printed
-per case; a differing manifest also prints its changed lines.  The exit
-code is 1 when any case differs.
+the case directory, the exit code, stdout and stderr.  Cases run
+concurrently, one worker per CPU the process may run on.  One line is
+printed per case, in matrix order; a differing manifest also prints its
+changed lines.  The exit code is 1 when any case differs.
 
 The matrix: for seeds 1-3, the configs `bench/workloads.generate` makes
 for every benchmark workload, run as `run` and
@@ -23,12 +24,17 @@ out of a lone halfspace, the orthant of dimension 3, and an
 11-dimensional dry-friction box (too many corners to probe them), the
 last also with two other selections of its set-valued l1 part: the lower
 end of each interval, and a randomized one under perturbed projection and
-power_of_step errors.
+power_of_step errors; and two runs that fail at their first step, on a
+wedge of two halfspaces projected by a single Dykstra sweep, one with the
+normal term leaving its cone (reason normal_cone) and one with the defect
+outgrowing its contract (reason contract), whose failure manifests and
+partial trajectories are compared like any other output.
 """
 
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import difflib
 import json
 import os
@@ -59,6 +65,20 @@ FRICTION_11 = {"model": "dry_friction",
                "tau": [(-1.0) ** (i // 2) * 3.0 if i % 2 == 0 else 0.1 * i for i in range(11)],
                "weights": [0.2] * 11, "lower": [-1.0] * 11, "upper": [1.0] * 11}
 
+def _wedge(drift: list[float]) -> dict:
+    """Constant drift onto {x_1 <= 0} and {x_0 + x_1 <= 0}, two halfspaces meeting
+    at 45 degrees, projected by one Dykstra sweep: not the metric projection."""
+    r = 0.5 ** 0.5
+    return {"model": {"f": {"type": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "b": drift},
+                      "G": {"type": "zero", "dim": 2},
+                      "C": {"type": "intersection", "budget": 1, "members": [
+                          {"type": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+                          {"type": "halfspace", "normal": [r, r], "offset": 0.0}]},
+                      "constants": {"a": 5.0, "b": 0.0, "r_star": 0.5, "M": 10.0,
+                                    "gamma": 1.0}},
+            "x0": [0.0, 0.0], "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.25}}
+
+
 PINNED_CASES = {
     "onedim-readme": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 10.0,
                       "schedule": {"kind": "uniform", "mu0": 0.01}},
@@ -85,6 +105,8 @@ PINNED_CASES = {
                                "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
                                "selection": {"kind": "randomized"},
                                "projection": {"kind": "perturbed"}},
+    "wedge-normal-cone": _wedge([4.0, 2.0]),
+    "wedge-contract": _wedge([4.0, 4.0]),
 }
 
 
@@ -153,17 +175,23 @@ def main(argv=None) -> int:
                         help="keep the case directories here (default: a temporary one)")
     args = parser.parse_args(argv)
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
+    old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
+
+    def compare(case):
+        label, files, cmd = case
+        old = run_case(old_src, work / "old" / label, files, cmd)
+        new = run_case(new_src, work / "new" / label, files, cmd)
+        lines = differences(old, new)
+        return [f"{'DIFF' if lines else 'same'}  exit {old['exit code']}/{new['exit code']}"
+                f"  {label}: catchup {' '.join(cmd)}", *lines]
+
     differing = 0
+    workers = len(os.sched_getaffinity(0))
     try:
-        for label, files, cmd in cases(args.new_src.resolve()):
-            old = run_case(args.old_src.resolve(), work / "old" / label, files, cmd)
-            new = run_case(args.new_src.resolve(), work / "new" / label, files, cmd)
-            lines = differences(old, new)
-            differing += bool(lines)
-            print(f"{'DIFF' if lines else 'same'}  exit {old['exit code']}/{new['exit code']}"
-                  f"  {label}: catchup {' '.join(cmd)}", flush=True)
-            for line in lines:
-                print(line, flush=True)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            for lines in pool.map(compare, cases(new_src)):
+                differing += len(lines) > 1
+                print("\n".join(lines), flush=True)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
