@@ -147,10 +147,14 @@ class ConvexSet:
         if not np.all(np.isfinite(x)):
             raise GeometryError(f"point {x} is not in the set (non-finite coordinates)")
         if not self.contains(x):  # a NaN distance fails too
-            raise GeometryError(
-                f"point {x} is not in the set (distance {self.distance(x):.3e} exceeds tolerance)"
-            )
+            raise GeometryError(f"point {x} is not in the set (distance at least "
+                                f"{self.distance_lower_bound(x):.3e} exceeds tolerance)")
         return x
+
+    def distance_lower_bound(self, y) -> float:
+        """A lower bound on the distance of a vector to the set that needs
+        no iterative projection; the distance itself for a simple set."""
+        return self.distance(_as_vector(y, self.dim))
 
     def is_bounded(self) -> bool:
         return False
@@ -267,6 +271,10 @@ class Ball(ConvexSet):
         d = y - self.center
         nrm = _norm(d)
         inside = nrm <= self.radius
+        if inside.ndim == 0:  # one point: no row masks
+            return y.copy() if inside else self.center + (self.radius / nrm) * d
+        if inside.all():
+            return y.copy()
         # rows inside stay put; only the others are scaled onto the sphere
         # (an inside row divides by inf, so a zero norm is never a divisor)
         scale = self.radius / np.where(inside, np.inf, nrm)
@@ -327,6 +335,10 @@ class Halfspace(ConvexSet):
         y = _as_points(y, self.dim)
         s = np.vecdot(y, self.normal) - self.offset
         inside = s <= 0
+        if inside.ndim == 0:  # one point: no row masks
+            return y.copy() if inside else y - s * self.normal
+        if inside.all():
+            return y.copy()
         return np.where(inside[..., None], y, y - s[..., None] * self.normal)
 
     def distance(self, y) -> float | NDArray:
@@ -356,9 +368,15 @@ def _dykstra(projectors, y: NDArray, budget: int):
     projections, the correction terms make the limit the metric projection
     onto the intersection, not just some feasible point.  The lists are
     updated in place by the next sweep.
+
+    For a stack y, the consumer may `send` a keep-mask over the rows of the
+    last yield instead of calling `next`: the other rows then leave the
+    iterate and the corrections, and later sweeps work on the kept rows
+    only (the points are rebuilt by the next sweep).  Rows never mix, so a
+    kept row goes on bit for bit as in the full stack.
     """
     z = y.copy()
-    corrections = [np.zeros_like(y) for _ in projectors]
+    corrections = [np.zeros(y.shape) for _ in projectors]
     points = [z] * len(projectors)
     for _ in range(budget):
         for i, proj in enumerate(projectors):
@@ -366,23 +384,43 @@ def _dykstra(projectors, y: NDArray, budget: int):
             z = proj(w)
             corrections[i] = w - z
             points[i] = z
-        yield z, corrections, points
+        keep = yield z, corrections, points
+        if keep is not None:
+            z = z[keep]
+            corrections = [q[keep] for q in corrections]
 
 
 def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
     """For a vector y, or for each row of a stack: the first Dykstra iterate
     that moved by at most tol (a float, or one per row) in its sweep, or
-    the last one when the budget runs out.  The sweeps stop once no row is
-    pending."""
-    limit = y.copy()
-    pending = np.ones(y.shape[:-1], dtype=bool)
+    the last one when the budget runs out.  A stack's settled rows leave
+    the sweeps, and the sweeps stop once none is left."""
+    sweeps = _dykstra(projectors, y, budget)
     z_prev = y
-    for z, _, _ in _dykstra(projectors, y, budget):
-        np.copyto(limit, z, where=pending[..., None])
-        pending &= ~(_norm(z - z_prev) <= tol)
-        if not pending.any():
-            break
-        z_prev = z
+    if y.ndim == 1:
+        for z, _, _ in sweeps:
+            if _norm(z - z_prev) <= tol:
+                return z
+            z_prev = z
+        return z_prev
+    # rows: the stack rows still sweeping, z_prev their latest iterate
+    limit = np.empty_like(y)
+    rows = np.arange(y.shape[0])
+    keep = None
+    for _ in range(budget):
+        z = sweeps.send(keep)[0]
+        moving = ~(_norm(z - z_prev) <= tol)
+        if moving.all():
+            keep, z_prev = None, z
+            continue
+        settled = ~moving
+        limit[rows[settled]] = z[settled]
+        if not moving.any():
+            return limit
+        keep, rows, z_prev = moving, rows[moving], z[moving]
+        if np.ndim(tol):
+            tol = tol[moving]
+    limit[rows] = z_prev
     return limit
 
 
@@ -414,14 +452,17 @@ class Intersection(ConvexSet):
         y = _as_points(y, self.dim)
         tol = 1e-13 * (1.0 + _norm(y))
         z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
-        if not np.all(self.contains(z)):
+        inside = self.contains(z)
+        if not (inside if z.ndim == 1 else inside.all()):
             raise ProjectionError(
                 f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
             )
         return z
 
     def distance_lower_bound(self, y) -> float:
-        """max_i d_{C_i}(y), a certified lower bound on the intersection distance."""
+        """max_i d_{C_i}(y), a certified lower bound on the intersection distance.
+        A point outside the intersection is outside some member, so the bound
+        exceeds the membership tolerance whenever `contains` fails."""
         y = _as_vector(y, self.dim)
         return max(m.distance(y) for m in self.members)
 
@@ -439,12 +480,17 @@ class Intersection(ConvexSet):
         x = _as_points(x, self.dim)
         if tol is None:
             tol = membership_tol(x)
-        inside = np.ones(x.shape[:-1], dtype=bool)
+        if x.ndim == 1:  # judged member by member, up to the first failure
+            for m in self.members:
+                if not m.distance(x) <= tol:
+                    return False
+            return True
+        inside = np.ones(x.shape[0], dtype=bool)
         for m in self.members:
             inside &= m.distance(x) <= tol
             if not inside.any():
                 break
-        return _per_row(inside)
+        return inside
 
     def is_bounded(self) -> bool:
         return any(m.is_bounded() for m in self.members)

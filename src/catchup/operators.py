@@ -169,9 +169,8 @@ class SeparableL1(RegularPart):
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         x = _as_vector(x, self.dim)
-        lo = np.where(x == 0.0, -self.weights, self.weights * np.sign(x))
-        hi = np.where(x == 0.0, self.weights, self.weights * np.sign(x))
-        return lo, hi
+        zero, slope = x == 0.0, self.weights * np.sign(x)
+        return np.where(zero, -self.weights, slope), np.where(zero, self.weights, slope)
 
     def to_config(self) -> dict:
         return {"type": "l1", "weights": self.weights.tolist()}

@@ -8,14 +8,21 @@ IntervalBox, and `reference_run`, the stepping loop as it was while every
 normal-cone certificate was taken right after its step: they keep the
 package's IntervalBox, projection policies, sets, step and certificate, so
 that the lean step and the blocked certificates can be compared with them
-byte for byte.
+byte for byte.  Likewise `reference_dykstra_limit` is the Dykstra stop as
+it was while every row of a stack swept until the last one settled.
 """
 
 import itertools
 
 import numpy as np
 
-from catchup.geometry import ExactProjection, GeometryError, in_approx_normal_cone
+from catchup.geometry import (
+    ExactProjection,
+    GeometryError,
+    _dykstra,
+    _norm,
+    in_approx_normal_cone,
+)
 from catchup.operators import IntervalBox, MinimalNorm, Randomized
 from catchup.scheme import DiscreteRun, SchemeError, step
 
@@ -274,3 +281,20 @@ def reference_run(model, x0, schedule, selection=None, projection=None):
                     partial_run=partial(k + 1), kind="normal_cone",
                 )
     return X, W, Y, P, V, certificates
+
+
+def reference_dykstra_limit(projectors, y, budget, tol):
+    """For a vector y, or for each row of a stack: the first Dykstra iterate
+    that moved by at most tol (a float, or one per row) in its sweep, or
+    the last one when the budget runs out.  Every row sweeps, its limit
+    copied under a pending mask, until no row is pending."""
+    limit = y.copy()
+    pending = np.ones(y.shape[:-1], dtype=bool)
+    z_prev = y
+    for z, _, _ in _dykstra(projectors, y, budget):
+        np.copyto(limit, z, where=pending[..., None])
+        pending &= ~(_norm(z - z_prev) <= tol)
+        if not pending.any():
+            break
+        z_prev = z
+    return limit

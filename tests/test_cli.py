@@ -52,6 +52,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "x0" in err and "not in the set" in err
 
+    def test_start_outside_a_thin_cap_is_config_error(self, tmp_path, capsys):
+        # the thin cap's Dykstra projection of (5, 3) runs out of sweeps, so
+        # the message must not need one
+        model = {**POLYGON_MODEL, "C": {"type": "intersection", "members": [
+            {"type": "ball", "center": [0, 0], "radius": 1.0},
+            {"type": "halfspace", "normal": [1, 0], "offset": -0.99},
+        ]}}
+        cfg = write_config(tmp_path / "c.json", onedim_config(model=model, x0=[5.0, 3.0]))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "x0" in err and "not in the set" in err and "Dykstra" not in err
+
     def test_flat_error_list_warns_but_runs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", onedim_config(
             model={"model": "onedim", "a": 1, "b": -1},

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,11 @@ from catchup.geometry import (
     probe_stack,
     sample_points,
     set_from_config,
+    _dykstra_limit,
+    _norm,
     _probe_points,
 )
+from catchup.cli import main
 
 from oracles import (
     cone_grid_project,
@@ -34,7 +39,10 @@ from oracles import (
     grid_project,
     normal_cone_record,
     probe_points_loop,
+    reference_dykstra_limit,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def vectors(dim, lo=-10.0, hi=10.0):
@@ -180,6 +188,15 @@ class TestIntersection:
         C, x, _ = self.outside_corner(offset, step)
         assert C.contains(x) and C.distance(x) > membership_tol(x)
         np.testing.assert_array_equal(C.require_member(x), x)
+
+    def test_outside_point_is_reported_without_projecting(self):
+        # Dykstra cannot project (5, 3) onto the thin cap within its budget;
+        # the message gives the largest member distance instead
+        C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.99)])
+        with pytest.raises(GeometryError, match="not in the set") as info:
+            C.require_member([5.0, 3.0])
+        assert not isinstance(info.value, ProjectionError)
+        assert "5.990e+00" in str(info.value)
 
     def test_normal_cone_at_a_member_point(self):
         # at the right-angle corner, where Dykstra projects every probe
@@ -573,3 +590,117 @@ class TestProbeStack:
     def test_spec_accepts_an_explicit_window_and_no_draws(self):
         spec = ProbeSpec(n_random=np.int64(0), window=2)
         assert spec.count(2) == 1 + 4 + 4 and spec.count(11) == 1 + 22
+
+
+# --- Dykstra row retirement ------------------------------------------------
+
+CAP = [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.5)]
+THIN_CAP = [Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.99)]
+
+
+def _stalled_row():
+    """A point 1e-8 outside the thin cap's upper corner, along the bisector of
+    the two normals: Dykstra never meets the 1e-13 stop there."""
+    corner = np.array([-0.99, np.sqrt(1.0 - 0.99 ** 2)])
+    bisector = corner + np.array([1.0, 0.0])
+    return corner + 1e-8 * bisector / np.linalg.norm(bisector)
+
+
+dykstra_rows = st.lists(st.one_of(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(list),
+    st.just("stalled"), st.just("nan")), max_size=10)
+
+
+class TestDykstraRowRetirement:
+    """The limits of the row-retiring Dykstra stop equal, bit for bit, those of
+    the stop that swept every row until the last one settled."""
+
+    @given(rows=dykstra_rows, thin=st.booleans(), budget=st.sampled_from([1, 2, 3, 4, 5, 200]),
+           scale=st.sampled_from([1e-13, 1e-6, 1e-3, 1e-1]), per_row=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_limits_match_the_oracle(self, rows, thin, budget, scale, per_row):
+        projectors = [m.project for m in (THIN_CAP if thin else CAP)]
+        special = {"stalled": _stalled_row(), "nan": np.full(2, np.nan)}
+        Y = np.array([special.get(r, r) if isinstance(r, str) else r for r in rows],
+                     dtype=float).reshape(len(rows), 2)
+        # a larger tolerance lets rows settle at different sweeps
+        tol = scale * (1.0 + _norm(Y)) if per_row else scale
+        want = reference_dykstra_limit(projectors, Y, budget, tol)
+        got = _dykstra_limit(projectors, Y, budget, tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for i, y in enumerate(Y):
+            t = tol[i] if per_row else tol
+            alone = reference_dykstra_limit(projectors, y, budget, t)
+            assert _dykstra_limit(projectors, y, budget, t).tobytes() == alone.tobytes()
+
+    @given(u=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           at=st.sampled_from(["upper corner", "lower corner", "arc", "wall", "inside"]),
+           budget=st.sampled_from([1, 2, 3, 4, 5, 200]))
+    @settings(max_examples=60, deadline=None)
+    def test_tangent_project_matches_the_oracle(self, u, at, budget):
+        C = Intersection(CAP, budget=budget)
+        h = np.sqrt(0.75)
+        x = {"upper corner": [0.5, h], "lower corner": [0.5, -h], "arc": [-0.6, 0.8],
+             "wall": [0.5, 0.0], "inside": [0.0, 0.1]}[at]
+        x, u = np.array(x), np.array(u)
+        projectors = [lambda v, m=m: m.tangent_project(x, v) for m in CAP]
+        want = reference_dykstra_limit(projectors, u, budget, 1e-14 * (1.0 + np.linalg.norm(u)))
+        assert C.tangent_project(x, u).tobytes() == want.tobytes()
+
+    def test_polygon_run_retires_two_thirds_of_the_member_rows(self, tmp_path, monkeypatch):
+        # the benchmark's polygon run config: its certificates project one
+        # stack of probe points, where one stalled row kept every row sweeping
+        sys.path.insert(0, str(REPO))
+        try:
+            from bench.workloads import generate
+        finally:
+            sys.path.remove(str(REPO))
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(generate("polygon_session", 4301)["run.json"])
+        work = {}
+        for cls in (Ball, Halfspace):
+            def counted(self, y, project=cls.project):
+                rows = np.shape(y)[0] if np.ndim(y) == 2 else 1
+                work["calls"] = work.get("calls", 0) + 1
+                work["rows"] = work.get("rows", 0) + rows
+                return project(self, y)
+            monkeypatch.setattr(cls, "project", counted)
+
+        def run(label):
+            work.clear()
+            out = tmp_path / label
+            assert main(["run", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+            return dict(work), (out / "trajectory.csv").read_bytes()
+
+        retired, trajectory = run("retired")
+        monkeypatch.setattr("catchup.geometry._dykstra_limit", reference_dykstra_limit)
+        swept, reference = run("swept")
+        assert trajectory == reference
+        assert retired["calls"] == swept["calls"]
+        assert retired["rows"] < 0.4 * swept["rows"]
+
+
+# every set type, with a vector and a stack, outside and all inside
+ALIAS_CASES = [
+    (Box([-1.0, 0.0], [2.0, 3.0]), [[5.0, -1.0], [0.5, 1.0]], [[0.5, 1.0], [0.0, 2.0]]),
+    (NonnegOrthant(2), [[-1.0, 2.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 3.0]]),
+    (Halfline(), [[-1.0], [2.0]], [[2.0], [0.0]]),
+    (Ball([0.0, 0.0], 1.0), [[2.0, 1.0], [0.1, 0.2]], [[0.1, 0.2], [-0.5, 0.0]]),
+    (Halfspace([0.6, 0.8], 0.5), [[2.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.2]]),
+    (Intersection(CAP), [[2.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.1]]),
+]
+
+
+class TestProjectionsDoNotAlias:
+    @pytest.mark.parametrize("C, mixed, inside", ALIAS_CASES,
+                             ids=[type(case[0]).__name__ for case in ALIAS_CASES])
+    @pytest.mark.parametrize("which", ["vector", "stack"])
+    @pytest.mark.parametrize("rows", ["mixed", "inside"])
+    def test_result_is_a_fresh_array(self, C, mixed, inside, which, rows):
+        points = np.array(mixed if rows == "mixed" else inside)
+        y = points[0] if which == "vector" else points
+        before = y.copy()
+        z = C.project(y)
+        assert z is not y and not np.shares_memory(z, y)
+        z[...] = 7.0
+        assert y.tobytes() == before.tobytes()

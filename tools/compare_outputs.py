@@ -24,11 +24,15 @@ out of a lone halfspace, the orthant of dimension 3, and an
 11-dimensional dry-friction box (too many corners to probe them), the
 last also with two other selections of its set-valued l1 part: the lower
 end of each interval, and a randomized one under perturbed projection and
-power_of_step errors; and two runs that fail at their first step, on a
-wedge of two halfspaces projected by a single Dykstra sweep, one with the
-normal term leaving its cone (reason normal_cone) and one with the defect
+power_of_step errors; two runs that fail at their first step, on a wedge
+of two halfspaces projected by a single Dykstra sweep, one with the normal
+term leaving its cone (reason normal_cone) and one with the defect
 outgrowing its contract (reason contract), whose failure manifests and
-partial trajectories are compared like any other output.
+partial trajectories are compared like any other output; a start outside
+a thin cap (a ball cut at -0.99 of its radius), a config error; and the
+seed-1 polygon run.json under exact projection with no errors, whose steps
+project by the Dykstra stop, whose 84 normal-cone certificates are
+enforced, and whose truncation diagnostic projects a stack.
 """
 
 from __future__ import annotations
@@ -107,6 +111,9 @@ PINNED_CASES = {
                                "projection": {"kind": "perturbed"}},
     "wedge-normal-cone": _wedge([4.0, 2.0]),
     "wedge-contract": _wedge([4.0, 4.0]),
+    "thin-cap-start": _pushed_out([3.0, 1.0], {"type": "intersection", "members": [
+        {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
 }
 
 
@@ -129,7 +136,10 @@ def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
                 for argv in variants[fname]:
                     label = f"{name}-{seed}-" + "-".join(a.strip("-") for a in argv)
                     matrix.append((label, files, [argv[0], fname, "--seed", "1", *argv[1:]]))
-    for name, cfg in PINNED_CASES.items():
+    polygon = json.loads(generate("polygon_session", 1)["run.json"])
+    del polygon["errors"]
+    pinned = {**PINNED_CASES, "polygon-exact": {**polygon, "projection": {"kind": "exact"}}}
+    for name, cfg in pinned.items():
         files = {"run.json": (json.dumps(cfg) + "\n").encode()}
         matrix.append((name, files,
                        ["run", "run.json", "--seed", "1", "--diagnostics", "all"]))
