@@ -273,8 +273,6 @@ class Ball(ConvexSet):
         inside = nrm <= self.radius
         if inside.ndim == 0:  # one point: no row masks
             return y.copy() if inside else self.center + (self.radius / nrm) * d
-        if inside.all():
-            return y.copy()
         # rows inside stay put; only the others are scaled onto the sphere
         # (an inside row divides by inf, so a zero norm is never a divisor)
         scale = self.radius / np.where(inside, np.inf, nrm)
@@ -337,8 +335,6 @@ class Halfspace(ConvexSet):
         inside = s <= 0
         if inside.ndim == 0:  # one point: no row masks
             return y.copy() if inside else y - s * self.normal
-        if inside.all():
-            return y.copy()
         return np.where(inside[..., None], y, y - s[..., None] * self.normal)
 
     def distance(self, y) -> float | NDArray:
@@ -410,13 +406,14 @@ def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
     for _ in range(budget):
         z = sweeps.send(keep)[0]
         moving = ~(_norm(z - z_prev) <= tol)
+        if not moving.any():  # also an empty stack, after its one sweep
+            limit[rows] = z
+            return limit
         if moving.all():
             keep, z_prev = None, z
             continue
         settled = ~moving
         limit[rows[settled]] = z[settled]
-        if not moving.any():
-            return limit
         keep, rows, z_prev = moving, rows[moving], z[moving]
         if np.ndim(tol):
             tol = tol[moving]

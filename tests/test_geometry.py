@@ -1,6 +1,4 @@
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,8 +39,6 @@ from oracles import (
     probe_points_loop,
     reference_dykstra_limit,
 )
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def vectors(dim, lo=-10.0, hi=10.0):
@@ -611,6 +607,28 @@ dykstra_rows = st.lists(st.one_of(
     st.just("stalled"), st.just("nan")), max_size=10)
 
 
+# the polygon benchmark workload's run config for workload seed 4301, pinned
+# here so that a change of the workload generator leaves this test as it is
+POLYGON_RUN = {
+    "T": 2.0,
+    "errors": {"beta": 1.0, "eps0": 0.1, "kind": "power_of_step"},
+    "model": {
+        "C": {"type": "intersection", "members": [
+            {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            {"type": "halfspace", "normal": [0.920378684104825, 0.3910282315197595],
+             "offset": 0.5}]},
+        "G": {"type": "l1", "weights": [0.2, 0.2]},
+        "constants": {"M": 4.560752510029523, "a": 2.442718521279629,
+                      "b": 1.118033988749895, "ell": -1.0, "gamma": 1.0, "r_star": 1.0},
+        "f": {"type": "affine", "A": [[-1.0, -0.5], [0.5, -1.0]],
+              "b": [1.6188137464568788, 1.4298620785737837]},
+    },
+    "projection": {"kind": "iterative"},
+    "schedule": {"kind": "uniform", "mu0": 0.02},
+    "x0": [0.0, 0.0],
+}
+
+
 class TestDykstraRowRetirement:
     """The limits of the row-retiring Dykstra stop equal, bit for bit, those of
     the stop that swept every row until the last one settled."""
@@ -647,16 +665,19 @@ class TestDykstraRowRetirement:
         want = reference_dykstra_limit(projectors, u, budget, 1e-14 * (1.0 + np.linalg.norm(u)))
         assert C.tangent_project(x, u).tobytes() == want.tobytes()
 
+    def test_empty_stack_sweeps_once(self):
+        calls = []
+        projectors = [lambda v, p=m.project: calls.append(v.shape) or p(v) for m in CAP]
+        Y = np.empty((0, 2))
+        got = _dykstra_limit(projectors, Y, 200, 1e-13)
+        assert got.shape == (0, 2) and calls == [(0, 2), (0, 2)]
+
     def test_polygon_run_retires_two_thirds_of_the_member_rows(self, tmp_path, monkeypatch):
-        # the benchmark's polygon run config: its certificates project one
-        # stack of probe points, where one stalled row kept every row sweeping
-        sys.path.insert(0, str(REPO))
-        try:
-            from bench.workloads import generate
-        finally:
-            sys.path.remove(str(REPO))
+        # a polygon run config (a cap of the unit disc, l1 friction): its
+        # certificates project one stack of probe points, where one stalled
+        # row kept every row sweeping
         cfg = tmp_path / "run.json"
-        cfg.write_bytes(generate("polygon_session", 4301)["run.json"])
+        cfg.write_text(json.dumps(POLYGON_RUN))
         work = {}
         for cls in (Ball, Halfspace):
             def counted(self, y, project=cls.project):
