@@ -22,7 +22,6 @@ from .geometry import (
     IterativeProjection,
     NonnegOrthant,
     PerturbedProjection,
-    ProbeSpec,
     ProjectionError,
     approx_project,
     in_approx_normal_cone,
@@ -84,7 +83,7 @@ __all__ = [
     # geometry
     "Ball", "Box", "ConvexSet", "ExactProjection", "GeometryError",
     "Halfline", "Halfspace", "Intersection", "IterativeProjection",
-    "NonnegOrthant", "PerturbedProjection", "ProbeSpec", "ProjectionError",
+    "NonnegOrthant", "PerturbedProjection", "ProjectionError",
     "approx_project", "in_approx_normal_cone", "moreau_decompose",
     "set_from_config",
     # operators

@@ -28,7 +28,7 @@ from .diagnostics import (
     predictor_feasibility,
     stability_experiment,
 )
-from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError
+from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError, check_seed
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
 from .operators import SELECTION_RULES, model_from_config
 from .scheme import ERROR_RULES, STEP_RULES, SchemeError, csv_text, make_schedule, run as run_scheme
@@ -94,6 +94,8 @@ def _point_from(model, value, label: str) -> np.ndarray:
         return model.C.require_member(x)
     except GeometryError as e:
         raise ConfigError(f"{label} violates the constraint set: {e}") from None
+    except ValueError as e:  # a point of the wrong shape
+        raise ConfigError(f"{label}: {e}") from None
 
 
 def _from_registry(family: str, registry: dict, spec, seed=None, default=None):
@@ -135,6 +137,11 @@ def _setup(args):
     cfg = _load_config(args.config)
     model = _model_from(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None:
+        try:
+            check_seed(seed)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     selection = _from_registry("selection", SELECTION_RULES, cfg.get("selection") or {}, seed,
                                default="minimal_norm")
     projection = _from_registry("projection", PROJECTION_POLICIES, cfg.get("projection") or {},
@@ -147,7 +154,10 @@ def _tags_from(value, default=DEFAULT_RUN_TAGS):
         return tuple(default)
     if isinstance(value, str):
         value = [t.strip() for t in value.split(",") if t.strip()]
-    if value == ["all"] or value == "all":
+    if not isinstance(value, list):
+        raise ConfigError(f"diagnostics must be a list of tags or a comma-separated string, "
+                          f"got {value!r}")
+    if value == ["all"]:
         return RUN_TAGS
     tags = tuple(value)
     unknown = [t for t in tags if t not in RUN_TAGS]
@@ -385,13 +395,18 @@ def cmd_stability(args) -> int:
     x0_two = _point_from(model, pair[1], "x0[1]")
     schedule = _schedule_from(cfg)
     tol_mesh = cfg.get("tol_mesh")
+    if tol_mesh is not None:
+        try:
+            tol_mesh = float(tol_mesh)
+        except (TypeError, ValueError):
+            raise ConfigError(f"tol_mesh must be a number, got {tol_mesh!r}") from None
     out = _out_dir(args, cfg)
 
     try:
         result = stability_experiment(
             model, x0_one, x0_two, schedule,
             selection=selection, projection=projection,
-            tol_mesh=None if tol_mesh is None else float(tol_mesh),
+            tol_mesh=tol_mesh,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None

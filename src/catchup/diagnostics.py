@@ -97,9 +97,6 @@ class DiagnosticsReport:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
@@ -301,6 +298,8 @@ def stability_experiment(model: MonotoneModel, x0_one, x0_two, schedule: StepSch
     ell = model.ell
     if tol_mesh is None:
         tol_mesh = 5.0 * schedule.mu_norm * (1.0 + abs(ell)) * schedule.T
+    elif not 0.0 <= tol_mesh < np.inf:
+        raise ValueError(f"tol_mesh must be nonnegative and finite, got {tol_mesh!r}")
     r1 = run_scheme(model, x0_one, schedule, selection=selection,
                     projection=projection, certify_normals=False)
     r2 = run_scheme(model, x0_two, schedule, selection=selection,

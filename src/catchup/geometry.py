@@ -32,11 +32,11 @@ __all__ = [
     "PerturbedProjection",
     "IterativeProjection",
     "NormalConeCertificate",
-    "ProbeSpec",
     "membership_tol",
     "approx_project",
     "moreau_decompose",
     "in_approx_normal_cone",
+    "probe_count",
     "probe_stack",
     "sample_points",
     "set_from_config",
@@ -48,11 +48,13 @@ __all__ = [
 # are useless; this scale-aware tolerance is used everywhere.
 MEMBERSHIP_RTOL = 1e-9
 
-# Default probe window half-width for unbounded sets: W = PROBE_WINDOW_SCALE * (1 + |x|).
+# The probe recipe of a normal-cone certificate at x: window half-width
+# W = PROBE_WINDOW_SCALE * (1 + |x|), corners up to MAX_CORNER_DIM (2^dim of
+# them), and PROBE_DRAWS uniform draws from a generator seeded with PROBE_SEED.
 PROBE_WINDOW_SCALE = 10.0
-
-# The window corners are probed up to this dimension (2^dim of them).
 MAX_CORNER_DIM = 10
+PROBE_DRAWS = 16
+PROBE_SEED = 0
 
 
 class GeometryError(Exception):
@@ -73,13 +75,13 @@ def membership_tol(x: NDArray) -> float | NDArray:
 _FLOAT = np.dtype(float)
 
 
-def _as_vector(y, dim: int | None = None) -> NDArray:
+def _as_vector(y, dim: int) -> NDArray:
     v = y
     if not (type(y) is np.ndarray and y.dtype is _FLOAT and y.ndim):
         v = np.atleast_1d(np.asarray(y, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
+    if v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
     return v
 
@@ -542,6 +544,13 @@ def moreau_decompose(C: ConvexSet, x, u) -> ConePair:
 # certificate.  `from_config(spec, seed)` builds the policy from its config
 # record, with `seed` the run's master seed.
 
+def check_seed(seed):
+    """Raise ValueError unless seed is a nonnegative integer, the seeds a
+    generator takes."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ExactProjection:
     """Return the metric projection (valid for any eps)."""
@@ -571,6 +580,9 @@ class PerturbedProjection:
     slack_fraction: float = 0.9
     name = "perturbed"
     exact = False
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
     def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
         z0 = C.project(y)
@@ -665,32 +677,9 @@ def approx_project(C: ConvexSet, y, eps: float, policy=None, rng=None) -> NDArra
 
 # --- delta-approximate normal cone certificates ---------------------------
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    """How to draw probe points z in C for the normal-cone check.
-
-    `window` is the half-width W of the sampling box [x - W, x + W]; when
-    None it defaults to PROBE_WINDOW_SCALE * (1 + |x|).  Deterministic
-    probes (projected window corners and axis extremes) are always
-    included alongside `n_random` projected uniform draws.  A window that
-    is not positive and finite, or an `n_random` that is not a
-    nonnegative integer, raises ValueError.
-    """
-
-    n_random: int = 16
-    seed: int = 0
-    window: float | None = None
-
-    def __post_init__(self):
-        n = self.n_random
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"n_random must be a nonnegative integer, got {n!r}")
-        if self.window is not None and not (np.isfinite(self.window) and self.window > 0):
-            raise ValueError(f"probe window must be positive and finite, got {self.window!r}")
-
-    def count(self, dim: int) -> int:
-        """The probe points of one certificate in R^dim."""
-        return 1 + 2 * dim + (2 ** dim if dim <= MAX_CORNER_DIM else 0) + self.n_random
+def probe_count(dim: int) -> int:
+    """The probe points of one certificate in R^dim."""
+    return 1 + 2 * dim + (2 ** dim if dim <= MAX_CORNER_DIM else 0) + PROBE_DRAWS
 
 
 @dataclass(frozen=True)
@@ -715,22 +704,19 @@ class NormalConeCertificate:
         }
 
 
-def probe_stack(C: ConvexSet, X, spec: ProbeSpec) -> tuple[NDArray, NDArray]:
+def probe_stack(C: ConvexSet, X) -> tuple[NDArray, NDArray]:
     """The probe points of the certificates at the rows x_i of X (m, dim),
     projected in one call, and their window half-widths W (m,).
 
     Row i of the (m, P, dim) points holds x_i itself, then, each projected
     onto C, the window's axis extremes x_i -+ W_i e_j, its corners
-    x_i + W_i s (for dim <= MAX_CORNER_DIM) and `spec.n_random` uniform
+    x_i + W_i s (for dim <= MAX_CORNER_DIM) and PROBE_DRAWS uniform
     draws from it, the same draws for every row.  Row i is bit for bit
     what the certificate at x_i alone probes.
     """
     X = _as_points(X, C.dim)
-    m, dim = X.shape
-    if spec.window is None:
-        W = PROBE_WINDOW_SCALE * (1.0 + _norm(X))
-    else:
-        W = np.full(m, float(spec.window))
+    dim = X.shape[1]
+    W = PROBE_WINDOW_SCALE * (1.0 + _norm(X))
     base = X[:, None, :]
     Wc = W[:, None, None]
     # axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...); each row adds
@@ -744,20 +730,14 @@ def probe_stack(C: ConvexSet, X, spec: ProbeSpec) -> tuple[NDArray, NDArray]:
         bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
         queries.append(base + Wc * np.where(bits == 1, 1.0, -1.0))
     # rng.uniform(-W, W) computes -W + (W - -W) U from the draws U of `random`
-    U = np.random.default_rng(spec.seed).random((spec.n_random, dim))
+    U = np.random.default_rng(PROBE_SEED).random((PROBE_DRAWS, dim))
     queries.append(base + (-Wc + (Wc - -Wc) * U))
     Q = np.concatenate(queries, axis=1)
     projected = C.project(Q.reshape(-1, dim)).reshape(Q.shape)
     return np.concatenate([base, projected], axis=1), W
 
 
-def _probe_points(C: ConvexSet, x: NDArray, spec: ProbeSpec) -> tuple[NDArray, float]:
-    """The probe points of the certificate at the vector x and its window W."""
-    pts, W = probe_stack(C, x[None, :], spec)
-    return pts[0], float(W[0])
-
-
-def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | None = None,
+def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
                           points: tuple[NDArray, float] | None = None) -> NormalConeCertificate:
     """Sampled certificate for v in {u : <u, z - x> <= delta for all z in C}.
 
@@ -771,8 +751,10 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | 
         raise ValueError("delta must be nonnegative")
     x = C.require_member(x)
     v = _as_vector(v, C.dim)
-    spec = probes if probes is not None else ProbeSpec()
-    pts, W = points if points is not None else _probe_points(C, x, spec)
+    if points is None:
+        stack, windows = probe_stack(C, x[None, :])
+        points = stack[0], float(windows[0])
+    pts, W = points
     vals = (pts - x) @ v
     worst = int(np.argmax(vals))
     worst_val = float(vals[worst])
@@ -784,7 +766,7 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float, probes: ProbeSpec | 
         delta=float(delta),
         window=float(W),
         n_probes=int(pts.shape[0]),
-        seed=spec.seed,
+        seed=PROBE_SEED,
     )
 
 

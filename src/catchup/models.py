@@ -160,7 +160,6 @@ class DryFrictionModel(MonotoneModel):
         self.tau = tau
         self.weights = weights
         self.field_bound = L
-        self.box_radius = R_C
 
     def to_config(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ConvexSet, _as_vector, sample_points
+from .geometry import ConvexSet, _as_vector, check_seed, sample_points
 
 __all__ = [
     "IntervalBox",
@@ -298,6 +298,9 @@ class Randomized:
 
     seed: int = 0
     name = "randomized"
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
     def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
         if rng is None:

@@ -24,13 +24,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import (
+    PROBE_SEED,
     ConvexSet,
     ExactProjection,
     GeometryError,
-    ProbeSpec,
     _as_vector,
     approx_project,
     in_approx_normal_cone,
+    probe_count,
     probe_stack,
 )
 from .operators import MinimalNorm, MonotoneModel, select_F
@@ -574,13 +575,12 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     seeds = {key: policy.seed for key, policy in policies.items() if policy.seed is not None}
     sel_rng, proj_rng = (None if policy.seed is None else np.random.default_rng(policy.seed)
                          for policy in policies.values())
-    probes = ProbeSpec()
     if certify_normals:
-        seeds["probes"] = probes.seed
+        seeds["probes"] = PROBE_SEED
 
     certificates = []
     queued = []  # the steps whose certificate is still to be taken
-    block = max(1, PROBE_ROW_BUDGET // probes.count(d))
+    block = max(1, PROBE_ROW_BUDGET // probe_count(d))
 
     def result(k, apriori=None):
         """The run over its first k steps."""
@@ -593,17 +593,15 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
 
     def certify():
         """Take the queued certificates in step order."""
-        if not queued:
-            return
         try:
-            points, windows = probe_stack(C, X[np.array(queued) + 1], probes)
+            points, windows = probe_stack(C, X[np.array(queued) + 1])
         except GeometryError:
             # a probe point failed to project: certify one step at a time, so
             # that the error comes at its own step, after the verdicts before it
             points = None
         for i, k in enumerate(queued):
             delta_k = schedule.delta(k)
-            cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k, probes,
+            cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k,
                                          None if points is None else (points[i], float(windows[i])))
             rec = cert.to_record()
             rec["k"] = k
@@ -616,28 +614,28 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 ) from None
         queued.clear()
 
+    failure = None
     for k in range(n):
-        mu = float(schedule.mus[k])
-        eps = float(schedule.eps[k])
         try:
-            x_next, y, w, p, v = step(
-                model, X[k], mu, eps,
+            X[k + 1], Y[k], W[k], P[k], V[k] = step(
+                model, X[k], float(schedule.mus[k]), float(schedule.eps[k]),
                 selection=selection, projection=projection,
                 sel_rng=sel_rng, proj_rng=proj_rng,
             )
-        except SchemeError as exc:
-            certify()
-            raise SchemeError(f"step {k} failed: {exc}", partial_run=result(k),
-                              kind=exc.kind) from exc
-        except Exception:
-            certify()
-            raise
-        X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
-        if certify_normals and p.any():
+        except Exception as exc:
+            failure = exc
+            break
+        if certify_normals and P[k].any():
             queued.append(k)
             if len(queued) == block:
                 certify()
-    certify()
+    if queued:
+        certify()
+    if isinstance(failure, SchemeError):
+        raise SchemeError(f"step {k} failed: {failure}", partial_run=result(k),
+                          kind=failure.kind) from failure
+    if failure is not None:
+        raise failure
 
     apriori = _apriori_constants(model, schedule, x0)
     apriori["within_bound"] = None if apriori.get("vacuous") else bool(

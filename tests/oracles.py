@@ -123,13 +123,14 @@ def catching_up_halfline(a, b, x0, mu, n):
     return np.array(xs)
 
 
-def probe_points_loop(C, x, n_random=16, seed=0, window=None):
+def probe_points_loop(C, x):
     """The probe points of the sampled normal-cone certificate, built the
     slow way: one projection call per probe, in the certificate's order (x
-    itself, the axis extremes x -+ W e_i, the window corners for dim <= 10,
-    then n_random uniform draws of size dim from one generator)."""
+    itself, the axis extremes x -+ W e_i with W = 10 (1 + |x|), the window
+    corners for dim <= 10, then 16 uniform draws of size dim from one
+    generator seeded with 0)."""
     x = np.asarray(x, dtype=float)
-    W = window if window is not None else 10.0 * (1.0 + float(np.linalg.norm(x)))
+    W = 10.0 * (1.0 + float(np.linalg.norm(x)))
     dim = x.shape[0]
     probes = [x.copy()]
     for i in range(dim):
@@ -141,19 +142,19 @@ def probe_points_loop(C, x, n_random=16, seed=0, window=None):
         for mask in range(2 ** dim):
             signs = np.array([1.0 if mask & (1 << i) else -1.0 for i in range(dim)])
             probes.append(C.project(x + W * signs))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(0)
+    for _ in range(16):
         probes.append(C.project(x + rng.uniform(-W, W, size=dim)))
     return np.asarray(probes), W
 
 
-def normal_cone_record(C, x, v, delta, n_random=16, seed=0, window=None):
+def normal_cone_record(C, x, v, delta):
     """The certificate record for v at x over the loop-built probes: the
     worst <v, z - x>, its probe, and the verdict with the certificate's
     roundoff allowance 1e-12 (1 + |v| (1 + W))."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    pts, W = probe_points_loop(C, x, n_random, seed, window)
+    pts, W = probe_points_loop(C, x)
     vals = (pts - x) @ v
     worst = int(np.argmax(vals))
     tol = 1e-12 * (1.0 + float(np.linalg.norm(v)) * (1.0 + W))
@@ -164,7 +165,7 @@ def normal_cone_record(C, x, v, delta, n_random=16, seed=0, window=None):
         "delta": float(delta),
         "window": float(W),
         "n_probes": int(pts.shape[0]),
-        "seed": int(seed),
+        "seed": 0,
     }
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from catchup.cli import main
+from catchup.geometry import PerturbedProjection
+from catchup.operators import Randomized
 from catchup.scheme import read_run_csv, verify_run_invariants
 
 
@@ -463,6 +465,51 @@ class TestBoundaryValidation:
         cfg = write_config(tmp_path / "c.json", onedim_config(
             **{"model": self.GENERIC, "x0": [0.5], "T": 0.1, **entry}))
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "study", "stability"])
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], [[0.0]]], ids=["two-coordinates", "nested"])
+    def test_start_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, command, x0):
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            x0=[x0, [1.0]] if command == "stability" else x0, T=0.1,
+            study={"levels": [0.04, 0.02, 0.01]}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "x0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, argv", [
+        ({"seed": "abc", "selection": {"kind": "randomized"}}, []),
+        ({"seed": 1.5, "selection": {"kind": "randomized"}}, []),
+        ({"seed": True}, []),
+        ({}, ["--seed", "-1"]),
+        ({"selection": {"kind": "randomized", "seed": -1}}, []),
+        ({"projection": {"kind": "perturbed", "seed": -1}}, []),
+        ({"seed": -2, "projection": {"kind": "perturbed"}}, []),
+    ], ids=["string", "fraction", "bool", "negative-flag", "negative-selection-seed",
+            "negative-projection-seed", "negative-under-perturbed"])
+    def test_bad_seed_is_config_error(self, tmp_path, capsys, entry, argv):
+        cfg = write_config(tmp_path / "c.json", onedim_config(**{"T": 0.1, **entry}))
+        assert main(["run", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", [Randomized, PerturbedProjection])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_policy_rejects_a_bad_seed(self, policy, seed):
+        with pytest.raises(ValueError, match="seed"):
+            policy(seed=seed)
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("run", "diagnostics", 5),
+        ("run", "diagnostics", {"energy": True}),
+        ("stability", "tol_mesh", [1]),
+        ("stability", "tol_mesh", float("nan")),
+        ("stability", "tol_mesh", -5.0),
+        ("stability", "tol_mesh", float("inf")),
+    ], ids=["diagnostics-number", "diagnostics-mapping", "tol_mesh-list", "tol_mesh-nan",
+            "tol_mesh-negative", "tol_mesh-inf"])
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, command, field, value):
+        x0 = [[0.0], [1.0]] if command == "stability" else [0.0]
+        cfg = write_config(tmp_path / "c.json", onedim_config(x0=x0, T=0.1, **{field: value}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so

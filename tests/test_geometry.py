@@ -16,18 +16,17 @@ from catchup.geometry import (
     IterativeProjection,
     NonnegOrthant,
     PerturbedProjection,
-    ProbeSpec,
     ProjectionError,
     approx_project,
     in_approx_normal_cone,
     membership_tol,
     moreau_decompose,
+    probe_count,
     probe_stack,
     sample_points,
     set_from_config,
     _dykstra_limit,
     _norm,
-    _probe_points,
 )
 from catchup.cli import main
 
@@ -327,11 +326,10 @@ class TestNormalConeCertificate:
 
     def test_certificate_records_window_and_probes(self):
         H = Halfline()
-        spec = ProbeSpec(n_random=4, seed=7, window=3.0)
-        cert = in_approx_normal_cone(H, [0.0], [-1.0], delta=0.0, probes=spec)
-        assert cert.window == 3.0
-        assert cert.seed == 7
-        assert cert.n_probes >= 5
+        cert = in_approx_normal_cone(H, [0.0], [-1.0], delta=0.0)
+        assert cert.window == 10.0
+        assert cert.seed == 0
+        assert cert.n_probes == 21
         rec = cert.to_record()
         assert set(rec) == {
             "holds", "worst_violation", "witness", "delta", "window", "n_probes", "seed",
@@ -503,9 +501,9 @@ class TestStackedProbes:
     def test_certificate_matches_the_per_probe_loop(self, dim):
         # at dim 11 the window corners are skipped
         for name, C, x, v in _certificate_cases(dim):
-            pts, W = _probe_points(C, x, ProbeSpec())
+            pts, W = probe_stack(C, x[None, :])
             want_pts, want_W = probe_points_loop(C, x)
-            assert W == want_W and pts.tobytes() == want_pts.tobytes(), (name, dim)
+            assert W[0] == want_W and pts[0].tobytes() == want_pts.tobytes(), (name, dim)
             for delta in (0.0, 0.5):
                 got = in_approx_normal_cone(C, x, v, delta).to_record()
                 want = normal_cone_record(C, x, v, delta)
@@ -541,26 +539,24 @@ class TestProbeStack:
     """Row i of the stacked probe builder is the per-probe loop at row i."""
 
     @pytest.mark.parametrize("dim, name", PROBE_CASES)
-    @given(data=st.data(), window=st.one_of(st.none(), st.floats(0.5, 40.0)),
-           n_random=st.sampled_from([0, 3, 16]), seed=st.integers(0, 2 ** 16))
+    @given(data=st.data())
     @settings(max_examples=4, deadline=None)
-    def test_rows_match_the_per_probe_loop(self, dim, name, data, window, n_random, seed):
+    def test_rows_match_the_per_probe_loop(self, dim, name, data):
         C = _probe_sets(dim)[name]
         rows = data.draw(st.lists(st.tuples(st.lists(coordinates, min_size=dim, max_size=dim),
                                             st.sampled_from(["raw", "boundary", "inside"])),
                                   min_size=1, max_size=40))
         X = _stack(C, rows)
-        spec = ProbeSpec(n_random=n_random, seed=seed, window=window)
         try:
-            pts, W = probe_stack(C, X, spec)
+            pts, W = probe_stack(C, X)
         except ProjectionError:
             with pytest.raises(ProjectionError):
                 for x in X:
-                    probe_points_loop(C, x, n_random, seed, window)
+                    probe_points_loop(C, x)
             return
-        assert pts.shape == (X.shape[0], spec.count(dim), dim) and W.shape == (X.shape[0],)
+        assert pts.shape == (X.shape[0], probe_count(dim), dim) and W.shape == (X.shape[0],)
         for i, x in enumerate(X):
-            want_pts, want_W = probe_points_loop(C, x, n_random, seed, window)
+            want_pts, want_W = probe_points_loop(C, x)
             assert pts[i].tobytes() == want_pts.tobytes(), i
             assert W[i].tobytes() == np.float64(want_W).tobytes(), i
 
@@ -572,20 +568,6 @@ class TestProbeStack:
             U = np.random.default_rng(seed).random((16, 3))
             W = np.float64(window)
             assert (-W + (W - -W) * U).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
-    def test_spec_rejects_a_bad_window(self, window):
-        with pytest.raises(ValueError, match="window"):
-            ProbeSpec(window=window)
-
-    @pytest.mark.parametrize("n_random", [-1, 2.5, 3.0, True, "4"])
-    def test_spec_rejects_a_bad_draw_count(self, n_random):
-        with pytest.raises(ValueError, match="n_random"):
-            ProbeSpec(n_random=n_random)
-
-    def test_spec_accepts_an_explicit_window_and_no_draws(self):
-        spec = ProbeSpec(n_random=np.int64(0), window=2)
-        assert spec.count(2) == 1 + 4 + 4 and spec.count(11) == 1 + 22
 
 
 # --- Dykstra row retirement ------------------------------------------------

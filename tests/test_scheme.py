@@ -627,6 +627,10 @@ class TestBlockedCertificates:
         {7: "budget"},
         {6: "bad"},
         {0: "far"},
+        # under blocks of 3, the failing certificate and the failing step
+        # fall in different blocks
+        {1: "shift", 7: "bad"},
+        {1: "shift", 7: "budget"},
     ], ids=repr)
     def test_matches_the_step_by_step_loop(self, row_budget, faults):
         got = run_outcome(run, BOX, faults)
