@@ -157,6 +157,8 @@ def _tags_from(value, default=DEFAULT_RUN_TAGS):
     if not isinstance(value, list):
         raise ConfigError(f"diagnostics must be a list of tags or a comma-separated string, "
                           f"got {value!r}")
+    if not value:
+        raise ConfigError("diagnostics must name at least one tag, or 'all'")
     if value == ["all"]:
         return RUN_TAGS
     tags = tuple(value)

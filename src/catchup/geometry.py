@@ -12,6 +12,7 @@ cone {v : <v, z - x> <= delta for all z in C}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,7 @@ class ProjectionError(GeometryError):
 
 def membership_tol(x: NDArray) -> float | NDArray:
     """The membership tolerance of a point, or of each row of a stack."""
-    return _per_row(MEMBERSHIP_RTOL * (1.0 + _norm(x)))
+    return MEMBERSHIP_RTOL * (1.0 + _norm(np.asarray(x)))
 
 
 # a float64 ndarray of at least one dimension is what the converters below
@@ -99,16 +100,13 @@ def _as_points(y, dim: int) -> NDArray:
 
 
 def _norm(a: NDArray):
-    """Euclidean norm over the last axis.  Each row is summed like the 1-D
-    `np.linalg.norm` (sqrt of the row's dot product), so a row of a stack
-    gets the bits of that row on its own; `np.linalg.norm(a, axis=1)` sums
-    in another order."""
+    """Euclidean norm over the last axis: a float for a vector, an array for
+    a stack.  Each row is summed like the 1-D `np.linalg.norm` (sqrt of the
+    row's dot product), so a row of a stack gets the bits of that row on its
+    own; `np.linalg.norm(a, axis=1)` sums in another order."""
+    if a.ndim == 1:
+        return math.sqrt(np.vecdot(a, a))
     return np.sqrt(np.vecdot(a, a))
-
-
-def _per_row(values):
-    """A Python scalar for the result of one point, the array for a stack."""
-    return values if values.ndim else values.item()
 
 
 class ConvexSet:
@@ -117,8 +115,8 @@ class ConvexSet:
     `project`, `distance` and `contains` take a vector (dim,) or a stack of
     vectors (m, dim).  Row i of a stacked result equals, bit for bit, the
     result of the call on row i alone; a vector gives an array, a float
-    and a bool, a stack an (m, dim) array, an (m,) float array and an (m,)
-    bool array.
+    and a bool, its scalars computed in Python floats, a stack an (m, dim)
+    array, an (m,) float array and an (m,) bool array.
     """
 
     dim: int
@@ -130,7 +128,7 @@ class ConvexSet:
     def distance(self, y) -> float | NDArray:
         """The distance to the set of a vector, or of each row of a stack."""
         y = _as_points(y, self.dim)
-        return _per_row(_norm(y - self.project(y)))
+        return _norm(y - self.project(y))
 
     def contains(self, x, tol: float | None = None) -> bool | NDArray:
         """Whether a vector, or each row of a stack, is within `tol` of the
@@ -272,9 +270,9 @@ class Ball(ConvexSet):
         y = _as_points(y, self.dim)
         d = y - self.center
         nrm = _norm(d)
+        if y.ndim == 1:  # one point: no row masks
+            return y.copy() if nrm <= self.radius else self.center + (self.radius / nrm) * d
         inside = nrm <= self.radius
-        if inside.ndim == 0:  # one point: no row masks
-            return y.copy() if inside else self.center + (self.radius / nrm) * d
         # rows inside stay put; only the others are scaled onto the sphere
         # (an inside row divides by inf, so a zero norm is never a divisor)
         scale = self.radius / np.where(inside, np.inf, nrm)
@@ -282,7 +280,9 @@ class Ball(ConvexSet):
 
     def distance(self, y) -> float | NDArray:
         y = _as_points(y, self.dim)
-        return _per_row(np.maximum(_norm(y - self.center) - self.radius, 0.0))
+        gap = _norm(y - self.center) - self.radius
+        # max keeps a NaN and a -0.0 gap as np.maximum does
+        return max(gap, 0.0) if y.ndim == 1 else np.maximum(gap, 0.0)
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -333,15 +333,20 @@ class Halfspace(ConvexSet):
 
     def project(self, y) -> NDArray:
         y = _as_points(y, self.dim)
-        s = np.vecdot(y, self.normal) - self.offset
-        inside = s <= 0
-        if inside.ndim == 0:  # one point: no row masks
-            return y.copy() if inside else y - s * self.normal
-        return np.where(inside[..., None], y, y - s[..., None] * self.normal)
+        s = self._slack(y)
+        if y.ndim == 1:  # one point: no row masks
+            return y.copy() if s <= 0 else y - s * self.normal
+        return np.where((s <= 0)[..., None], y, y - s[..., None] * self.normal)
 
     def distance(self, y) -> float | NDArray:
         y = _as_points(y, self.dim)
-        return _per_row(np.maximum(np.vecdot(y, self.normal) - self.offset, 0.0))
+        s = self._slack(y)
+        return max(s, 0.0) if y.ndim == 1 else np.maximum(s, 0.0)
+
+    def _slack(self, y: NDArray):
+        """<normal, y> - offset: a float for a vector, an array for a stack."""
+        s = np.vecdot(y, self.normal)
+        return (float(s) if y.ndim == 1 else s) - self.offset
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -606,8 +611,9 @@ class PerturbedProjection:
 
     @classmethod
     def from_config(cls, spec: dict, seed: int | None):
-        # an unseeded spec draws from the master seed, offset from the selection's
-        s = int(spec["seed"]) if "seed" in spec else (seed + 1 if seed is not None else 0)
+        # a spec's own seed reaches the constructor's check as given; an
+        # unseeded spec draws from the master seed, offset from the selection's
+        s = spec["seed"] if "seed" in spec else (seed + 1 if seed is not None else 0)
         return cls(seed=s, slack_fraction=float(spec.get("slack_fraction", 0.9)))
 
 
@@ -636,7 +642,7 @@ class IterativeProjection:
         lb = C.distance_lower_bound(y) ** 2
         for z, corrections, points in _dykstra([m.project for m in members], y, C.budget):
             n = np.sum(corrections, axis=0)
-            nn = float(np.linalg.norm(n))
+            nn = math.sqrt(n.dot(n))
             if nn > 0.0:
                 sep = (float(n @ y) - sum(float(q @ p) for q, p in zip(corrections, points))) / nn
                 if sep > 0.0:
@@ -758,7 +764,7 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
     vals = (pts - x) @ v
     worst = int(np.argmax(vals))
     worst_val = float(vals[worst])
-    tol = 1e-12 * (1.0 + float(np.linalg.norm(v)) * (1.0 + W))
+    tol = 1e-12 * (1.0 + math.sqrt(v.dot(v)) * (1.0 + W))
     return NormalConeCertificate(
         holds=worst_val <= delta + tol,
         worst_violation=worst_val,

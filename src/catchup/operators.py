@@ -309,8 +309,8 @@ class Randomized:
 
     @classmethod
     def from_config(cls, spec: dict, seed: int | None):
-        if "seed" in spec:
-            return cls(int(spec["seed"]))
+        if "seed" in spec:  # as given: the constructor rejects 1.5, true and "3"
+            return cls(spec["seed"])
         return cls(seed if seed is not None else 0)
 
 

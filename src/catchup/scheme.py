@@ -354,7 +354,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     if not C.contains(x_next):
         raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
                           kind="infeasible")
-    if p.any():
+    if np.count_nonzero(p):
         v = -p / mu
     else:
         v = np.zeros(p.shape)
@@ -625,7 +625,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         except Exception as exc:
             failure = exc
             break
-        if certify_normals and P[k].any():
+        if certify_normals and np.count_nonzero(P[k]):
             queued.append(k)
             if len(queued) == block:
                 certify()

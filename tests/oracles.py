@@ -9,7 +9,9 @@ normal-cone certificate was taken right after its step: they keep the
 package's IntervalBox, projection policies, sets, step and certificate, so
 that the lean step and the blocked certificates can be compared with them
 byte for byte.  Likewise `reference_dykstra_limit` is the Dykstra stop as
-it was while every row of a stack swept until the last one settled.
+it was while every row of a stack swept until the last one settled, and
+`reference_iterative_project` the Iterative policy's certified stop as it
+was while its norms, tolerances and verdicts were numpy scalars.
 """
 
 import itertools
@@ -19,8 +21,8 @@ import numpy as np
 from catchup.geometry import (
     ExactProjection,
     GeometryError,
+    ProjectionError,
     _dykstra,
-    _norm,
     in_approx_normal_cone,
 )
 from catchup.operators import IntervalBox, MinimalNorm, Randomized
@@ -294,8 +296,44 @@ def reference_dykstra_limit(projectors, y, budget, tol):
     z_prev = y
     for z, _, _ in _dykstra(projectors, y, budget):
         np.copyto(limit, z, where=pending[..., None])
-        pending &= ~(_norm(z - z_prev) <= tol)
+        moved = z - z_prev
+        pending &= ~(np.sqrt(np.vecdot(moved, moved)) <= tol)
         if not pending.any():
             break
         z_prev = z
     return limit
+
+
+def _leaf_distance(C, y):
+    """The distance of the vector y to a ball or a halfspace, in numpy scalars."""
+    if hasattr(C, "radius"):
+        d = y - C.center
+        return np.maximum(np.sqrt(np.vecdot(d, d)) - C.radius, 0.0).item()
+    return np.maximum(np.vecdot(y, C.normal) - C.offset, 0.0).item()
+
+
+def reference_iterative_project(C, y, eps):
+    """The Iterative policy's point for the vector y on an intersection of
+    balls and halfspaces: the first Dykstra iterate z that lies within the
+    membership tolerance 1e-9 (1 + |z|) of every member and whose squared
+    distance to y exceeds a certified lower bound on d_C(y)^2 by at most
+    eps.  The bound starts from the worst member distance and takes each
+    sweep's separating halfspace; the budget running out raises the
+    policy's ProjectionError."""
+    members = C.members
+    lb = max(_leaf_distance(m, y) for m in members) ** 2
+    for z, corrections, points in _dykstra([m.project for m in members], y, C.budget):
+        n = np.sum(corrections, axis=0)
+        nn = float(np.linalg.norm(n))
+        if nn > 0.0:
+            sep = (float(n @ y) - sum(float(q @ p) for q, p in zip(corrections, points))) / nn
+            if sep > 0.0:
+                lb = max(lb, sep * sep)
+        tol = (1e-9 * (1.0 + np.sqrt(np.vecdot(z, z)))).item()
+        feasible = all(_leaf_distance(m, z) <= tol for m in members)
+        if feasible and float(np.sum((z - y) ** 2)) <= lb + eps:
+            return z
+    raise ProjectionError(
+        "Dykstra sweeps could not certify the eps-inequality "
+        f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
+    )

@@ -483,12 +483,35 @@ class TestBoundaryValidation:
         ({"selection": {"kind": "randomized", "seed": -1}}, []),
         ({"projection": {"kind": "perturbed", "seed": -1}}, []),
         ({"seed": -2, "projection": {"kind": "perturbed"}}, []),
+        ({"selection": {"kind": "randomized", "seed": 1.5}}, []),
+        ({"selection": {"kind": "randomized", "seed": True}}, []),
+        ({"selection": {"kind": "randomized", "seed": "3"}}, []),
+        ({"projection": {"kind": "perturbed", "seed": 1.5}}, []),
+        ({"projection": {"kind": "perturbed", "seed": True}}, []),
+        ({"projection": {"kind": "perturbed", "seed": "3"}}, []),
     ], ids=["string", "fraction", "bool", "negative-flag", "negative-selection-seed",
-            "negative-projection-seed", "negative-under-perturbed"])
+            "negative-projection-seed", "negative-under-perturbed", "fraction-selection-seed",
+            "bool-selection-seed", "string-selection-seed", "fraction-projection-seed",
+            "bool-projection-seed", "string-projection-seed"])
     def test_bad_seed_is_config_error(self, tmp_path, capsys, entry, argv):
         cfg = write_config(tmp_path / "c.json", onedim_config(**{"T": 0.1, **entry}))
         assert main(["run", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
-        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed must be a nonnegative integer" in err
+        # a policy's own seed is named with its family
+        for family in ("selection", "projection"):
+            if "seed" in entry.get(family, {}):
+                assert f"{family}: seed" in err
+
+    @pytest.mark.parametrize("entry, argv", [
+        ({}, ["--diagnostics", ""]),
+        ({}, ["--diagnostics", " , "]),
+        ({"diagnostics": []}, []),
+    ], ids=["empty-flag", "blank-flag", "empty-list"])
+    def test_empty_diagnostics_is_config_error(self, tmp_path, capsys, entry, argv):
+        cfg = write_config(tmp_path / "c.json", onedim_config(**{"T": 0.1, **entry}))
+        assert main(["run", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
+        assert "diagnostics" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", [Randomized, PerturbedProjection])
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])

@@ -37,6 +37,7 @@ from oracles import (
     normal_cone_record,
     probe_points_loop,
     reference_dykstra_limit,
+    reference_iterative_project,
 )
 
 
@@ -467,6 +468,18 @@ class TestStackedCalls:
         y = np.full(C.dim, 4.0)
         assert C.project(y).shape == (C.dim,)
         assert type(C.distance(y)) is float and type(C.contains(y)) is bool
+        assert type(membership_tol(y)) is float and membership_tol(np.stack([y, y])).shape == (2,)
+        assert membership_tol(y.tolist()) == membership_tol(y)
+        # a leaf set's point exactly on its boundary, and a NaN point
+        edge = {"ball": [2.0, -0.5, 0.0], "halfspace": [0.0, 0.0, -0.3125]}.get(name)
+        if edge is not None:
+            edge, nan = np.array(edge), np.full(C.dim, np.nan)
+            assert C.project(edge).tobytes() == edge.tobytes()
+            assert type(C.distance(edge)) is float and C.distance(edge) == 0.0
+            assert C.contains(edge) is True
+            assert np.isnan(C.project(nan)).all() and C.project(nan).shape == (C.dim,)
+            assert type(C.distance(nan)) is float and np.isnan(C.distance(nan))
+            assert C.contains(nan) is False
         for bad in (np.zeros(C.dim + 1), np.zeros((2, C.dim + 1)), np.zeros((1, 2, C.dim))):
             for method in ("project", "distance", "contains"):
                 with pytest.raises(ValueError):
@@ -681,6 +694,37 @@ class TestDykstraRowRetirement:
         assert trajectory == reference
         assert retired["calls"] == swept["calls"]
         assert retired["rows"] < 0.4 * swept["rows"]
+
+
+def _projection_outcome(project, C, y, eps):
+    try:
+        return project(C, y, eps).tobytes()
+    except ProjectionError as e:
+        return str(e)
+
+
+class TestIterativeMatchesReference:
+    """The Iterative policy returns the bytes of its loop written out in numpy
+    scalars, or raises the same ProjectionError."""
+
+    @given(thin=st.booleans(), eps=st.sampled_from([0.0, 1e-8, 1e-4]),
+           where=st.sampled_from(["outward", "arc", "wall", "inside"]),
+           angle=st.floats(0.0, 2.0 * np.pi), r=st.floats(1.0, 4.0), t=st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_project_matches_the_oracle(self, thin, eps, where, angle, r, t):
+        members = THIN_CAP if thin else CAP
+        C, wall = Intersection(members), members[1].offset
+        corner = np.arccos(wall)  # the arc runs from this angle to its mirror
+        arc = corner + t * (2.0 * np.pi - 2.0 * corner)
+        points = {"outward": r * np.array([np.cos(angle), np.sin(angle)]),
+                  "arc": np.array([np.cos(arc), np.sin(arc)]),
+                  "wall": np.array([wall, (2.0 * t - 1.0) * np.sqrt(1.0 - wall * wall)])}
+        # inside: on the way from a point well inside to the point of the wall
+        inner = np.array([wall - 0.005 if thin else 0.0, 0.0])
+        points["inside"] = inner + 0.99 * (r - 1.0) / 3.0 * (points["wall"] - inner)
+        y = points[where]
+        want = _projection_outcome(reference_iterative_project, C, y, eps)
+        assert _projection_outcome(IterativeProjection().project, C, y, eps) == want
 
 
 # every set type, with a vector and a stack, outside and all inside

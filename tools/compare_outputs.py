@@ -28,7 +28,9 @@ power_of_step errors; two runs that fail at their first step, on a wedge
 of two halfspaces projected by a single Dykstra sweep, one with the normal
 term leaving its cone (reason normal_cone) and one with the defect
 outgrowing its contract (reason contract), whose failure manifests and
-partial trajectories are compared like any other output; a start outside
+partial trajectories are compared like any other output; a far outward
+step from a halfspace whose normal is 5e-10 short of unit length, which
+lands outside the membership tolerance (reason infeasible); a start outside
 a thin cap (a ball cut at -0.99 of its radius), a config error; and the
 seed-1 polygon run.json under exact projection with no errors, whose steps
 project by the Dykstra stop, whose 84 normal-cone certificates are
@@ -111,6 +113,10 @@ PINNED_CASES = {
                                "projection": {"kind": "perturbed"}},
     "wedge-normal-cone": _wedge([4.0, 2.0]),
     "wedge-contract": _wedge([4.0, 4.0]),
+    "halfspace-near-unit": {**_pushed_out([1e4, 0.0], {"type": "halfspace",
+                                                      "normal": [0.9999999995, 0.0],
+                                                      "offset": 0.0}, [0.0, 0.0]),
+                            "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.1}},
     "thin-cap-start": _pushed_out([3.0, 1.0], {"type": "intersection", "members": [
         {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
         {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
