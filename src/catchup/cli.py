@@ -28,7 +28,7 @@ from .diagnostics import (
     predictor_feasibility,
     stability_experiment,
 )
-from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError, check_seed
+from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError, check_integer
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
 from .operators import SELECTION_RULES, model_from_config
 from .scheme import ERROR_RULES, STEP_RULES, SchemeError, csv_text, make_schedule, run as run_scheme
@@ -139,7 +139,7 @@ def _setup(args):
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None:
         try:
-            check_seed(seed)
+            check_integer(seed)
         except ValueError as e:
             raise ConfigError(str(e)) from None
     selection = _from_registry("selection", SELECTION_RULES, cfg.get("selection") or {}, seed,
@@ -228,7 +228,11 @@ def _truncation_entry(completed):
     mu_min = float(np.min(completed.schedule.mus))
     T = completed.T
     n_ref = int(np.ceil(64.0 * T / mu_min))
-    reference = reference_solution(completed.model, completed.X[0], T, n_ref)
+    try:
+        reference = reference_solution(completed.model, completed.X[0], T, n_ref)
+    except SchemeError as e:
+        # the reference's partial trajectory is not the run's: drop it
+        raise SchemeError(f"truncation reference: {e}", kind=e.kind) from e
     return local_truncation(completed.model, reference, completed.schedule)
 
 
@@ -270,10 +274,10 @@ def cmd_run(args) -> int:
     try:
         completed = run_scheme(model, x0, schedule,
                                selection=selection, projection=projection)
+        report = _run_report(completed, tags)
     except (SchemeError, GeometryError) as e:
         return _failure(out, "run", e)
 
-    report = _run_report(completed, tags)
     hard = [e.theorem_tag for e in report if not e.passed and e.theorem_tag not in INFORMATIONAL_TAGS]
     soft = [e.theorem_tag for e in report if not e.passed and e.theorem_tag in INFORMATIONAL_TAGS]
     code = _exit_code(hard, soft, args.strict)
@@ -312,15 +316,13 @@ def cmd_study(args) -> int:
     try:
         T = float(cfg["T"])
         levels = [float(v) for v in study.get("levels") or []]
-        refine = int(study.get("reference_refine", 8))
+        refine = check_integer(study.get("reference_refine", 8), "reference_refine", minimum=2)
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"study: {e}") from None
     if len(levels) < 3:
         raise ConfigError("study needs at least 3 refinement levels")
     if any(m <= 0 for m in levels) or any(b >= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("study levels must be positive and strictly decreasing")
-    if refine < 2:
-        raise ConfigError("reference_refine must be at least 2")
     out = _out_dir(args, cfg)
 
     mu_ref = levels[-1] / refine

@@ -156,9 +156,6 @@ class ConvexSet:
         no iterative projection; the distance itself for a simple set."""
         return self.distance(_as_vector(y, self.dim))
 
-    def is_bounded(self) -> bool:
-        return False
-
     def bounding_radius(self) -> float:
         """sup over the set of |x|; inf for unbounded sets."""
         return np.inf
@@ -202,12 +199,7 @@ class Box(ConvexSet):
         out[at_upper] = np.minimum(out[at_upper], 0.0)
         return out
 
-    def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
-
     def bounding_radius(self) -> float:
-        if not self.is_bounded():
-            return np.inf
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
     def to_config(self) -> dict:
@@ -223,8 +215,7 @@ class NonnegOrthant(Box):
     variant = "nonneg_orthant"
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dim must be positive")
+        dim = check_integer(dim, "dim", minimum=1)
         super().__init__(np.zeros(dim), np.full(dim, np.inf))
 
     def to_config(self) -> dict:
@@ -297,9 +288,6 @@ class Ball(ConvexSet):
         n = d / nrm
         return u - max(float(n @ u), 0.0) * n
 
-    def is_bounded(self) -> bool:
-        return True
-
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
@@ -362,35 +350,21 @@ class Halfspace(ConvexSet):
         return f"Halfspace(normal={self.normal.tolist()}, offset={self.offset})"
 
 
-def _dykstra(projectors, y: NDArray, budget: int):
-    """Dykstra's alternating-correction scheme for projecting onto an intersection.
-
-    Yields (z, corrections, points) after each of at most `budget` sweeps:
-    the iterate, the correction q_i of every member and the point z_i that
-    member's projection produced in the sweep.  Unlike plain alternating
-    projections, the correction terms make the limit the metric projection
-    onto the intersection, not just some feasible point.  The lists are
-    updated in place by the next sweep.
-
-    For a stack y, the consumer may `send` a keep-mask over the rows of the
-    last yield instead of calling `next`: the other rows then leave the
-    iterate and the corrections, and later sweeps work on the kept rows
-    only (the points are rebuilt by the next sweep).  Rows never mix, so a
-    kept row goes on bit for bit as in the full stack.
-    """
-    z = y.copy()
-    corrections = [np.zeros(y.shape) for _ in projectors]
-    points = [z] * len(projectors)
-    for _ in range(budget):
-        for i, proj in enumerate(projectors):
-            w = z + corrections[i]
-            z = proj(w)
-            corrections[i] = w - z
-            points[i] = z
-        keep = yield z, corrections, points
-        if keep is not None:
-            z = z[keep]
-            corrections = [q[keep] for q in corrections]
+def _sweep(projectors, z: NDArray, corrections: list) -> tuple[NDArray, list]:
+    """One sweep of Dykstra's alternating-correction scheme for projecting
+    onto an intersection: from the iterate z (a vector or a stack), each
+    member in turn projects z + q_i and its correction q_i becomes what the
+    projection removed.  Unlike plain alternating projections, the
+    corrections make the limit the metric projection onto the intersection,
+    not just some feasible point.  Updates `corrections` in place and
+    returns the new iterate with the point z_i each member produced."""
+    points = []
+    for i, proj in enumerate(projectors):
+        w = z + corrections[i]
+        z = proj(w)
+        corrections[i] = w - z
+        points.append(z)
+    return z, points
 
 
 def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
@@ -398,32 +372,32 @@ def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
     that moved by at most tol (a float, or one per row) in its sweep, or
     the last one when the budget runs out.  A stack's settled rows leave
     the sweeps, and the sweeps stop once none is left."""
-    sweeps = _dykstra(projectors, y, budget)
+    corrections = [np.zeros(y.shape) for _ in projectors]
     z_prev = y
     if y.ndim == 1:
-        for z, _, _ in sweeps:
+        for _ in range(budget):
+            z = _sweep(projectors, z_prev, corrections)[0]
             if _norm(z - z_prev) <= tol:
                 return z
             z_prev = z
         return z_prev
-    # rows: the stack rows still sweeping, z_prev their latest iterate
+    # rows: the stack rows still sweeping, z_prev their latest iterate; rows
+    # never mix, so a row goes on bit for bit as in the full stack
     limit = np.empty_like(y)
     rows = np.arange(y.shape[0])
-    keep = None
     for _ in range(budget):
-        z = sweeps.send(keep)[0]
+        z = _sweep(projectors, z_prev, corrections)[0]
         moving = ~(_norm(z - z_prev) <= tol)
         if not moving.any():  # also an empty stack, after its one sweep
             limit[rows] = z
             return limit
-        if moving.all():
-            keep, z_prev = None, z
-            continue
-        settled = ~moving
-        limit[rows[settled]] = z[settled]
-        keep, rows, z_prev = moving, rows[moving], z[moving]
-        if np.ndim(tol):
-            tol = tol[moving]
+        if not moving.all():
+            limit[rows[~moving]] = z[~moving]
+            rows, z = rows[moving], z[moving]
+            corrections = [q[moving] for q in corrections]
+            if np.ndim(tol):
+                tol = tol[moving]
+        z_prev = z
     limit[rows] = z_prev
     return limit
 
@@ -446,10 +420,8 @@ class Intersection(ConvexSet):
         dims = {m.dim for m in members}
         if len(dims) != 1:
             raise ValueError("intersection members must share a dimension")
-        if budget < 1:
-            raise ValueError("budget must be a positive integer")
         self.members = members
-        self.budget = int(budget)
+        self.budget = check_integer(budget, "budget", minimum=1)
         self.dim = members[0].dim
 
     def project(self, y) -> NDArray:
@@ -495,9 +467,6 @@ class Intersection(ConvexSet):
             if not inside.any():
                 break
         return inside
-
-    def is_bounded(self) -> bool:
-        return any(m.is_bounded() for m in self.members)
 
     def bounding_radius(self) -> float:
         return min(m.bounding_radius() for m in self.members)
@@ -549,11 +518,14 @@ def moreau_decompose(C: ConvexSet, x, u) -> ConePair:
 # certificate.  `from_config(spec, seed)` builds the policy from its config
 # record, with `seed` the run's master seed.
 
-def check_seed(seed):
-    """Raise ValueError unless seed is a nonnegative integer, the seeds a
-    generator takes."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+def check_integer(value, name: str = "seed", minimum: int = 0) -> int:
+    """`value` as an int; ValueError naming it unless it is an integer no
+    smaller than `minimum`, checked as given: a bool, a float or a string
+    is not one.  The default is the seeds a generator takes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        what = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -587,7 +559,7 @@ class PerturbedProjection:
     exact = False
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_integer(self.seed)
 
     def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
         z0 = C.project(y)
@@ -638,9 +610,12 @@ class IterativeProjection:
     def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
         if not isinstance(C, Intersection):
             return C.project(y)
-        members = C.members
+        projectors = [m.project for m in C.members]
+        corrections = [np.zeros(y.shape) for _ in projectors]
         lb = C.distance_lower_bound(y) ** 2
-        for z, corrections, points in _dykstra([m.project for m in members], y, C.budget):
+        z = y
+        for _ in range(C.budget):
+            z, points = _sweep(projectors, z, corrections)
             n = np.sum(corrections, axis=0)
             nn = math.sqrt(n.dot(n))
             if nn > 0.0:
@@ -790,14 +765,14 @@ def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float)
 
 def _build_intersection(cfg):
     members = [set_from_config(m) for m in cfg["members"]]
-    return Intersection(members, budget=int(cfg.get("budget", 200)))
+    return Intersection(members, budget=cfg.get("budget", 200))
 
 
 _SET_BUILDERS = {
     "box": lambda cfg: Box(cfg["lower"], cfg["upper"]),
     "ball": lambda cfg: Ball(cfg["center"], cfg["radius"]),
     "halfspace": lambda cfg: Halfspace(cfg["normal"], cfg["offset"]),
-    "nonneg_orthant": lambda cfg: NonnegOrthant(int(cfg["dim"])),
+    "nonneg_orthant": lambda cfg: NonnegOrthant(cfg["dim"]),
     "halfline": lambda cfg: Halfline(),
     "intersection": _build_intersection,
 }

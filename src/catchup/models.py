@@ -139,11 +139,11 @@ class DryFrictionModel(MonotoneModel):
         C = Box(lower, upper)
         if C.dim != n:
             raise ValueError("box bounds must match tau")
-        if not C.is_bounded():
+        R_C = C.bounding_radius()
+        if not np.isfinite(R_C):
             raise ValueError("the state box must be bounded")
         if np.any(C.lower >= C.upper):
             raise ValueError("box must have nonempty interior")
-        R_C = C.bounding_radius()
         K_norm = float(np.linalg.norm(K, 2))
         a0 = float(np.linalg.norm(tau)) + float(np.sqrt(n) * weights.max())
         L = float(np.linalg.norm(tau)) + K_norm * R_C + float(np.sqrt(n) * weights.max())

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ConvexSet, _as_vector, check_seed, sample_points
+from .geometry import ConvexSet, _as_vector, check_integer, sample_points
 
 __all__ = [
     "IntervalBox",
@@ -116,7 +116,7 @@ class ZeroPart(RegularPart):
     """G identically zero."""
 
     def __init__(self, dim: int):
-        self.dim = int(dim)
+        self.dim = check_integer(dim, "dim", minimum=1)
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         g = np.zeros(self.dim)
@@ -182,7 +182,7 @@ class CustomPart(RegularPart):
 
     def __init__(self, fn, dim: int):
         self.fn = fn
-        self.dim = int(dim)
+        self.dim = check_integer(dim, "dim", minimum=1)
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         out = self.fn(np.asarray(x, dtype=float))
@@ -194,7 +194,7 @@ class CustomPart(RegularPart):
 
 
 _PART_BUILDERS = {
-    "zero": lambda cfg: ZeroPart(int(cfg["dim"])),
+    "zero": lambda cfg: ZeroPart(cfg["dim"]),
     "linear": lambda cfg: LinearPart(cfg["matrix"]),
     "l1": lambda cfg: SeparableL1(cfg["weights"]),
 }
@@ -277,7 +277,7 @@ class SignConvention:
     seed = None
 
     def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
+        if check_integer(self.sign, "sign", minimum=-1) > 1:
             raise ValueError("sign must be -1, 0, or +1")
 
     def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
@@ -289,7 +289,7 @@ class SignConvention:
 
     @classmethod
     def from_config(cls, spec: dict, seed: int | None):
-        return cls(int(spec.get("sign", 0)))
+        return cls(spec.get("sign", 0))
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,7 @@ class Randomized:
     name = "randomized"
 
     def __post_init__(self):
-        check_seed(self.seed)
+        check_integer(self.seed)
 
     def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
         if rng is None:

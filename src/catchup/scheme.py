@@ -363,8 +363,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
 
 # --- full runs --------------------------------------------------------------
 
-# Probe points that the queued normal-cone certificates of a run may project
-# in one call: blocks of 163 certificates in R^2, 14 in R^8.
+# Probe points that the normal-cone certificates of a run may project in one
+# call: chunks of 163 certificates in R^2, 14 in R^8.
 PROBE_ROW_BUDGET = 4096
 
 
@@ -542,21 +542,17 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         certify_normals: bool = True) -> DiscreteRun:
     """Iterate the scheme over the whole grid.
 
-    Per-step invariants are asserted as they are produced; a failure
-    raises SchemeError with the partial run attached.  When
-    `certify_normals` is set, every step with a nonzero defect gets a
-    sampled normal-cone certificate for v_k at slack delta_k; with exact
-    projections a failed certificate is an error (the inclusion is exact
-    there), otherwise it is recorded and left to the diagnostics layer.
-
-    Certificates never feed back into the trajectory, so they are taken in
-    blocks: the certified steps queue up until their probe points reach
-    PROBE_ROW_BUDGET, a step fails or the grid ends, and then the whole
-    queue is probed with one projection call and judged in step order.
-    The first failure still wins: a certificate failing at step k raises
-    with the run over its first k + 1 steps, whatever later steps of its
-    block computed, and a step failing after queued certificates raises
-    only once those have passed.
+    A failed step raises SchemeError with the partial run attached.  When
+    `certify_normals` is set, every completed step with a nonzero defect
+    then gets a sampled normal-cone certificate for v_k at slack delta_k;
+    with exact projections a failed certificate is an error (the inclusion
+    is exact there), otherwise it is recorded and left to the diagnostics
+    layer.  Certificates never feed back into the trajectory, so they are
+    taken after the stepping loop, their probe points projected in chunks
+    of PROBE_ROW_BUDGET rows and judged in step order.  The first failure
+    wins: a certificate failing at step k raises with the run over its
+    first k + 1 steps, and a failed step raises once the certificates
+    before it have passed.
     """
     C = model.C
     selection = selection or MinimalNorm()
@@ -577,10 +573,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                          for policy in policies.values())
     if certify_normals:
         seeds["probes"] = PROBE_SEED
-
     certificates = []
-    queued = []  # the steps whose certificate is still to be taken
-    block = max(1, PROBE_ROW_BUDGET // probe_count(d))
 
     def result(k, apriori=None):
         """The run over its first k steps."""
@@ -591,30 +584,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             warnings=schedule.warnings,
         )
 
-    def certify():
-        """Take the queued certificates in step order."""
-        try:
-            points, windows = probe_stack(C, X[np.array(queued) + 1])
-        except GeometryError:
-            # a probe point failed to project: certify one step at a time, so
-            # that the error comes at its own step, after the verdicts before it
-            points = None
-        for i, k in enumerate(queued):
-            delta_k = schedule.delta(k)
-            cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k,
-                                         None if points is None else (points[i], float(windows[i])))
-            rec = cert.to_record()
-            rec["k"] = k
-            certificates.append(rec)
-            if projection.exact and not cert.holds:
-                raise SchemeError(
-                    f"step {k}: normal term failed its cone certificate under exact "
-                    f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
-                    partial_run=result(k + 1), kind="normal_cone",
-                ) from None
-        queued.clear()
-
-    failure = None
+    failure, done = None, n
     for k in range(n):
         try:
             X[k + 1], Y[k], W[k], P[k], V[k] = step(
@@ -623,16 +593,33 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 sel_rng=sel_rng, proj_rng=proj_rng,
             )
         except Exception as exc:
-            failure = exc
+            failure, done = exc, k
             break
-        if certify_normals and np.count_nonzero(P[k]):
-            queued.append(k)
-            if len(queued) == block:
-                certify()
-    if queued:
-        certify()
+
+    if certify_normals:
+        certified = np.flatnonzero((P[:done] != 0).any(axis=1))
+        chunk = max(1, PROBE_ROW_BUDGET // probe_count(d))
+        for start in range(0, certified.size, chunk):
+            ks = certified[start: start + chunk]
+            try:
+                points, windows = probe_stack(C, X[ks + 1])
+            except GeometryError:
+                # a probe point failed to project: certify one step at a time, so
+                # that the error comes at its own step, after the verdicts before it
+                points = None
+            for i, k in enumerate(ks.tolist()):
+                delta_k = schedule.delta(k)
+                row = None if points is None else (points[i], float(windows[i]))
+                cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k, row)
+                certificates.append({**cert.to_record(), "k": k})
+                if projection.exact and not cert.holds:
+                    raise SchemeError(
+                        f"step {k}: normal term failed its cone certificate under exact "
+                        f"projection (violation {cert.worst_violation:.3e} > delta {delta_k:.3e})",
+                        partial_run=result(k + 1), kind="normal_cone",
+                    ) from None
     if isinstance(failure, SchemeError):
-        raise SchemeError(f"step {k} failed: {failure}", partial_run=result(k),
+        raise SchemeError(f"step {done} failed: {failure}", partial_run=result(done),
                           kind=failure.kind) from failure
     if failure is not None:
         raise failure

@@ -7,11 +7,12 @@ Slow is fine; these run on tiny inputs.  The two exceptions are
 IntervalBox, and `reference_run`, the stepping loop as it was while every
 normal-cone certificate was taken right after its step: they keep the
 package's IntervalBox, projection policies, sets, step and certificate, so
-that the lean step and the blocked certificates can be compared with them
+that the lean step and the chunked certificates can be compared with them
 byte for byte.  Likewise `reference_dykstra_limit` is the Dykstra stop as
 it was while every row of a stack swept until the last one settled, and
 `reference_iterative_project` the Iterative policy's certified stop as it
-was while its norms, tolerances and verdicts were numpy scalars.
+was while its norms, tolerances and verdicts were numpy scalars; both
+sweep with `dykstra_sweeps`, written out here.
 """
 
 import itertools
@@ -22,7 +23,6 @@ from catchup.geometry import (
     ExactProjection,
     GeometryError,
     ProjectionError,
-    _dykstra,
     in_approx_normal_cone,
 )
 from catchup.operators import IntervalBox, MinimalNorm, Randomized
@@ -286,6 +286,23 @@ def reference_run(model, x0, schedule, selection=None, projection=None):
     return X, W, Y, P, V, certificates
 
 
+def dykstra_sweeps(projectors, y, budget):
+    """Dykstra's alternating-correction scheme written out: yields (z,
+    corrections, points) after each of at most `budget` sweeps, the
+    iterate, the correction q_i of every member and the point z_i that
+    member's projection produced in the sweep."""
+    z = y.copy()
+    corrections = [np.zeros(y.shape) for _ in projectors]
+    for _ in range(budget):
+        points = []
+        for i, proj in enumerate(projectors):
+            w = z + corrections[i]
+            z = proj(w)
+            corrections[i] = w - z
+            points.append(z)
+        yield z, corrections, points
+
+
 def reference_dykstra_limit(projectors, y, budget, tol):
     """For a vector y, or for each row of a stack: the first Dykstra iterate
     that moved by at most tol (a float, or one per row) in its sweep, or
@@ -294,7 +311,7 @@ def reference_dykstra_limit(projectors, y, budget, tol):
     limit = y.copy()
     pending = np.ones(y.shape[:-1], dtype=bool)
     z_prev = y
-    for z, _, _ in _dykstra(projectors, y, budget):
+    for z, _, _ in dykstra_sweeps(projectors, y, budget):
         np.copyto(limit, z, where=pending[..., None])
         moved = z - z_prev
         pending &= ~(np.sqrt(np.vecdot(moved, moved)) <= tol)
@@ -322,7 +339,8 @@ def reference_iterative_project(C, y, eps):
     policy's ProjectionError."""
     members = C.members
     lb = max(_leaf_distance(m, y) for m in members) ** 2
-    for z, corrections, points in _dykstra([m.project for m in members], y, C.budget):
+    for z, corrections, points in dykstra_sweeps([m.project for m in members], y,
+                                                  C.budget):
         n = np.sum(corrections, axis=0)
         nn = float(np.linalg.norm(n))
         if nn > 0.0:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from catchup.cli import main
-from catchup.geometry import PerturbedProjection
-from catchup.operators import Randomized
+from catchup.geometry import Halfline, Intersection, NonnegOrthant, PerturbedProjection
+from catchup.operators import CustomPart, Randomized, SignConvention, ZeroPart
 from catchup.scheme import read_run_csv, verify_run_invariants
 
 
@@ -148,6 +148,38 @@ class TestRunCommand:
         assert manifest["failed"] == "certificate"
         assert manifest["reason"] == reason
         assert manifest["error"].startswith("step 0")
+
+    def test_failed_truncation_reference_is_runtime_error(self, tmp_path, capsys):
+        # the Iterative policy certifies its one-sweep steps, so the run
+        # passes; the exact reference of the truncation check breaks its
+        # defect contract at step 0 on the same wedge
+        r = 0.5 ** 0.5
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {
+                "f": {"type": "affine", "A": [[-1, 0], [0, -1]], "b": [3.0, 3.0]},
+                "G": {"type": "zero", "dim": 2},
+                "C": {"type": "intersection", "budget": 1, "members": [
+                    {"type": "halfspace", "normal": [0, 1], "offset": 0.0},
+                    {"type": "halfspace", "normal": [r, r], "offset": 0.0},
+                ]},
+                "constants": {"a": 4.5, "b": 1.0, "r_star": 1.0, "M": 9.0, "gamma": 0.5},
+            },
+            "x0": [0.0, 0.0],
+            "T": 0.5,
+            "schedule": {"kind": "uniform", "mu0": 0.1},
+            "projection": {"kind": "iterative"},
+            "errors": {"kind": "power_of_step", "eps0": 100.0, "beta": 1.0},
+        })
+        assert main(["run", cfg, "--out", str(tmp_path / "plain")]) == 0
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--diagnostics", "truncation"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == "scheme"
+        assert manifest["reason"] == "contract"
+        assert "truncation reference" in manifest["error"]
+        assert "partial" not in manifest
+        assert not (out / "trajectory.csv").exists()
+        assert "scheme failure" in capsys.readouterr().err
 
     def test_bit_identical_reruns(self, tmp_path):
         cfg_payload = onedim_config(
@@ -466,6 +498,26 @@ class TestBoundaryValidation:
             **{"model": self.GENERIC, "x0": [0.5], "T": 0.1, **entry}))
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command, entry, field", [
+        ("run", {"selection": {"kind": "sign", "sign": 0.5}}, "sign"),
+        ("run", {"selection": {"kind": "sign", "sign": True}}, "sign"),
+        ("run", {"model": {**GENERIC, "C": {"type": "intersection", "budget": 1.5,
+                                            "members": [{"type": "halfline"}]}}}, "budget"),
+        ("run", {"model": {**GENERIC, "C": {"type": "intersection", "budget": "7",
+                                            "members": [{"type": "halfline"}]}}}, "budget"),
+        ("run", {"model": {**GENERIC, "C": {"type": "nonneg_orthant", "dim": 1.5}}}, "dim"),
+        ("run", {"model": {**GENERIC, "G": {"type": "zero", "dim": 1.9}}}, "dim"),
+        ("study", {"study": {"levels": [0.04, 0.02, 0.01], "reference_refine": 2.7}},
+         "reference_refine"),
+    ], ids=["selection.sign-fraction", "selection.sign-bool", "C.budget-fraction",
+            "C.budget-string", "nonneg_orthant.dim", "zero.dim", "study.reference_refine"])
+    def test_non_integer_is_config_error(self, tmp_path, capsys, command, entry, field):
+        # each of these used to be truncated by int() and run
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            **{"model": self.GENERIC, "x0": [0.5], "T": 0.1, **entry}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "study", "stability"])
     @pytest.mark.parametrize("x0", [[0.0, 1.0], [[0.0]]], ids=["two-coordinates", "nested"])
     def test_start_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, command, x0):
@@ -518,6 +570,18 @@ class TestBoundaryValidation:
     def test_policy_rejects_a_bad_seed(self, policy, seed):
         with pytest.raises(ValueError, match="seed"):
             policy(seed=seed)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Intersection([Halfline()], budget=1.5), "budget"),
+        (lambda: NonnegOrthant(2.5), "dim"),
+        (lambda: ZeroPart(2.9), "dim"),
+        (lambda: CustomPart(np.zeros, 1.5), "dim"),
+        (lambda: SignConvention(True), "sign"),
+    ], ids=["Intersection.budget", "NonnegOrthant.dim", "ZeroPart.dim", "CustomPart.dim",
+            "SignConvention.bool"])
+    def test_constructor_rejects_a_non_integer(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            build()
 
     @pytest.mark.parametrize("command, field, value", [
         ("run", "diagnostics", 5),

@@ -66,7 +66,6 @@ class TestBox:
         B = Box([0.0], [np.inf])
         assert B.project([-3.0])[0] == 0.0
         assert B.project([7.0])[0] == 7.0
-        assert not B.is_bounded()
         assert B.bounding_radius() == np.inf
 
     def test_bounding_radius(self):
@@ -202,7 +201,6 @@ class TestIntersection:
 
     def test_bounded_via_members(self):
         C = self.cap()
-        assert C.is_bounded()
         assert C.bounding_radius() == pytest.approx(1.0)
 
     def test_tangent_project_feasible_direction(self):

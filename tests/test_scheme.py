@@ -605,9 +605,24 @@ def run_outcome(runner, C, faults, x0=(1.0, 0.0), drift=(1.0, 0.5), mu=0.05, T=1
 BOX = Box([-1.0, -1.0], [1.0, 1.0])
 
 
+class StackCountingBox(Box):
+    """A box that counts its stacked projections; in a run, the steps
+    project single points and the certificates stack their probes."""
+
+    def __init__(self, lower, upper):
+        super().__init__(lower, upper)
+        self.stacked = 0
+
+    def project(self, y):
+        y = np.asarray(y, dtype=float)
+        self.stacked += y.ndim == 2
+        return super().project(y)
+
+
 class TestBlockedCertificates:
-    """Certificates taken in blocks give the run, records and first
-    failure of the loop that certified each step right after it."""
+    """Certificates taken in chunks after the stepping loop give the run,
+    records and first failure of the loop that certified each step right
+    after it."""
 
     @pytest.fixture(params=[None, 75], ids=["one-block", "blocks-of-3"])
     def row_budget(self, request, monkeypatch):
@@ -653,6 +668,17 @@ class TestBlockedCertificates:
                            "Dykstra sweep budget 1 exhausted before reaching feasibility")
         else:
             assert got[:2] == ("SchemeError", "normal_cone" if 5 in faults else "contract")
+
+    def test_one_probe_projection_per_chunk(self, row_budget):
+        # pushed into the face x_0 = 1, every step has a nonzero defect; a
+        # certificate in R^2 probes 25 points, so chunks hold 163 of them
+        # by default and 3 under a budget of 75 rows
+        C = StackCountingBox([-1.0, -1.0], [1.0, 1.0])
+        model = MonotoneModel(AffineField(np.zeros((2, 2)), [1.0, 0.0]), ZeroPart(2), C,
+                              growth=(1.0, 0.0), dissipativity=(1.0, 10.0, 0.5))
+        out = run(model, np.array([1.0, 0.0]), make_schedule(1.0, Uniform(0.002)))
+        assert len(out.certificates) == out.n_steps == 500
+        assert C.stacked == {None: 4, 75: 167}[row_budget]
 
     def test_probe_failure_on_a_budget_one_intersection(self, row_budget):
         # a single sweep (halfspace x_0 <= -0.5, then the unit ball) takes the

@@ -28,7 +28,11 @@ power_of_step errors; two runs that fail at their first step, on a wedge
 of two halfspaces projected by a single Dykstra sweep, one with the normal
 term leaving its cone (reason normal_cone) and one with the defect
 outgrowing its contract (reason contract), whose failure manifests and
-partial trajectories are compared like any other output; a far outward
+partial trajectories are compared like any other output; a run pushed
+out of the same wedge by f(x) = (3, 3) - x under the Iterative policy, with
+`--diagnostics truncation` only, which passes its own checks but whose
+exact fine-mesh reference breaks its defect contract at step 0 (a failure
+manifest, reason contract, exit 3, and no trajectory); a far outward
 step from a halfspace whose normal is 5e-10 short of unit length, which
 lands outside the membership tolerance (reason infeasible); a start outside
 a thin cap (a ball cut at -0.99 of its radius), a config error; and the
@@ -71,15 +75,17 @@ FRICTION_11 = {"model": "dry_friction",
                "tau": [(-1.0) ** (i // 2) * 3.0 if i % 2 == 0 else 0.1 * i for i in range(11)],
                "weights": [0.2] * 11, "lower": [-1.0] * 11, "upper": [1.0] * 11}
 
+# {x_1 <= 0} and {x_0 + x_1 <= 0}, two halfspaces meeting at 45 degrees,
+# projected by one Dykstra sweep: not the metric projection
+WEDGE = {"type": "intersection", "budget": 1, "members": [
+    {"type": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
+    {"type": "halfspace", "normal": [0.5 ** 0.5, 0.5 ** 0.5], "offset": 0.0}]}
+
+
 def _wedge(drift: list[float]) -> dict:
-    """Constant drift onto {x_1 <= 0} and {x_0 + x_1 <= 0}, two halfspaces meeting
-    at 45 degrees, projected by one Dykstra sweep: not the metric projection."""
-    r = 0.5 ** 0.5
+    """Constant drift onto the wedge."""
     return {"model": {"f": {"type": "affine", "A": [[0.0, 0.0], [0.0, 0.0]], "b": drift},
-                      "G": {"type": "zero", "dim": 2},
-                      "C": {"type": "intersection", "budget": 1, "members": [
-                          {"type": "halfspace", "normal": [0.0, 1.0], "offset": 0.0},
-                          {"type": "halfspace", "normal": [r, r], "offset": 0.0}]},
+                      "G": {"type": "zero", "dim": 2}, "C": WEDGE,
                       "constants": {"a": 5.0, "b": 0.0, "r_star": 0.5, "M": 10.0,
                                     "gamma": 1.0}},
             "x0": [0.0, 0.0], "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.25}}
@@ -113,6 +119,10 @@ PINNED_CASES = {
                                "projection": {"kind": "perturbed"}},
     "wedge-normal-cone": _wedge([4.0, 2.0]),
     "wedge-contract": _wedge([4.0, 4.0]),
+    "wedge-truncation": {**_pushed_out([3.0, 3.0], WEDGE, [0.0, 0.0]), "T": 0.5,
+                         "schedule": {"kind": "uniform", "mu0": 0.1},
+                         "projection": {"kind": "iterative"},
+                         "errors": {"kind": "power_of_step", "eps0": 100.0, "beta": 1.0}},
     "halfspace-near-unit": {**_pushed_out([1e4, 0.0], {"type": "halfspace",
                                                       "normal": [0.9999999995, 0.0],
                                                       "offset": 0.0}, [0.0, 0.0]),
@@ -121,6 +131,8 @@ PINNED_CASES = {
         {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
         {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
 }
+# the pinned cases run with --diagnostics all, except these
+PINNED_TAGS = {"wedge-truncation": "truncation"}
 
 
 def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
@@ -147,8 +159,8 @@ def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
     pinned = {**PINNED_CASES, "polygon-exact": {**polygon, "projection": {"kind": "exact"}}}
     for name, cfg in pinned.items():
         files = {"run.json": (json.dumps(cfg) + "\n").encode()}
-        matrix.append((name, files,
-                       ["run", "run.json", "--seed", "1", "--diagnostics", "all"]))
+        matrix.append((name, files, ["run", "run.json", "--seed", "1",
+                                     "--diagnostics", PINNED_TAGS.get(name, "all")]))
     return matrix
 
 
