@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .operators import (
     AffineField,
-    IntervalBox,
     LinearPart,
     MinimalNorm,
     MonotoneModel,
@@ -38,6 +37,7 @@ from .operators import (
     SeparableL1,
     SignConvention,
     ZeroPart,
+    interval_vertices,
     model_from_config,
     select_F,
 )
@@ -87,9 +87,9 @@ __all__ = [
     "approx_project", "in_approx_normal_cone", "moreau_decompose",
     "set_from_config",
     # operators
-    "AffineField", "IntervalBox", "LinearPart", "MinimalNorm",
-    "MonotoneModel", "Randomized", "SeparableL1", "SignConvention",
-    "ZeroPart", "model_from_config", "select_F",
+    "AffineField", "LinearPart", "MinimalNorm", "MonotoneModel",
+    "Randomized", "SeparableL1", "SignConvention", "ZeroPart",
+    "interval_vertices", "model_from_config", "select_F",
     # scheme
     "DiscreteRun", "ExplicitErrors", "ExplicitSteps", "Polynomial",
     "PowerOfStep", "SchemeError", "StepSchedule", "Uniform", "ZeroError",

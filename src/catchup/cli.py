@@ -224,15 +224,21 @@ def _failure(out: Path, command: str, error: Exception) -> int:
 
 # --- diagnostics assembly ----------------------------------------------------
 
+def _reference(label: str, solve, *args, **kwargs):
+    """The reference run `solve(*args, **kwargs)`; a SchemeError comes back
+    prefixed with `label`, same kind, without the reference's partial run."""
+    try:
+        return solve(*args, **kwargs)
+    except SchemeError as e:
+        raise SchemeError(f"{label}: {e}", kind=e.kind) from e
+
+
 def _truncation_entry(completed):
     mu_min = float(np.min(completed.schedule.mus))
     T = completed.T
     n_ref = int(np.ceil(64.0 * T / mu_min))
-    try:
-        reference = reference_solution(completed.model, completed.X[0], T, n_ref)
-    except SchemeError as e:
-        # the reference's partial trajectory is not the run's: drop it
-        raise SchemeError(f"truncation reference: {e}", kind=e.kind) from e
+    reference = _reference("truncation reference", reference_solution,
+                           completed.model, completed.X[0], T, n_ref)
     return local_truncation(completed.model, reference, completed.schedule)
 
 
@@ -327,14 +333,17 @@ def cmd_study(args) -> int:
 
     mu_ref = levels[-1] / refine
     try:
-        reference = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu_ref),
-                               selection=selection, projection=ExactProjection(),
-                               certify_normals=False)
+        reference = _reference("study reference", run_scheme, model, x0,
+                               _schedule_from(cfg, mu_override=mu_ref), selection=selection,
+                               projection=ExactProjection(), certify_normals=False)
         per_level = []
         for mu in levels:
-            completed = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu),
-                                   selection=selection, projection=projection,
-                                   certify_normals=False)
+            try:
+                completed = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu),
+                                       selection=selection, projection=projection,
+                                       certify_normals=False)
+            except SchemeError as e:
+                raise SchemeError(f"level mu={mu}: {e}", e.partial_run, e.kind) from e
             gaps = completed.X - reference.interpolate_state(completed.times)
             certificates = {e.theorem_tag: e.to_record()
                             for e in _run_report(completed, STUDY_TAGS)}

@@ -28,7 +28,6 @@ __all__ = [
     "Ball",
     "Halfspace",
     "Intersection",
-    "ConePair",
     "ExactProjection",
     "PerturbedProjection",
     "IterativeProjection",
@@ -56,6 +55,9 @@ PROBE_WINDOW_SCALE = 10.0
 MAX_CORNER_DIM = 10
 PROBE_DRAWS = 16
 PROBE_SEED = 0
+
+# the share of the slack eps that PerturbedProjection spends on its perturbation
+SLACK_FRACTION = 0.9
 
 
 class GeometryError(Exception):
@@ -482,31 +484,16 @@ class Intersection(ConvexSet):
         return f"Intersection({self.members!r}, budget={self.budget})"
 
 
-@dataclass(frozen=True)
-class ConePair:
-    """Moreau split of a vector at a point of the set: u = tangential + normal."""
+def moreau_decompose(C: ConvexSet, x, u) -> tuple[NDArray, NDArray]:
+    """Split u at x in C into (tangential, normal), its tangent and normal cone parts.
 
-    tangential: NDArray
-    normal: NDArray
-
-    def reconstruct(self) -> NDArray:
-        return self.tangential + self.normal
-
-    @property
-    def inner(self) -> float:
-        return float(self.tangential @ self.normal)
-
-
-def moreau_decompose(C: ConvexSet, x, u) -> ConePair:
-    """Split u into its tangent-cone and normal-cone projections at x in C.
-
-    The two parts reconstruct u exactly and are mutually orthogonal; the
+    The two parts add up to u exactly and are mutually orthogonal; the
     normal part is obtained as the residual, which keeps the reconstruction
     identity exact in floating point.
     """
     u = _as_vector(u, C.dim)
     t = C.tangent_project(x, u)
-    return ConePair(tangential=t, normal=u - t)
+    return t, u - t
 
 
 # --- approximate projection policies -------------------------------------
@@ -549,12 +536,11 @@ class PerturbedProjection:
     """Stress-test policy: move the exact projection along the set while the
     eps-inequality |z - y|^2 <= d_C(y)^2 + eps certifiably survives.
 
-    The perturbation radius r solves (d + r)^2 = d^2 + slack_fraction * eps,
+    The perturbation radius r solves (d + r)^2 = d^2 + SLACK_FRACTION * eps,
     so nonexpansiveness of the re-projection guarantees the contract.
     """
 
     seed: int = 0
-    slack_fraction: float = 0.9
     name = "perturbed"
     exact = False
 
@@ -566,7 +552,7 @@ class PerturbedProjection:
         if eps == 0.0:
             return z0
         d = float(np.linalg.norm(z0 - y))
-        slack = self.slack_fraction * eps
+        slack = SLACK_FRACTION * eps
         r = -d + np.sqrt(d * d + slack)
         if rng is None:
             rng = np.random.default_rng(self.seed)
@@ -586,7 +572,7 @@ class PerturbedProjection:
         # a spec's own seed reaches the constructor's check as given; an
         # unseeded spec draws from the master seed, offset from the selection's
         s = spec["seed"] if "seed" in spec else (seed + 1 if seed is not None else 0)
-        return cls(seed=s, slack_fraction=float(spec.get("slack_fraction", 0.9)))
+        return cls(seed=s)
 
 
 @dataclass(frozen=True)

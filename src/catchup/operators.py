@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from .geometry import ConvexSet, _as_vector, check_integer, sample_points
 
 __all__ = [
-    "IntervalBox",
+    "interval_vertices",
     "RegularPart",
     "ZeroPart",
     "LinearPart",
@@ -40,64 +40,6 @@ __all__ = [
     "check_tangent_dissipativity",
     "estimate_one_sided_lipschitz",
 ]
-
-
-@dataclass(frozen=True)
-class IntervalBox:
-    """Componentwise interval [lower, upper] describing a set of vectors.
-
-    Operator values in this codebase are always products of intervals
-    (singletons have lower == upper), which keeps extreme-point
-    enumeration and support computations trivial.
-    """
-
-    lower: NDArray
-    upper: NDArray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape:
-            raise ValueError("interval bounds must have equal shape")
-        if np.any(lo > hi + 1e-15):
-            raise ValueError("interval requires lower <= upper")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    def is_singleton(self, tol: float = 0.0) -> bool:
-        return bool(np.all(self.upper - self.lower <= tol))
-
-    def contains(self, v, tol: float = 1e-12) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-
-    def max_norm(self) -> float:
-        """max |v| over the box (attained at a vertex)."""
-        return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
-
-    def vertices(self) -> NDArray:
-        """All extreme points; exponential in the number of fat coordinates."""
-        fat = np.nonzero(self.upper > self.lower)[0]
-        base = self.lower.copy()
-        if fat.size == 0:
-            return base[None, :]
-        if fat.size > 16:
-            raise ValueError("too many set-valued coordinates to enumerate")
-        out = np.tile(base, (2 ** fat.size, 1))
-        for j, i in enumerate(fat):
-            period = 2 ** j
-            mask = (np.arange(out.shape[0]) // period) % 2 == 1
-            out[mask, i] = self.upper[i]
-        return out
-
-    @staticmethod
-    def singleton(v) -> "IntervalBox":
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        return IntervalBox(v, v)
 
 
 class RegularPart:
@@ -133,6 +75,8 @@ class LinearPart(RegularPart):
         M = np.atleast_2d(np.asarray(matrix, dtype=float))
         if M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.all(np.isfinite(M)):
+            raise ValueError("matrix must be finite")
         if not np.allclose(M, M.T, atol=1e-12):
             raise ValueError("matrix must be symmetric")
         eigs = np.linalg.eigvalsh(M)
@@ -177,8 +121,9 @@ class SeparableL1(RegularPart):
 
 
 class CustomPart(RegularPart):
-    """Wrap a callable x -> IntervalBox (or x -> vector for singletons); its
-    output goes through IntervalBox, the check that orders its bounds."""
+    """Wrap a callable x -> g (the singleton {g}) or x -> (lower, upper), a
+    tuple of interval bounds.  Untrusted bounds enter here, so this is the
+    check that their shapes agree and that they are ordered."""
 
     def __init__(self, fn, dim: int):
         self.fn = fn
@@ -186,8 +131,13 @@ class CustomPart(RegularPart):
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         out = self.fn(np.asarray(x, dtype=float))
-        box = out if isinstance(out, IntervalBox) else IntervalBox.singleton(out)
-        return box.lower, box.upper
+        bounds = out if isinstance(out, tuple) else (out, out)
+        lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in bounds)
+        if lo.shape != hi.shape:
+            raise ValueError("interval bounds must have equal shape")
+        if np.any(lo > hi + 1e-15):
+            raise ValueError("interval requires lower <= upper")
+        return lo, hi
 
     def to_config(self) -> dict:
         raise ValueError("a custom regular part has no serializable form")
@@ -390,12 +340,12 @@ class MonotoneModel:
     def growth_bound(self, radius: float) -> float:
         return self.a + self.b * float(radius)
 
-    def F_interval(self, x) -> IntervalBox:
-        """The set F(x) = f(x) - G(x) as an interval box."""
+    def F_interval(self, x) -> tuple[NDArray, NDArray]:
+        """The bounds (lower, upper) of the interval box F(x) = f(x) - G(x)."""
         x = _as_vector(x, self.dim)
         f_val = self.f(x)
         lo, hi = self.G.value(x)
-        return IntervalBox(f_val - hi, f_val - lo)
+        return f_val - hi, f_val - lo
 
     def to_config(self) -> dict:
         return {
@@ -439,6 +389,18 @@ def model_from_config(cfg: dict) -> MonotoneModel:
 
 # --- empirical falsification checks ---------------------------------------
 
+def interval_vertices(lower: NDArray, upper: NDArray) -> NDArray:
+    """The extreme points of the interval box [lower, upper] (float vectors),
+    one per row; exponential in the number of fat coordinates."""
+    fat = np.nonzero(upper > lower)[0]
+    if fat.size > 16:
+        raise ValueError("too many set-valued coordinates to enumerate")
+    out = np.tile(lower, (2 ** fat.size, 1))
+    for j, i in enumerate(fat):
+        out[(np.arange(out.shape[0]) >> j) % 2 == 1, i] = upper[i]
+    return out
+
+
 def _sampling_defaults(model: MonotoneModel, rng, radius):
     """A seed-0 generator and the set's bounding radius (or a window scaled
     by r_star for unbounded sets) unless the caller gave them."""
@@ -463,8 +425,9 @@ def check_linear_growth(model: MonotoneModel, rng=None, n_samples: int = 200,
     worst_margin = np.inf
     worst_x = None
     for x in pts:
-        box = model.F_interval(x)
-        margin = model.growth_bound(np.linalg.norm(x)) - box.max_norm()
+        lo, hi = model.F_interval(x)
+        sup = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+        margin = model.growth_bound(np.linalg.norm(x)) - sup
         if margin < worst_margin:
             worst_margin = float(margin)
             worst_x = x
@@ -498,7 +461,7 @@ def check_tangent_dissipativity(model: MonotoneModel, rng=None, n_samples: int =
         if not use_global and np.sqrt(nx2) < model.r_star:
             continue
         n_tested += 1
-        for w in model.F_interval(x).vertices():
+        for w in interval_vertices(*model.F_interval(x)):
             v = model.C.tangent_project(x, w)
             margin = level - model.gamma * nx2 - float(x @ v)
             if margin < worst_margin:

@@ -14,11 +14,10 @@ run container with its interpolants, and CSV/manifest serialization.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
@@ -181,10 +180,10 @@ class PowerOfStep:
 
     def resolve(self, mus: NDArray):
         eps0, beta = float(self.eps0), float(self.beta)
-        if not eps0 >= 0:
-            raise ValueError("eps0 must be nonnegative")
-        if not beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 <= eps0 < np.inf:
+            raise ValueError(f"eps0 must be finite and nonnegative, got {eps0}")
+        if not 0 < beta < np.inf:
+            raise ValueError(f"beta must be finite and positive, got {beta}")
         return eps0 * mus ** (2.0 + beta), f"power_of_step(eps0={eps0}, beta={beta})", []
 
     @classmethod
@@ -207,8 +206,8 @@ class ExplicitErrors:
                 f"explicit error list has {vals.size} entries, schedule needs {mus.size}"
             )
         eps = vals[: mus.size].copy()
-        if not np.all(eps >= 0):
-            raise ValueError("errors must be nonnegative")
+        if not np.all((eps >= 0) & (eps < np.inf)):
+            raise ValueError("explicit error values must be finite and nonnegative")
         ratio = eps / mus ** 2
         worse = np.nonzero(ratio[1:] > ratio[:-1] * (1.0 + 1e-9) + 1e-300)[0]
         if worse.size:
@@ -643,6 +642,11 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# read_run_csv parses this many rows per numpy call, so that the cells of
+# a block, never those of the whole body, exist as strings at once
+CSV_BLOCK_ROWS = 256
+
+
 def read_run_csv(path_or_text: str) -> dict:
     """Parse a trajectory CSV back into arrays.
 
@@ -650,24 +654,22 @@ def read_run_csv(path_or_text: str) -> dict:
     text has.  Returns a dict with keys times, X, W, P, V, mus, eps (arrays
     shaped as in DiscreteRun), column slices of one table.
     """
-    if "\n" in path_or_text:
-        text = path_or_text
-    else:
-        with open(path_or_text) as fh:
-            text = fh.read()
-    n = text.rstrip("\n").count("\n") - 1
+    text = path_or_text if "\n" in path_or_text else Path(path_or_text).read_text()
+    lines = text.rstrip("\n").split("\n")
+    n = len(lines) - 2
     if n < 0:
         raise ValueError("trajectory CSV has no data rows")
-    rows = csv.reader(io.StringIO(text))
-    header = next(rows)
+    header = lines[0].split(",")
     d = sum(1 for name in header if name.startswith("x"))
     if d == 0 or len(header) != 2 + 4 * d + 2:
         raise ValueError("unrecognized trajectory CSV header")
     # columns t, x, w, p, v, mu, eps; the last row holds only t and x
     table = np.empty((n + 1, 4 * d + 3))
-    for i, row in enumerate(rows):
-        width = 4 * d + 3 if i < n else d + 1
-        table[i, :width] = [float(v) for v in row[1: 1 + width]]
+    rows = lines[1:-1]
+    for i in range(0, n, CSV_BLOCK_ROWS):
+        block = rows[i: i + CSV_BLOCK_ROWS]
+        table[i: i + len(block)] = np.array([r.split(",")[1:] for r in block], dtype=float)
+    table[n, :d + 1] = np.array(lines[-1].split(",")[1: d + 2], dtype=float)
     body = table[:n]
     return {"times": table[:, 0], "X": table[:, 1: 1 + d],
             "W": body[:, 1 + d: 1 + 2 * d], "P": body[:, 1 + 2 * d: 1 + 3 * d],

@@ -3,12 +3,12 @@
 Everything here is deliberately dumb: dense grid searches and direct
 formula transcriptions with no shared code with the package under test.
 Slow is fine; these run on tiny inputs.  The two exceptions are
-`reference_step`, the stepping code as it was while G(x) travelled as an
-IntervalBox, and `reference_run`, the stepping loop as it was while every
+`reference_step`, the stepping code with G(x) and its selection written
+out here, and `reference_run`, the stepping loop as it was while every
 normal-cone certificate was taken right after its step: they keep the
-package's IntervalBox, projection policies, sets, step and certificate, so
-that the lean step and the chunked certificates can be compared with them
-byte for byte.  Likewise `reference_dykstra_limit` is the Dykstra stop as
+package's projection policies, sets, step and certificate, so that the
+lean step and the chunked certificates can be compared with them byte for
+byte.  Likewise `reference_dykstra_limit` is the Dykstra stop as
 it was while every row of a stack swept until the last one settled, and
 `reference_iterative_project` the Iterative policy's certified stop as it
 was while its norms, tolerances and verdicts were numpy scalars; both
@@ -25,7 +25,7 @@ from catchup.geometry import (
     ProjectionError,
     in_approx_normal_cone,
 )
-from catchup.operators import IntervalBox, MinimalNorm, Randomized
+from catchup.operators import MinimalNorm, Randomized
 from catchup.scheme import DiscreteRun, SchemeError, step
 
 
@@ -183,33 +183,38 @@ def distance_formula(C, y):
 
 
 def reference_value(G, x):
-    """G(x) as an IntervalBox, as each regular part built it."""
+    """The bounds (lower, upper) of G(x), each a float vector, as each
+    regular part builds them; a custom part's callable gives a vector or
+    a tuple of bounds."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if hasattr(G, "fn"):
         out = G.fn(x)
-        return out if isinstance(out, IntervalBox) else IntervalBox.singleton(out)
+        if isinstance(out, tuple):
+            return tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in out)
+        g = np.atleast_1d(np.asarray(out, dtype=float))
+        return g, g
     if hasattr(G, "weights"):
         lo = np.where(x == 0.0, -G.weights, G.weights * np.sign(x))
         hi = np.where(x == 0.0, G.weights, G.weights * np.sign(x))
-        return IntervalBox(lo, hi)
-    if hasattr(G, "matrix"):
-        return IntervalBox.singleton(G.matrix @ x)
-    return IntervalBox.singleton(np.zeros(G.dim))
+        return lo, hi
+    g = G.matrix @ x if hasattr(G, "matrix") else np.zeros(G.dim)
+    return g, g
 
 
-def reference_pick(rule, box, f_val, rng):
-    """The point of the box a selection rule picks, read off the box."""
+def reference_pick(rule, bounds, f_val, rng):
+    """The point of the box [lower, upper] a selection rule picks."""
+    lower, upper = bounds
     if isinstance(rule, MinimalNorm):
-        return np.clip(np.asarray(f_val, dtype=float), box.lower, box.upper)
+        return np.clip(np.asarray(f_val, dtype=float), lower, upper)
     if isinstance(rule, Randomized):
         if rng is None:
             rng = np.random.default_rng(rule.seed)
-        return rng.uniform(box.lower, box.upper)
+        return rng.uniform(lower, upper)
     if rule.sign < 0:
-        return box.lower.copy()
+        return lower.copy()
     if rule.sign > 0:
-        return box.upper.copy()
-    return 0.5 * (box.lower + box.upper)
+        return upper.copy()
+    return 0.5 * (lower + upper)
 
 
 def reference_select_F(model, x, rule, rng=None):

@@ -275,9 +275,9 @@ def test_geometry_property_suite():
         C = pool[i % len(pool)]
         x = C.project(rng.uniform(-3.0, 3.0, C.dim))
         u = rng.normal(size=C.dim)
-        pair = moreau_decompose(C, x, u)
-        worst_rec = max(worst_rec, float(np.linalg.norm(pair.reconstruct() - u)))
-        worst_orth = max(worst_orth, abs(pair.inner))
+        t, n = moreau_decompose(C, x, u)
+        worst_rec = max(worst_rec, float(np.linalg.norm(t + n - u)))
+        worst_orth = max(worst_orth, abs(float(t @ n)))
 
     worst_idem = 0.0
     expansive = 0.0

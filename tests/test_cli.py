@@ -269,6 +269,54 @@ class TestStudyCommand:
         ))
         assert main(["study", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_failed_reference_is_runtime_error(self, tmp_path, capsys):
+        # the exact reference projects by one Dykstra sweep of the wedge
+        # and breaks its defect contract at step 0, before any level runs
+        r = 0.5 ** 0.5
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {
+                "f": {"type": "affine", "A": [[-1, 0], [0, -1]], "b": [3.0, 3.0]},
+                "G": {"type": "zero", "dim": 2},
+                "C": {"type": "intersection", "budget": 1, "members": [
+                    {"type": "halfspace", "normal": [0, 1], "offset": 0.0},
+                    {"type": "halfspace", "normal": [r, r], "offset": 0.0},
+                ]},
+                "constants": {"a": 4.5, "b": 1.0, "r_star": 1.0, "M": 9.0, "gamma": 0.5},
+            },
+            "x0": [0.0, 0.0],
+            "T": 0.5,
+            "schedule": {"kind": "uniform", "mu0": 0.1},
+            "projection": {"kind": "iterative"},
+            "errors": {"kind": "power_of_step", "eps0": 100.0, "beta": 1.0},
+            "study": {"levels": [0.1, 0.05, 0.025]},
+        })
+        out = tmp_path / "out"
+        assert main(["study", cfg, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == "scheme"
+        assert manifest["reason"] == "contract"
+        assert manifest["error"].startswith("study reference: step 0 failed")
+        assert "partial" not in manifest
+        assert not (out / "trajectory.csv").exists()
+        assert "scheme failure" in capsys.readouterr().err
+
+    def test_failed_level_is_named(self, tmp_path):
+        # one Iterative sweep cannot certify the first outward step of the
+        # coarsest level; the exact reference needs no certificate
+        model = json.loads(json.dumps(POLYGON_MODEL))
+        model["C"]["budget"] = 1
+        cfg = write_config(tmp_path / "c.json", {
+            "model": model, "x0": [0.0, 0.0], "T": 1.0,
+            "projection": {"kind": "iterative"},
+            "study": {"levels": [0.25, 0.125, 0.0625]},
+        })
+        out = tmp_path / "out"
+        assert main(["study", cfg, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] == "certificate"
+        assert manifest["error"].startswith("level mu=0.25: step 0 failed")
+        assert (out / "trajectory.csv").exists()
+
 
 class TestStabilityCommand:
     def test_fine_mesh_contracts(self, tmp_path):
@@ -517,6 +565,19 @@ class TestBoundaryValidation:
             **{"model": self.GENERIC, "x0": [0.5], "T": 0.1, **entry}))
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"errors": {"kind": "power_of_step", "eps0": float("inf"), "beta": 1.0}}, "eps0"),
+        ({"errors": {"kind": "power_of_step", "eps0": 0.1, "beta": float("inf")}}, "beta"),
+        ({"errors": {"kind": "explicit", "values": [float("inf")] * 10}}, "values"),
+        ({"model": {**GENERIC, "G": {"type": "linear", "matrix": [[float("inf")]]}}}, "matrix"),
+    ], ids=["power_of_step.eps0", "power_of_step.beta", "explicit.values", "linear.matrix"])
+    def test_infinite_parameter_is_config_error(self, tmp_path, capsys, entry, field):
+        # each of these used to run: to exit 0, or to fail a certificate on a NaN
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            **{"model": self.GENERIC, "x0": [0.5], "T": 0.1, **entry}))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "study", "stability"])
     @pytest.mark.parametrize("x0", [[0.0, 1.0], [[0.0]]], ids=["two-coordinates", "nested"])

@@ -6,7 +6,6 @@ from catchup.geometry import Box, Halfline, NonnegOrthant
 from catchup.operators import (
     AffineField,
     CustomPart,
-    IntervalBox,
     LinearPart,
     MinimalNorm,
     MonotoneModel,
@@ -18,6 +17,7 @@ from catchup.operators import (
     check_tangent_dissipativity,
     estimate_one_sided_lipschitz,
     globalize_constants,
+    interval_vertices,
     model_from_config,
     select_F,
 )
@@ -58,38 +58,52 @@ def friction_model(tau, K=None, weights=None, lower=-2.0, upper=2.0):
     )
 
 
-class TestIntervalBox:
+class TestIntervalValues:
     def test_l1_interval_at_zero(self):
-        G = SeparableL1([1.0])
-        box = IntervalBox(*G.value([0.0]))
-        np.testing.assert_allclose(box.lower, [-1.0])
-        np.testing.assert_allclose(box.upper, [1.0])
-        assert not box.is_singleton()
+        lo, hi = SeparableL1([1.0]).value([0.0])
+        np.testing.assert_allclose(lo, [-1.0])
+        np.testing.assert_allclose(hi, [1.0])
 
     def test_l1_singleton_off_zero(self):
-        G = SeparableL1([1.0, 2.0])
-        box = IntervalBox(*G.value([0.5, -0.3]))
-        np.testing.assert_allclose(box.lower, [1.0, -2.0])
-        np.testing.assert_allclose(box.upper, [1.0, -2.0])
-        assert box.is_singleton()
+        lo, hi = SeparableL1([1.0, 2.0]).value([0.5, -0.3])
+        np.testing.assert_allclose(lo, [1.0, -2.0])
+        np.testing.assert_array_equal(hi, lo)
 
     def test_linear_identity_value(self):
-        G = LinearPart(np.eye(1))
-        box = IntervalBox(*G.value([3.0]))
-        np.testing.assert_allclose(box.lower, [3.0])
-        assert box.is_singleton()
+        lo, hi = LinearPart(np.eye(1)).value([3.0])
+        np.testing.assert_allclose(lo, [3.0])
+        np.testing.assert_array_equal(hi, lo)
+
+    def test_custom_part_takes_a_vector_or_a_pair(self):
+        lo, hi = CustomPart(lambda x: [2.0 * x[0]], 1).value([1.5])
+        assert lo.tolist() == hi.tolist() == [3.0]
+        lo, hi = CustomPart(lambda x: (x - 1.0, [1, 2]), 2).value([0.5, 0.5])
+        assert (lo.dtype, lo.tolist(), hi.dtype, hi.tolist()) == \
+            (np.float64, [-0.5, -0.5], np.float64, [1.0, 2.0])
+
+    def test_custom_part_rejects_bounds_of_unequal_shape(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            CustomPart(lambda x: (x, [0.0, 1.0]), 1).value([0.5])
 
     def test_vertices_enumeration(self):
-        box = IntervalBox([-1.0, 2.0, 0.0], [1.0, 2.0, 3.0])
-        V = box.vertices()
+        V = interval_vertices(np.array([-1.0, 2.0, 0.0]), np.array([1.0, 2.0, 3.0]))
         assert V.shape == (4, 3)
         assert {tuple(v) for v in V} == {
             (-1.0, 2.0, 0.0), (1.0, 2.0, 0.0), (-1.0, 2.0, 3.0), (1.0, 2.0, 3.0),
         }
 
-    def test_max_norm_at_vertex(self):
-        box = IntervalBox([-3.0, -1.0], [1.0, 2.0])
-        assert box.max_norm() == pytest.approx(np.sqrt(9.0 + 4.0))
+    def test_singleton_has_one_vertex(self):
+        g = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(interval_vertices(g, g), [[1.0, -2.0]])
+
+    def test_growth_check_takes_the_max_norm_at_a_vertex(self):
+        # F(x) = -G(x) = [-3, 1] x [-1, 2], whose largest norm sqrt(9 + 4) sits at a vertex
+        G = CustomPart(lambda x: (np.array([-1.0, -2.0]), np.array([3.0, 1.0])), 2)
+        m = MonotoneModel(AffineField(np.zeros((2, 2)), [0.0, 0.0]), G,
+                          Box([-1.0, -1.0], [1.0, 1.0]), growth=(4.0, 0.0),
+                          dissipativity=(1.0, 1.0, 1.0))
+        rec = check_linear_growth(m, n_samples=5)
+        assert rec["worst_margin"] == pytest.approx(4.0 - np.sqrt(9.0 + 4.0))
 
     def test_linear_part_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -141,8 +155,8 @@ class TestSelection:
         x_vec = np.array([x])
         for rule in (MinimalNorm(), SignConvention(-1), SignConvention(1), Randomized(seed=1)):
             w = select_F(m, x_vec, rule=rule)
-            box = m.F_interval(x_vec)
-            assert box.contains(w, tol=1e-12)
+            lo, hi = m.F_interval(x_vec)
+            assert np.all(w >= lo - 1e-12) and np.all(w <= hi + 1e-12)
 
     @given(st.floats(min_value=-5, max_value=5))
     @settings(max_examples=100, deadline=None)
@@ -261,8 +275,8 @@ class TestOneSidedLipschitz:
         pts = rng.uniform(-2, 2, size=(2, 2))
         pts[rng.random(size=(2, 2)) < 0.3] = 0.0
         x1, x2 = pts
-        for g1 in IntervalBox(*G.value(x1)).vertices():
-            for g2 in IntervalBox(*G.value(x2)).vertices():
+        for g1 in interval_vertices(*G.value(x1)):
+            for g2 in interval_vertices(*G.value(x2)):
                 assert float((g1 - g2) @ (x1 - x2)) >= -1e-12
 
 

@@ -18,7 +18,6 @@ from catchup.geometry import (
 from catchup.operators import (
     AffineField,
     CustomPart,
-    IntervalBox,
     LinearPart,
     MinimalNorm,
     MonotoneModel,
@@ -193,7 +192,7 @@ STEP_PARTS = {
     "l1": SeparableL1([0.7, 0.3]),
     "custom_vector": CustomPart(lambda x: x ** 3, 2),
     "custom_box": CustomPart(
-        lambda x: IntervalBox(np.minimum(x, 0.0) - 0.2, np.maximum(x, 0.0) + 0.2), 2),
+        lambda x: (np.minimum(x, 0.0) - 0.2, np.maximum(x, 0.0) + 0.2), 2),
 }
 STEP_SELECTIONS = {
     "minimal_norm": lambda seed: MinimalNorm(),
@@ -224,8 +223,8 @@ def step_outcome(stepper, model, x, mu, eps, sel, proj, seed):
 
 
 class TestStepMatchesReference:
-    """The step that passes interval bounds as arrays gives the bytes of
-    the step that built an IntervalBox for G(x)."""
+    """The step gives the bytes of the reference step, which builds the
+    bounds of G(x) and picks from them with code of its own."""
 
     @given(
         st.sampled_from(sorted(STEP_PARTS)),
@@ -249,7 +248,7 @@ class TestStepMatchesReference:
 
 class TestStepInputs:
     def test_custom_part_with_disordered_bounds_rejected(self):
-        G = CustomPart(lambda x: IntervalBox(x + 1.0, x), 1)
+        G = CustomPart(lambda x: (x + 1.0, x), 1)
         m = MonotoneModel(AffineField([[-1.0]], [0.0]), G, Halfline(),
                           growth=(1.0, 1.0), dissipativity=(1.0, 1.0, 0.5))
         with pytest.raises(ValueError, match="lower <= upper"):
@@ -478,6 +477,31 @@ class TestSerialization:
             "1,0.5,0.5,-0.25,1.0,0.75,0.5,0.0,-1.0,-0.0,0.5,0.125\n"
             "2,1.0,1.5,0.1,,,,,,,,\n"
         )
+
+    @pytest.mark.parametrize("block", [scheme.CSV_BLOCK_ROWS, 1], ids=["one-block", "per-row"])
+    def test_extreme_floats_round_trip_bit_for_bit(self, monkeypatch, block):
+        monkeypatch.setattr(scheme, "CSV_BLOCK_ROWS", block)
+        s = make_schedule(1.0, Uniform(0.5), ExplicitErrors([5e-324, 0.0]))
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        X = [[-0.0, huge], [tiny, -huge], [huge, -0.0]]
+        W = [[tiny, -0.0], [-tiny, huge]]
+        P = [[-huge, 0.0], [-0.0, tiny]]
+        V = [[huge, -tiny], [0.0, -0.0]]
+        r = DiscreteRun(None, s, X, W, np.zeros((2, 2)), P, V)
+        data = read_run_csv(r.to_csv())
+        for key, want in [("X", X), ("W", W), ("P", P), ("V", V), ("times", r.times),
+                          ("mus", s.mus), ("eps", s.eps)]:
+            assert data[key].tobytes() == np.asarray(want, dtype=float).tobytes(), key
+
+    @pytest.mark.parametrize("cell", ["", "0.5x"], ids=["empty", "garbled"])
+    def test_bad_cell_is_value_error(self, cell):
+        s = make_schedule(1.0, Uniform(0.5))
+        r = DiscreteRun(None, s, [[0.0], [0.5], [1.0]], [[1.0], [1.0]], np.zeros((2, 1)),
+                        [[0.0], [0.0]], [[0.0], [0.0]])
+        lines = r.to_csv().split("\n")
+        lines[2] = lines[2].replace("1.0", cell, 1)
+        with pytest.raises(ValueError):
+            read_run_csv("\n".join(lines))
 
     def test_round_trip_reverifies(self):
         r = self.make_run()

@@ -32,13 +32,18 @@ partial trajectories are compared like any other output; a run pushed
 out of the same wedge by f(x) = (3, 3) - x under the Iterative policy, with
 `--diagnostics truncation` only, which passes its own checks but whose
 exact fine-mesh reference breaks its defect contract at step 0 (a failure
-manifest, reason contract, exit 3, and no trajectory); a far outward
+manifest, reason contract, exit 3, and no trajectory), and the same
+config run as `study`, whose exact reference fails the same way (exit 3,
+no trajectory); a far outward
 step from a halfspace whose normal is 5e-10 short of unit length, which
 lands outside the membership tolerance (reason infeasible); a start outside
 a thin cap (a ball cut at -0.99 of its radius), a config error; and the
 seed-1 polygon run.json under exact projection with no errors, whose steps
 project by the Dykstra stop, whose 84 normal-cone certificates are
 enforced, and whose truncation diagnostic projects a stack.
+
+Last, the line count of each module under `catchup/` in OLD_SRC and
+NEW_SRC is printed, with the net change.
 """
 
 from __future__ import annotations
@@ -131,8 +136,11 @@ PINNED_CASES = {
         {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
         {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
 }
-# the pinned cases run with --diagnostics all, except these
-PINNED_TAGS = {"wedge-truncation": "truncation"}
+PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
+                               "study": {"levels": [0.1, 0.05, 0.025]}}
+# the pinned cases run as `run --diagnostics all`, except these
+PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
+               "wedge-study": ["study"]}
 
 
 def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
@@ -158,10 +166,15 @@ def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
     del polygon["errors"]
     pinned = {**PINNED_CASES, "polygon-exact": {**polygon, "projection": {"kind": "exact"}}}
     for name, cfg in pinned.items():
-        files = {"run.json": (json.dumps(cfg) + "\n").encode()}
-        matrix.append((name, files, ["run", "run.json", "--seed", "1",
-                                     "--diagnostics", PINNED_TAGS.get(name, "all")]))
+        command, *flags = PINNED_ARGV.get(name, ["run", "--diagnostics", "all"])
+        files = {f"{command}.json": (json.dumps(cfg) + "\n").encode()}
+        matrix.append((name, files, [command, f"{command}.json", "--seed", "1", *flags]))
     return matrix
+
+
+def line_counts(src: Path) -> dict[str, int]:
+    """Lines of each module of the package under `src`."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((src / "catchup").glob("*.py"))}
 
 
 def run_case(src: Path, where: Path, files: dict[str, bytes], argv: list[str]) -> dict:
@@ -185,7 +198,7 @@ def differences(old: dict, new: dict) -> list[str]:
         a, b = old.get(key), new.get(key)
         if a == b:
             continue
-        lines.append(f"    {key}: " + ("missing" if a is None else "added" if b is None
+        lines.append(f"    {key}: " + ("added" if a is None else "missing" if b is None
                                         else "differs"))
         if isinstance(a, bytes) and isinstance(b, bytes):
             diff = difflib.unified_diff(a.decode(errors="replace").splitlines(),
@@ -224,6 +237,13 @@ def main(argv=None) -> int:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
     print(f"{differing} case(s) differ")
+    old_lines, new_lines = line_counts(old_src), line_counts(new_src)
+    print("catchup/ lines, OLD -> NEW:")
+    for name in sorted(set(old_lines) | set(new_lines)):
+        a, b = old_lines.get(name, 0), new_lines.get(name, 0)
+        print(f"  {name:<16} {a:>5} -> {b:>5}  {b - a:+d}")
+    a, b = sum(old_lines.values()), sum(new_lines.values())
+    print(f"  {'total':<16} {a:>5} -> {b:>5}  {b - a:+d}")
     return 1 if differing else 0
 
 
