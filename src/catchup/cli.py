@@ -28,7 +28,14 @@ from .diagnostics import (
     predictor_feasibility,
     stability_experiment,
 )
-from .geometry import PROJECTION_POLICIES, ExactProjection, GeometryError, check_integer
+from .geometry import (
+    PROJECTION_POLICIES,
+    ConfigError,
+    ExactProjection,
+    GeometryError,
+    build_record,
+    check_integer,
+)
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
 from .operators import SELECTION_RULES, model_from_config
 from .scheme import ERROR_RULES, STEP_RULES, SchemeError, csv_text, make_schedule, run as run_scheme
@@ -51,10 +58,6 @@ _MODEL_SUMMARIES = {
 }
 
 
-class ConfigError(ValueError):
-    """Anything wrong with the experiment description itself."""
-
-
 # --- config resolution ------------------------------------------------------
 
 def _load_config(path: str) -> dict:
@@ -75,20 +78,15 @@ def _model_from(cfg: dict):
     spec = cfg.get("model")
     if spec is None:
         raise ConfigError("config needs a 'model' entry")
-    try:
-        if isinstance(spec, dict) and "model" in spec:
-            return named_model_from_config(spec)
-        if isinstance(spec, dict):
-            return model_from_config(spec)
-    except (ValueError, TypeError, KeyError, OverflowError) as e:
-        raise ConfigError(f"model: {e}") from None
-    raise ConfigError("'model' must be a mapping")
+    if not isinstance(spec, dict):
+        raise ConfigError("'model' must be a mapping")
+    return (named_model_from_config if "model" in spec else model_from_config)(spec)
 
 
 def _point_from(model, value, label: str) -> np.ndarray:
     try:
         x = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{label} must be a vector of numbers") from None
     try:
         return model.C.require_member(x)
@@ -101,32 +99,30 @@ def _point_from(model, value, label: str) -> np.ndarray:
 def _from_registry(family: str, registry: dict, spec, seed=None, default=None):
     """Build the rule or policy that a config record {"kind": ..., ...}
     names, from the registry of its family."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{family} must be a mapping with a 'kind'")
-    kind = spec.get("kind", default)
+    return build_record(family, registry, spec, "kind", default, seed)
+
+
+def _horizon(cfg: dict) -> float:
+    if "T" not in cfg:
+        raise ConfigError("config needs a horizon 'T'")
     try:
-        build = registry[kind]
-    except (KeyError, TypeError):
-        raise ConfigError(f"unknown {family} kind {kind!r} (known: {sorted(registry)})") from None
-    try:
-        return build(spec, seed)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{family}: {e}") from None
+        return float(cfg["T"])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"T: {e}") from None
 
 
 def _schedule_from(cfg: dict, mu_override: float | None = None):
-    if "T" not in cfg:
-        raise ConfigError("config needs a horizon 'T'")
+    T = _horizon(cfg)
     spec = cfg.get("schedule")
     if mu_override is not None:
         spec = {"kind": "uniform", "mu0": mu_override}
     if not spec:
         raise ConfigError("config needs a 'schedule' entry")
     steps = _from_registry("schedule", STEP_RULES, spec)
-    errors = _from_registry("error rule", ERROR_RULES, cfg.get("errors") or {}, default="zero")
+    errors = _from_registry("errors", ERROR_RULES, cfg.get("errors") or {}, default="zero")
     try:
-        return make_schedule(T=float(cfg["T"]), steps=steps, errors=errors)
-    except (TypeError, ValueError) as e:
+        return make_schedule(T=T, steps=steps, errors=errors)
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"schedule: {e}") from None
 
 
@@ -144,8 +140,9 @@ def _setup(args):
             raise ConfigError(str(e)) from None
     selection = _from_registry("selection", SELECTION_RULES, cfg.get("selection") or {}, seed,
                                default="minimal_norm")
+    # an unseeded projection draws from the master seed, offset from the selection's
     projection = _from_registry("projection", PROJECTION_POLICIES, cfg.get("projection") or {},
-                                seed, default="exact")
+                                None if seed is None else seed + 1, default="exact")
     return cfg, model, seed, selection, projection
 
 
@@ -316,22 +313,20 @@ def cmd_run(args) -> int:
 def cmd_study(args) -> int:
     cfg, model, seed, selection, projection = _setup(args)
     x0 = _point_from(model, cfg.get("x0", 0.0), "x0")
-    if "T" not in cfg:
-        raise ConfigError("config needs a horizon 'T'")
+    T = _horizon(cfg)
     study = cfg.get("study") or {}
     try:
-        T = float(cfg["T"])
         levels = [float(v) for v in study.get("levels") or []]
         refine = check_integer(study.get("reference_refine", 8), "reference_refine", minimum=2)
+        if len(levels) < 3:
+            raise ValueError("needs at least 3 refinement levels")
+        if any(m <= 0 for m in levels) or any(b >= a for a, b in zip(levels, levels[1:])):
+            raise ValueError("levels must be positive and strictly decreasing")
+        mu_ref = levels[-1] / refine
     except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"study: {e}") from None
-    if len(levels) < 3:
-        raise ConfigError("study needs at least 3 refinement levels")
-    if any(m <= 0 for m in levels) or any(b >= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("study levels must be positive and strictly decreasing")
     out = _out_dir(args, cfg)
 
-    mu_ref = levels[-1] / refine
     try:
         reference = _reference("study reference", run_scheme, model, x0,
                                _schedule_from(cfg, mu_override=mu_ref), selection=selection,
@@ -411,7 +406,7 @@ def cmd_stability(args) -> int:
     if tol_mesh is not None:
         try:
             tol_mesh = float(tol_mesh)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"tol_mesh must be a number, got {tol_mesh!r}") from None
     out = _out_dir(args, cfg)
 

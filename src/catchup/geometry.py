@@ -12,6 +12,7 @@ cone {v : <v, z - x> <= delta for all z in C}.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "ConfigError",
     "GeometryError",
     "ProjectionError",
     "ConvexSet",
@@ -39,6 +41,7 @@ __all__ = [
     "probe_count",
     "probe_stack",
     "sample_points",
+    "build_record",
     "set_from_config",
 ]
 
@@ -58,6 +61,10 @@ PROBE_SEED = 0
 
 # the share of the slack eps that PerturbedProjection spends on its perturbation
 SLACK_FRACTION = 0.9
+
+
+class ConfigError(ValueError):
+    """Anything wrong with the experiment description itself."""
 
 
 class GeometryError(Exception):
@@ -502,8 +509,8 @@ def moreau_decompose(C: ConvexSet, x, u) -> tuple[NDArray, NDArray]:
 # |z - y|^2 <= d_C(y)^2 + eps; `seed` is None for deterministic policies,
 # else the seed of the generator a run hands to `project`.  `exact` marks
 # the metric projection, under which a normal term must pass its cone
-# certificate.  `from_config(spec, seed)` builds the policy from its config
-# record, with `seed` the run's master seed.
+# certificate.  A policy's config record holds its constructor arguments
+# (see `build_record`).
 
 def check_integer(value, name: str = "seed", minimum: int = 0) -> int:
     """`value` as an int; ValueError naming it unless it is an integer no
@@ -525,10 +532,6 @@ class ExactProjection:
 
     def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
         return C.project(y)
-
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -566,13 +569,6 @@ class PerturbedProjection:
         if float(np.sum((z - y) ** 2)) <= d * d + eps:
             return z
         return z0
-
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        # a spec's own seed reaches the constructor's check as given; an
-        # unseeded spec draws from the master seed, offset from the selection's
-        s = spec["seed"] if "seed" in spec else (seed + 1 if seed is not None else 0)
-        return cls(seed=s)
 
 
 @dataclass(frozen=True)
@@ -615,16 +611,12 @@ class IterativeProjection:
             f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
         )
 
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls()
 
-
-# config kind -> policy builder
+# config kind -> policy
 PROJECTION_POLICIES = {
-    "exact": ExactProjection.from_config,
-    "perturbed": PerturbedProjection.from_config,
-    "iterative": IterativeProjection.from_config,
+    "exact": ExactProjection,
+    "perturbed": PerturbedProjection,
+    "iterative": IterativeProjection,
 }
 
 
@@ -749,28 +741,58 @@ def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float)
     return C.project(rng.uniform(-radius, radius, size=(n, C.dim)))
 
 
-def _build_intersection(cfg):
-    members = [set_from_config(m) for m in cfg["members"]]
-    return Intersection(members, budget=cfg.get("budget", 200))
+def build_record(family: str, registry: dict, spec, tag: str | None, default=None, seed=None):
+    """Build what a config record of `family` describes.
+
+    The record's `tag` key (`default` when it has none; an untagged record
+    has `tag` None) picks the registry entry: a class, or a function where
+    the record's keys differ from the constructor's.  The other keys are
+    the entry's arguments, matched against its signature; `seed` goes to a
+    `seed` parameter the record leaves unset.  A record that is not a
+    mapping, an unknown kind, an unknown or missing field, and any error
+    the entry raises are a ConfigError prefixed with `family`.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{family} must be a mapping" + (f" with a {tag!r}" if tag else ""))
+    kind = spec.get(tag, default)
+    try:
+        build = registry[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{family}: unknown {tag} {kind!r} (known: {sorted(registry)})") from None
+    of = f" for {tag} {kind!r}" if tag else ""
+    fields = {k: v for k, v in spec.items() if k != tag}
+    params = inspect.signature(build).parameters
+    for name in fields:
+        if name not in params:
+            raise ConfigError(f"{family}: unknown field {name!r}{of}")
+    if seed is not None and "seed" in params:
+        fields.setdefault("seed", seed)
+    for name, p in params.items():
+        if p.default is p.empty and name not in fields:
+            raise ConfigError(f"{family}: missing field {name!r}{of}")
+    try:
+        return build(**fields)
+    except ConfigError:  # a nested record's, already labelled
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{family}: {e}") from None
 
 
+def _intersection(members, budget=200):
+    return Intersection([set_from_config(m) for m in members], budget)
+
+
+# config type -> set
 _SET_BUILDERS = {
-    "box": lambda cfg: Box(cfg["lower"], cfg["upper"]),
-    "ball": lambda cfg: Ball(cfg["center"], cfg["radius"]),
-    "halfspace": lambda cfg: Halfspace(cfg["normal"], cfg["offset"]),
-    "nonneg_orthant": lambda cfg: NonnegOrthant(cfg["dim"]),
-    "halfline": lambda cfg: Halfline(),
-    "intersection": _build_intersection,
+    "box": Box,
+    "ball": Ball,
+    "halfspace": Halfspace,
+    "nonneg_orthant": NonnegOrthant,
+    "halfline": Halfline,
+    "intersection": _intersection,
 }
 
 
 def set_from_config(cfg: dict) -> ConvexSet:
     """Build a ConvexSet from a tagged configuration record."""
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ValueError("set config must be a mapping with a 'type' tag")
-    kind = cfg["type"]
-    try:
-        builder = _SET_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown set type {kind!r} (known: {sorted(_SET_BUILDERS)})") from None
-    return builder(cfg)
+    return build_record("C", _SET_BUILDERS, cfg, "type")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Box, Halfline, membership_tol
+from .geometry import Box, Halfline, build_record, membership_tol
 from .operators import AffineField, LinearPart, MonotoneModel, SeparableL1
 from .scheme import SchemeError, Uniform, make_schedule, run
 
@@ -220,33 +220,10 @@ def equilibrium_residual(model: MonotoneModel, x) -> float:
     return float(np.linalg.norm(resid))
 
 
-def _build_onedim(cfg: dict) -> OneDimModel:
-    return OneDimModel(cfg["a"], cfg["b"], r_star=float(cfg.get("r_star", 1.0)))
-
-
-def _build_dry_friction(cfg: dict) -> DryFrictionModel:
-    return DryFrictionModel(
-        K=cfg["K"], tau=cfg["tau"], weights=cfg["weights"],
-        lower=cfg["lower"], upper=cfg["upper"],
-        gamma=float(cfg.get("gamma", 1.0)),
-    )
-
-
-NAMED_MODELS = {
-    "onedim": _build_onedim,
-    "dry_friction": _build_dry_friction,
-}
+# config model name -> model
+NAMED_MODELS = {"onedim": OneDimModel, "dry_friction": DryFrictionModel}
 
 
 def named_model_from_config(cfg: dict) -> MonotoneModel:
     """Resolve {"model": <name>, ...} records to a ready-made model."""
-    if not isinstance(cfg, dict) or "model" not in cfg:
-        raise ValueError("named model config must be a mapping with a 'model' tag")
-    name = cfg["model"]
-    try:
-        builder = NAMED_MODELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {name!r} (known: {sorted(NAMED_MODELS)})"
-        ) from None
-    return builder(cfg)
+    return build_record("model", NAMED_MODELS, cfg, "model")

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ConvexSet, _as_vector, check_integer, sample_points
+from .geometry import (
+    ConvexSet,
+    _as_vector,
+    build_record,
+    check_integer,
+    sample_points,
+    set_from_config,
+)
 
 __all__ = [
     "interval_vertices",
@@ -73,8 +80,8 @@ class LinearPart(RegularPart):
 
     def __init__(self, matrix):
         M = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if M.shape[0] != M.shape[1]:
-            raise ValueError("matrix must be square")
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"matrix must be a square 2-D array, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
             raise ValueError("matrix must be finite")
         if not np.allclose(M, M.T, atol=1e-12):
@@ -143,23 +150,12 @@ class CustomPart(RegularPart):
         raise ValueError("a custom regular part has no serializable form")
 
 
-_PART_BUILDERS = {
-    "zero": lambda cfg: ZeroPart(cfg["dim"]),
-    "linear": lambda cfg: LinearPart(cfg["matrix"]),
-    "l1": lambda cfg: SeparableL1(cfg["weights"]),
-}
+# config type -> regular part
+_PART_BUILDERS = {"zero": ZeroPart, "linear": LinearPart, "l1": SeparableL1}
 
 
 def regular_part_from_config(cfg: dict) -> RegularPart:
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ValueError("regular part config must be a mapping with a 'type' tag")
-    try:
-        builder = _PART_BUILDERS[cfg["type"]]
-    except KeyError:
-        raise ValueError(
-            f"unknown regular part type {cfg['type']!r} (known: {sorted(_PART_BUILDERS)})"
-        ) from None
-    return builder(cfg)
+    return build_record("G", _PART_BUILDERS, cfg, "type")
 
 
 class AffineField:
@@ -168,8 +164,9 @@ class AffineField:
     def __init__(self, matrix, offset):
         A = np.atleast_2d(np.asarray(matrix, dtype=float))
         b = np.atleast_1d(np.asarray(offset, dtype=float))
-        if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
-            raise ValueError("matrix and offset dimensions must agree")
+        if A.ndim != 2 or b.ndim != 1 or A.shape != (b.shape[0], b.shape[0]):
+            raise ValueError(f"A must be a square matrix and b a vector of its size, "
+                             f"got shapes {A.shape} and {b.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("drift matrix and offset must be finite")
         self.matrix = A
@@ -187,9 +184,7 @@ class AffineField:
 
 
 def field_from_config(cfg: dict):
-    if not isinstance(cfg, dict) or cfg.get("type") != "affine":
-        raise ValueError("drift config must be a mapping with type 'affine'")
-    return AffineField(cfg["A"], cfg["b"])
+    return build_record("f", {"affine": lambda A, b: AffineField(A, b)}, cfg, "type")
 
 
 # --- selection rules for set-valued G -------------------------------------
@@ -197,9 +192,8 @@ def field_from_config(cfg: dict):
 # A rule's `pick(lower, upper, f_val, rng)` returns the point g of the
 # interval box [lower, upper] = G(x) that the selection f(x) - g uses;
 # `seed` is None for deterministic rules, else the seed of the generator a
-# run hands to `pick`.
-# `from_config(spec, seed)` builds the rule from its config record, with
-# `seed` the run's master seed.
+# run hands to `pick`.  A rule's config record holds its constructor
+# arguments (see `build_record`).
 
 @dataclass(frozen=True)
 class MinimalNorm:
@@ -211,10 +205,6 @@ class MinimalNorm:
 
     def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
         return np.asarray(f_val, dtype=float).clip(lower, upper)
-
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -237,10 +227,6 @@ class SignConvention:
             return upper.copy()
         return 0.5 * (lower + upper)
 
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls(spec.get("sign", 0))
-
 
 @dataclass(frozen=True)
 class Randomized:
@@ -257,19 +243,13 @@ class Randomized:
             rng = np.random.default_rng(self.seed)
         return rng.uniform(lower, upper)
 
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        if "seed" in spec:  # as given: the constructor rejects 1.5, true and "3"
-            return cls(spec["seed"])
-        return cls(seed if seed is not None else 0)
 
-
-# config kind -> rule builder
+# config kind -> rule
 SELECTION_RULES = {
-    "minimal_norm": MinimalNorm.from_config,
-    "sign": SignConvention.from_config,
-    "sign_convention": SignConvention.from_config,
-    "randomized": Randomized.from_config,
+    "minimal_norm": MinimalNorm,
+    "sign": SignConvention,
+    "sign_convention": SignConvention,
+    "randomized": Randomized,
 }
 
 
@@ -364,27 +344,20 @@ class MonotoneModel:
         }
 
 
-def model_from_config(cfg: dict) -> MonotoneModel:
-    """Build a MonotoneModel from its configuration record
-    {"f": ..., "G": ..., "C": ..., "constants": {...}}."""
-    from .geometry import set_from_config
+def _constants(a, b, r_star, M, gamma, ell=None) -> dict:
+    return {"growth": (a, b), "dissipativity": (r_star, M, gamma), "ell": ell}
 
-    for key in ("f", "G", "C", "constants"):
-        if key not in cfg:
-            raise ValueError(f"model config is missing {key!r}")
-    k = cfg["constants"]
-    for key in ("a", "b", "r_star", "M", "gamma"):
-        if key not in k:
-            raise ValueError(f"model constants are missing {key!r}")
-    return MonotoneModel(
-        f=field_from_config(cfg["f"]),
-        G=regular_part_from_config(cfg["G"]),
-        C=set_from_config(cfg["C"]),
-        growth=(k["a"], k["b"]),
-        dissipativity=(k["r_star"], k["M"], k["gamma"]),
-        ell=k.get("ell"),
-        name=cfg.get("name", "custom"),
-    )
+
+def _model(f, G, C, constants, name="custom") -> MonotoneModel:
+    return MonotoneModel(field_from_config(f), regular_part_from_config(G), set_from_config(C),
+                         **build_record("constants", {None: _constants}, constants, None),
+                         name=name)
+
+
+def model_from_config(cfg: dict) -> MonotoneModel:
+    """Build a MonotoneModel from its untagged configuration record
+    {"f": ..., "G": ..., "C": ..., "constants": {...}, "name": ...}."""
+    return build_record("model", {None: _model}, cfg, None)
 
 
 # --- empirical falsification checks ---------------------------------------

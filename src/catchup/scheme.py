@@ -75,8 +75,9 @@ class SchemeError(Exception):
 #
 # A step rule's `resolve(T)` returns the steps that fit the horizon T, their
 # node times and a label; an error rule's `resolve(mus)` returns eps_k for
-# each step, a label and warnings.  `from_config(spec, seed)` builds a rule
-# from its config record (rules draw nothing, so the seed goes unused).
+# each step, a label and warnings.  A rule's config record holds its
+# constructor arguments (see `geometry.build_record`), which `resolve`
+# converts and checks.
 
 def _fill_horizon(steps, T: float):
     """The leading steps whose running sum stays within T, and their node times."""
@@ -106,10 +107,6 @@ class Uniform:
         # exact arithmetic grid; accumulation would drift over many steps
         return np.full(n, mu0), np.arange(n + 1) * mu0, f"uniform(mu0={mu0})"
 
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls(float(spec["mu0"]))
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -127,10 +124,6 @@ class Polynomial:
         if not mus.size:
             raise ValueError(f"horizon {T} is shorter than the first step {mu0}")
         return mus, times, f"polynomial(mu0={mu0}, alpha={alpha})"
-
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls(float(spec["mu0"]), float(spec["alpha"]))
 
 
 @dataclass(frozen=True)
@@ -154,10 +147,6 @@ class ExplicitSteps:
             raise ValueError("horizon is shorter than the first explicit step")
         return mus, times, f"explicit({mus.size} steps)"
 
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls(spec["values"])
-
 
 @dataclass(frozen=True)
 class ZeroError:
@@ -165,10 +154,6 @@ class ZeroError:
 
     def resolve(self, mus: NDArray):
         return np.zeros_like(mus), "zero", []
-
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -184,11 +169,12 @@ class PowerOfStep:
             raise ValueError(f"eps0 must be finite and nonnegative, got {eps0}")
         if not 0 < beta < np.inf:
             raise ValueError(f"beta must be finite and positive, got {beta}")
-        return eps0 * mus ** (2.0 + beta), f"power_of_step(eps0={eps0}, beta={beta})", []
-
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls(float(spec["eps0"]), float(spec["beta"]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            eps = eps0 * mus ** (2.0 + beta)
+        if not np.all(np.isfinite(eps)):
+            raise ValueError(f"eps0 must keep every eps_k = eps0 mu_k^(2 + beta) finite, "
+                             f"got eps0={eps0} with beta={beta}")
+        return eps, f"power_of_step(eps0={eps0}, beta={beta})", []
 
 
 @dataclass(frozen=True)
@@ -224,22 +210,10 @@ class ExplicitErrors:
             )
         return eps, f"explicit({eps.size} values)", warnings
 
-    @classmethod
-    def from_config(cls, spec: dict, seed: int | None):
-        return cls(spec["values"])
 
-
-# config kind -> rule builder
-STEP_RULES = {
-    "uniform": Uniform.from_config,
-    "polynomial": Polynomial.from_config,
-    "explicit": ExplicitSteps.from_config,
-}
-ERROR_RULES = {
-    "zero": ZeroError.from_config,
-    "power_of_step": PowerOfStep.from_config,
-    "explicit": ExplicitErrors.from_config,
-}
+# config kind -> rule
+STEP_RULES = {"uniform": Uniform, "polynomial": Polynomial, "explicit": ExplicitSteps}
+ERROR_RULES = {"zero": ZeroError, "power_of_step": PowerOfStep, "explicit": ExplicitErrors}
 
 
 @dataclass(frozen=True)

@@ -579,6 +579,42 @@ class TestBoundaryValidation:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, entry, field", [
+        ("run", {"T": 10 ** 400}, "T"),
+        ("study", {"T": 10 ** 400}, "T"),
+        ("run", {"x0": [10 ** 400]}, "x0"),
+        ("stability", {"x0": [[10 ** 400], [1.0]]}, "x0"),
+        ("stability", {"x0": [[0.5], [1.0]], "tol_mesh": 10 ** 400}, "tol_mesh"),
+        ("study", {"study": {"levels": [0.04, 0.02, 0.01], "reference_refine": 10 ** 400}},
+         "study"),
+    ], ids=["run.T", "study.T", "run.x0", "stability.x0", "tol_mesh", "reference_refine"])
+    def test_overflowing_number_is_config_error(self, tmp_path, capsys, command, entry, field):
+        # an integer beyond float range used to escape as an OverflowError
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            **{"x0": [0.5], "T": 0.1, "study": {"levels": [0.04, 0.02, 0.01]}, **entry}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+    @pytest.mark.parametrize("part, record", [
+        ("f", {"type": "affine", "A": [[[1.0]]], "b": [2.0]}),
+        ("f", {"type": "affine", "A": [[-1.0]], "b": [[1.0, 2.0]]}),
+        ("G", {"type": "linear", "matrix": [[[1.0]]]}),
+    ], ids=["affine.A", "affine.b", "linear.matrix"])
+    def test_mis_shaped_matrix_is_config_error(self, tmp_path, capsys, part, record):
+        # each of these used to pass its constructor and fail the first step
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            model={**self.GENERIC, part: record}, x0=[0.5], T=0.1))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {part}: ")
+
+    def test_overflowing_tolerances_are_config_error(self, tmp_path, capsys):
+        # eps_k = 1e308 * 2^3 used to be written as inf in every row, with exit 0
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            T=4.0, schedule={"kind": "uniform", "mu0": 2.0},
+            errors={"kind": "power_of_step", "eps0": 1e308, "beta": 1}))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "eps0 must keep every eps_k" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "study", "stability"])
     @pytest.mark.parametrize("x0", [[0.0, 1.0], [[0.0]]], ids=["two-coordinates", "nested"])
     def test_start_of_the_wrong_shape_is_config_error(self, tmp_path, capsys, command, x0):
@@ -677,3 +713,135 @@ class TestBoundaryValidation:
         assert apriori["vacuous"] is True
         assert apriori["within_bound"] is None
         assert all(apriori[key] is None for key in ("K_T", "R_T", "M_T", "L_T"))
+
+
+def _with(cfg: dict, path: tuple, value) -> dict:
+    """A copy of cfg whose entry at the key path is value."""
+    cfg = json.loads(json.dumps(cfg))
+    record = cfg
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    return cfg
+
+
+# small configs whose every field the boundary fuzz replaces by each of
+# FUZZ_VALUES, with the command that runs them
+FUZZ_BASES = {
+    "onedim-run": ("run", {
+        "model": {"model": "onedim", "a": 1, "b": 2, "r_star": 1.0}, "x0": [0.5], "T": 0.1,
+        "seed": 1, "schedule": {"kind": "uniform", "mu0": 0.02},
+        "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
+        "selection": {"kind": "randomized", "seed": 2},
+        "projection": {"kind": "perturbed", "seed": 3}}),
+    "onedim-stability": ("stability", {
+        "model": {"model": "onedim", "a": 1, "b": 2}, "x0": [[0.5], [1.0]], "T": 0.1,
+        "schedule": {"kind": "uniform", "mu0": 0.02}, "tol_mesh": 0.1}),
+    "onedim-study": ("study", {
+        "model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.5], "T": 0.1,
+        "study": {"levels": [0.04, 0.02, 0.01], "reference_refine": 2}}),
+    "generic-halfline": ("run", {
+        "model": {"f": {"type": "affine", "A": [[-1.0]], "b": [2.0]},
+                  "G": {"type": "linear", "matrix": [[1.0]]}, "C": {"type": "halfline"},
+                  "constants": {"a": 2.0, "b": 2.0, "r_star": 1.0, "M": 1.0, "gamma": 1.0,
+                                "ell": -2.0},
+                  "name": "scalar"},
+        "x0": [0.5], "T": 0.1, "schedule": {"kind": "explicit", "values": [0.05, 0.05]},
+        "errors": {"kind": "explicit", "values": [1e-4, 1e-4]},
+        "selection": {"kind": "sign", "sign": 1}}),
+    "polygon": ("run", {
+        "model": {"f": {"type": "affine", "A": [[0, 0], [0, 0]], "b": [8.0, 4.0]},
+                  "G": {"type": "l1", "weights": [0.1, 0.1]},
+                  "C": {"type": "intersection", "budget": 50, "members": [
+                      {"type": "ball", "center": [0, 0], "radius": 1.0},
+                      {"type": "halfspace", "normal": [1, 0], "offset": 0.5}]},
+                  "constants": {"a": 9.0, "b": 0.0, "r_star": 0.5, "M": 10.0, "gamma": 1.0}},
+        "x0": [0.0, 0.0], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.05},
+        "projection": {"kind": "iterative"}}),
+    "friction": ("run", {
+        "model": {"model": "dry_friction", "K": [[2.0, 0.5], [0.5, 1.0]], "tau": [3.0, -0.2],
+                  "weights": [0.5, 0.7], "lower": [-1.0, -1.0], "upper": [1.0, 1.0],
+                  "gamma": 0.5},
+        "x0": [0.0, 0.0], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.05},
+        "selection": {"kind": "sign", "sign": -1}}),
+}
+FUZZ_VALUES = [None, True, "x", [], {}, -1, 0, 0.5, 10 ** 400, float("nan"), float("inf"),
+               [[[1.0]]]]
+
+
+def _field_paths(record: dict, prefix=()):
+    """The key path of every field of a config, into nested records and
+    intersection members."""
+    for key, value in record.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, member in enumerate(value):
+                yield from _field_paths(member, prefix + (key, i))
+
+
+class TestConfigFields:
+    """A config record's fields are its kind's constructor arguments: an
+    unknown or missing one is a config error that names it, in every family."""
+
+    BASE = onedim_config(model=TestBoundaryValidation.GENERIC, x0=[0.5], T=0.1)
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("model", "C", "dim"), 3, "dim"),
+        (("model", "C"), {"type": "intersection", "members": [{"type": "halfline", "dim": 3}]},
+         "dim"),
+        (("model", "G", "extra"), 1, "extra"),
+        (("model", "f", "c"), 1, "c"),
+        (("model",), {"model": "onedim", "a": 1, "b": 2, "r_sta": 5}, "r_sta"),
+        (("model", "nme"), "mine", "nme"),
+        (("model", "constants", "elll"), -2.0, "elll"),
+        (("schedule", "mu"), 7, "mu"),
+        (("errors",), {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0, "gamma": 2}, "gamma"),
+        (("errors",), {"kind": "zero", "eps0": 0.1}, "eps0"),
+        (("selection",), {"kind": "minimal_norm", "sign": 7}, "sign"),
+        (("projection",), {"kind": "perturbed", "slack_fraction": 5}, "slack_fraction"),
+        (("projection",), {"kind": "exact", "seed": 4}, "seed"),
+    ], ids=["C.halfline", "C.member", "G.linear", "f.affine", "model.onedim", "model.generic",
+            "constants", "schedule", "errors", "errors.zero", "selection", "projection",
+            "projection.exact"])
+    def test_unknown_field_is_config_error(self, tmp_path, capsys, path, value, field):
+        # each of these used to be ignored, and the run exited 0
+        cfg = write_config(tmp_path / "c.json", _with(self.BASE, path, value))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("model", "C"), {"type": "box", "lower": [0.0]}, "upper"),
+        (("model", "C"), {"type": "intersection"}, "members"),
+        (("model", "G"), {"type": "linear"}, "matrix"),
+        (("model", "f"), {"type": "affine", "A": [[-1.0]]}, "b"),
+        (("model",), {"model": "onedim", "b": 2}, "a"),
+        (("model",), {key: TestBoundaryValidation.GENERIC[key] for key in "fGC"}, "constants"),
+        (("model", "constants"), {"a": 2.0, "b": 2.0, "r_star": 1.0, "M": 1.0}, "gamma"),
+        (("schedule",), {"kind": "uniform"}, "mu0"),
+        (("errors",), {"kind": "power_of_step", "eps0": 0.1}, "beta"),
+    ], ids=["C.box", "C.intersection", "G.linear", "f.affine", "model.onedim",
+            "model.generic", "constants", "schedule", "errors"])
+    def test_missing_field_is_named(self, tmp_path, capsys, path, value, field):
+        cfg = write_config(tmp_path / "c.json", _with(self.BASE, path, value))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"missing field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base", list(FUZZ_BASES))
+    def test_fuzzed_field_never_escapes(self, tmp_path, base):
+        # each field in turn takes each bad value; the command must end with
+        # one of its exit codes, never with an exception
+        command, cfg = FUZZ_BASES[base]
+        escaped = []
+        for path in _field_paths(cfg):
+            for value in FUZZ_VALUES:
+                argv = [command, write_config(tmp_path / "c.json", _with(cfg, path, value)),
+                        "--out", str(tmp_path / "out")]
+                try:
+                    code = main(argv)
+                except Exception as e:
+                    code = repr(e)
+                if code not in (0, 1, 2, 3):
+                    escaped.append((path, value, code))
+        assert not escaped

@@ -37,7 +37,12 @@ config run as `study`, whose exact reference fails the same way (exit 3,
 no trajectory); a far outward
 step from a halfspace whose normal is 5e-10 short of unit length, which
 lands outside the membership tolerance (reason infeasible); a start outside
-a thin cap (a ball cut at -0.99 of its radius), a config error; and the
+a thin cap (a ball cut at -0.99 of its radius), a config error; a generic
+scalar model whose records carry fields their kinds do not have (`dim` on
+a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
+uniform schedule, `sign` on minimal_norm, `slack_fraction` on perturbed),
+a config error; an onedim run whose power_of_step tolerances
+eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; and the
 seed-1 polygon run.json under exact projection with no errors, whose steps
 project by the Dykstra stop, whose 84 normal-cone certificates are
 enforced, and whose truncation diagnostic projects a stack.
@@ -135,6 +140,18 @@ PINNED_CASES = {
     "thin-cap-start": _pushed_out([3.0, 1.0], {"type": "intersection", "members": [
         {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
         {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
+    "unknown-fields": {"model": {"f": {"type": "affine", "A": [[-1.0]], "b": [2.0]},
+                                 "G": {"type": "linear", "matrix": [[1.0]], "extra": 1},
+                                 "C": {"type": "halfline", "dim": 3},
+                                 "constants": {"a": 2.0, "b": 2.0, "r_star": 1.0, "M": 1.0,
+                                               "gamma": 1.0, "elll": -2.0}},
+                       "x0": [0.5], "T": 2.0,
+                       "schedule": {"kind": "uniform", "mu0": 0.01, "mu": 7},
+                       "selection": {"kind": "minimal_norm", "sign": 7},
+                       "projection": {"kind": "perturbed", "slack_fraction": 5}},
+    "eps-overflow": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 4.0,
+                     "schedule": {"kind": "uniform", "mu0": 2.0},
+                     "errors": {"kind": "power_of_step", "eps0": 1e308, "beta": 1.0}},
 }
 PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
                                "study": {"levels": [0.1, 0.05, 0.025]}}
