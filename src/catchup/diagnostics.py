@@ -387,8 +387,8 @@ def corrector_stability_check(model: MonotoneModel, x, x_bar, mu: float, eps: fl
     proj = projection or ExactProjection()
     w = select_F(model, x, rule=sel)
     w_bar = select_F(model, x_bar, rule=sel)
-    u = approx_project(C, x + mu * w, eps, policy=proj)
-    u_bar = approx_project(C, x_bar + mu * w_bar, eps, policy=proj)
+    u = approx_project(C, x + mu * w, eps, policy=proj)[0]
+    u_bar = approx_project(C, x_bar + mu * w_bar, eps, policy=proj)[0]
     dx2 = float(np.sum((x - x_bar) ** 2))
     lhs = float(np.sum((u - u_bar) ** 2))
     m = model.growth_bound(max(float(np.linalg.norm(x)), float(np.linalg.norm(x_bar))))

@@ -4,7 +4,8 @@ Every constraint region used by the solver is a ConvexSet: it knows its
 distance function, its metric projection, and the projection onto its
 tangent cone at a feasible point.  On top of those primitives this module
 provides the eps-relaxed projection (any feasible point whose squared
-distance to the query exceeds the minimum by at most eps), the Moreau
+distance to the query exceeds the minimum by at most eps), returned with
+the membership bound that its projection already established, the Moreau
 split of a vector into tangent and normal components, and a sampling
 certificate for membership of a vector in the delta-approximate normal
 cone {v : <v, z - x> <= delta for all z in C}.
@@ -147,6 +148,15 @@ class ConvexSet:
             tol = membership_tol(x)
         return self.distance(x) <= tol
 
+    def project_judged(self, y) -> tuple[NDArray, float]:
+        """The projection z of a vector y and the bound that `contains(z)`
+        compares with its tolerance, found without projecting z again, so
+        `bound <= membership_tol(z)` decides what `contains(z)` decides: here
+        d_C(z), 0.0 for a finite point of a box, the largest member distance
+        for an intersection; NaN for a point with a NaN coordinate."""
+        z = self.project(y)
+        return z, self.distance(z)
+
     def tangent_project(self, x, u) -> NDArray:
         """Project u onto the tangent cone of the set at the feasible point x."""
         raise NotImplementedError
@@ -194,6 +204,13 @@ class Box(ConvexSet):
 
     def project(self, y) -> NDArray:
         return _as_points(y, self.dim).clip(self.lower, self.upper)
+
+    def project_judged(self, y) -> tuple[NDArray, float]:
+        # clip lands in [lower, upper] exactly, so a finite z is a member; a
+        # finite z beyond 1e154 overflows z.z, hence the second test
+        z = self.project(y)
+        finite = math.isfinite(z.dot(z)) or bool(np.isfinite(z).all())
+        return z, 0.0 if finite else math.nan
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -434,15 +451,24 @@ class Intersection(ConvexSet):
         self.dim = members[0].dim
 
     def project(self, y) -> NDArray:
-        y = _as_points(y, self.dim)
+        return self._dykstra_judged(_as_points(y, self.dim))[0]
+
+    def project_judged(self, y) -> tuple[NDArray, float]:
+        return self._dykstra_judged(_as_vector(y, self.dim))
+
+    def _dykstra_judged(self, y: NDArray):
+        """The Dykstra limit of a vector, or of each row of a stack, with its
+        largest member distance, which `contains` judges; ProjectionError
+        when a point is not a member."""
         tol = 1e-13 * (1.0 + _norm(y))
         z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
-        inside = self.contains(z)
-        if not (inside if z.ndim == 1 else inside.all()):
+        tol = membership_tol(z)
+        worst = self._worst_distance(z, tol)
+        if not np.all(worst <= tol):
             raise ProjectionError(
                 f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
             )
-        return z
+        return z, worst
 
     def distance_lower_bound(self, y) -> float:
         """max_i d_{C_i}(y), a certified lower bound on the intersection distance.
@@ -465,17 +491,27 @@ class Intersection(ConvexSet):
         x = _as_points(x, self.dim)
         if tol is None:
             tol = membership_tol(x)
-        if x.ndim == 1:  # judged member by member, up to the first failure
+        return self._worst_distance(x, tol) <= tol
+
+    def _worst_distance(self, x: NDArray, tol):
+        """The largest member distance of a vector, or of each row of a
+        stack, judged against tol member by member: it stops at the first
+        member a vector fails, or once no row passes, and a NaN distance
+        stays NaN, so `worst <= tol` is the membership verdict."""
+        if x.ndim == 1:
+            worst = 0.0
             for m in self.members:
-                if not m.distance(x) <= tol:
-                    return False
-            return True
-        inside = np.ones(x.shape[0], dtype=bool)
+                d = m.distance(x)
+                if not d <= tol:
+                    return d
+                worst = max(worst, d)
+            return worst
+        worst = np.zeros(x.shape[0])
         for m in self.members:
-            inside &= m.distance(x) <= tol
-            if not inside.any():
+            worst = np.maximum(worst, m.distance(x))
+            if not (worst <= tol).any():
                 break
-        return inside
+        return worst
 
     def bounding_radius(self) -> float:
         return min(m.bounding_radius() for m in self.members)
@@ -506,7 +542,10 @@ def moreau_decompose(C: ConvexSet, x, u) -> tuple[NDArray, NDArray]:
 # --- approximate projection policies -------------------------------------
 #
 # A policy's `project(C, y, eps, rng)` returns a point z of C with
-# |z - y|^2 <= d_C(y)^2 + eps; `seed` is None for deterministic policies,
+# |z - y|^2 <= d_C(y)^2 + eps, together with the bound on z that its
+# projection judged membership by (see `ConvexSet.project_judged`), so the
+# caller checks `bound <= membership_tol(z)` and never projects z again;
+# `seed` is None for deterministic policies,
 # else the seed of the generator a run hands to `project`.  `exact` marks
 # the metric projection, under which a normal term must pass its cone
 # certificate.  A policy's config record holds its constructor arguments
@@ -530,8 +569,8 @@ class ExactProjection:
     seed = None
     exact = True
 
-    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
-        return C.project(y)
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, float]:
+        return C.project_judged(y)
 
 
 @dataclass(frozen=True)
@@ -550,10 +589,10 @@ class PerturbedProjection:
     def __post_init__(self):
         check_integer(self.seed)
 
-    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
-        z0 = C.project(y)
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, float]:
+        z0, bound0 = C.project_judged(y)
         if eps == 0.0:
-            return z0
+            return z0, bound0
         d = float(np.linalg.norm(z0 - y))
         slack = SLACK_FRACTION * eps
         r = -d + np.sqrt(d * d + slack)
@@ -562,13 +601,13 @@ class PerturbedProjection:
         direction = rng.standard_normal(C.dim)
         nrm = float(np.linalg.norm(direction))
         if nrm == 0.0:
-            return z0
-        z = C.project(z0 + (r / nrm) * direction)
+            return z0, bound0
+        z, bound = C.project_judged(z0 + (r / nrm) * direction)
         # By nonexpansiveness |z - z0| <= r, hence |z - y| <= d + r and the
         # contract holds by construction; verify anyway and fall back.
         if float(np.sum((z - y) ** 2)) <= d * d + eps:
-            return z
-        return z0
+            return z, bound
+        return z0, bound0
 
 
 @dataclass(frozen=True)
@@ -589,9 +628,9 @@ class IterativeProjection:
     seed = None
     exact = False
 
-    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> NDArray:
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, float]:
         if not isinstance(C, Intersection):
-            return C.project(y)
+            return C.project_judged(y)
         projectors = [m.project for m in C.members]
         corrections = [np.zeros(y.shape) for _ in projectors]
         lb = C.distance_lower_bound(y) ** 2
@@ -604,8 +643,10 @@ class IterativeProjection:
                 sep = (float(n @ y) - sum(float(q @ p) for q, p in zip(corrections, points))) / nn
                 if sep > 0.0:
                     lb = max(lb, sep * sep)
-            if C.contains(z) and float(np.sum((z - y) ** 2)) <= lb + eps:
-                return z
+            tol = membership_tol(z)
+            worst = C._worst_distance(z, tol)
+            if worst <= tol and float(np.sum((z - y) ** 2)) <= lb + eps:
+                return z, worst
         raise ProjectionError(
             "Dykstra sweeps could not certify the eps-inequality "
             f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
@@ -620,8 +661,10 @@ PROJECTION_POLICIES = {
 }
 
 
-def approx_project(C: ConvexSet, y, eps: float, policy=None, rng=None) -> NDArray:
-    """A point z in C with |z - y|^2 <= distance(C, y)^2 + eps.
+def approx_project(C: ConvexSet, y, eps: float, policy=None,
+                   rng=None) -> tuple[NDArray, float]:
+    """A point z in C with |z - y|^2 <= distance(C, y)^2 + eps, and the
+    bound its membership is judged by (see `ConvexSet.project_judged`).
 
     The returned point always satisfies the inequality; a policy that cannot
     certify it within budget raises ProjectionError.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .geometry import (
     _as_vector,
     approx_project,
     in_approx_normal_cone,
+    membership_tol,
     probe_count,
     probe_stack,
 )
@@ -79,13 +81,27 @@ class SchemeError(Exception):
 # constructor arguments (see `geometry.build_record`), which `resolve`
 # converts and checks.
 
+# The most steps a schedule may have.  A run keeps five (n, dim) arrays and
+# a 30 us step, so 10**7 steps are minutes of stepping and gigabytes of CSV;
+# without a cap, a horizon the steps cannot fill (polynomial steps over
+# T = 1e308) grows its step list until memory runs out.
+MAX_STEPS = 10 ** 7
+
+
+def _too_many_steps(T: float) -> ValueError:
+    return ValueError(f"horizon {T} needs more than MAX_STEPS = {MAX_STEPS} steps")
+
+
 def _fill_horizon(steps, T: float):
-    """The leading steps whose running sum stays within T, and their node times."""
+    """The leading steps whose running sum stays within T, and their node
+    times; ValueError when they are more than MAX_STEPS."""
     mus = []
     t = 0.0
     for mu in steps:
         if t + mu > T * (1.0 + 1e-12):
             break
+        if len(mus) == MAX_STEPS:
+            raise _too_many_steps(T)
         mus.append(mu)
         t += mu
     mus = np.asarray(mus, dtype=float)
@@ -101,7 +117,10 @@ class Uniform:
         mu0 = float(self.mu0)
         if not mu0 > 0:
             raise ValueError("mu0 must be positive")
-        n = int(np.floor(T / mu0 + 1e-9))
+        n = np.floor(T / mu0 + 1e-9)
+        if n > MAX_STEPS:  # before the grid is allocated
+            raise _too_many_steps(T)
+        n = int(n)
         if n < 1:
             raise ValueError(f"horizon {T} is shorter than one step {mu0}")
         # exact arithmetic grid; accumulation would drift over many steps
@@ -120,6 +139,12 @@ class Polynomial:
             raise ValueError("mu0 must be positive")
         if not (0.0 < alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
+        # the first MAX_STEPS + 1 steps sum to at most
+        # mu0 (1 + int_1^n x^-alpha dx) with n = MAX_STEPS + 1; a horizon
+        # twice that (a margin for the rounding of both sums) needs more
+        g, log_n = 1.0 - alpha, math.log(MAX_STEPS + 1)
+        if T > 2.0 * mu0 * (1.0 + (math.expm1(g * log_n) / g if g else log_n)):
+            raise _too_many_steps(T)
         mus, times = _fill_horizon((mu0 / (k + 1) ** alpha for k in itertools.count()), T)
         if not mus.size:
             raise ValueError(f"horizon {T} is shorter than the first step {mu0}")
@@ -292,7 +317,12 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 def _defect_contract(p, w, x, mu, eps):
     """(|p|^2, mu^2 |w|^2 + eps, verdict) of the eps-contract on the defect
     p of a step from x, with roundoff slack scaled to the step's sizes.
-    Stacked steps (one per row, with arrays of mu and eps) give arrays."""
+    One step gives Python floats; stacked steps (one per row, with arrays of
+    mu and eps) give arrays, each row with the bits of its step alone."""
+    if p.ndim == 1:
+        lhs = float(p.dot(p))
+        rhs = mu * mu * float(w.dot(w)) + eps
+        return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + float(x.dot(x)))
     lhs = np.vecdot(p, p)
     rhs = mu * mu * np.vecdot(w, w) + eps
     return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + np.vecdot(x, x))
@@ -314,7 +344,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     w = select_F(model, x, rule=selection or MinimalNorm(), rng=sel_rng)
     y = x + mu * w
     try:
-        x_next = approx_project(C, y, eps, policy=projection or ExactProjection(), rng=proj_rng)
+        x_next, bound = approx_project(C, y, eps, policy=projection or ExactProjection(),
+                                       rng=proj_rng)
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
@@ -324,7 +355,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
             f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}",
             kind="contract",
         )
-    if not C.contains(x_next):
+    # the projection judged x_next already: bound <= tol is C.contains(x_next)
+    if not (bound == 0.0 or bound <= membership_tol(x_next)):
         raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
                           kind="infeasible")
     if np.count_nonzero(p):

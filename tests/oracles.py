@@ -12,7 +12,9 @@ byte.  Likewise `reference_dykstra_limit` is the Dykstra stop as
 it was while every row of a stack swept until the last one settled, and
 `reference_iterative_project` the Iterative policy's certified stop as it
 was while its norms, tolerances and verdicts were numpy scalars; both
-sweep with `dykstra_sweeps`, written out here.
+sweep with `dykstra_sweeps`, written out here.  `reference_perturbed_project`
+is the Perturbed policy's point as it was while a policy returned its point
+alone, from the sets' own projections.
 """
 
 import itertools
@@ -235,7 +237,7 @@ def reference_step(model, x, mu, eps, selection, projection, sel_rng=None, proj_
     w = reference_select_F(model, x, selection, sel_rng)
     y = x + mu * w
     try:
-        x_next = projection.project(C, y, eps, proj_rng)
+        x_next, _ = projection.project(C, y, eps, proj_rng)
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
@@ -360,3 +362,22 @@ def reference_iterative_project(C, y, eps):
         "Dykstra sweeps could not certify the eps-inequality "
         f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
     )
+
+
+def reference_perturbed_project(C, y, eps, seed):
+    """The Perturbed policy's point for the vector y: the projection z0 moved
+    by the radius r with (d + r)^2 = d^2 + 0.9 eps along a standard normal
+    direction drawn from a generator seeded with `seed`, and projected
+    again; z0 when eps is 0, the direction is 0 or the moved point breaks
+    the eps-inequality."""
+    z0 = C.project(y)
+    if eps == 0.0:
+        return z0
+    d = float(np.linalg.norm(z0 - y))
+    r = -d + np.sqrt(d * d + 0.9 * eps)
+    direction = np.random.default_rng(seed).standard_normal(C.dim)
+    nrm = float(np.linalg.norm(direction))
+    if nrm == 0.0:
+        return z0
+    z = C.project(z0 + (r / nrm) * direction)
+    return z if float(np.sum((z - y) ** 2)) <= d * d + eps else z0

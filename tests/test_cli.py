@@ -1,6 +1,7 @@
 """Driver behavior: exit codes, output files, determinism, round trips."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -606,6 +607,17 @@ class TestBoundaryValidation:
             model={**self.GENERIC, part: record}, x0=[0.5], T=0.1))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {part}: ")
+
+    @pytest.mark.parametrize("schedule", [{"kind": "uniform", "mu0": 0.02},
+                                          {"kind": "polynomial", "mu0": 0.02, "alpha": 0.5}],
+                             ids=["uniform", "polynomial"])
+    def test_endless_horizon_is_config_error(self, tmp_path, capsys, schedule):
+        # the polynomial steps used to fill the list until memory ran out
+        cfg = write_config(tmp_path / "c.json", onedim_config(T=1e308, schedule=schedule))
+        start = time.perf_counter()
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err.startswith("config error: schedule: ")
 
     def test_overflowing_tolerances_are_config_error(self, tmp_path, capsys):
         # eps_k = 1e308 * 2^3 used to be written as inf in every row, with exit 0

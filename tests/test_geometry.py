@@ -37,6 +37,7 @@ from oracles import (
     probe_points_loop,
     reference_dykstra_limit,
     reference_iterative_project,
+    reference_perturbed_project,
 )
 
 
@@ -214,7 +215,7 @@ class TestIntersection:
 class TestApproxProject:
     def test_exact_policy_is_projection(self):
         B = Box([0.0], [1.0])
-        z = approx_project(B, [2.0], eps=0.5, policy=ExactProjection())
+        z, _ = approx_project(B, [2.0], eps=0.5, policy=ExactProjection())
         assert z[0] == 1.0
 
     def test_eps_contract_holds_for_perturbed(self):
@@ -223,7 +224,7 @@ class TestApproxProject:
         d2 = C.distance(y) ** 2
         for seed in range(8):
             for eps in (1e-8, 1e-3, 0.1):
-                z = approx_project(C, y, eps, policy=PerturbedProjection(seed=seed))
+                z, _ = approx_project(C, y, eps, policy=PerturbedProjection(seed=seed))
                 assert C.contains(z)
                 assert float(np.sum((z - y) ** 2)) <= d2 + eps + 1e-15
 
@@ -231,14 +232,14 @@ class TestApproxProject:
         C = Ball([0.0, 0.0], 1.0)
         y = np.array([2.0, 0.5])
         z0 = C.project(y)
-        z = approx_project(C, y, eps=0.1, policy=PerturbedProjection(seed=3))
+        z, _ = approx_project(C, y, eps=0.1, policy=PerturbedProjection(seed=3))
         assert float(np.linalg.norm(z - z0)) > 1e-4
 
     def test_perturbed_zero_eps_is_exact(self):
         C = Ball([0.0, 0.0], 1.0)
         y = np.array([2.0, 0.5])
         np.testing.assert_allclose(
-            approx_project(C, y, 0.0, policy=PerturbedProjection(seed=1)), C.project(y)
+            approx_project(C, y, 0.0, policy=PerturbedProjection(seed=1))[0], C.project(y)
         )
 
     def test_iterative_policy_certifies(self):
@@ -246,7 +247,7 @@ class TestApproxProject:
         y = np.array([2.0, 1.0])
         d2 = float(np.sum((C.project(y) - y) ** 2))
         for eps in (1e-2, 1e-4, 1e-8):
-            z = approx_project(C, y, eps=eps, policy=IterativeProjection())
+            z, _ = approx_project(C, y, eps=eps, policy=IterativeProjection())
             assert C.contains(z)
             assert float(np.sum((z - y) ** 2)) <= d2 + eps + 1e-12
 
@@ -399,7 +400,7 @@ class TestProjectionProperties:
         C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.5)])
         d2 = C.distance(y) ** 2
         for policy in (ExactProjection(), PerturbedProjection(seed=0)):
-            z = approx_project(C, y, eps, policy=policy)
+            z, _ = approx_project(C, y, eps, policy=policy)
             assert float(np.sum((z - y) ** 2)) <= d2 + eps + 1e-10
 
 
@@ -721,7 +722,8 @@ class TestIterativeMatchesReference:
         points["inside"] = inner + 0.99 * (r - 1.0) / 3.0 * (points["wall"] - inner)
         y = points[where]
         want = _projection_outcome(reference_iterative_project, C, y, eps)
-        assert _projection_outcome(IterativeProjection().project, C, y, eps) == want
+        got = _projection_outcome(lambda *args: IterativeProjection().project(*args)[0], C, y, eps)
+        assert got == want
 
 
 # every set type, with a vector and a stack, outside and all inside
@@ -748,3 +750,89 @@ class TestProjectionsDoNotAlias:
         assert z is not y and not np.shares_memory(z, y)
         z[...] = 7.0
         assert y.tobytes() == before.tobytes()
+
+
+# every set type, with boundary points: a box with infinite bounds, the
+# orthant and the halfline, the two smooth leaf sets, and the two caps
+JUDGED_SETS = {
+    "box": (Box([-1.0, 0.0, -np.inf], [2.0, np.inf, 0.0]),
+            [[-1.0, 0.0, -0.0], [2.0, 5.0, 0.0], [2.0, 1e308, -1e300]]),
+    "orthant": (NonnegOrthant(2), [[0.0, -0.0], [-0.0, 1e308]]),
+    "halfline": (Halfline(), [[0.0], [-0.0]]),
+    "ball": (Ball([0.5, -0.5], 1.5), [[2.0, -0.5], [0.5, 1.0]]),
+    "halfspace": (Halfspace([0.6, 0.8], 0.5), [[0.3, 0.4], [-0.0, 0.625]]),
+    "cap": (Intersection(CAP), [[0.5, 0.75 ** 0.5], [-1.0, -0.0]]),
+    "thin_cap": (Intersection(THIN_CAP), [[-0.99, (1.0 - 0.99 ** 2) ** 0.5], [-1.0, 0.0]]),
+}
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e308, -1e308, 0.0, -0.0]
+judged_coordinates = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL_FLOATS),
+                               st.floats(allow_nan=True, allow_infinity=True))
+
+
+def judged_queries(name):
+    """Vectors for a set of JUDGED_SETS: its boundary points, and rows of
+    ordinary, huge, infinite, NaN and signed-zero coordinates."""
+    C, edges = JUDGED_SETS[name]
+    return st.one_of(st.sampled_from(edges),
+                     st.lists(judged_coordinates, min_size=C.dim,
+                              max_size=C.dim)).map(np.array)
+
+
+def _outcome(project, *args):
+    """A projection's point as bytes with its membership verdict, or the
+    ProjectionError it raises."""
+    try:
+        z, inside = project(*args)
+    except ProjectionError as e:
+        return str(e)
+    return z.tobytes(), inside
+
+
+class TestJudgedProjection:
+    """A projection's bound decides membership as `contains` would on its
+    point, and the point keeps the bytes of the plain projection."""
+
+    @pytest.mark.parametrize("name", sorted(JUDGED_SETS))
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bound_decides_like_contains(self, name, data):
+        C = JUDGED_SETS[name][0]
+        y = data.draw(judged_queries(name))
+
+        def judged(y):
+            z, bound = C.project_judged(y)
+            assert type(bound) is float
+            return z, bound <= membership_tol(z)
+
+        def plain(y):
+            z = C.project(y)
+            return z, C.contains(z)
+
+        with np.errstate(all="ignore"):  # inf - inf and overflowing norms
+            assert _outcome(judged, y) == _outcome(plain, y)
+
+    @pytest.mark.parametrize("name", sorted(JUDGED_SETS))
+    @given(data=st.data(), eps=st.sampled_from([0.0, 1e-8, 1e-3, 0.1]),
+           seed=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_policies_keep_their_points(self, name, data, eps, seed):
+        C = JUDGED_SETS[name][0]
+        y = data.draw(judged_queries(name))
+        iterative = reference_iterative_project if isinstance(C, Intersection) else (
+            lambda C, y, eps: C.project(y))
+        references = [
+            (ExactProjection(), lambda: C.project(y)),
+            (PerturbedProjection(seed=seed), lambda: reference_perturbed_project(C, y, eps, seed)),
+            (IterativeProjection(), lambda: iterative(C, y, eps)),
+        ]
+        with np.errstate(all="ignore"):
+            for policy, reference in references:
+                def judged():
+                    z, bound = policy.project(C, y, eps)
+                    return z, bound <= membership_tol(z)
+
+                def parent():
+                    z = reference()
+                    return z, C.contains(z)
+
+                assert _outcome(judged) == _outcome(parent), policy.name

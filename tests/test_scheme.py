@@ -140,6 +140,25 @@ class TestSchedules:
         with pytest.raises(ValueError):
             make_schedule(T, steps, errors)
 
+    @pytest.mark.parametrize("steps", [Uniform(0.02), Polynomial(0.02, alpha=0.5),
+                                       Polynomial(0.02, alpha=1.0)],
+                             ids=["uniform", "polynomial", "harmonic"])
+    @pytest.mark.parametrize("T", [1e308, 1e9])
+    def test_endless_horizon_rejected(self, steps, T):
+        # a horizon these steps cannot fill used to grow the step list, or
+        # allocate the grid, until memory ran out
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            make_schedule(T, steps)
+
+    def test_step_count_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(scheme, "MAX_STEPS", 50)
+        assert make_schedule(1.0, Uniform(0.02)).n_steps == 50
+        assert make_schedule(1.0, ExplicitSteps([0.02] * 60)).n_steps == 50
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            make_schedule(1.0, Uniform(0.019))
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            make_schedule(1.0, ExplicitSteps([0.019] * 60))
+
 
 class TestStep:
     def test_interior_step_frozen(self):
@@ -220,6 +239,27 @@ def step_outcome(stepper, model, x, mu, eps, sel, proj, seed):
     except SchemeError as exc:
         return exc.kind
     return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+class TestDefectContract:
+    @given(d=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_one_step_has_the_bits_of_its_row(self, d, seed):
+        # the one-step contract is computed in Python floats, the stacked one
+        # in numpy arrays; a row must agree to the bit, NaN rows included
+        rng = np.random.default_rng(seed)
+        p, w, x = (rng.standard_normal((6, d)) * 10.0 ** rng.integers(-8, 8, (6, 1))
+                   for _ in range(3))
+        for a in (p, w, x):
+            a[rng.random(a.shape) < 0.05] = np.nan
+        mu = rng.uniform(1e-4, 1.0, 6)
+        eps = np.where(rng.random(6) < 0.5, 0.0, rng.uniform(0.0, 1e-2, 6))
+        lhs, rhs, ok = scheme._defect_contract(p, w, x, mu, eps)
+        for i in range(6):
+            one = scheme._defect_contract(p[i], w[i], x[i], float(mu[i]), float(eps[i]))
+            assert [type(v) for v in one] == [float, float, bool]
+            assert np.array(one[:2]).tobytes() == np.array([lhs[i], rhs[i]]).tobytes()
+            assert one[2] == ok[i]
 
 
 class TestStepMatchesReference:
@@ -567,8 +607,10 @@ class ScriptedProjection:
     policy is called once per step): `shift` moves the projection down the
     face x_0 = 1 by mu / 4, a feasible point inside the defect contract
     whose normal term leaves the cone; `far` returns the far corner, which
-    breaks the contract; `budget` raises ProjectionError and `bad` a
-    ValueError, which the step does not catch."""
+    breaks the contract; `outside` moves the projection out through the
+    face x_0 = 1 by mu / 4, inside the contract but not in the set;
+    `budget` raises ProjectionError and `bad` a ValueError, which the step
+    does not catch.  A moved point comes with its distance to the set."""
 
     name = "scripted"
     seed = None
@@ -583,14 +625,19 @@ class ScriptedProjection:
         fault = self.faults.get(self.calls)
         self.calls += 1
         if fault == "shift":
-            return C.project(y) - [0.0, 0.25 * self.mu]
+            z = C.project(y) - [0.0, 0.25 * self.mu]
+            return z, C.distance(z)
         if fault == "far":
-            return np.array([-1.0, -1.0])
+            z = np.array([-1.0, -1.0])
+            return z, C.distance(z)
+        if fault == "outside":
+            z = C.project(y) + [0.25 * self.mu, 0.0]
+            return z, C.distance(z)
         if fault == "budget":
             raise ProjectionError("scripted budget")
         if fault == "bad":
             raise ValueError("scripted bad input")
-        return C.project(y)
+        return C.project_judged(y)
 
 
 class FarProbeBox(Box):
@@ -670,6 +717,8 @@ class TestBlockedCertificates:
         # fall in different blocks
         {1: "shift", 7: "bad"},
         {1: "shift", 7: "budget"},
+        {4: "outside"},
+        {1: "shift", 7: "outside"},
     ], ids=repr)
     def test_matches_the_step_by_step_loop(self, row_budget, faults):
         got = run_outcome(run, BOX, faults)

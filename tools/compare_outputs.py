@@ -45,7 +45,10 @@ a config error; an onedim run whose power_of_step tolerances
 eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; and the
 seed-1 polygon run.json under exact projection with no errors, whose steps
 project by the Dykstra stop, whose 84 normal-cone certificates are
-enforced, and whose truncation diagnostic projects a stack.
+enforced, and whose truncation diagnostic projects a stack; and the same
+run.json under perturbed projection with its power_of_step errors, whose
+every step projects onto the intersection twice, the exact projection and
+the moved one.
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -180,8 +183,9 @@ def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
                     label = f"{name}-{seed}-" + "-".join(a.strip("-") for a in argv)
                     matrix.append((label, files, [argv[0], fname, "--seed", "1", *argv[1:]]))
     polygon = json.loads(generate("polygon_session", 1)["run.json"])
-    del polygon["errors"]
-    pinned = {**PINNED_CASES, "polygon-exact": {**polygon, "projection": {"kind": "exact"}}}
+    exact = {key: value for key, value in polygon.items() if key != "errors"}
+    pinned = {**PINNED_CASES, "polygon-exact": {**exact, "projection": {"kind": "exact"}},
+              "polygon-perturbed": {**polygon, "projection": {"kind": "perturbed"}}}
     for name, cfg in pinned.items():
         command, *flags = PINNED_ARGV.get(name, ["run", "--diagnostics", "all"])
         files = {f"{command}.json": (json.dumps(cfg) + "\n").encode()}
