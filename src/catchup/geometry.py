@@ -13,6 +13,7 @@ cone {v : <v, z - x> <= delta for all z in C}.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -706,6 +707,30 @@ class NormalConeCertificate:
         }
 
 
+@functools.cache
+def _probe_layout(dim: int):
+    """What the probe recipe in R^dim takes from dim alone, read-only: the
+    column of `probe_stack`'s per-row table that each coordinate of each
+    query takes, and the PROBE_DRAWS draws U of a generator seeded with
+    PROBE_SEED, flattened."""
+    # column 3 i + c of the table is x_i + (-W), x_i + W or x_i for c = 0, 1, 2.
+    # The axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...), keep x_i
+    # off their own axis, so a -0.0 there stays -0.0
+    axis = np.arange(dim)
+    extremes = np.full((2 * dim, dim), 2)
+    extremes[2 * axis, axis] = 0
+    extremes[2 * axis + 1, axis] = 1
+    rows = [extremes]
+    if dim <= MAX_CORNER_DIM:
+        # corner j has sign +1 in coordinate i when bit i of j is set
+        rows.append((np.arange(2 ** dim)[:, None] >> axis) & 1)
+    rows.append(np.full((PROBE_DRAWS, dim), 2))  # x, to which the draws are added
+    index = (3 * axis + np.concatenate(rows)).ravel()
+    U = np.random.default_rng(PROBE_SEED).random((PROBE_DRAWS, dim)).ravel()
+    index.flags.writeable = U.flags.writeable = False
+    return index, U
+
+
 def probe_stack(C: ConvexSet, X) -> tuple[NDArray, NDArray]:
     """The probe points of the certificates at the rows x_i of X (m, dim),
     projected in one call, and their window half-widths W (m,).
@@ -717,26 +742,22 @@ def probe_stack(C: ConvexSet, X) -> tuple[NDArray, NDArray]:
     what the certificate at x_i alone probes.
     """
     X = _as_points(X, C.dim)
-    dim = X.shape[1]
+    m, dim = X.shape
+    index, U = _probe_layout(dim)
     W = PROBE_WINDOW_SCALE * (1.0 + _norm(X))
-    base = X[:, None, :]
-    Wc = W[:, None, None]
-    # axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...); each row adds
-    # to one coordinate of a copy of x, so a -0.0 elsewhere stays -0.0
-    axes = np.arange(2 * dim)
-    extremes = np.repeat(base, 2 * dim, axis=1)
-    extremes[:, axes, axes // 2] += np.where(axes % 2 == 1, W[:, None], -W[:, None])
-    queries = [extremes]
-    if dim <= MAX_CORNER_DIM:
-        # corner j has sign +1 in coordinate i when bit i of j is set
-        bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
-        queries.append(base + Wc * np.where(bits == 1, 1.0, -1.0))
+    Wr = W[:, None]
+    table = np.empty((m, dim, 3))
+    table[..., 0] = X + -Wr
+    table[..., 1] = X + Wr
+    table[..., 2] = X
+    # the queries before projection, each coordinate taken from the table
+    Q = np.take(table.reshape(m, -1), index, axis=1)
     # rng.uniform(-W, W) computes -W + (W - -W) U from the draws U of `random`
-    U = np.random.default_rng(PROBE_SEED).random((PROBE_DRAWS, dim))
-    queries.append(base + (-Wc + (Wc - -Wc) * U))
-    Q = np.concatenate(queries, axis=1)
-    projected = C.project(Q.reshape(-1, dim)).reshape(Q.shape)
-    return np.concatenate([base, projected], axis=1), W
+    Q[:, -U.size:] += -Wr + (Wr - -Wr) * U
+    points = np.empty((m, index.size // dim + 1, dim))
+    points[:, 0] = X
+    points[:, 1:] = C.project(Q.reshape(-1, dim)).reshape(m, -1, dim)
+    return points, W
 
 
 def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
@@ -746,16 +767,21 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
     The quantifier runs over all of C, which is not checkable for unbounded
     sets; the certificate therefore samples a declared window around x and
     records it.  `holds` is the verdict over the probed points only.
-    `points`, when given, is the certificate's row of `probe_stack` at x
-    with its window, (points (P, dim), W), which it then does not rebuild.
+    A certificate that builds its own probes first requires x to be a
+    member of C.  `points`, when given, is the certificate's row of
+    `probe_stack` at x with its window, (points (P, dim), W), which it then
+    does not rebuild; x is then taken as judged by the step that produced
+    it (a run's x_{k+1} passed `bound <= membership_tol(x_{k+1})`, the
+    verdict of `C.contains`) and is not judged again.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    x = C.require_member(x)
-    v = _as_vector(v, C.dim)
     if points is None:
+        x = C.require_member(x)
         stack, windows = probe_stack(C, x[None, :])
         points = stack[0], float(windows[0])
+    x = _as_vector(x, C.dim)
+    v = _as_vector(v, C.dim)
     pts, W = points
     vals = (pts - x) @ v
     worst = int(np.argmax(vals))

@@ -204,6 +204,8 @@ class MinimalNorm:
     seed = None
 
     def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
+        if lower is upper:  # a singleton G(x), which clip would return bit for bit
+            return lower
         return np.asarray(f_val, dtype=float).clip(lower, upper)
 
 

@@ -280,10 +280,6 @@ class StepSchedule:
     def sum_mu_sq(self) -> float:
         return float(np.sum(self.mus ** 2))
 
-    def delta(self, k: int) -> float:
-        """Normal-cone slack delta_k = eps_k / (2 mu_k)."""
-        return float(self.eps[k] / (2.0 * self.mus[k]))
-
     def to_config(self) -> dict:
         return {
             "kind": self.kind,
@@ -589,17 +585,21 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             warnings=schedule.warnings,
         )
 
-    failure, done = None, n
+    # steps, tolerances and normal-cone slacks delta_k = eps_k / (2 mu_k), read
+    # as Python floats through memoryviews; float lists would hold an object
+    # per step, which raises the peak memory of a 20000-step run by about 1 MB
+    mus, eps = memoryview(schedule.mus), memoryview(schedule.eps)
+    deltas = memoryview(schedule.eps / (2.0 * schedule.mus))
+    failure, done, x = None, n, x0
     for k in range(n):
         try:
-            X[k + 1], Y[k], W[k], P[k], V[k] = step(
-                model, X[k], float(schedule.mus[k]), float(schedule.eps[k]),
-                selection=selection, projection=projection,
-                sel_rng=sel_rng, proj_rng=proj_rng,
-            )
+            x, Y[k], W[k], P[k], V[k] = step(model, x, mus[k], eps[k],
+                                             selection=selection, projection=projection,
+                                             sel_rng=sel_rng, proj_rng=proj_rng)
         except Exception as exc:
             failure, done = exc, k
             break
+        X[k + 1] = x
 
     if certify_normals:
         certified = np.flatnonzero((P[:done] != 0).any(axis=1))
@@ -613,7 +613,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                 # that the error comes at its own step, after the verdicts before it
                 points = None
             for i, k in enumerate(ks.tolist()):
-                delta_k = schedule.delta(k)
+                delta_k = deltas[k]
                 row = None if points is None else (points[i], float(windows[i]))
                 cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k, row)
                 certificates.append({**cert.to_record(), "k": k})

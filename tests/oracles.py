@@ -204,7 +204,9 @@ def reference_value(G, x):
 
 
 def reference_pick(rule, bounds, f_val, rng):
-    """The point of the box [lower, upper] a selection rule picks."""
+    """The point of the box [lower, upper] a selection rule picks; minimal
+    norm clips f_val into the box, a singleton box [g, g] included, where
+    the selection is then f_val - clip(f_val, g, g)."""
     lower, upper = bounds
     if isinstance(rule, MinimalNorm):
         return np.clip(np.asarray(f_val, dtype=float), lower, upper)

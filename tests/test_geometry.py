@@ -26,6 +26,7 @@ from catchup.geometry import (
     set_from_config,
     _dykstra_limit,
     _norm,
+    _probe_layout,
 )
 from catchup.cli import main
 
@@ -579,6 +580,79 @@ class TestProbeStack:
             U = np.random.default_rng(seed).random((16, 3))
             W = np.float64(window)
             assert (-W + (W - -W) * U).tobytes() == want.tobytes()
+
+
+class TestProbeLayout:
+    """The parts of the probe recipe that depend on the dimension alone are
+    built once per dimension and cannot be written to."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 11])
+    def test_layout_is_cached_and_read_only(self, dim):
+        index, U = layout = _probe_layout(dim)
+        assert _probe_layout(dim) is layout
+        assert index.size == (probe_count(dim) - 1) * dim
+        assert U.tobytes() == np.random.default_rng(0).random((16, dim)).tobytes()
+        for a in layout:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_calls_in_other_dimensions_leave_the_bytes(self):
+        stacks = {}
+        for dim in (1, 2, 8, 11):
+            rng = np.random.default_rng(dim)
+            for name, C in _probe_sets(dim).items():
+                X = C.project(3.0 * rng.standard_normal((3, dim)))
+                stacks[dim, name] = C, X, [a.tobytes() for a in probe_stack(C, X)]
+        for key in list(stacks)[::-1] + list(stacks):
+            C, X, want = stacks[key]
+            assert [a.tobytes() for a in probe_stack(C, X)] == want, key
+
+
+class NoJudgementBox(Box):
+    """A box whose membership test must not run."""
+
+    def contains(self, x, tol=None):
+        raise AssertionError("the point was judged again")
+
+
+class TestCertificateRows:
+    """A certificate handed its `probe_stack` row takes its point as judged
+    by the step that produced it, and has the record of the standalone
+    certificate, which judges the point itself."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 11])
+    def test_row_certificate_matches_the_standalone_one(self, dim):
+        rng = np.random.default_rng(dim)
+        for name, C in _probe_sets(dim).items():
+            X = C.project(3.0 * rng.standard_normal((5, dim)))
+            V = rng.standard_normal((5, dim))
+            pts, W = probe_stack(C, X)
+            for i, (x, v) in enumerate(zip(X, V)):
+                for delta in (0.0, 0.5):
+                    got = in_approx_normal_cone(C, x, v, delta, (pts[i], float(W[i])))
+                    want = in_approx_normal_cone(C, x, v, delta)
+                    assert json.dumps(got.to_record()) == json.dumps(want.to_record()), name
+                    assert got.witness.tobytes() == want.witness.tobytes(), name
+
+    def test_a_row_is_not_judged_again(self):
+        C = NoJudgementBox([-1.0, -1.0], [1.0, 1.0])
+        x, v = np.array([1.0, 0.5]), np.array([1.0, 0.0])
+        pts, W = probe_stack(C, x[None, :])
+        assert in_approx_normal_cone(C, x, v, 0.0, (pts[0], float(W[0]))).holds
+        with pytest.raises(AssertionError, match="judged again"):
+            in_approx_normal_cone(C, x, v, 0.0)
+
+    @pytest.mark.parametrize("C, x", [
+        (Box([-1.0, -1.0], [1.0, 1.0]), [1.5, 0.0]),
+        (Box([-1.0, -1.0], [1.0, 1.0]), [np.nan, 0.0]),
+        (Ball([0.0, 0.0], 1.0), [0.0, -1.1]),
+        (Halfspace([1.0, 0.0], 0.5), [0.75, 3.0]),
+        (Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.5)]), [0.9, 0.0]),
+    ], ids=["box", "box-nan", "ball", "halfspace", "intersection"])
+    def test_standalone_certificate_rejects_a_non_member(self, C, x):
+        with pytest.raises(GeometryError, match="not in the set"):
+            in_approx_normal_cone(C, x, [0.0, 0.0], 0.0)
 
 
 # --- Dykstra row retirement ------------------------------------------------

@@ -22,7 +22,7 @@ from catchup.operators import (
     select_F,
 )
 
-from oracles import clamp_interval
+from oracles import clamp_interval, reference_select_F
 
 
 def scalar_model(a=1.0, b=2.0):
@@ -167,6 +167,44 @@ class TestSelection:
         for rule in (SignConvention(-1), SignConvention(0), SignConvention(1), Randomized(seed=2)):
             w = select_F(m, x, rule=rule)
             assert np.linalg.norm(w_min) <= np.linalg.norm(w) + 1e-12
+
+
+# every float, with both zeros, both infinities and NaNs of either sign
+special_floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]))
+
+
+class TestSingletonSelection:
+    """Where G(x) is a singleton {g}, minimal-norm selection takes g itself;
+    it gives the bytes of the clip f - clip(f, g, g) it used to compute."""
+
+    @given(data=st.data(), dim=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_singleton_matches_the_clip(self, data, dim):
+        f = np.array(data.draw(st.lists(special_floats, min_size=dim, max_size=dim)))
+        g = np.array(data.draw(st.lists(special_floats, min_size=dim, max_size=dim)))
+        model = MonotoneModel(lambda x: f.copy(), CustomPart(lambda x: g, dim), Box(
+            np.full(dim, -np.inf), np.full(dim, np.inf)), growth=(1.0, 1.0),
+            dissipativity=(1.0, 1.0, 1.0))
+        x = np.zeros(dim)
+        lower, upper = model.G.value(x)
+        assert lower is upper
+        assert MinimalNorm().pick(lower, upper, f) is lower
+        with np.errstate(all="ignore"):  # inf - inf
+            got = select_F(model, x, MinimalNorm())
+            want = reference_select_F(model, x, MinimalNorm())
+        assert got.tobytes() == want.tobytes()
+
+    @given(data=st.data(), dim=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_interval_takes_the_clip(self, data, dim):
+        f = np.array(data.draw(st.lists(special_floats, min_size=dim, max_size=dim)))
+        ends = np.array(data.draw(st.lists(
+            st.tuples(special_floats, special_floats).map(sorted), min_size=dim, max_size=dim)))
+        for lower, upper in [(ends[:, 0], ends[:, 1]), (ends[:, 0], ends[:, 0].copy())]:
+            out = MinimalNorm().pick(lower, upper, f)
+            assert out is not lower and out is not upper
+            assert out.tobytes() == np.clip(f, lower, upper).tobytes()
 
 
 class TestGlobalize:

@@ -677,17 +677,23 @@ BOX = Box([-1.0, -1.0], [1.0, 1.0])
 
 
 class StackCountingBox(Box):
-    """A box that counts its stacked projections; in a run, the steps
-    project single points and the certificates stack their probes."""
+    """A box that counts its single-point and stacked projections and its
+    membership tests; in a run, the steps project single points and the
+    certificates stack their probes."""
 
     def __init__(self, lower, upper):
         super().__init__(lower, upper)
-        self.stacked = 0
+        self.single = self.stacked = self.contains_calls = 0
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
+        self.single += y.ndim == 1
         self.stacked += y.ndim == 2
         return super().project(y)
+
+    def contains(self, x, tol=None):
+        self.contains_calls += 1
+        return super().contains(x, tol)
 
 
 class TestBlockedCertificates:
@@ -752,6 +758,11 @@ class TestBlockedCertificates:
         out = run(model, np.array([1.0, 0.0]), make_schedule(1.0, Uniform(0.002)))
         assert len(out.certificates) == out.n_steps == 500
         assert C.stacked == {None: 4, 75: 167}[row_budget]
+        # each point is judged once: x0 by `require_member`, x_{k+1} by its
+        # step's projection bound; a certificate that judged its point again
+        # would add one projection and one membership test
+        assert C.single == out.n_steps + 1
+        assert C.contains_calls == 1
 
     def test_probe_failure_on_a_budget_one_intersection(self, row_budget):
         # a single sweep (halfspace x_0 <= -0.5, then the unit ball) takes the
@@ -761,3 +772,4 @@ class TestBlockedCertificates:
         got = run_outcome(run, C, {}, **kw)
         assert got == run_outcome(reference_run, C, {}, **kw)
         assert got[0] == "ProjectionError" and "budget 1 exhausted" in got[1]
+
