@@ -65,7 +65,7 @@ from .models import (
     reference_solution,
 )
 from .diagnostics import (
-    DiagnosticsReport,
+    certificate_table,
     check_beta_domination,
     check_discrete_energy,
     continuous_energy_bound,
@@ -98,7 +98,7 @@ __all__ = [
     "DryFrictionModel", "OneDimModel", "equilibrium_residual",
     "named_model_from_config", "reference_solution",
     # diagnostics
-    "DiagnosticsReport", "check_beta_domination", "check_discrete_energy",
+    "certificate_table", "check_beta_domination", "check_discrete_energy",
     "continuous_energy_bound", "corrector_stability_check",
     "defect_summability", "local_truncation", "predictor_feasibility",
     "stability_experiment",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
-    DiagnosticsReport,
+    certificate_table,
     check_beta_domination,
     check_discrete_energy,
     defect_summability,
@@ -96,12 +96,6 @@ def _point_from(model, value, label: str) -> np.ndarray:
         raise ConfigError(f"{label}: {e}") from None
 
 
-def _from_registry(family: str, registry: dict, spec, seed=None, default=None):
-    """Build the rule or policy that a config record {"kind": ..., ...}
-    names, from the registry of its family."""
-    return build_record(family, registry, spec, "kind", default, seed)
-
-
 def _horizon(cfg: dict) -> float:
     if "T" not in cfg:
         raise ConfigError("config needs a horizon 'T'")
@@ -118,8 +112,8 @@ def _schedule_from(cfg: dict, mu_override: float | None = None):
         spec = {"kind": "uniform", "mu0": mu_override}
     if not spec:
         raise ConfigError("config needs a 'schedule' entry")
-    steps = _from_registry("schedule", STEP_RULES, spec)
-    errors = _from_registry("errors", ERROR_RULES, cfg.get("errors") or {}, default="zero")
+    steps = build_record("schedule", STEP_RULES, spec, "kind")
+    errors = build_record("errors", ERROR_RULES, cfg.get("errors") or {}, "kind", "zero")
     try:
         return make_schedule(T=T, steps=steps, errors=errors)
     except (TypeError, ValueError, OverflowError) as e:
@@ -138,11 +132,11 @@ def _setup(args):
             check_integer(seed)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-    selection = _from_registry("selection", SELECTION_RULES, cfg.get("selection") or {}, seed,
-                               default="minimal_norm")
+    selection = build_record("selection", SELECTION_RULES, cfg.get("selection") or {}, "kind",
+                             "minimal_norm", seed)
     # an unseeded projection draws from the master seed, offset from the selection's
-    projection = _from_registry("projection", PROJECTION_POLICIES, cfg.get("projection") or {},
-                                None if seed is None else seed + 1, default="exact")
+    projection = build_record("projection", PROJECTION_POLICIES, cfg.get("projection") or {},
+                              "kind", "exact", None if seed is None else seed + 1)
     return cfg, model, seed, selection, projection
 
 
@@ -255,14 +249,13 @@ RUN_TAGS = tuple(_RUN_CHECKS)
 STUDY_TAGS = ("feas_L2", "defect_sum", "energy")
 
 
-def _run_report(completed, tags) -> DiagnosticsReport:
-    report = DiagnosticsReport()
+def _run_report(completed, tags) -> dict:
+    """{tag: entry} of the certificates `tags` names, in their order."""
     entries = {}
     for tag in tags:
         if tag not in entries:
             entries.update((e.theorem_tag, e) for e in _RUN_CHECKS[tag](completed))
-        report.add(entries[tag])
-    return report
+    return {tag: entries[tag] for tag in tags}
 
 
 # --- subcommands --------------------------------------------------------------
@@ -277,30 +270,31 @@ def cmd_run(args) -> int:
     try:
         completed = run_scheme(model, x0, schedule,
                                selection=selection, projection=projection)
-        report = _run_report(completed, tags)
+        entries = _run_report(completed, tags)
     except (SchemeError, GeometryError) as e:
         return _failure(out, "run", e)
 
-    hard = [e.theorem_tag for e in report if not e.passed and e.theorem_tag not in INFORMATIONAL_TAGS]
-    soft = [e.theorem_tag for e in report if not e.passed and e.theorem_tag in INFORMATIONAL_TAGS]
+    hard = [tag for tag, e in entries.items() if not e.passed and tag not in INFORMATIONAL_TAGS]
+    soft = [tag for tag, e in entries.items() if not e.passed and tag in INFORMATIONAL_TAGS]
     code = _exit_code(hard, soft, args.strict)
 
     completed.to_csv(out / "trajectory.csv")
-    (out / "diagnostics.json").write_text(report.to_json() + "\n")
+    certificates = {tag: e.to_record() for tag, e in entries.items()}
+    (out / "diagnostics.json").write_text(json.dumps(certificates, indent=2) + "\n")
     manifest = {
         "command": "run",
         "config": _config_record(model, seed, selection, projection, x0, schedule.horizon,
                                  strict=args.strict, schedule=schedule.to_config(),
                                  diagnostics=list(tags)),
         "run": completed.to_manifest(),
-        "certificates": {e.theorem_tag: e.to_record() for e in report},
+        "certificates": certificates,
         "hard_failures": hard,
         "informational_failures": soft,
         "exit_code": code,
     }
     _write_json(out / "manifest.json", manifest)
 
-    print(report.to_text())
+    print(certificate_table(entries.values()))
     final = ", ".join(f"{v:.6g}" for v in completed.X[-1])
     print(f"final state: [{final}] after {completed.n_steps} steps")
     if code == EXIT_OK:
@@ -340,8 +334,8 @@ def cmd_study(args) -> int:
             except SchemeError as e:
                 raise SchemeError(f"level mu={mu}: {e}", e.partial_run, e.kind) from e
             gaps = completed.X - reference.interpolate_state(completed.times)
-            certificates = {e.theorem_tag: e.to_record()
-                            for e in _run_report(completed, STUDY_TAGS)}
+            certificates = {tag: e.to_record()
+                            for tag, e in _run_report(completed, STUDY_TAGS).items()}
             per_level.append({"mu": mu, "n_steps": completed.n_steps,
                               "sup_error": max(float(np.linalg.norm(gap)) for gap in gaps),
                               **certificates})
@@ -430,22 +424,21 @@ def cmd_stability(args) -> int:
     informational = entry.passed and entry.measured > 1.05
     code = _exit_code(not entry.passed, informational, args.strict)
 
-    report = DiagnosticsReport()
-    report.add(entry)
-    (out / "diagnostics.json").write_text(report.to_json() + "\n")
+    certificates = {"stability": entry.to_record()}
+    (out / "diagnostics.json").write_text(json.dumps(certificates, indent=2) + "\n")
     manifest = {
         "command": "stability",
         "config": _config_record(model, seed, selection, projection, [x0_one, x0_two],
                                  schedule.horizon, strict=args.strict,
                                  schedule=schedule.to_config()),
-        "stability": entry.to_record(),
+        "stability": certificates["stability"],
         "informational": informational,
         "max_ratio": entry.measured,
         "exit_code": code,
     }
     _write_json(out / "manifest.json", manifest)
 
-    print(report.to_text())
+    print(certificate_table([entry]))
     flag = " (informational: within mesh tolerance only)" if informational else ""
     print(f"max contraction ratio {entry.measured:.6f}{flag}")
     print(("ok" if code == EXIT_OK else "FAILED") + f": wrote {out}")
@@ -453,12 +446,10 @@ def cmd_stability(args) -> int:
 
 
 def cmd_models(args) -> int:
-    if args.action == "list":
-        for name in sorted(NAMED_MODELS):
-            print(f"{name:<14} {_MODEL_SUMMARIES.get(name, '')}")
-        print("generic models: give 'f', 'G', 'C', and 'constants' instead of a name")
-        return EXIT_OK
-    raise ConfigError(f"unknown models action {args.action!r}")
+    for name in sorted(NAMED_MODELS):
+        print(f"{name:<14} {_MODEL_SUMMARIES.get(name, '')}")
+    print("generic models: give 'f', 'G', 'C', and 'constants' instead of a name")
+    return EXIT_OK
 
 
 # --- entry point ---------------------------------------------------------------

@@ -326,7 +326,8 @@ class Ball(ConvexSet):
 
 
 class Halfspace(ConvexSet):
-    """Halfspace {x : <normal, x> <= offset} with a unit normal."""
+    """Halfspace {x : <normal, x> <= offset} with a unit normal, up to 1e-9;
+    projections divide by |normal|^2, so a far point still lands on it."""
 
     variant = "halfspace"
 
@@ -343,6 +344,9 @@ class Halfspace(ConvexSet):
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError("halfspace normal must be a unit vector")
         self.normal = n
+        # not n @ n: whenever the norm rounds to 1.0 this is 1.0 too, and the
+        # projections keep the bits of y - s n
+        self.norm_sq = nrm * nrm
         self.dim = n.shape[0]
         self.normal.flags.writeable = False
 
@@ -350,8 +354,8 @@ class Halfspace(ConvexSet):
         y = _as_points(y, self.dim)
         s = self._slack(y)
         if y.ndim == 1:  # one point: no row masks
-            return y.copy() if s <= 0 else y - s * self.normal
-        return np.where((s <= 0)[..., None], y, y - s[..., None] * self.normal)
+            return y.copy() if s <= 0 else y - s / self.norm_sq * self.normal
+        return np.where((s <= 0)[..., None], y, y - (s / self.norm_sq)[..., None] * self.normal)
 
     def distance(self, y) -> float | NDArray:
         y = _as_points(y, self.dim)
@@ -368,7 +372,7 @@ class Halfspace(ConvexSet):
         u = _as_vector(u, self.dim)
         if float(self.normal @ x) - self.offset < -membership_tol(x):
             return u.copy()
-        return u - max(float(self.normal @ u), 0.0) * self.normal
+        return u - max(float(self.normal @ u), 0.0) / self.norm_sq * self.normal
 
     def to_config(self) -> dict:
         return {"type": "halfspace", "normal": self.normal.tolist(), "offset": self.offset}
@@ -738,8 +742,10 @@ def probe_stack(C: ConvexSet, X) -> tuple[NDArray, NDArray]:
     Row i of the (m, P, dim) points holds x_i itself, then, each projected
     onto C, the window's axis extremes x_i -+ W_i e_j, its corners
     x_i + W_i s (for dim <= MAX_CORNER_DIM) and PROBE_DRAWS uniform
-    draws from it, the same draws for every row.  Row i is bit for bit
-    what the certificate at x_i alone probes.
+    draws from it, the same draws for every row.  A finite row i is bit for
+    bit what the certificate at x_i alone probes; in a row with a NaN or
+    infinite coordinate, the sign bit of a NaN probe coordinate may depend
+    on the stack's length.
     """
     X = _as_points(X, C.dim)
     m, dim = X.shape

@@ -6,8 +6,8 @@ effective field F(x) = f(x) - G(x).  When G is genuinely set-valued the
 step needs a selection rule, and the runtime checks need the growth
 envelope sup |F(x)| <= a + b|x| and the dissipativity margin
 sup <x, v> <= M - gamma |x|^2 over tangentially projected selections.
-The checkers here falsify those bounds by sampling; they cannot prove
-them, and they say so in their return records.
+`diagnostics` holds the checks that try to falsify those bounds by
+sampling.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .geometry import (
     _as_vector,
     build_record,
     check_integer,
-    sample_points,
     set_from_config,
 )
 
@@ -43,9 +42,6 @@ __all__ = [
     "Randomized",
     "select_F",
     "globalize_constants",
-    "check_linear_growth",
-    "check_tangent_dissipativity",
-    "estimate_one_sided_lipschitz",
 ]
 
 
@@ -362,7 +358,7 @@ def model_from_config(cfg: dict) -> MonotoneModel:
     return build_record("model", {None: _model}, cfg, None)
 
 
-# --- empirical falsification checks ---------------------------------------
+# --- interval boxes ----------------------------------------------------------
 
 def interval_vertices(lower: NDArray, upper: NDArray) -> NDArray:
     """The extreme points of the interval box [lower, upper] (float vectors),
@@ -374,123 +370,3 @@ def interval_vertices(lower: NDArray, upper: NDArray) -> NDArray:
     for j, i in enumerate(fat):
         out[(np.arange(out.shape[0]) >> j) % 2 == 1, i] = upper[i]
     return out
-
-
-def _sampling_defaults(model: MonotoneModel, rng, radius):
-    """A seed-0 generator and the set's bounding radius (or a window scaled
-    by r_star for unbounded sets) unless the caller gave them."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if radius is None:
-        r = model.C.bounding_radius()
-        radius = r if np.isfinite(r) else 10.0 * (1.0 + model.r_star)
-    return rng, radius
-
-
-def check_linear_growth(model: MonotoneModel, rng=None, n_samples: int = 200,
-                        radius: float | None = None) -> dict:
-    """Try to falsify sup_{w in F(x)} |w| <= a + b |x| over sampled feasible x.
-
-    The sup over the interval box is computed exactly per sample (vertex
-    norm); failure to falsify proves nothing, and the record says which
-    points were tried.
-    """
-    rng, radius = _sampling_defaults(model, rng, radius)
-    pts = sample_points(model.C, rng, n_samples, radius)
-    worst_margin = np.inf
-    worst_x = None
-    for x in pts:
-        lo, hi = model.F_interval(x)
-        sup = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-        margin = model.growth_bound(np.linalg.norm(x)) - sup
-        if margin < worst_margin:
-            worst_margin = float(margin)
-            worst_x = x
-    return {
-        "holds": bool(worst_margin >= -1e-9),
-        "worst_margin": float(worst_margin),
-        "witness": None if worst_x is None else worst_x.tolist(),
-        "n_samples": int(n_samples),
-        "radius": float(radius),
-        "kind": "falsification",
-    }
-
-
-def check_tangent_dissipativity(model: MonotoneModel, rng=None, n_samples: int = 200,
-                                radius: float | None = None,
-                                use_global: bool = True) -> dict:
-    """Try to falsify sup_v <x, v> <= M - gamma |x|^2 over sampled feasible x,
-    v ranging over tangent projections of the extreme selections of F(x).
-
-    With use_global the level is M_global and every sample counts;
-    otherwise only samples with |x| >= r_star are tested.
-    """
-    rng, radius = _sampling_defaults(model, rng, radius)
-    pts = sample_points(model.C, rng, n_samples, radius)
-    level = model.M_global if use_global else model.M
-    worst_margin = np.inf
-    worst = None
-    n_tested = 0
-    for x in pts:
-        nx2 = float(x @ x)
-        if not use_global and np.sqrt(nx2) < model.r_star:
-            continue
-        n_tested += 1
-        for w in interval_vertices(*model.F_interval(x)):
-            v = model.C.tangent_project(x, w)
-            margin = level - model.gamma * nx2 - float(x @ v)
-            if margin < worst_margin:
-                worst_margin = float(margin)
-                worst = (x, v)
-    return {
-        "holds": bool(n_tested > 0 and worst_margin >= -1e-9),
-        "worst_margin": float(worst_margin) if n_tested else None,
-        "witness": None if worst is None else {
-            "x": worst[0].tolist(), "v": worst[1].tolist(),
-        },
-        "level": float(level),
-        "use_global": bool(use_global),
-        "n_samples": int(n_tested),
-        "radius": float(radius),
-        "kind": "falsification",
-    }
-
-
-def estimate_one_sided_lipschitz(model: MonotoneModel, rng=None, n_pairs: int = 300,
-                                 radius: float | None = None, rule=None) -> dict:
-    """Sampled estimate of sup <x - xbar, w - wbar> / |x - xbar|^2 over
-    feasible pairs, w and wbar selections of F under the given rule.
-
-    Returns the estimate together with the declared level when the model
-    has one; a sampled estimate above the declared level falsifies it.
-    """
-    rng, radius = _sampling_defaults(model, rng, radius)
-    if rule is None:
-        rule = MinimalNorm()
-    pts = sample_points(model.C, rng, 2 * n_pairs, radius)
-    best = -np.inf
-    witness = None
-    for i in range(n_pairs):
-        x, xb = pts[2 * i], pts[2 * i + 1]
-        dx = x - xb
-        dx2 = float(dx @ dx)
-        if dx2 < 1e-16:
-            continue
-        w = select_F(model, x, rule=rule, rng=rng)
-        wb = select_F(model, xb, rule=rule, rng=rng)
-        q = float(dx @ (w - wb)) / dx2
-        if q > best:
-            best = q
-            witness = (x, xb)
-    declared = model.ell
-    return {
-        "estimate": float(best),
-        "declared": declared,
-        "consistent": bool(declared is None or best <= declared + 1e-9),
-        "witness": None if witness is None else {
-            "x": witness[0].tolist(), "xbar": witness[1].tolist(),
-        },
-        "n_pairs": int(n_pairs),
-        "radius": float(radius),
-        "kind": "falsification",
-    }

@@ -194,7 +194,7 @@ def test_one_step_stability_random_pairs():
             for x, x_bar in pairs:
                 out = corrector_stability_check(
                     model, [x], [x_bar], mu=mu, eps=eps, projection=proj)
-                ok = ok and out["holds"]
+                ok = ok and out.passed
                 checked += 1
             if not ok:
                 break

@@ -319,6 +319,29 @@ class TestStudyCommand:
         assert (out / "trajectory.csv").exists()
 
 
+class TestDiagnosticsFile:
+    def test_diagnostics_file_is_the_manifest_records(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", onedim_config(T=1.0))
+        out = tmp_path / "run"
+        assert main(["run", cfg, "--out", str(out), "--diagnostics", "all"]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert diag == manifest["certificates"]
+        assert all(rec["pass"] for rec in diag.values())
+        records = list(diag.values())
+
+        cfg = write_config(tmp_path / "stab.json", onedim_config(
+            x0=[[0.0], [1.0]], schedule={"kind": "uniform", "mu0": 0.005}))
+        out = tmp_path / "stab"
+        assert main(["stability", cfg, "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert diag == {"stability": manifest["stability"]}
+        records += diag.values()
+        for rec in records:
+            assert {"measured", "bound", "margin", "pass", "theorem_tag"} <= set(rec)
+
+
 class TestStabilityCommand:
     def test_fine_mesh_contracts(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", onedim_config(

@@ -1,7 +1,5 @@
 """Certificate checkers: frozen examples plus the inequalities as properties."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 from catchup.diagnostics import (
     CertificateEntry,
-    DiagnosticsReport,
+    certificate_table,
     check_beta_domination,
     check_discrete_energy,
     continuous_energy_bound,
@@ -342,9 +340,9 @@ class TestCorrectorStability:
 
     def test_equal_points_exact_projection(self):
         out = corrector_stability_check(self.model, [0.4], [0.4], mu=0.05, eps=0.0)
-        assert out["holds"]
-        assert out["lhs"] == 0.0
-        assert out["rhs"] == pytest.approx(out["C_T"] * 0.05 ** 2)
+        assert out.passed
+        assert out.measured == 0.0
+        assert out.bound == pytest.approx(out.detail["C_T"] * 0.05 ** 2)
 
     def test_equal_points_pure_perturbation(self):
         eps = 0.01
@@ -352,21 +350,21 @@ class TestCorrectorStability:
             self.model, [0.4], [0.4], mu=0.05, eps=eps,
             projection=PerturbedProjection(seed=1),
         )
-        assert out["holds"]
-        assert out["lhs"] <= out["C_T"] * (0.05 ** 2 + eps)
+        assert out.passed
+        assert out.measured <= out.detail["C_T"] * (0.05 ** 2 + eps)
 
     def test_relaxation_raises_rhs_linearly(self):
         base = corrector_stability_check(self.model, [0.3], [0.7], mu=0.05, eps=0.0)
         relaxed = corrector_stability_check(self.model, [0.3], [0.7], mu=0.05, eps=0.01)
-        assert relaxed["rhs"] - base["rhs"] == pytest.approx(relaxed["C_T"] * 0.01)
-        assert relaxed["C_T"] == pytest.approx(8.0 * (2.0 + 2.0 * 0.7) ** 2)
+        assert relaxed.bound - base.bound == pytest.approx(relaxed.detail["C_T"] * 0.01)
+        assert relaxed.detail["C_T"] == pytest.approx(8.0 * (2.0 + 2.0 * 0.7) ** 2)
 
     def test_frozen_pair(self):
         # w(0.3) = 1.4 and w(0.7) = 0.6, so with mu = 0.05 the updates
         # land at 0.37 and 0.73 and the gap squared is 0.1296
         out = corrector_stability_check(self.model, [0.3], [0.7], mu=0.05, eps=0.0)
-        assert out["lhs"] == pytest.approx(0.1296)
-        assert out["holds"]
+        assert out.measured == pytest.approx(0.1296)
+        assert out.passed
 
     def test_infeasible_point_rejected(self):
         with pytest.raises(GeometryError):
@@ -391,34 +389,17 @@ class TestCorrectorStability:
             self.model, [x], [x_bar], mu=mu, eps=eps,
             projection=PerturbedProjection(seed=seed),
         )
-        assert out["holds"]
+        assert out.passed
 
 
 class TestReport:
-    def test_json_round_trip(self, relaxing_run):
-        _, r = relaxing_run
-        rep = DiagnosticsReport()
-        rep.add(check_discrete_energy(r))
-        rep.add(defect_summability(r))
-        for e in predictor_feasibility(r):
-            rep.add(e)
-        data = json.loads(rep.to_json())
-        assert set(data) == {"energy", "defect_sum", "feas_L2", "feas_cesaro", "feas_measure"}
-        for rec in data.values():
-            assert {"measured", "bound", "margin", "pass", "theorem_tag"} <= set(rec)
-        assert rep.all_passed()
-
     def test_text_table_marks_failures(self):
-        rep = DiagnosticsReport()
-        rep.add(CertificateEntry("energy", 1.0, 0.0, -1.0, False))
-        rep.add(CertificateEntry("defect_sum", 0.0, 1.0, 1.0, True))
-        text = rep.to_text()
+        entries = [CertificateEntry("energy", 1.0, 0.0, -1.0, False),
+                   CertificateEntry("defect_sum", 0.0, 1.0, 1.0, True)]
+        text = certificate_table(entries)
         assert "FAIL" in text
         assert "pass" in text
         assert text.splitlines()[0].startswith("certificate")
-        assert not rep.all_passed()
 
     def test_empty_report(self):
-        rep = DiagnosticsReport()
-        assert rep.all_passed()
-        assert "no certificates" in rep.to_text()
+        assert "no certificates" in certificate_table([])

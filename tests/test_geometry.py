@@ -140,6 +140,13 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             Halfspace([2.0, 0.0], 1.0)
 
+    def test_near_unit_normal_lands_far_points_inside(self):
+        # 1 - |n|^2 = 1e-9 would leave a far point 1e-9 |y| outside the set
+        H = Halfspace([0.9999999995, 0.0], 0.0)
+        y = np.array([[1e4, 0.0], [1e6, 3.0]])
+        for z in (H.project(y[0]), *H.project(y)):
+            assert float(H.normal @ z) - H.offset <= membership_tol(z)
+
     def test_tangent_on_boundary(self):
         H = Halfspace([0.0, 1.0], 0.0)
         np.testing.assert_allclose(H.tangent_project([3.0, 0.0], [1.0, 2.0]), [1.0, 0.0])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from catchup.diagnostics import check_linear_growth, check_tangent_dissipativity
 from catchup.geometry import Box
-from catchup.operators import check_linear_growth, check_tangent_dissipativity, select_F
+from catchup.operators import select_F
 from catchup.scheme import SchemeError, Uniform, make_schedule, run
 from catchup.models import (
     DryFrictionModel,
@@ -86,13 +87,13 @@ class TestOneDimModel:
             m, rng=np.random.default_rng(0), n_samples=300,
             radius=10.0 * m.equilibrium() + 10.0, use_global=False,
         )
-        assert rec["holds"]
-        assert rec["worst_margin"] >= 0.0
+        assert rec.passed
+        assert rec.margin >= 0.0
 
     def test_growth_constants_pass_checker(self):
         m = OneDimModel(1.0, 2.0)
         rec = check_linear_growth(m, rng=np.random.default_rng(1), n_samples=300, radius=10.0)
-        assert rec["holds"]
+        assert rec.passed
 
 
 class TestDryFrictionModel:

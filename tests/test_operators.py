@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catchup.diagnostics import (
+    check_linear_growth,
+    check_tangent_dissipativity,
+    estimate_one_sided_lipschitz,
+)
 from catchup.geometry import Box, Halfline, NonnegOrthant
 from catchup.operators import (
     AffineField,
@@ -13,9 +18,6 @@ from catchup.operators import (
     SeparableL1,
     SignConvention,
     ZeroPart,
-    check_linear_growth,
-    check_tangent_dissipativity,
-    estimate_one_sided_lipschitz,
     globalize_constants,
     interval_vertices,
     model_from_config,
@@ -103,7 +105,7 @@ class TestIntervalValues:
                           Box([-1.0, -1.0], [1.0, 1.0]), growth=(4.0, 0.0),
                           dissipativity=(1.0, 1.0, 1.0))
         rec = check_linear_growth(m, n_samples=5)
-        assert rec["worst_margin"] == pytest.approx(4.0 - np.sqrt(9.0 + 4.0))
+        assert rec.margin == pytest.approx(4.0 - np.sqrt(9.0 + 4.0))
 
     def test_linear_part_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -231,15 +233,15 @@ class TestGrowthCheck:
     def test_scalar_model_holds(self):
         m = scalar_model(a=1.0, b=2.0)
         rec = check_linear_growth(m, rng=np.random.default_rng(0), n_samples=300, radius=10.0)
-        assert rec["holds"]
-        assert rec["kind"] == "falsification"
+        assert rec.passed
+        assert rec.detail["kind"] == "falsification"
 
     def test_zero_field_holds(self):
         m = MonotoneModel(
             f=AffineField([[0.0]], [0.0]), G=ZeroPart(1), C=Halfline(),
             growth=(0.0, 0.0), dissipativity=(1.0, 1.0, 1.0),
         )
-        assert check_linear_growth(m, rng=np.random.default_rng(1))["holds"]
+        assert check_linear_growth(m, rng=np.random.default_rng(1)).passed
 
     def test_understated_slope_is_falsified(self):
         # |F(x)| = |2 - 2x| exceeds 2 + x once x > 4
@@ -248,8 +250,8 @@ class TestGrowthCheck:
             growth=(2.0, 1.0), dissipativity=(1.0, 1.0, 1.0),
         )
         rec = check_linear_growth(m, rng=np.random.default_rng(2), n_samples=400, radius=10.0)
-        assert not rec["holds"]
-        assert rec["witness"][0] > 4.0
+        assert not rec.passed
+        assert rec.detail["witness"][0] > 4.0
 
 
 class TestDissipativityCheck:
@@ -258,8 +260,8 @@ class TestDissipativityCheck:
         rec = check_tangent_dissipativity(
             m, rng=np.random.default_rng(0), n_samples=300, radius=10.0, use_global=True
         )
-        assert rec["holds"]
-        assert rec["level"] == 5.0
+        assert rec.passed
+        assert rec.detail["level"] == 5.0
 
     def test_scalar_model_local_level(self):
         # xF(x) = -2x^2 + 2x <= 1 - x^2 for all x, so the local level M=1
@@ -268,13 +270,13 @@ class TestDissipativityCheck:
         rec = check_tangent_dissipativity(
             m, rng=np.random.default_rng(0), n_samples=300, radius=10.0, use_global=False
         )
-        assert rec["holds"]
-        assert rec["level"] == 1.0
+        assert rec.passed
+        assert rec.detail["level"] == 1.0
 
     def test_friction_model_holds_on_box(self):
         m = friction_model([0.5, -0.3], K=[[2.0, 0.0], [0.0, 1.0]], weights=[1.0, 1.0])
         rec = check_tangent_dissipativity(m, rng=np.random.default_rng(3), n_samples=200)
-        assert rec["holds"]
+        assert rec.passed
 
     def test_anti_dissipative_is_falsified(self):
         m = MonotoneModel(
@@ -284,15 +286,15 @@ class TestDissipativityCheck:
         rec = check_tangent_dissipativity(
             m, rng=np.random.default_rng(4), n_samples=200, radius=10.0
         )
-        assert not rec["holds"]
+        assert not rec.passed
 
 
 class TestOneSidedLipschitz:
     def test_affine_model_estimate_is_exact(self):
         m = scalar_model(a=1.0, b=2.0)
         rec = estimate_one_sided_lipschitz(m, rng=np.random.default_rng(0), n_pairs=200)
-        assert rec["estimate"] == pytest.approx(-2.0, abs=1e-9)
-        assert rec["consistent"]
+        assert rec.measured == pytest.approx(-2.0, abs=1e-9)
+        assert rec.passed
 
     def test_understated_level_is_flagged(self):
         m = MonotoneModel(
@@ -300,8 +302,8 @@ class TestOneSidedLipschitz:
             growth=(0.0, 1.0), dissipativity=(1.0, 1.0, 1.0), ell=0.5,
         )
         rec = estimate_one_sided_lipschitz(m, rng=np.random.default_rng(1), n_pairs=200)
-        assert rec["estimate"] == pytest.approx(1.0, abs=1e-9)
-        assert not rec["consistent"]
+        assert rec.measured == pytest.approx(1.0, abs=1e-9)
+        assert not rec.passed
 
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=30, deadline=None)

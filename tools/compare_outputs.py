@@ -36,7 +36,8 @@ manifest, reason contract, exit 3, and no trajectory), and the same
 config run as `study`, whose exact reference fails the same way (exit 3,
 no trajectory); a far outward
 step from a halfspace whose normal is 5e-10 short of unit length, which
-lands outside the membership tolerance (reason infeasible); a start outside
+lands on the boundary, since the projection divides by |normal|^2
+(exit 0); a start outside
 a thin cap (a ball cut at -0.99 of its radius), a config error; a generic
 scalar model whose records carry fields their kinds do not have (`dim` on
 a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
