@@ -38,7 +38,8 @@ from .geometry import (
 )
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
 from .operators import SELECTION_RULES, model_from_config
-from .scheme import ERROR_RULES, STEP_RULES, SchemeError, csv_text, make_schedule, run as run_scheme
+from .scheme import (ERROR_RULES, STEP_RULES, SchemeError, make_schedule, run as run_scheme,
+                     write_csv)
 
 __all__ = ["main", "ConfigError", "EXIT_OK", "EXIT_CERTIFICATE", "EXIT_CONFIG", "EXIT_RUNTIME"]
 
@@ -357,11 +358,11 @@ def cmd_study(args) -> int:
 
     header = ["level", "mu", "n_steps", "sup_error", "feas_L2", "feas_L2_bound",
               "defect_sum", "defect_sum_bound", "energy_residual"]
-    rows = ((i, lvl["mu"], lvl["n_steps"], lvl["sup_error"],
+    rows = [(lvl["mu"], lvl["n_steps"], lvl["sup_error"],
              lvl["feas_L2"]["measured"], lvl["feas_L2"]["bound"],
              lvl["defect_sum"]["measured"], lvl["defect_sum"]["bound"], lvl["energy"]["measured"])
-            for i, lvl in enumerate(per_level))
-    (out / "study.csv").write_text(csv_text(header, rows))
+            for lvl in per_level]
+    write_csv(out / "study.csv", header, [np.arange(len(rows)), *map(np.array, zip(*rows))])
 
     code = _exit_code(not all(checks.values()))
     manifest = {
@@ -416,8 +417,8 @@ def cmd_stability(args) -> int:
         return _failure(out, "stability", e)
 
     entry = result["entry"]
-    rows = zip(schedule.times, result["gaps"], result["envelope"], result["profile"])
-    (out / "stability.csv").write_text(csv_text(["t", "gap", "envelope", "ratio"], rows))
+    write_csv(out / "stability.csv", ["t", "gap", "envelope", "ratio"],
+              [schedule.times, result["gaps"], result["envelope"], result["profile"]])
 
     # passing only thanks to a wide mesh tolerance is reported, not
     # failed; --strict upgrades that to an error

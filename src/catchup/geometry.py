@@ -131,6 +131,9 @@ class ConvexSet:
     """
 
     dim: int
+    # whether the projection acts on each coordinate alone, so that it
+    # commutes with taking coordinates from other points
+    separable = False
 
     def project(self, y) -> NDArray:
         """The metric projection of a vector (dim,) or of each row of a stack (m, dim)."""
@@ -188,6 +191,7 @@ class Box(ConvexSet):
     """Axis-aligned box [lower, upper]; bounds may be infinite."""
 
     variant = "box"
+    separable = True
 
     def __init__(self, lower, upper):
         self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
@@ -327,7 +331,8 @@ class Ball(ConvexSet):
 
 class Halfspace(ConvexSet):
     """Halfspace {x : <normal, x> <= offset} with a unit normal, up to 1e-9;
-    projections divide by |normal|^2, so a far point still lands on it."""
+    projections divide by |normal|^2 and distances by |normal|, so a far
+    point still lands on it and its distance is how far it moves."""
 
     variant = "halfspace"
 
@@ -345,7 +350,8 @@ class Halfspace(ConvexSet):
             raise ValueError("halfspace normal must be a unit vector")
         self.normal = n
         # not n @ n: whenever the norm rounds to 1.0 this is 1.0 too, and the
-        # projections keep the bits of y - s n
+        # projections and distances keep the bits of y - s n and s
+        self.norm = nrm
         self.norm_sq = nrm * nrm
         self.dim = n.shape[0]
         self.normal.flags.writeable = False
@@ -360,7 +366,7 @@ class Halfspace(ConvexSet):
     def distance(self, y) -> float | NDArray:
         y = _as_points(y, self.dim)
         s = self._slack(y)
-        return max(s, 0.0) if y.ndim == 1 else np.maximum(s, 0.0)
+        return (max(s, 0.0) if y.ndim == 1 else np.maximum(s, 0.0)) / self.norm
 
     def _slack(self, y: NDArray):
         """<normal, y> - offset: a float for a vector, an array for a stack."""
@@ -715,11 +721,12 @@ class NormalConeCertificate:
 def _probe_layout(dim: int):
     """What the probe recipe in R^dim takes from dim alone, read-only: the
     column of `probe_stack`'s per-row table that each coordinate of each
-    query takes, and the PROBE_DRAWS draws U of a generator seeded with
-    PROBE_SEED, flattened."""
-    # column 3 i + c of the table is x_i + (-W), x_i + W or x_i for c = 0, 1, 2.
-    # The axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...), keep x_i
-    # off their own axis, so a -0.0 there stays -0.0
+    query takes, and the PROBE_DRAWS draws U (PROBE_DRAWS, dim) of a
+    generator seeded with PROBE_SEED."""
+    # column c dim + i of the table is coordinate i of its row c: x_i + (-W),
+    # x_i + W or x_i for c = 0, 1, 2, and x_i plus draw j for c = 3 + j.  The
+    # axis extremes, in the order (-W e_0, +W e_0, -W e_1, ...), keep x_i off
+    # their own axis, so a -0.0 there stays -0.0
     axis = np.arange(dim)
     extremes = np.full((2 * dim, dim), 2)
     extremes[2 * axis, axis] = 0
@@ -728,9 +735,9 @@ def _probe_layout(dim: int):
     if dim <= MAX_CORNER_DIM:
         # corner j has sign +1 in coordinate i when bit i of j is set
         rows.append((np.arange(2 ** dim)[:, None] >> axis) & 1)
-    rows.append(np.full((PROBE_DRAWS, dim), 2))  # x, to which the draws are added
-    index = (3 * axis + np.concatenate(rows)).ravel()
-    U = np.random.default_rng(PROBE_SEED).random((PROBE_DRAWS, dim)).ravel()
+    rows.append(np.broadcast_to(np.arange(3, 3 + PROBE_DRAWS)[:, None], (PROBE_DRAWS, dim)))
+    index = (np.concatenate(rows) * dim + axis).ravel()
+    U = np.random.default_rng(PROBE_SEED).random((PROBE_DRAWS, dim))
     index.flags.writeable = U.flags.writeable = False
     return index, U
 
@@ -751,18 +758,20 @@ def probe_stack(C: ConvexSet, X) -> tuple[NDArray, NDArray]:
     m, dim = X.shape
     index, U = _probe_layout(dim)
     W = PROBE_WINDOW_SCALE * (1.0 + _norm(X))
-    Wr = W[:, None]
-    table = np.empty((m, dim, 3))
-    table[..., 0] = X + -Wr
-    table[..., 1] = X + Wr
-    table[..., 2] = X
-    # the queries before projection, each coordinate taken from the table
-    Q = np.take(table.reshape(m, -1), index, axis=1)
-    # rng.uniform(-W, W) computes -W + (W - -W) U from the draws U of `random`
-    Q[:, -U.size:] += -Wr + (Wr - -Wr) * U
+    Wr = W[:, None, None]
+    # the rows every query takes its coordinates from; rng.uniform(-W, W)
+    # computes -W + (W - -W) U from the draws U of `random`
+    table = np.empty((m, 3 + PROBE_DRAWS, dim))
+    table[:, 0] = X + -W[:, None]
+    table[:, 1] = X + W[:, None]
+    table[:, 2] = X
+    table[:, 3:] = X[:, None] + (-Wr + (Wr - -Wr) * U)
+    if C.separable:  # project the table's rows, fewer than the queries taken from them
+        table = C.project(table.reshape(-1, dim))
+    queries = np.take(table.reshape(m, -1), index, axis=1).reshape(-1, dim)
     points = np.empty((m, index.size // dim + 1, dim))
     points[:, 0] = X
-    points[:, 1:] = C.project(Q.reshape(-1, dim)).reshape(m, -1, dim)
+    points[:, 1:] = (queries if C.separable else C.project(queries)).reshape(m, -1, dim)
     return points, W
 
 

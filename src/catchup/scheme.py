@@ -52,6 +52,7 @@ __all__ = [
     "DiscreteRun",
     "verify_run_invariants",
     "read_run_csv",
+    "write_csv",
 ]
 
 
@@ -460,15 +461,10 @@ class DiscreteRun:
         step, tolerance.  The last row carries only (k, t, state)."""
         d, n = self.dim, self.n_steps
         header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
-        body = np.column_stack([self.times[:n], self.X[:n], self.W, self.P, self.V,
-                                self.schedule.mus[:n], self.schedule.eps[:n]])
+        columns = [np.arange(n), self.times[:n], *self.X[:n].T, *self.W.T, *self.P.T,
+                   *self.V.T, self.schedule.mus[:n], self.schedule.eps[:n]]
         last = (n, float(self.times[n]), *self.X[n].tolist(), *[None] * (3 * d + 2))
-        text = csv_text(header, itertools.chain(((k, *body[k].tolist()) for k in range(n)), [last]))
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-        return None
+        return write_csv(path, header, columns, last)
 
 
 def summarize_certificates(certificates) -> dict:
@@ -638,19 +634,32 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
 
 # --- serialization round trip ----------------------------------------------
 
-def csv_text(header, rows) -> str:
-    """The table format of every CSV file the package writes: a header
-    line, then one line per row, with ints written through str, floats
-    through repr (full precision), None as an empty cell, "\n" line ends."""
-    lines = [",".join(header)]
-    lines += [",".join("" if v is None else str(v) if isinstance(v, int) else repr(float(v))
-                       for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-# read_run_csv parses this many rows per numpy call, so that the cells of
-# a block, never those of the whole body, exist as strings at once
+# write_csv formats and writes this many rows at a time, so that the cells
+# of a block, never those of the whole table, exist as strings at once
 CSV_BLOCK_ROWS = 256
+
+
+def write_csv(path, header, columns, last=None) -> str | None:
+    """The table format of every CSV file the package writes: a header
+    line, then one line per row of `columns` (numpy arrays of one length),
+    ints written through str, floats through repr (full precision), then
+    the row `last` of Python ints and floats, None an empty cell; "\n" line
+    ends.  Writes to the file `path` and closes it, or returns the text
+    when `path` is None."""
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = [map(repr, col[i: i + CSV_BLOCK_ROWS].tolist()) for col in columns]
+            yield "".join(",".join(row) + "\n" for row in zip(*cells))
+        if last is not None:
+            yield ",".join("" if v is None else repr(v) for v in last) + "\n"
+
+    if path is None:
+        return "".join(blocks())
+    with open(path, "w") as fh:
+        fh.writelines(blocks())
+    return None
 
 
 def read_run_csv(path_or_text: str) -> dict:
@@ -671,10 +680,8 @@ def read_run_csv(path_or_text: str) -> dict:
         raise ValueError("unrecognized trajectory CSV header")
     # columns t, x, w, p, v, mu, eps; the last row holds only t and x
     table = np.empty((n + 1, 4 * d + 3))
-    rows = lines[1:-1]
-    for i in range(0, n, CSV_BLOCK_ROWS):
-        block = rows[i: i + CSV_BLOCK_ROWS]
-        table[i: i + len(block)] = np.array([r.split(",")[1:] for r in block], dtype=float)
+    if n:
+        table[:n] = np.loadtxt(lines[1:-1], delimiter=",", comments=None, ndmin=2)[:, 1:]
     table[n, :d + 1] = np.array(lines[-1].split(",")[1: d + 2], dtype=float)
     body = table[:n]
     return {"times": table[:, 0], "X": table[:, 1: 1 + d],

@@ -14,7 +14,10 @@ it was while every row of a stack swept until the last one settled, and
 was while its norms, tolerances and verdicts were numpy scalars; both
 sweep with `dykstra_sweeps`, written out here.  `reference_perturbed_project`
 is the Perturbed policy's point as it was while a policy returned its point
-alone, from the sets' own projections.
+alone, from the sets' own projections.  `reference_probe_stack` is the
+stacked probe builder as it was while every query was gathered and then
+projected, and `reference_csv_text` the CSV writer as it was while every
+cell was formatted on its own.
 """
 
 import itertools
@@ -152,6 +155,39 @@ def probe_points_loop(C, x):
     return np.asarray(probes), W
 
 
+def reference_probe_stack(C, X):
+    """The probe points and windows of `geometry.probe_stack` at the rows of
+    X (m, dim) as they were built while every query was gathered before its
+    projection: each coordinate of each query taken from the table
+    (m, dim, 3) of x_i + (-W), x_i + W and x_i, with W = 10 (1 + |x|), the
+    draws -W + (W - -W) U of a generator seeded with 0 added to the 16 draw
+    queries, and all queries projected in one call."""
+    X = np.asarray(X, dtype=float)
+    m, dim = X.shape
+    axis = np.arange(dim)
+    extremes = np.full((2 * dim, dim), 2)
+    extremes[2 * axis, axis] = 0
+    extremes[2 * axis + 1, axis] = 1
+    rows = [extremes]
+    if dim <= 10:
+        rows.append((np.arange(2 ** dim)[:, None] >> axis) & 1)
+    rows.append(np.full((16, dim), 2))
+    index = (3 * axis + np.concatenate(rows)).ravel()
+    U = np.random.default_rng(0).random((16, dim)).ravel()
+    W = 10.0 * (1.0 + np.sqrt(np.vecdot(X, X)))
+    Wr = W[:, None]
+    table = np.empty((m, dim, 3))
+    table[..., 0] = X + -Wr
+    table[..., 1] = X + Wr
+    table[..., 2] = X
+    Q = np.take(table.reshape(m, -1), index, axis=1)
+    Q[:, -U.size:] += -Wr + (Wr - -Wr) * U
+    points = np.empty((m, index.size // dim + 1, dim))
+    points[:, 0] = X
+    points[:, 1:] = C.project(Q.reshape(-1, dim)).reshape(m, -1, dim)
+    return points, W
+
+
 def normal_cone_record(C, x, v, delta):
     """The certificate record for v at x over the loop-built probes: the
     worst <v, z - x>, its probe, and the verdict with the certificate's
@@ -171,6 +207,16 @@ def normal_cone_record(C, x, v, delta):
         "n_probes": int(pts.shape[0]),
         "seed": 0,
     }
+
+
+def reference_csv_text(header, rows) -> str:
+    """The CSV text of a header and rows written cell by cell: ints through
+    str, other numbers through repr of their float, None as an empty cell,
+    "\n" line ends."""
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else str(v) if isinstance(v, int) else repr(float(v))
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def distance_formula(C, y):

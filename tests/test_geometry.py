@@ -38,6 +38,7 @@ from oracles import (
     probe_points_loop,
     reference_dykstra_limit,
     reference_iterative_project,
+    reference_probe_stack,
     reference_perturbed_project,
 )
 
@@ -146,6 +147,22 @@ class TestHalfspace:
         y = np.array([[1e4, 0.0], [1e6, 3.0]])
         for z in (H.project(y[0]), *H.project(y)):
             assert float(H.normal @ z) - H.offset <= membership_tol(z)
+
+    @pytest.mark.parametrize("normal, y", [
+        ([0.9999999995, 0.0], [1e4, 0.0]),
+        ([0.9999999995, 0.0], [1e6, 3.0]),
+        ([0.0, 0.9999999995], [-2.0, 7.5e5]),
+        ([0.6, 0.8], [3.0, 4.0]),
+    ])
+    def test_distance_is_how_far_the_projection_moves(self, normal, y):
+        # a normal short of unit length leaves the slack <n, y> - offset
+        # short of the distance, by 5e-10 relative for these normals
+        H = Halfspace(normal, 0.0)
+        y = np.array(y)
+        moved = float(np.linalg.norm(y - H.project(y)))
+        assert H.distance(y) == pytest.approx(moved, rel=1e-15, abs=0.0)
+        stacked = H.distance(np.array([y, y]))
+        np.testing.assert_allclose(stacked, [moved, moved], rtol=1e-15, atol=0.0)
 
     def test_tangent_on_boundary(self):
         H = Halfspace([0.0, 1.0], 0.0)
@@ -578,6 +595,26 @@ class TestProbeStack:
             want_pts, want_W = probe_points_loop(C, x)
             assert pts[i].tobytes() == want_pts.tobytes(), i
             assert W[i].tobytes() == np.float64(want_W).tobytes(), i
+
+    @pytest.mark.parametrize("dim, name", PROBE_CASES)
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_bytes_match_the_gather_then_project_recipe(self, dim, name, data):
+        # a box projects its per-row table and then gathers the queries;
+        # every set gives the bytes of gathering first and projecting the
+        # queries, at members with signed zeros and boundary coordinates
+        C = _probe_sets(dim)[name]
+        rows = data.draw(st.lists(st.tuples(st.lists(coordinates, min_size=dim, max_size=dim),
+                                            st.sampled_from(["boundary", "inside"])),
+                                  min_size=1, max_size=20))
+        X = _stack(C, rows)
+        try:
+            want = reference_probe_stack(C, X)
+        except ProjectionError:
+            with pytest.raises(ProjectionError):
+                probe_stack(C, X)
+            return
+        assert [a.tobytes() for a in probe_stack(C, X)] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("window", [1.0, 10.000000000000002, 37.3, 1e-300, 3])
     def test_draws_are_the_generators_uniform_draws(self, window):

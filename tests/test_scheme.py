@@ -1,3 +1,8 @@
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,9 +46,16 @@ from catchup.scheme import (
     run,
     step,
     verify_run_invariants,
+    write_csv,
 )
 
-from oracles import catching_up_halfline, onedim_hit_time, reference_run, reference_step
+from oracles import (
+    catching_up_halfline,
+    onedim_hit_time,
+    reference_csv_text,
+    reference_run,
+    reference_step,
+)
 
 
 def scalar_model(a=1.0, b=2.0):
@@ -533,13 +545,14 @@ class TestSerialization:
                           ("mus", s.mus), ("eps", s.eps)]:
             assert data[key].tobytes() == np.asarray(want, dtype=float).tobytes(), key
 
-    @pytest.mark.parametrize("cell", ["", "0.5x"], ids=["empty", "garbled"])
-    def test_bad_cell_is_value_error(self, cell):
+    @pytest.mark.parametrize("cell, bad", [("1.0", ""), ("1.0", "0.5x"), ("1.0,", "")],
+                             ids=["empty", "garbled", "short"])
+    def test_bad_cell_is_value_error(self, cell, bad):
         s = make_schedule(1.0, Uniform(0.5))
         r = DiscreteRun(None, s, [[0.0], [0.5], [1.0]], [[1.0], [1.0]], np.zeros((2, 1)),
                         [[0.0], [0.0]], [[0.0], [0.0]])
         lines = r.to_csv().split("\n")
-        lines[2] = lines[2].replace("1.0", cell, 1)
+        lines[2] = lines[2].replace(cell, bad, 1)
         with pytest.raises(ValueError):
             read_run_csv("\n".join(lines))
 
@@ -581,6 +594,81 @@ class TestSerialization:
         r.to_csv(str(path))
         data = read_run_csv(str(path))
         np.testing.assert_array_equal(data["X"], r.X)
+
+
+# floats whose repr is hard to round-trip, repeated, and arbitrary ones
+csv_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, np.inf, -np.inf, np.nan, 0.1]),
+    st.floats(),
+)
+
+
+def _float_array(data, shape):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(csv_floats, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, except that any NaN equals any NaN: repr writes
+    every NaN as nan, whatever its sign and payload."""
+    a, b = (np.where(np.isnan(v), np.nan, v) for v in (np.asarray(a), np.asarray(b)))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestColumnwiseCSV:
+    """`write_csv` formats a block of rows a column at a time and writes the
+    text of the writer that formats each cell on its own; `read_run_csv`
+    parses it back to the same bits."""
+
+    @pytest.mark.parametrize("block", [1, 3, scheme.CSV_BLOCK_ROWS])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_columns_give_the_cell_by_cell_text(self, block, data):
+        n = data.draw(st.integers(0, 12))
+        ints = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n)
+        columns = [np.array(data.draw(ints), dtype=np.int64) if kind == "int"
+                   else _float_array(data, n)
+                   for kind in data.draw(st.lists(st.sampled_from(["int", "float"]),
+                                                  min_size=1, max_size=5))]
+        header = [f"c{i}" for i in range(len(columns))]
+        last = data.draw(st.none() | st.lists(st.none() | st.integers() | csv_floats,
+                                              min_size=len(columns), max_size=len(columns)))
+        rows = [*zip(*(c.tolist() for c in columns))] + ([] if last is None else [last])
+        want = reference_csv_text(header, rows)
+        with mock.patch.object(scheme, "CSV_BLOCK_ROWS", block), \
+                tempfile.TemporaryDirectory() as tmp:
+            assert write_csv(None, header, columns, last) == want
+            path = Path(tmp) / "table.csv"
+            assert write_csv(path, header, columns, last) is None
+            assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("block", [1, 3, scheme.CSV_BLOCK_ROWS])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_run_table_round_trips(self, block, data):
+        n, d = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 3))
+        schedule = SimpleNamespace(times=_float_array(data, n + 1), mus=_float_array(data, n),
+                                   eps=_float_array(data, n))
+        X = _float_array(data, (n + 1, d))
+        W, P, V = (_float_array(data, (n, d)) for _ in range(3))
+        r = DiscreteRun(None, schedule, X, W, np.zeros((n, d)), P, V)
+        header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
+        rows = [(k, schedule.times[k], *X[k], *W[k], *P[k], *V[k], schedule.mus[k],
+                 schedule.eps[k]) for k in range(n)]
+        rows.append((n, schedule.times[n], *X[n], *[None] * (3 * d + 2)))
+        want = reference_csv_text(header, rows)
+        with mock.patch.object(scheme, "CSV_BLOCK_ROWS", block), \
+                tempfile.TemporaryDirectory() as tmp:
+            assert r.to_csv() == want
+            path = Path(tmp) / "trajectory.csv"
+            r.to_csv(path)
+            assert path.read_bytes() == want.encode()
+            for parsed in (read_run_csv(want), read_run_csv(str(path))):
+                for key, value in [("times", schedule.times), ("X", X), ("W", W), ("P", P),
+                                   ("V", V), ("mus", schedule.mus), ("eps", schedule.eps)]:
+                    assert _same_bits(parsed[key], value), key
 
 
 class TestProperties:
@@ -677,18 +765,19 @@ BOX = Box([-1.0, -1.0], [1.0, 1.0])
 
 
 class StackCountingBox(Box):
-    """A box that counts its single-point and stacked projections and its
-    membership tests; in a run, the steps project single points and the
-    certificates stack their probes."""
+    """A box that counts its single-point and stacked projections, the rows
+    of the stacks, and its membership tests; in a run, the steps project
+    single points and the certificates stack their probes."""
 
     def __init__(self, lower, upper):
         super().__init__(lower, upper)
-        self.single = self.stacked = self.contains_calls = 0
+        self.single = self.stacked = self.rows = self.contains_calls = 0
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
         self.single += y.ndim == 1
         self.stacked += y.ndim == 2
+        self.rows += y.shape[0] if y.ndim == 2 else 0
         return super().project(y)
 
     def contains(self, x, tol=None):
@@ -763,6 +852,16 @@ class TestBlockedCertificates:
         # would add one projection and one membership test
         assert C.single == out.n_steps + 1
         assert C.contains_calls == 1
+
+    def test_a_box_projects_its_probe_table(self, row_budget):
+        # a certificate in R^2 projects the 3 + 16 rows of its probe table
+        # (x - W, x + W, x and the draws), not its 24 probe queries
+        C = StackCountingBox([-1.0, -1.0], [1.0, 1.0])
+        model = MonotoneModel(AffineField(np.zeros((2, 2)), [1.0, 0.0]), ZeroPart(2), C,
+                              growth=(1.0, 0.0), dissipativity=(1.0, 10.0, 0.5))
+        out = run(model, np.array([1.0, 0.0]), make_schedule(1.0, Uniform(0.002)))
+        assert len(out.certificates) == 500
+        assert C.rows == 19 * 500
 
     def test_probe_failure_on_a_budget_one_intersection(self, row_budget):
         # a single sweep (halfspace x_0 <= -0.5, then the unit ball) takes the

@@ -37,7 +37,10 @@ config run as `study`, whose exact reference fails the same way (exit 3,
 no trajectory); a far outward
 step from a halfspace whose normal is 5e-10 short of unit length, which
 lands on the boundary, since the projection divides by |normal|^2
-(exit 0); a start outside
+(exit 0); f(x) = (3, -3, -2) - x pushed out of a box with infinite bounds
+(lower (-1, -inf, 0), upper (1, 2, inf)), 20 steps of mu = 0.05 from 0,
+each with a normal-cone certificate that projects the probe table of a
+box; a start outside
 a thin cap (a ball cut at -0.99 of its radius), a config error; a generic
 scalar model whose records carry fields their kinds do not have (`dim` on
 a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
@@ -141,6 +144,10 @@ PINNED_CASES = {
                                                       "normal": [0.9999999995, 0.0],
                                                       "offset": 0.0}, [0.0, 0.0]),
                             "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.1}},
+    "box-half-infinite": {**_pushed_out([3.0, -3.0, -2.0],
+                                        {"type": "box", "lower": [-1.0, -float("inf"), 0.0],
+                                         "upper": [1.0, 2.0, float("inf")]}, [0.0, 0.0, 0.0]),
+                          "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.05}},
     "thin-cap-start": _pushed_out([3.0, 1.0], {"type": "intersection", "members": [
         {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
         {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
