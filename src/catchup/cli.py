@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,27 +62,59 @@ _MODEL_SUMMARIES = {
 
 # --- config resolution ------------------------------------------------------
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> SimpleNamespace:
+    """The config file's top-level record, with the flags that were given
+    over its keys; a null key is left out, so it takes its default."""
     try:
-        text = Path(path).read_text()
+        text = Path(args.config).read_text()
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
+        raise ConfigError(f"cannot read config {args.config}: {e}") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a mapping")
-    return cfg
+        raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
+    if isinstance(cfg, dict):  # any other root is build_record's to reject
+        flags = [(key, getattr(args, key, None)) for key in ("seed", "out", "diagnostics")]
+        cfg = {key: value for key, value in [*cfg.items(), *flags] if value is not None}
+    return build_record("config", {None: _config}, cfg, None)
 
 
-def _model_from(cfg: dict):
-    spec = cfg.get("model")
-    if spec is None:
-        raise ConfigError("config needs a 'model' entry")
-    if not isinstance(spec, dict):
-        raise ConfigError("'model' must be a mapping")
-    return (named_model_from_config if "model" in spec else model_from_config)(spec)
+def _config(model, T, x0=0.0, schedule=None, errors=None, selection=None, projection=None,
+            seed=None, diagnostics=None, out=None, study=None, tol_mesh=None):
+    """The top level lists every key some command reads, so one config
+    serves them all.  What every command uses is built here, in order: the
+    model, the master seed, the selection rule and the projection policy,
+    minimal-norm and exact unless the config names others.  The other keys
+    stay as given, for the command that reads them."""
+    model = (named_model_from_config if isinstance(model, dict) and "model" in model
+             else model_from_config)(model)
+    if seed is not None:
+        check_integer(seed)
+    selection = build_record("selection", SELECTION_RULES, {} if selection is None else selection,
+                             "kind", "minimal_norm", seed)
+    # an unseeded projection draws from the master seed, offset from the selection's
+    projection = build_record("projection", PROJECTION_POLICIES,
+                              {} if projection is None else projection, "kind", "exact",
+                              None if seed is None else seed + 1)
+    return SimpleNamespace(**locals())
+
+
+def _study(levels, reference_refine=8):
+    """The `study` record: its levels and the reference's step."""
+    levels = [float(v) for v in levels]
+    refine = check_integer(reference_refine, "reference_refine", minimum=2)
+    if len(levels) < 3:
+        raise ValueError("needs at least 3 refinement levels")
+    if any(m <= 0 for m in levels) or any(b >= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be positive and strictly decreasing")
+    return levels, levels[-1] / refine
+
+
+def _number(value, label: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{label} must be a number, got {value!r}") from None
 
 
 def _point_from(model, value, label: str) -> np.ndarray:
@@ -97,48 +130,18 @@ def _point_from(model, value, label: str) -> np.ndarray:
         raise ConfigError(f"{label}: {e}") from None
 
 
-def _horizon(cfg: dict) -> float:
-    if "T" not in cfg:
-        raise ConfigError("config needs a horizon 'T'")
-    try:
-        return float(cfg["T"])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"T: {e}") from None
-
-
-def _schedule_from(cfg: dict, mu_override: float | None = None):
-    T = _horizon(cfg)
-    spec = cfg.get("schedule")
-    if mu_override is not None:
-        spec = {"kind": "uniform", "mu0": mu_override}
-    if not spec:
+def _schedule_from(cfg, mu_override: float | None = None):
+    T = _number(cfg.T, "T")
+    spec = cfg.schedule if mu_override is None else {"kind": "uniform", "mu0": mu_override}
+    if spec is None:
         raise ConfigError("config needs a 'schedule' entry")
     steps = build_record("schedule", STEP_RULES, spec, "kind")
-    errors = build_record("errors", ERROR_RULES, cfg.get("errors") or {}, "kind", "zero")
+    errors = build_record("errors", ERROR_RULES, {} if cfg.errors is None else cfg.errors,
+                          "kind", "zero")
     try:
         return make_schedule(T=T, steps=steps, errors=errors)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"schedule: {e}") from None
-
-
-def _setup(args):
-    """What run, study and stability share: the config, its model, the
-    master seed (--seed over the config's), and the selection rule and
-    projection policy, minimal-norm and exact unless the config names others."""
-    cfg = _load_config(args.config)
-    model = _model_from(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None:
-        try:
-            check_integer(seed)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-    selection = build_record("selection", SELECTION_RULES, cfg.get("selection") or {}, "kind",
-                             "minimal_norm", seed)
-    # an unseeded projection draws from the master seed, offset from the selection's
-    projection = build_record("projection", PROJECTION_POLICIES, cfg.get("projection") or {},
-                              "kind", "exact", None if seed is None else seed + 1)
-    return cfg, model, seed, selection, projection
 
 
 def _tags_from(value, default=DEFAULT_RUN_TAGS):
@@ -160,23 +163,27 @@ def _tags_from(value, default=DEFAULT_RUN_TAGS):
     return tags
 
 
-def _out_dir(args, cfg: dict) -> Path:
-    out = args.out or cfg.get("out") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _out_dir(out) -> Path:
+    """The output directory `out` (the working directory when absent), made
+    if it is not there."""
+    try:
+        path = Path("." if out is None else out)
+        path.mkdir(parents=True, exist_ok=True)
+    except (TypeError, OSError) as e:
+        raise ConfigError(f"out: {e}") from None
     return path
 
 
-def _config_record(model, seed, selection, projection, x0, T, **extra) -> dict:
+def _config_record(cfg, x0, T, **extra) -> dict:
     """The manifest `config` of run, study and stability: the keys they
     share, then each command's own `extra` keys."""
     return {
-        "model": model.to_config(),
+        "model": cfg.model.to_config(),
         "x0": np.asarray(x0).tolist(),
         "T": T,
-        "selection": selection.name,
-        "projection": projection.name,
-        "seed": seed,
+        "selection": cfg.selection.name,
+        "projection": cfg.projection.name,
+        "seed": cfg.seed,
         **extra,
     }
 
@@ -262,15 +269,15 @@ def _run_report(completed, tags) -> dict:
 # --- subcommands --------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    cfg, model, seed, selection, projection = _setup(args)
-    x0 = _point_from(model, cfg.get("x0", 0.0), "x0")
+    cfg = _load_config(args)
+    x0 = _point_from(cfg.model, cfg.x0, "x0")
     schedule = _schedule_from(cfg)
-    tags = _tags_from(args.diagnostics if args.diagnostics is not None else cfg.get("diagnostics"))
-    out = _out_dir(args, cfg)
+    tags = _tags_from(cfg.diagnostics)
+    out = _out_dir(cfg.out)
 
     try:
-        completed = run_scheme(model, x0, schedule,
-                               selection=selection, projection=projection)
+        completed = run_scheme(cfg.model, x0, schedule,
+                               selection=cfg.selection, projection=cfg.projection)
         entries = _run_report(completed, tags)
     except (SchemeError, GeometryError) as e:
         return _failure(out, "run", e)
@@ -284,9 +291,8 @@ def cmd_run(args) -> int:
     (out / "diagnostics.json").write_text(json.dumps(certificates, indent=2) + "\n")
     manifest = {
         "command": "run",
-        "config": _config_record(model, seed, selection, projection, x0, schedule.horizon,
-                                 strict=args.strict, schedule=schedule.to_config(),
-                                 diagnostics=list(tags)),
+        "config": _config_record(cfg, x0, schedule.horizon, strict=args.strict,
+                                 schedule=schedule.to_config(), diagnostics=list(tags)),
         "run": completed.to_manifest(),
         "certificates": certificates,
         "hard_failures": hard,
@@ -306,31 +312,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg, model, seed, selection, projection = _setup(args)
-    x0 = _point_from(model, cfg.get("x0", 0.0), "x0")
-    T = _horizon(cfg)
-    study = cfg.get("study") or {}
-    try:
-        levels = [float(v) for v in study.get("levels") or []]
-        refine = check_integer(study.get("reference_refine", 8), "reference_refine", minimum=2)
-        if len(levels) < 3:
-            raise ValueError("needs at least 3 refinement levels")
-        if any(m <= 0 for m in levels) or any(b >= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("levels must be positive and strictly decreasing")
-        mu_ref = levels[-1] / refine
-    except (AttributeError, TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"study: {e}") from None
-    out = _out_dir(args, cfg)
+    cfg = _load_config(args)
+    x0 = _point_from(cfg.model, cfg.x0, "x0")
+    T = _number(cfg.T, "T")
+    levels, mu_ref = build_record("study", {None: _study}, {} if cfg.study is None else cfg.study,
+                                  None)
+    out = _out_dir(cfg.out)
 
     try:
-        reference = _reference("study reference", run_scheme, model, x0,
-                               _schedule_from(cfg, mu_override=mu_ref), selection=selection,
+        reference = _reference("study reference", run_scheme, cfg.model, x0,
+                               _schedule_from(cfg, mu_override=mu_ref), selection=cfg.selection,
                                projection=ExactProjection(), certify_normals=False)
         per_level = []
         for mu in levels:
             try:
-                completed = run_scheme(model, x0, _schedule_from(cfg, mu_override=mu),
-                                       selection=selection, projection=projection,
+                completed = run_scheme(cfg.model, x0, _schedule_from(cfg, mu_override=mu),
+                                       selection=cfg.selection, projection=cfg.projection,
                                        certify_normals=False)
             except SchemeError as e:
                 raise SchemeError(f"level mu={mu}: {e}", e.partial_run, e.kind) from e
@@ -367,8 +364,7 @@ def cmd_study(args) -> int:
     code = _exit_code(not all(checks.values()))
     manifest = {
         "command": "study",
-        "config": _config_record(model, seed, selection, projection, x0, T,
-                                 levels=levels, reference_mu=mu_ref),
+        "config": _config_record(cfg, x0, T, levels=levels, reference_mu=mu_ref),
         "levels": per_level,
         "empirical_order": order,
         "checks": checks,
@@ -389,26 +385,21 @@ def cmd_study(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg, model, seed, selection, projection = _setup(args)
-    pair = cfg.get("x0")
+    cfg = _load_config(args)
+    pair = cfg.x0
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(p, (list, tuple)) for p in pair)):
         raise ConfigError("stability needs 'x0' as a pair of points [[...], [...]]")
-    x0_one = _point_from(model, pair[0], "x0[0]")
-    x0_two = _point_from(model, pair[1], "x0[1]")
+    x0_one = _point_from(cfg.model, pair[0], "x0[0]")
+    x0_two = _point_from(cfg.model, pair[1], "x0[1]")
     schedule = _schedule_from(cfg)
-    tol_mesh = cfg.get("tol_mesh")
-    if tol_mesh is not None:
-        try:
-            tol_mesh = float(tol_mesh)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"tol_mesh must be a number, got {tol_mesh!r}") from None
-    out = _out_dir(args, cfg)
+    tol_mesh = None if cfg.tol_mesh is None else _number(cfg.tol_mesh, "tol_mesh")
+    out = _out_dir(cfg.out)
 
     try:
         result = stability_experiment(
-            model, x0_one, x0_two, schedule,
-            selection=selection, projection=projection,
+            cfg.model, x0_one, x0_two, schedule,
+            selection=cfg.selection, projection=cfg.projection,
             tol_mesh=tol_mesh,
         )
     except ValueError as e:
@@ -429,8 +420,7 @@ def cmd_stability(args) -> int:
     (out / "diagnostics.json").write_text(json.dumps(certificates, indent=2) + "\n")
     manifest = {
         "command": "stability",
-        "config": _config_record(model, seed, selection, projection, [x0_one, x0_two],
-                                 schedule.horizon, strict=args.strict,
+        "config": _config_record(cfg, [x0_one, x0_two], schedule.horizon, strict=args.strict,
                                  schedule=schedule.to_config()),
         "stability": certificates["stability"],
         "informational": informational,

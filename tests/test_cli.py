@@ -246,15 +246,19 @@ class TestStudyCommand:
         assert main(["study", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "3 refinement levels" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("overrides", [
-        {"T": "soon", "study": {"levels": [0.04, 0.02, 0.01]}},
-        {"study": {"levels": ["fine", 0.02, 0.01]}},
-        {"study": {"levels": [0.04, 0.02, 0.01], "reference_refine": "x"}},
-        {"study": [0.04, 0.02, 0.01]},
-    ], ids=["T", "levels", "reference_refine", "study-list"])
-    def test_malformed_study_is_config_error(self, tmp_path, overrides):
+    @pytest.mark.parametrize("overrides, message", [
+        ({"T": "soon", "study": {"levels": [0.04, 0.02, 0.01]}}, "T"),
+        ({"study": {"levels": ["fine", 0.02, 0.01]}}, "study: "),
+        ({"study": {"levels": [0.04, 0.02, 0.01], "reference_refine": "x"}},
+         "study: reference_refine must be"),
+        ({"study": [0.04, 0.02, 0.01]}, "study must be a mapping"),
+        ({"study": {"levels": [0.04, 0.02, 0.01], "referenc_refine": 2}},
+         "study: unknown field 'referenc_refine'"),
+    ], ids=["T", "levels", "reference_refine", "study-list", "referenc_refine"])
+    def test_malformed_study_is_config_error(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path / "c.json", onedim_config(**overrides))
         assert main(["study", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     def test_strict_is_not_a_study_flag(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", onedim_config(
@@ -390,6 +394,36 @@ class TestStabilityCommand:
         # --strict upgrades the advisory pass to a failure
         assert main(["stability", cfg, "--out", str(tmp_path / "strict"),
                      "--strict"]) == 1
+
+    def test_failed_step_writes_partial(self, tmp_path, capsys):
+        # one Dykstra sweep onto the wedge of test_failed_check_is_named,
+        # pushed towards its apex: the first run breaks its defect contract
+        r = 0.5 ** 0.5
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {
+                "f": {"type": "affine", "A": [[0, 0], [0, 0]], "b": [4.0, 4.0]},
+                "G": {"type": "zero", "dim": 2},
+                "C": {"type": "intersection", "budget": 1, "members": [
+                    {"type": "halfspace", "normal": [0, 1], "offset": 0.0},
+                    {"type": "halfspace", "normal": [r, r], "offset": 0.0},
+                ]},
+                "constants": {"a": 5.0, "b": 0.0, "r_star": 0.5, "M": 10.0, "gamma": 1.0,
+                              "ell": 0.0},
+            },
+            "x0": [[0.0, 0.0], [-1.0, 0.0]],
+            "T": 1.0,
+            "schedule": {"kind": "uniform", "mu0": 0.25},
+        })
+        out = tmp_path / "out"
+        assert main(["stability", cfg, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "stability"
+        assert manifest["failed"] == "certificate"
+        assert manifest["reason"] == "contract"
+        assert "partial" in manifest
+        assert (out / "trajectory.csv").exists()
+        assert not (out / "stability.csv").exists()
+        assert "certificate failure" in capsys.readouterr().err
 
     def test_profile_matches_runs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", onedim_config(
@@ -730,6 +764,32 @@ class TestBoundaryValidation:
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, argv", [
+        ({"out": 5}, []),
+        ({"out": []}, []),
+        ({"out": True}, []),
+        ({}, ["--out", "c.json"]),
+    ], ids=["number", "list", "bool", "flag-at-a-file"])
+    def test_malformed_out_is_config_error(self, tmp_path, monkeypatch, capsys, entry, argv):
+        # a number or a boolean used to escape as a TypeError, a list to mean
+        # the working directory, and a file as a FileExistsError
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", onedim_config(T=0.1, **entry))
+        assert main(["run", cfg, *argv]) == 2
+        assert capsys.readouterr().err.startswith("config error: out")
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ("{\"T\": ", "is not valid JSON"),
+        ("[1, 2]", "must be a mapping"),
+    ], ids=["unreadable", "invalid-json", "list-root"])
+    def test_unloadable_config_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so
         # exp(Lambda_T T) leaves float range at T = 20
@@ -765,7 +825,7 @@ def _with(cfg: dict, path: tuple, value) -> dict:
 FUZZ_BASES = {
     "onedim-run": ("run", {
         "model": {"model": "onedim", "a": 1, "b": 2, "r_star": 1.0}, "x0": [0.5], "T": 0.1,
-        "seed": 1, "schedule": {"kind": "uniform", "mu0": 0.02},
+        "seed": 1, "schedule": {"kind": "uniform", "mu0": 0.02}, "diagnostics": ["energy"],
         "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
         "selection": {"kind": "randomized", "seed": 2},
         "projection": {"kind": "perturbed", "seed": 3}}),
@@ -837,9 +897,11 @@ class TestConfigFields:
         (("selection",), {"kind": "minimal_norm", "sign": 7}, "sign"),
         (("projection",), {"kind": "perturbed", "slack_fraction": 5}, "slack_fraction"),
         (("projection",), {"kind": "exact", "seed": 4}, "seed"),
+        (("diagnostic",), "all", "diagnostic"),
+        (("tol_mes",), 0.5, "tol_mes"),
     ], ids=["C.halfline", "C.member", "G.linear", "f.affine", "model.onedim", "model.generic",
             "constants", "schedule", "errors", "errors.zero", "selection", "projection",
-            "projection.exact"])
+            "projection.exact", "config.diagnostic", "config.tol_mes"])
     def test_unknown_field_is_config_error(self, tmp_path, capsys, path, value, field):
         # each of these used to be ignored, and the run exited 0
         cfg = write_config(tmp_path / "c.json", _with(self.BASE, path, value))
@@ -862,6 +924,28 @@ class TestConfigFields:
         cfg = write_config(tmp_path / "c.json", _with(self.BASE, path, value))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"missing field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "study", "stability"])
+    @pytest.mark.parametrize("key", ["T", "model"])
+    def test_missing_top_level_key_is_named(self, tmp_path, capsys, command, key):
+        payload = onedim_config(x0=[[0.0], [1.0]] if command == "stability" else [0.0],
+                                study={"levels": [0.04, 0.02, 0.01]})
+        del payload[key]
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config: missing field {key!r}")
+
+    @pytest.mark.parametrize("command, family", [("run", "schedule"), ("run", "errors"),
+                                                 ("run", "selection"), ("run", "projection"),
+                                                 ("study", "study")])
+    @pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
+    def test_falsy_record_is_not_a_default(self, tmp_path, capsys, command, family, value):
+        # only an absent or null record takes its default; these used to
+        # run with the default kind, or fail with an unrelated message
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            **{"T": 0.1, "study": {"levels": [0.04, 0.02, 0.01]}, family: value}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {family} must be a mapping")
 
     @pytest.mark.parametrize("base", list(FUZZ_BASES))
     def test_fuzzed_field_never_escapes(self, tmp_path, base):

@@ -570,6 +570,24 @@ class TestSerialization:
         assert not report["ok"]
         assert report["first_violation"] == {"check": "update_identity", "k": 2}
 
+    def test_verifier_checks_the_time_grid(self):
+        # every per-step identity still holds; only t_3 - t_2 is not mu_2
+        r = self.make_run()
+        lines = r.to_csv().split("\n")
+        k, t, rest = lines[4].split(",", 2)
+        lines[4] = ",".join([k, repr(float(t) + 0.01), rest])
+        report = verify_run_invariants(read_run_csv("\n".join(lines)), C=r.model.C)
+        assert not report["ok"]
+        assert report["first_violation"] == {"check": "update_identity", "k": -1}
+
+    @pytest.mark.parametrize("text, message", [
+        ("k,t,x0,w0,p0,v0,mu,eps\n", "no data rows"),
+        ("k,t,y0,mu,eps\n0,0.0,1.0,0.5,0.0\n1,0.5,1.0,,\n", "unrecognized trajectory CSV header"),
+    ], ids=["header-only", "unknown-header"])
+    def test_malformed_text_is_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_run_csv(text)
+
     def test_manifest_shape(self):
         r = self.make_run()
         man = r.to_manifest()

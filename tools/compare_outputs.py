@@ -46,7 +46,13 @@ scalar model whose records carry fields their kinds do not have (`dim` on
 a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
 uniform schedule, `sign` on minimal_norm, `slack_fraction` on perturbed),
 a config error; an onedim run whose power_of_step tolerances
-eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; and the
+eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; a key
+that no command reads, a config error, at the top level (the README
+example with `diagnostic` for `diagnostics`, run without `--diagnostics`)
+and in `study` (an onedim study with `referenc_refine`); the
+wedge-contract config run as `stability` from (0, 0) and (-1, 0) with
+`ell` 0, whose first run breaks its defect contract (a failure manifest,
+reason contract, exit 1, and its partial trajectory); and the
 seed-1 polygon run.json under exact projection with no errors, whose steps
 project by the Dykstra stop, whose 84 normal-cone certificates are
 enforced, and whose truncation diagnostic projects a stack; and the same
@@ -166,9 +172,15 @@ PINNED_CASES = {
 }
 PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
                                "study": {"levels": [0.1, 0.05, 0.025]}}
+PINNED_CASES["top-level-typo"] = {**PINNED_CASES["onedim-readme"], "diagnostic": "all"}
+PINNED_CASES["study-typo"] = {**PINNED_CASES["onedim-readme"], "T": 2.0,
+                              "study": {"levels": [0.04, 0.02, 0.01], "referenc_refine": 2}}
+PINNED_CASES["wedge-stability"] = {**_wedge([4.0, 4.0]), "x0": [[0.0, 0.0], [-1.0, 0.0]]}
+PINNED_CASES["wedge-stability"]["model"]["constants"]["ell"] = 0.0
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
-               "wedge-study": ["study"]}
+               "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
+               "wedge-stability": ["stability"]}
 
 
 def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
