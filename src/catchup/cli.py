@@ -36,6 +36,7 @@ from .geometry import (
     GeometryError,
     build_record,
     check_integer,
+    check_number,
 )
 from .models import NAMED_MODELS, named_model_from_config, reference_solution
 from .operators import SELECTION_RULES, model_from_config
@@ -84,12 +85,18 @@ def _config(model, T, x0=0.0, schedule=None, errors=None, selection=None, projec
     """The top level lists every key some command reads, so one config
     serves them all.  What every command uses is built here, in order: the
     model, the master seed, the selection rule and the projection policy,
-    minimal-norm and exact unless the config names others.  The other keys
-    stay as given, for the command that reads them."""
+    minimal-norm and exact unless the config names others, and the numbers
+    `T` and `tol_mesh`.  The other keys stay as given, for the command that
+    reads them."""
     model = (named_model_from_config if isinstance(model, dict) and "model" in model
              else model_from_config)(model)
     if seed is not None:
         check_integer(seed)
+    try:  # the error names the field alone, not the record it sits in
+        T = check_number(T, "T")
+        tol_mesh = None if tol_mesh is None else check_number(tol_mesh, "tol_mesh")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     selection = build_record("selection", SELECTION_RULES, {} if selection is None else selection,
                              "kind", "minimal_norm", seed)
     # an unseeded projection draws from the master seed, offset from the selection's
@@ -101,7 +108,7 @@ def _config(model, T, x0=0.0, schedule=None, errors=None, selection=None, projec
 
 def _study(levels, reference_refine=8):
     """The `study` record: its levels and the reference's step."""
-    levels = [float(v) for v in levels]
+    levels = [check_number(v, f"levels[{i}]") for i, v in enumerate(levels)]
     refine = check_integer(reference_refine, "reference_refine", minimum=2)
     if len(levels) < 3:
         raise ValueError("needs at least 3 refinement levels")
@@ -110,18 +117,12 @@ def _study(levels, reference_refine=8):
     return levels, levels[-1] / refine
 
 
-def _number(value, label: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{label} must be a number, got {value!r}") from None
-
-
 def _point_from(model, value, label: str) -> np.ndarray:
     try:
-        x = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{label} must be a vector of numbers") from None
+        x = np.array([check_number(v, f"{label}[{i}]")
+                      for i, v in enumerate(value if isinstance(value, list) else [value])])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     try:
         return model.C.require_member(x)
     except GeometryError as e:
@@ -131,7 +132,6 @@ def _point_from(model, value, label: str) -> np.ndarray:
 
 
 def _schedule_from(cfg, mu_override: float | None = None):
-    T = _number(cfg.T, "T")
     spec = cfg.schedule if mu_override is None else {"kind": "uniform", "mu0": mu_override}
     if spec is None:
         raise ConfigError("config needs a 'schedule' entry")
@@ -139,7 +139,7 @@ def _schedule_from(cfg, mu_override: float | None = None):
     errors = build_record("errors", ERROR_RULES, {} if cfg.errors is None else cfg.errors,
                           "kind", "zero")
     try:
-        return make_schedule(T=T, steps=steps, errors=errors)
+        return make_schedule(T=cfg.T, steps=steps, errors=errors)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"schedule: {e}") from None
 
@@ -314,7 +314,6 @@ def cmd_run(args) -> int:
 def cmd_study(args) -> int:
     cfg = _load_config(args)
     x0 = _point_from(cfg.model, cfg.x0, "x0")
-    T = _number(cfg.T, "T")
     levels, mu_ref = build_record("study", {None: _study}, {} if cfg.study is None else cfg.study,
                                   None)
     out = _out_dir(cfg.out)
@@ -364,7 +363,7 @@ def cmd_study(args) -> int:
     code = _exit_code(not all(checks.values()))
     manifest = {
         "command": "study",
-        "config": _config_record(cfg, x0, T, levels=levels, reference_mu=mu_ref),
+        "config": _config_record(cfg, x0, cfg.T, levels=levels, reference_mu=mu_ref),
         "levels": per_level,
         "empirical_order": order,
         "checks": checks,
@@ -393,14 +392,13 @@ def cmd_stability(args) -> int:
     x0_one = _point_from(cfg.model, pair[0], "x0[0]")
     x0_two = _point_from(cfg.model, pair[1], "x0[1]")
     schedule = _schedule_from(cfg)
-    tol_mesh = None if cfg.tol_mesh is None else _number(cfg.tol_mesh, "tol_mesh")
     out = _out_dir(cfg.out)
 
     try:
         result = stability_experiment(
             cfg.model, x0_one, x0_two, schedule,
             selection=cfg.selection, projection=cfg.projection,
-            tol_mesh=tol_mesh,
+            tol_mesh=cfg.tol_mesh,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from None

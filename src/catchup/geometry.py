@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "probe_stack",
     "sample_points",
     "build_record",
+    "ConfigRecord",
     "set_from_config",
 ]
 
@@ -120,7 +122,87 @@ def _norm(a: NDArray):
     return np.sqrt(np.vecdot(a, a))
 
 
-class ConvexSet:
+# --- config records --------------------------------------------------------
+
+def check_integer(value, name: str = "seed", minimum: int = 0) -> int:
+    """`value` as an int; ValueError naming it unless it is an integer no
+    smaller than `minimum`, checked as given: a bool, a float or a string
+    is not one.  The default is the seeds a generator takes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        what = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
+def check_number(value, name: str) -> float:
+    """`value` as a float; ValueError naming it unless it is a real number
+    within float range, checked as given: a bool or a string is not one."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def build_record(family: str, registry: dict, spec, tag: str | None, default=None, seed=None):
+    """Build what a config record of `family` describes.
+
+    The record's `tag` key (`default` when it has none; an untagged record
+    has `tag` None) picks the registry entry: a class, or a function where
+    the record's keys differ from the constructor's.  The other keys are
+    the entry's arguments, matched against its signature; `seed` goes to a
+    `seed` parameter the record leaves unset.  A record that is not a
+    mapping, an unknown kind, an unknown or missing field, and any error
+    the entry raises are a ConfigError prefixed with `family`.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{family} must be a mapping" + (f" with a {tag!r}" if tag else ""))
+    kind = spec.get(tag, default)
+    try:
+        build = registry[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{family}: unknown {tag} {kind!r} (known: {sorted(registry)})") from None
+    of = f" for {tag} {kind!r}" if tag else ""
+    fields = {k: v for k, v in spec.items() if k != tag}
+    params = inspect.signature(build).parameters
+    for name in fields:
+        if name not in params:
+            raise ConfigError(f"{family}: unknown field {name!r}{of}")
+    if seed is not None and "seed" in params:
+        fields.setdefault("seed", seed)
+    for name, p in params.items():
+        if p.default is p.empty and name not in fields:
+            raise ConfigError(f"{family}: missing field {name!r}{of}")
+    try:
+        return build(**fields)
+    except ConfigError:  # a nested record's, already labelled
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{family}: {e}") from None
+
+
+class ConfigRecord:
+    """What a tagged config record builds, written back through the
+    signature `build_record` reads it with: `to_config` gives the class's
+    {"type": variant} and one entry per constructor parameter, read from
+    the attribute of the same name, arrays as lists and nested records as
+    records."""
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+
+    def to_config(self) -> dict:
+        return {"type": self.variant, **{k: _record_value(v) for k, v in self._fields().items()}}
+
+
+def _record_value(value):
+    if isinstance(value, list):
+        return [_record_value(v) for v in value]
+    return value.to_config() if isinstance(value, ConfigRecord) else np.asarray(value).tolist()
+
+
+class ConvexSet(ConfigRecord):
     """Base class: a nonempty closed convex subset of R^dim.
 
     `project`, `distance` and `contains` take a vector (dim,) or a stack of
@@ -183,8 +265,10 @@ class ConvexSet:
         """sup over the set of |x|; inf for unbounded sets."""
         return np.inf
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
+    def __repr__(self):
+        args = (f"{k}={v.tolist() if isinstance(v, np.ndarray) else v!r}"
+                for k, v in self._fields().items())
+        return f"{type(self).__name__}({', '.join(args)})"
 
 
 class Box(ConvexSet):
@@ -233,12 +317,6 @@ class Box(ConvexSet):
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(np.maximum(np.abs(self.lower), np.abs(self.upper))))
 
-    def to_config(self) -> dict:
-        return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
-
-    def __repr__(self):
-        return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
-
 
 class NonnegOrthant(Box):
     """The nonnegative orthant [0, inf)^dim."""
@@ -249,12 +327,6 @@ class NonnegOrthant(Box):
         dim = check_integer(dim, "dim", minimum=1)
         super().__init__(np.zeros(dim), np.full(dim, np.inf))
 
-    def to_config(self) -> dict:
-        return {"type": "nonneg_orthant", "dim": self.dim}
-
-    def __repr__(self):
-        return f"NonnegOrthant(dim={self.dim})"
-
 
 class Halfline(NonnegOrthant):
     """The one-dimensional halfline [0, inf)."""
@@ -264,12 +336,6 @@ class Halfline(NonnegOrthant):
     def __init__(self):
         super().__init__(1)
 
-    def to_config(self) -> dict:
-        return {"type": "halfline"}
-
-    def __repr__(self):
-        return "Halfline()"
-
 
 class Ball(ConvexSet):
     """Closed Euclidean ball of given center and radius."""
@@ -278,7 +344,7 @@ class Ball(ConvexSet):
 
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.radius = float(radius)
+        self.radius = check_number(radius, "radius")
         if not np.all(np.isfinite(self.center)):
             raise ValueError("ball center must be finite")
         if not np.isfinite(self.radius):
@@ -322,12 +388,6 @@ class Ball(ConvexSet):
     def bounding_radius(self) -> float:
         return float(np.linalg.norm(self.center)) + self.radius
 
-    def to_config(self) -> dict:
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
-
-    def __repr__(self):
-        return f"Ball(center={self.center.tolist()}, radius={self.radius})"
-
 
 class Halfspace(ConvexSet):
     """Halfspace {x : <normal, x> <= offset} with a unit normal, up to 1e-9;
@@ -338,7 +398,7 @@ class Halfspace(ConvexSet):
 
     def __init__(self, normal, offset: float):
         n = np.atleast_1d(np.asarray(normal, dtype=float))
-        self.offset = float(offset)
+        self.offset = check_number(offset, "offset")
         if not np.all(np.isfinite(n)):
             raise ValueError("halfspace normal must be finite")
         if not np.isfinite(self.offset):
@@ -379,12 +439,6 @@ class Halfspace(ConvexSet):
         if float(self.normal @ x) - self.offset < -membership_tol(x):
             return u.copy()
         return u - max(float(self.normal @ u), 0.0) / self.norm_sq * self.normal
-
-    def to_config(self) -> dict:
-        return {"type": "halfspace", "normal": self.normal.tolist(), "offset": self.offset}
-
-    def __repr__(self):
-        return f"Halfspace(normal={self.normal.tolist()}, offset={self.offset})"
 
 
 def _sweep(projectors, z: NDArray, corrections: list) -> tuple[NDArray, list]:
@@ -527,16 +581,6 @@ class Intersection(ConvexSet):
     def bounding_radius(self) -> float:
         return min(m.bounding_radius() for m in self.members)
 
-    def to_config(self) -> dict:
-        return {
-            "type": "intersection",
-            "members": [m.to_config() for m in self.members],
-            "budget": self.budget,
-        }
-
-    def __repr__(self):
-        return f"Intersection({self.members!r}, budget={self.budget})"
-
 
 def moreau_decompose(C: ConvexSet, x, u) -> tuple[NDArray, NDArray]:
     """Split u at x in C into (tangential, normal), its tangent and normal cone parts.
@@ -561,16 +605,6 @@ def moreau_decompose(C: ConvexSet, x, u) -> tuple[NDArray, NDArray]:
 # the metric projection, under which a normal term must pass its cone
 # certificate.  A policy's config record holds its constructor arguments
 # (see `build_record`).
-
-def check_integer(value, name: str = "seed", minimum: int = 0) -> int:
-    """`value` as an int; ValueError naming it unless it is an integer no
-    smaller than `minimum`, checked as given: a bool, a float or a string
-    is not one.  The default is the seeds a generator takes."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        what = "a nonnegative integer" if minimum == 0 else f"an integer of at least {minimum}"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return int(value)
-
 
 @dataclass(frozen=True)
 class ExactProjection:
@@ -823,43 +857,6 @@ def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float)
     if n < 1:
         raise ValueError("need at least one sample")
     return C.project(rng.uniform(-radius, radius, size=(n, C.dim)))
-
-
-def build_record(family: str, registry: dict, spec, tag: str | None, default=None, seed=None):
-    """Build what a config record of `family` describes.
-
-    The record's `tag` key (`default` when it has none; an untagged record
-    has `tag` None) picks the registry entry: a class, or a function where
-    the record's keys differ from the constructor's.  The other keys are
-    the entry's arguments, matched against its signature; `seed` goes to a
-    `seed` parameter the record leaves unset.  A record that is not a
-    mapping, an unknown kind, an unknown or missing field, and any error
-    the entry raises are a ConfigError prefixed with `family`.
-    """
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{family} must be a mapping" + (f" with a {tag!r}" if tag else ""))
-    kind = spec.get(tag, default)
-    try:
-        build = registry[kind]
-    except (KeyError, TypeError):
-        raise ConfigError(f"{family}: unknown {tag} {kind!r} (known: {sorted(registry)})") from None
-    of = f" for {tag} {kind!r}" if tag else ""
-    fields = {k: v for k, v in spec.items() if k != tag}
-    params = inspect.signature(build).parameters
-    for name in fields:
-        if name not in params:
-            raise ConfigError(f"{family}: unknown field {name!r}{of}")
-    if seed is not None and "seed" in params:
-        fields.setdefault("seed", seed)
-    for name, p in params.items():
-        if p.default is p.empty and name not in fields:
-            raise ConfigError(f"{family}: missing field {name!r}{of}")
-    try:
-        return build(**fields)
-    except ConfigError:  # a nested record's, already labelled
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{family}: {e}") from None
 
 
 def _intersection(members, budget=200):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Box, Halfline, build_record, membership_tol
+from .geometry import Box, Halfline, build_record, check_number, membership_tol
 from .operators import AffineField, LinearPart, MonotoneModel, SeparableL1
 from .scheme import SchemeError, Uniform, make_schedule, run
 
@@ -39,8 +39,7 @@ class OneDimModel(MonotoneModel):
     """
 
     def __init__(self, a: float, b: float, r_star: float = 1.0):
-        a = float(a)
-        b = float(b)
+        a, b = check_number(a, "a"), check_number(b, "b")
         if a <= 0:
             raise ValueError("a must be positive")
         rate = a + 1.0
@@ -123,6 +122,7 @@ class DryFrictionModel(MonotoneModel):
     """
 
     def __init__(self, K, tau, weights, lower, upper, gamma: float = 1.0):
+        gamma = check_number(gamma, "gamma")
         K = np.atleast_2d(np.asarray(K, dtype=float))
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))

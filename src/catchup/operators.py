@@ -18,10 +18,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import (
+    ConfigRecord,
     ConvexSet,
     _as_vector,
     build_record,
     check_integer,
+    check_number,
     set_from_config,
 )
 
@@ -45,7 +47,7 @@ __all__ = [
 ]
 
 
-class RegularPart:
+class RegularPart(ConfigRecord):
     """Base class for the single- or set-valued regular part G, whose
     `value(x)` returns the bounds (lower, upper) of the interval box G(x);
     a singleton may return one array twice, so callers must not write to it."""
@@ -53,12 +55,11 @@ class RegularPart:
     def value(self, x) -> tuple[NDArray, NDArray]:
         raise NotImplementedError
 
-    def to_config(self) -> dict:
-        raise NotImplementedError
-
 
 class ZeroPart(RegularPart):
     """G identically zero."""
+
+    variant = "zero"
 
     def __init__(self, dim: int):
         self.dim = check_integer(dim, "dim", minimum=1)
@@ -67,12 +68,11 @@ class ZeroPart(RegularPart):
         g = np.zeros(self.dim)
         return g, g
 
-    def to_config(self) -> dict:
-        return {"type": "zero", "dim": self.dim}
-
 
 class LinearPart(RegularPart):
     """G(x) = {M x} for a positive semidefinite symmetric matrix M."""
+
+    variant = "linear"
 
     def __init__(self, matrix):
         M = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -93,9 +93,6 @@ class LinearPart(RegularPart):
         g = self.matrix @ _as_vector(x, self.dim)
         return g, g
 
-    def to_config(self) -> dict:
-        return {"type": "linear", "matrix": self.matrix.tolist()}
-
 
 class SeparableL1(RegularPart):
     """Subdifferential of x -> sum_i weights_i |x_i|.
@@ -105,6 +102,8 @@ class SeparableL1(RegularPart):
     test is exact on purpose: the sticking states produced by the scheme
     are exact zeros, and a fuzzy test would misreport the sliding branch.
     """
+
+    variant = "l1"
 
     def __init__(self, weights):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -118,9 +117,6 @@ class SeparableL1(RegularPart):
         x = _as_vector(x, self.dim)
         zero, slope = x == 0.0, self.weights * np.sign(x)
         return np.where(zero, -self.weights, slope), np.where(zero, self.weights, slope)
-
-    def to_config(self) -> dict:
-        return {"type": "l1", "weights": self.weights.tolist()}
 
 
 class CustomPart(RegularPart):
@@ -287,6 +283,9 @@ class MonotoneModel:
         self.C = C
         a, b = growth
         r_star, M, gamma = dissipativity
+        a, b, r_star, M, gamma = map(check_number, (a, b, r_star, M, gamma),
+                                     ("a", "b", "r_star", "M", "gamma"))
+        ell = None if ell is None else check_number(ell, "ell")
         # NaN passes every sign test below, so finiteness comes first
         if not np.all(np.isfinite([a, b, r_star, M, gamma] + ([] if ell is None else [ell]))):
             raise ValueError("model constants must be finite")
@@ -296,12 +295,12 @@ class MonotoneModel:
             raise ValueError("gamma must be positive")
         if r_star < 0:
             raise ValueError("r_star must be nonnegative")
-        self.a = float(a)
-        self.b = float(b)
-        self.r_star = float(r_star)
-        self.M = float(M)
-        self.gamma = float(gamma)
-        self.ell = None if ell is None else float(ell)
+        self.a = a
+        self.b = b
+        self.r_star = r_star
+        self.M = M
+        self.gamma = gamma
+        self.ell = ell
         self.name = name
         dims = {G.dim, C.dim}
         if hasattr(f, "dim"):

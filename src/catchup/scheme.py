@@ -30,6 +30,7 @@ from .geometry import (
     GeometryError,
     _as_vector,
     approx_project,
+    check_number,
     in_approx_normal_cone,
     membership_tol,
     probe_count,
@@ -115,7 +116,7 @@ class Uniform:
     mu0: float
 
     def resolve(self, T: float):
-        mu0 = float(self.mu0)
+        mu0 = check_number(self.mu0, "mu0")
         if not mu0 > 0:
             raise ValueError("mu0 must be positive")
         n = np.floor(T / mu0 + 1e-9)
@@ -135,7 +136,7 @@ class Polynomial:
     alpha: float
 
     def resolve(self, T: float):
-        mu0, alpha = float(self.mu0), float(self.alpha)
+        mu0, alpha = check_number(self.mu0, "mu0"), check_number(self.alpha, "alpha")
         if not mu0 > 0:
             raise ValueError("mu0 must be positive")
         if not (0.0 < alpha <= 1.0):
@@ -158,7 +159,8 @@ class ExplicitSteps:
     values: tuple
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "values", tuple(check_number(v, f"values[{i}]")
+                                                 for i, v in enumerate(values)))
 
     def resolve(self, T: float):
         vals = np.asarray(self.values, dtype=float)
@@ -190,7 +192,7 @@ class PowerOfStep:
     beta: float
 
     def resolve(self, mus: NDArray):
-        eps0, beta = float(self.eps0), float(self.beta)
+        eps0, beta = check_number(self.eps0, "eps0"), check_number(self.beta, "beta")
         if not 0 <= eps0 < np.inf:
             raise ValueError(f"eps0 must be finite and nonnegative, got {eps0}")
         if not 0 < beta < np.inf:
@@ -209,7 +211,8 @@ class ExplicitErrors:
     values: tuple
 
     def __init__(self, values):
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "values", tuple(check_number(v, f"values[{i}]")
+                                                 for i, v in enumerate(values)))
 
     def resolve(self, mus: NDArray):
         vals = np.asarray(self.values, dtype=float)
@@ -380,7 +383,7 @@ class DiscreteRun:
 
     def __init__(self, model, schedule, X, W, Y, P, V,
                  selection_name="minimal_norm", projection_name="exact",
-                 seeds=None, certificates=None, apriori=None, warnings=()):
+                 seeds=None, certificates=None, apriori=None):
         self.model = model
         self.schedule = schedule
         self.X = np.asarray(X, dtype=float)
@@ -393,7 +396,6 @@ class DiscreteRun:
         self.seeds = dict(seeds or {})
         self.certificates = list(certificates or [])
         self.apriori = dict(apriori or {})
-        self.warnings = tuple(warnings)
 
     @property
     def times(self) -> NDArray:
@@ -448,7 +450,7 @@ class DiscreteRun:
             "seeds": self.seeds,
             "certificates": cert_summary,
             "apriori": self.apriori,
-            "warnings": list(self.warnings),
+            "warnings": list(self.schedule.warnings),
             "measured": {
                 "radius": self.measured_radius(),
                 "sup_w": self.measured_sup_w(),
@@ -578,7 +580,6 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             model, schedule, X[: k + 1], W[:k], Y[:k], P[:k], V[:k],
             selection_name=selection.name, projection_name=projection.name,
             seeds=seeds, certificates=certificates, apriori=apriori,
-            warnings=schedule.warnings,
         )
 
     # steps, tolerances and normal-cone slacks delta_k = eps_k / (2 mu_k), read

@@ -17,7 +17,9 @@ is the Perturbed policy's point as it was while a policy returned its point
 alone, from the sets' own projections.  `reference_probe_stack` is the
 stacked probe builder as it was while every query was gathered and then
 projected, and `reference_csv_text` the CSV writer as it was while every
-cell was formatted on its own.
+cell was formatted on its own.  `reference_to_config` is the config record
+of each set and regular part as its own class wrote it, before one writer
+read every record off its constructor's signature.
 """
 
 import itertools
@@ -25,12 +27,18 @@ import itertools
 import numpy as np
 
 from catchup.geometry import (
+    Ball,
+    Box,
     ExactProjection,
     GeometryError,
+    Halfline,
+    Halfspace,
+    Intersection,
+    NonnegOrthant,
     ProjectionError,
     in_approx_normal_cone,
 )
-from catchup.operators import MinimalNorm, Randomized
+from catchup.operators import LinearPart, MinimalNorm, Randomized, SeparableL1, ZeroPart
 from catchup.scheme import DiscreteRun, SchemeError, step
 
 
@@ -429,3 +437,24 @@ def reference_perturbed_project(C, y, eps, seed):
         return z0
     z = C.project(z0 + (r / nrm) * direction)
     return z if float(np.sum((z - y) ** 2)) <= d * d + eps else z0
+
+
+# the hand-written writer of each record kind, by exact class
+_REFERENCE_WRITERS = {
+    Box: lambda C: {"type": "box", "lower": C.lower.tolist(), "upper": C.upper.tolist()},
+    NonnegOrthant: lambda C: {"type": "nonneg_orthant", "dim": C.dim},
+    Halfline: lambda C: {"type": "halfline"},
+    Ball: lambda C: {"type": "ball", "center": C.center.tolist(), "radius": C.radius},
+    Halfspace: lambda C: {"type": "halfspace", "normal": C.normal.tolist(), "offset": C.offset},
+    Intersection: lambda C: {"type": "intersection",
+                             "members": [reference_to_config(m) for m in C.members],
+                             "budget": C.budget},
+    ZeroPart: lambda G: {"type": "zero", "dim": G.dim},
+    LinearPart: lambda G: {"type": "linear", "matrix": G.matrix.tolist()},
+    SeparableL1: lambda G: {"type": "l1", "weights": G.weights.tolist()},
+}
+
+
+def reference_to_config(record) -> dict:
+    """The config record of a set or a regular part, written field by field."""
+    return _REFERENCE_WRITERS[type(record)](record)

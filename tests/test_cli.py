@@ -947,6 +947,51 @@ class TestConfigFields:
         assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {family} must be a mapping")
 
+    # field -> (command, the config entries holding a value, the name the error gives)
+    NUMBER_FIELDS = {
+        "T": ("run", lambda v: {"T": v}, "T"),
+        "tol_mesh": ("stability", lambda v: {"tol_mesh": v}, "tol_mesh"),
+        "x0": ("run", lambda v: {"x0": [v]}, "x0[0]"),
+        "stability.x0": ("stability", lambda v: {"x0": [[0.5], [v]]}, "x0[1][0]"),
+        "study.levels": ("study", lambda v: {"study": {"levels": [v, 0.02, 0.01]}}, "levels[0]"),
+        "uniform.mu0": ("run", lambda v: {"schedule": {"kind": "uniform", "mu0": v}}, "mu0"),
+        "polynomial.mu0": ("run", lambda v: {"schedule": {"kind": "polynomial", "mu0": v,
+                                                          "alpha": 0.5}}, "mu0"),
+        "polynomial.alpha": ("run", lambda v: {"schedule": {"kind": "polynomial", "mu0": 0.02,
+                                                            "alpha": v}}, "alpha"),
+        "explicit.steps": ("run", lambda v: {"schedule": {"kind": "explicit",
+                                                          "values": [v, 0.05]}}, "values[0]"),
+        "power_of_step.eps0": ("run", lambda v: {"errors": {"kind": "power_of_step", "eps0": v,
+                                                            "beta": 1.0}}, "eps0"),
+        "power_of_step.beta": ("run", lambda v: {"errors": {"kind": "power_of_step", "eps0": 0.1,
+                                                            "beta": v}}, "beta"),
+        "explicit.errors": ("run", lambda v: {"errors": {"kind": "explicit",
+                                                         "values": [1e-4, v]}}, "values[1]"),
+        "ball.radius": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "C": {
+            "type": "ball", "center": [0.0], "radius": v}}}, "radius"),
+        "halfspace.offset": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "C": {
+            "type": "halfspace", "normal": [1.0], "offset": v}}}, "offset"),
+        "constants.M": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "constants": {
+            **TestBoundaryValidation.GENERIC["constants"], "M": v}}}, "M"),
+        "onedim.a": ("run", lambda v: {"model": {"model": "onedim", "a": v, "b": 2}}, "a"),
+        "dry_friction.gamma": ("run", lambda v: {
+            "model": {**FUZZ_BASES["friction"][1]["model"], "gamma": v}, "x0": [0.0, 0.0]},
+            "gamma"),
+    }
+
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=["true", "string"])
+    @pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+    def test_number_field_takes_a_json_number(self, tmp_path, capsys, field, value):
+        # each of these used to run on 1.0 or on the parsed string, or to
+        # fail with an error about something else
+        command, entry, name = self.NUMBER_FIELDS[field]
+        cfg = write_config(tmp_path / "c.json", onedim_config(**{
+            "model": TestBoundaryValidation.GENERIC, "T": 0.1,
+            "x0": [[0.5], [1.0]] if command == "stability" else [0.5],
+            "study": {"levels": [0.04, 0.02, 0.01]}, **entry(value)}))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"{name} must be a number, got {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("base", list(FUZZ_BASES))
     def test_fuzzed_field_never_escapes(self, tmp_path, base):
         # each field in turn takes each bad value; the command must end with

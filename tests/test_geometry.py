@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from catchup.geometry import (
     Ball,
     Box,
+    ConvexSet,
     ExactProjection,
     GeometryError,
     Halfline,
@@ -29,6 +30,7 @@ from catchup.geometry import (
     _probe_layout,
 )
 from catchup.cli import main
+from catchup.operators import LinearPart, SeparableL1, ZeroPart, regular_part_from_config
 
 from oracles import (
     cone_grid_project,
@@ -40,6 +42,7 @@ from oracles import (
     reference_iterative_project,
     reference_probe_stack,
     reference_perturbed_project,
+    reference_to_config,
 )
 
 
@@ -400,6 +403,72 @@ class TestConfigRoundTrip:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             set_from_config({"type": "torus"})
+
+
+def _bounds(dim):
+    """Box bounds of length dim, each end finite or infinite."""
+    ends = st.floats(allow_nan=False)
+    return st.lists(st.tuples(ends, ends).map(sorted), min_size=dim, max_size=dim).map(
+        lambda pairs: [list(end) for end in zip(*pairs)])
+
+
+@st.composite
+def record_sets(draw, dim, depth=2):
+    """A set of every kind in R^dim; an intersection's members nest up to
+    `depth` intersections deep."""
+    kinds = ["box", "orthant", "ball", "halfspace"] + ["halfline"] * (dim == 1)
+    kind = draw(st.sampled_from(kinds + ["intersection"] * (depth > 0)))
+    if kind == "box":
+        return Box(*draw(_bounds(dim)))
+    if kind == "orthant":
+        return NonnegOrthant(dim)
+    if kind == "halfline":
+        return Halfline()
+    if kind == "ball":
+        return Ball(draw(vectors(dim, -1e6, 1e6)), draw(st.floats(0.0, 1e6)))
+    if kind == "halfspace":
+        normal = draw(vectors(dim).filter(lambda n: np.linalg.norm(n) > 1e-3))
+        return Halfspace(normal / np.linalg.norm(normal), draw(st.floats(-1e6, 1e6)))
+    members = draw(st.lists(record_sets(dim, depth - 1), min_size=1, max_size=3))
+    return Intersection(members, draw(st.integers(1, 500)))
+
+
+@st.composite
+def record_parts(draw, dim):
+    """A regular part of every config kind in R^dim."""
+    kind = draw(st.sampled_from(["zero", "linear", "l1"]))
+    if kind == "zero":
+        return ZeroPart(dim)
+    if kind == "linear":
+        B = draw(vectors(dim * dim)).reshape(dim, dim)
+        M = B @ B.T
+        return LinearPart((M + M.T) / 2.0)
+    return SeparableL1(draw(vectors(dim, 0.0, 1e6)))
+
+
+class TestRecordWriter:
+    """Every set and regular part writes the record its constructor reads."""
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.one_of(record_sets(d), record_parts(d))))
+    @settings(max_examples=300, deadline=None)
+    def test_record_matches_the_hand_written_one(self, record):
+        cfg = record.to_config()
+        assert json.dumps(cfg, sort_keys=True) == json.dumps(reference_to_config(record),
+                                                             sort_keys=True)
+        rebuild = set_from_config if isinstance(record, ConvexSet) else regular_part_from_config
+        assert json.dumps(rebuild(cfg).to_config(), sort_keys=True) == json.dumps(
+            cfg, sort_keys=True)
+
+    @pytest.mark.parametrize("C, text", [
+        (Box([-1.0, -np.inf], [2.0, 3.0]), "Box(lower=[-1.0, -inf], upper=[2.0, 3.0])"),
+        (NonnegOrthant(3), "NonnegOrthant(dim=3)"),
+        (Halfline(), "Halfline()"),
+        (Ball([1.0, -1.0], 0.5), "Ball(center=[1.0, -1.0], radius=0.5)"),
+        (Halfspace([0.0, 1.0], 2.0), "Halfspace(normal=[0.0, 1.0], offset=2.0)"),
+        (Intersection([Halfline()], budget=3), "Intersection(members=[Halfline()], budget=3)"),
+    ], ids=["box", "orthant", "halfline", "ball", "halfspace", "intersection"])
+    def test_repr_reads_as_a_constructor_call(self, C, text):
+        assert repr(C) == text
 
 
 class TestProjectionProperties:

@@ -46,7 +46,10 @@ scalar model whose records carry fields their kinds do not have (`dim` on
 a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
 uniform schedule, `sign` on minimal_norm, `slack_fraction` on perturbed),
 a config error; an onedim run whose power_of_step tolerances
-eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; a key
+eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; a
+generic scalar model that writes the record kinds no other case's
+manifest holds, an affine f(x) = -x - 1 with a `linear` G on a
+`halfline`, pushed onto the wall from 0.5 in 20 steps of mu = 0.05; a key
 that no command reads, a config error, at the top level (the README
 example with `diagnostic` for `diagnostics`, run without `--diagnostics`)
 and in `study` (an onedim study with `referenc_refine`); the
@@ -169,6 +172,12 @@ PINNED_CASES = {
     "eps-overflow": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 4.0,
                      "schedule": {"kind": "uniform", "mu0": 2.0},
                      "errors": {"kind": "power_of_step", "eps0": 1e308, "beta": 1.0}},
+    "record-kinds": {"model": {"f": {"type": "affine", "A": [[-1.0]], "b": [-1.0]},
+                               "G": {"type": "linear", "matrix": [[1.0]]},
+                               "C": {"type": "halfline"},
+                               "constants": {"a": 1.0, "b": 2.0, "r_star": 1.0, "M": 1.0,
+                                             "gamma": 1.0, "ell": -2.0}},
+                     "x0": [0.5], "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.05}},
 }
 PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
                                "study": {"levels": [0.1, 0.05, 0.025]}}
