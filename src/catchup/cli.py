@@ -35,6 +35,7 @@ from .geometry import (
     ExactProjection,
     GeometryError,
     build_record,
+    check_array,
     check_integer,
     check_number,
 )
@@ -108,7 +109,7 @@ def _config(model, T, x0=0.0, schedule=None, errors=None, selection=None, projec
 
 def _study(levels, reference_refine=8):
     """The `study` record: its levels and the reference's step."""
-    levels = [check_number(v, f"levels[{i}]") for i, v in enumerate(levels)]
+    levels = check_array(levels, "levels").tolist()
     refine = check_integer(reference_refine, "reference_refine", minimum=2)
     if len(levels) < 3:
         raise ValueError("needs at least 3 refinement levels")
@@ -119,8 +120,7 @@ def _study(levels, reference_refine=8):
 
 def _point_from(model, value, label: str) -> np.ndarray:
     try:
-        x = np.array([check_number(v, f"{label}[{i}]")
-                      for i, v in enumerate(value if isinstance(value, list) else [value])])
+        x = check_array(value, label)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     try:

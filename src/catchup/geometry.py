@@ -134,15 +134,43 @@ def check_integer(value, name: str = "seed", minimum: int = 0) -> int:
     return int(value)
 
 
-def check_number(value, name: str) -> float:
+def check_number(value, name: str, finite: bool = True) -> float:
     """`value` as a float; ValueError naming it unless it is a real number
-    within float range, checked as given: a bool or a string is not one."""
+    within float range, checked as given: a bool or a string is not one.
+    NaN is never accepted, and +-inf only where `finite` is False."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
-            return float(value)
+            x = float(value)
         except OverflowError:
             pass
+        else:
+            if math.isfinite(x) or not (finite or math.isnan(x)):
+                return x
+            raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {x}")
     raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_array(value, name: str, ndim: int = 1, finite: bool = True) -> NDArray:
+    """`value` as a read-only float64 array of `ndim` (1 or 2) axes, a lone
+    number as a vector of one; ValueError names an entry that is not a
+    number, a list nested too deep included (`name[0][1]`), or the field:
+    for ragged rows, a matrix short of an axis, or an inf where `finite`."""
+    def entries(v, at, depth):
+        if isinstance(v, (list, tuple, np.ndarray)) and depth < ndim:
+            return [entries(e, f"{at}[{i}]", depth + 1) for i, e in enumerate(v)]
+        return check_number(v, at, finite=False)
+
+    nested = entries(value, name, 0)
+    try:
+        a = np.array(nested, dtype=float, ndmin=1)
+    except ValueError:  # nested lists of unequal lengths
+        raise ValueError(f"{name} must have rows of equal length") from None
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be a list of rows, got shape {a.shape}")
+    if finite and not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    a.flags.writeable = False
+    return a
 
 
 def build_record(family: str, registry: dict, spec, tag: str | None, default=None, seed=None):
@@ -278,18 +306,13 @@ class Box(ConvexSet):
     separable = True
 
     def __init__(self, lower, upper):
-        self.lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
+        self.lower = check_array(lower, "lower", finite=False)
+        self.upper = check_array(upper, "upper", finite=False)
+        if self.lower.shape != self.upper.shape:
             raise ValueError("box bounds must be vectors of equal length")
-        for name, bound in (("lower", self.lower), ("upper", self.upper)):
-            if np.any(np.isnan(bound)):
-                raise ValueError(f"box {name} bound must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValueError("box requires lower <= upper componentwise")
         self.dim = self.lower.shape[0]
-        self.lower.flags.writeable = False
-        self.upper.flags.writeable = False
 
     def project(self, y) -> NDArray:
         return _as_points(y, self.dim).clip(self.lower, self.upper)
@@ -343,16 +366,11 @@ class Ball(ConvexSet):
     variant = "ball"
 
     def __init__(self, center, radius: float):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
+        self.center = check_array(center, "center")
         self.radius = check_number(radius, "radius")
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("ball center must be finite")
-        if not np.isfinite(self.radius):
-            raise ValueError("ball radius must be finite")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         self.dim = self.center.shape[0]
-        self.center.flags.writeable = False
 
     def project(self, y) -> NDArray:
         y = _as_points(y, self.dim)
@@ -397,24 +415,18 @@ class Halfspace(ConvexSet):
     variant = "halfspace"
 
     def __init__(self, normal, offset: float):
-        n = np.atleast_1d(np.asarray(normal, dtype=float))
+        self.normal = check_array(normal, "normal")
         self.offset = check_number(offset, "offset")
-        if not np.all(np.isfinite(n)):
-            raise ValueError("halfspace normal must be finite")
-        if not np.isfinite(self.offset):
-            raise ValueError("halfspace offset must be finite")
-        nrm = float(np.linalg.norm(n))
+        nrm = float(np.linalg.norm(self.normal))
         if nrm == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         if abs(nrm - 1.0) > 1e-9:
             raise ValueError("halfspace normal must be a unit vector")
-        self.normal = n
         # not n @ n: whenever the norm rounds to 1.0 this is 1.0 too, and the
         # projections and distances keep the bits of y - s n and s
         self.norm = nrm
         self.norm_sq = nrm * nrm
-        self.dim = n.shape[0]
-        self.normal.flags.writeable = False
+        self.dim = self.normal.shape[0]
 
     def project(self, y) -> NDArray:
         y = _as_points(y, self.dim)

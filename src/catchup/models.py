@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Box, Halfline, build_record, check_number, membership_tol
+from .geometry import Box, Halfline, build_record, check_array, check_number, membership_tol
 from .operators import AffineField, LinearPart, MonotoneModel, SeparableL1
 from .scheme import SchemeError, Uniform, make_schedule, run
 
@@ -123,9 +123,8 @@ class DryFrictionModel(MonotoneModel):
 
     def __init__(self, K, tau, weights, lower, upper, gamma: float = 1.0):
         gamma = check_number(gamma, "gamma")
-        K = np.atleast_2d(np.asarray(K, dtype=float))
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
+        K = check_array(K, "K", ndim=2)
+        tau, weights = check_array(tau, "tau"), check_array(weights, "weights")
         n = tau.shape[0]
         if K.shape != (n, n):
             raise ValueError("K must be square and match tau")
@@ -140,7 +139,7 @@ class DryFrictionModel(MonotoneModel):
         if C.dim != n:
             raise ValueError("box bounds must match tau")
         R_C = C.bounding_radius()
-        if not np.isfinite(R_C):
+        if R_C == np.inf:
             raise ValueError("the state box must be bounded")
         if np.any(C.lower >= C.upper):
             raise ValueError("box must have nonempty interior")

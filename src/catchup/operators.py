@@ -22,6 +22,7 @@ from .geometry import (
     ConvexSet,
     _as_vector,
     build_record,
+    check_array,
     check_integer,
     check_number,
     set_from_config,
@@ -75,19 +76,15 @@ class LinearPart(RegularPart):
     variant = "linear"
 
     def __init__(self, matrix):
-        M = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"matrix must be a square 2-D array, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("matrix must be finite")
+        M = self.matrix = check_array(matrix, "matrix", ndim=2)
+        if M.shape[0] != M.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {M.shape}")
         if not np.allclose(M, M.T, atol=1e-12):
             raise ValueError("matrix must be symmetric")
         eigs = np.linalg.eigvalsh(M)
         if eigs.min() < -1e-10:
             raise ValueError(f"matrix must be positive semidefinite (min eig {eigs.min():.3e})")
-        self.matrix = M
         self.dim = M.shape[0]
-        self.matrix.flags.writeable = False
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         g = self.matrix @ _as_vector(x, self.dim)
@@ -106,12 +103,10 @@ class SeparableL1(RegularPart):
     variant = "l1"
 
     def __init__(self, weights):
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if not np.all((w >= 0) & np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        self.weights = w
-        self.dim = w.shape[0]
-        self.weights.flags.writeable = False
+        self.weights = check_array(weights, "weights")
+        if np.any(self.weights < 0):
+            raise ValueError("weights must be nonnegative")
+        self.dim = self.weights.shape[0]
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         x = _as_vector(x, self.dim)
@@ -154,18 +149,12 @@ class AffineField:
     """Drift f(x) = A x + b."""
 
     def __init__(self, matrix, offset):
-        A = np.atleast_2d(np.asarray(matrix, dtype=float))
-        b = np.atleast_1d(np.asarray(offset, dtype=float))
-        if A.ndim != 2 or b.ndim != 1 or A.shape != (b.shape[0], b.shape[0]):
+        self.matrix = check_array(matrix, "A", ndim=2)
+        self.offset = check_array(offset, "b")
+        self.dim = self.offset.shape[0]
+        if self.matrix.shape != (self.dim, self.dim):
             raise ValueError(f"A must be a square matrix and b a vector of its size, "
-                             f"got shapes {A.shape} and {b.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ValueError("drift matrix and offset must be finite")
-        self.matrix = A
-        self.offset = b
-        self.dim = b.shape[0]
-        self.matrix.flags.writeable = False
-        self.offset.flags.writeable = False
+                             f"got shapes {self.matrix.shape} and {self.offset.shape}")
 
     def __call__(self, x) -> NDArray:
         x = _as_vector(x, self.dim)
@@ -286,9 +275,6 @@ class MonotoneModel:
         a, b, r_star, M, gamma = map(check_number, (a, b, r_star, M, gamma),
                                      ("a", "b", "r_star", "M", "gamma"))
         ell = None if ell is None else check_number(ell, "ell")
-        # NaN passes every sign test below, so finiteness comes first
-        if not np.all(np.isfinite([a, b, r_star, M, gamma] + ([] if ell is None else [ell]))):
-            raise ValueError("model constants must be finite")
         if a < 0 or b < 0:
             raise ValueError("growth constants must be nonnegative")
         if gamma <= 0:

@@ -30,6 +30,7 @@ from .geometry import (
     GeometryError,
     _as_vector,
     approx_project,
+    check_array,
     check_number,
     in_approx_normal_cone,
     membership_tol,
@@ -156,14 +157,10 @@ class Polynomial:
 @dataclass(frozen=True)
 class ExplicitSteps:
     """A caller-supplied positive nonincreasing step list."""
-    values: tuple
-
-    def __init__(self, values):
-        object.__setattr__(self, "values", tuple(check_number(v, f"values[{i}]")
-                                                 for i, v in enumerate(values)))
+    values: list
 
     def resolve(self, T: float):
-        vals = np.asarray(self.values, dtype=float)
+        vals = check_array(self.values, "values")
         if vals.size == 0:
             raise ValueError("explicit step list is empty")
         if not np.all(vals > 0):
@@ -193,10 +190,10 @@ class PowerOfStep:
 
     def resolve(self, mus: NDArray):
         eps0, beta = check_number(self.eps0, "eps0"), check_number(self.beta, "beta")
-        if not 0 <= eps0 < np.inf:
-            raise ValueError(f"eps0 must be finite and nonnegative, got {eps0}")
-        if not 0 < beta < np.inf:
-            raise ValueError(f"beta must be finite and positive, got {beta}")
+        if eps0 < 0:
+            raise ValueError(f"eps0 must be nonnegative, got {eps0}")
+        if beta <= 0:
+            raise ValueError(f"beta must be positive, got {beta}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
             eps = eps0 * mus ** (2.0 + beta)
         if not np.all(np.isfinite(eps)):
@@ -208,21 +205,17 @@ class PowerOfStep:
 @dataclass(frozen=True)
 class ExplicitErrors:
     """A caller-supplied nonnegative error list."""
-    values: tuple
-
-    def __init__(self, values):
-        object.__setattr__(self, "values", tuple(check_number(v, f"values[{i}]")
-                                                 for i, v in enumerate(values)))
+    values: list
 
     def resolve(self, mus: NDArray):
-        vals = np.asarray(self.values, dtype=float)
+        vals = check_array(self.values, "values")
         if vals.size < mus.size:
             raise ValueError(
                 f"explicit error list has {vals.size} entries, schedule needs {mus.size}"
             )
         eps = vals[: mus.size].copy()
-        if not np.all((eps >= 0) & (eps < np.inf)):
-            raise ValueError("explicit error values must be finite and nonnegative")
+        if np.any(eps < 0):
+            raise ValueError("explicit error values must be nonnegative")
         ratio = eps / mus ** 2
         worse = np.nonzero(ratio[1:] > ratio[:-1] * (1.0 + 1e-9) + 1e-300)[0]
         if worse.size:

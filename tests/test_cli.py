@@ -859,6 +859,14 @@ FUZZ_BASES = {
                   "gamma": 0.5},
         "x0": [0.0, 0.0], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.05},
         "selection": {"kind": "sign", "sign": -1}}),
+    "interval": ("run", {
+        "model": {"f": {"type": "affine", "A": [[-1.0]], "b": [3.0]},
+                  "G": {"type": "l1", "weights": [0.5]},
+                  "C": {"type": "intersection", "members": [
+                      {"type": "ball", "center": [0.0], "radius": 1.0},
+                      {"type": "halfspace", "normal": [1.0], "offset": 0.5}]},
+                  "constants": {"a": 4.0, "b": 1.0, "r_star": 1.0, "M": 4.0, "gamma": 0.5}},
+        "x0": [0.0], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.05}}),
 }
 FUZZ_VALUES = [None, True, "x", [], {}, -1, 0, 0.5, 10 ** 400, float("nan"), float("inf"),
                [[[1.0]]]]
@@ -977,6 +985,37 @@ class TestConfigFields:
         "dry_friction.gamma": ("run", lambda v: {
             "model": {**FUZZ_BASES["friction"][1]["model"], "gamma": v}, "x0": [0.0, 0.0]},
             "gamma"),
+        "box.lower": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "C": {
+            "type": "box", "lower": [v], "upper": [1.0]}}}, "lower[0]"),
+        "box.upper": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "C": {
+            "type": "box", "lower": [0.0], "upper": [v]}}}, "upper[0]"),
+        "ball.center": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "C": {
+            "type": "ball", "center": [v], "radius": 1.0}}}, "center[0]"),
+        "halfspace.normal": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "C": {
+            "type": "halfspace", "normal": [v], "offset": 1.0}}}, "normal[0]"),
+        "l1.weights": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "G": {
+            "type": "l1", "weights": [v]}}}, "weights[0]"),
+        "linear.matrix": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "G": {
+            "type": "linear", "matrix": [[v]]}}}, "matrix[0][0]"),
+        "affine.A": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "f": {
+            "type": "affine", "A": [[v]], "b": [2.0]}}}, "A[0][0]"),
+        "affine.b": ("run", lambda v: {"model": {**TestBoundaryValidation.GENERIC, "f": {
+            "type": "affine", "A": [[-1.0]], "b": [v]}}}, "b[0]"),
+        "dry_friction.K": ("run", lambda v: {
+            "model": {**FUZZ_BASES["friction"][1]["model"], "K": [[v, 0.5], [0.5, 1.0]]},
+            "x0": [0.0, 0.0]}, "K[0][0]"),
+        "dry_friction.tau": ("run", lambda v: {
+            "model": {**FUZZ_BASES["friction"][1]["model"], "tau": [v, -0.2]},
+            "x0": [0.0, 0.0]}, "tau[0]"),
+        "dry_friction.weights": ("run", lambda v: {
+            "model": {**FUZZ_BASES["friction"][1]["model"], "weights": [v, 0.7]},
+            "x0": [0.0, 0.0]}, "weights[0]"),
+        "dry_friction.lower": ("run", lambda v: {
+            "model": {**FUZZ_BASES["friction"][1]["model"], "lower": [v, -1.0]},
+            "x0": [0.0, 0.0]}, "lower[0]"),
+        "dry_friction.upper": ("run", lambda v: {
+            "model": {**FUZZ_BASES["friction"][1]["model"], "upper": [v, 1.0]},
+            "x0": [0.0, 0.0]}, "upper[0]"),
     }
 
     @pytest.mark.parametrize("value", [True, "0.1"], ids=["true", "string"])

@@ -49,7 +49,10 @@ a config error; an onedim run whose power_of_step tolerances
 eps0 mu^(2 + beta) overflow (eps0 1e308, mu0 2), a config error; a
 generic scalar model that writes the record kinds no other case's
 manifest holds, an affine f(x) = -x - 1 with a `linear` G on a
-`halfline`, pushed onto the wall from 0.5 in 20 steps of mu = 0.05; a key
+`halfline`, pushed onto the wall from 0.5 in 20 steps of mu = 0.05; a
+model whose every number is an integer literal, in matrices, vectors and
+scalars (an affine f, an l1 G, a ball, a box and a halfspace), which its
+manifest writes back as floats; a key
 that no command reads, a config error, at the top level (the README
 example with `diagnostic` for `diagnostics`, run without `--diagnostics`)
 and in `study` (an onedim study with `referenc_refine`); the
@@ -178,6 +181,15 @@ PINNED_CASES = {
                                "constants": {"a": 1.0, "b": 2.0, "r_star": 1.0, "M": 1.0,
                                              "gamma": 1.0, "ell": -2.0}},
                      "x0": [0.5], "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.05}},
+    "int-literals": {"model": {"f": {"type": "affine", "A": [[-1, 0], [0, -1]], "b": [3, 1]},
+                               "G": {"type": "l1", "weights": [1, 0]},
+                               "C": {"type": "intersection", "members": [
+                                   {"type": "ball", "center": [0, 0], "radius": 2},
+                                   {"type": "box", "lower": [-1, -1], "upper": [1, 1]},
+                                   {"type": "halfspace", "normal": [0, 1], "offset": 1}]},
+                               "constants": {"a": 5, "b": 1, "r_star": 1, "M": 5, "gamma": 1,
+                                             "ell": -1}},
+                     "x0": [0, 0], "T": 1, "schedule": {"kind": "uniform", "mu0": 0.05}},
 }
 PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
                                "study": {"levels": [0.1, 0.05, 0.025]}}
