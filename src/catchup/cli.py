@@ -75,6 +75,8 @@ def _load_config(args) -> SimpleNamespace:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {args.config} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"config {args.config} is nested too deeply to read") from None
     if isinstance(cfg, dict):  # any other root is build_record's to reject
         flags = [(key, getattr(args, key, None)) for key in ("seed", "out", "diagnostics")]
         cfg = {key: value for key, value in [*cfg.items(), *flags] if value is not None}

@@ -17,6 +17,7 @@ import functools
 import inspect
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,8 @@ def check_integer(value, name: str = "seed", minimum: int = 0) -> int:
 def check_number(value, name: str, finite: bool = True) -> float:
     """`value` as a float; ValueError naming it unless it is a real number
     within float range, checked as given: a bool or a string is not one.
-    NaN is never accepted, and +-inf only where `finite` is False."""
+    NaN is never accepted, and +-inf only where `finite` is False.  The
+    message echoes a value that is not a number in a bounded repr."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             x = float(value)
@@ -147,7 +149,7 @@ def check_number(value, name: str, finite: bool = True) -> float:
             if math.isfinite(x) or not (finite or math.isnan(x)):
                 return x
             raise ValueError(f"{name} must {'be finite' if finite else 'not be NaN'}, got {x}")
-    raise ValueError(f"{name} must be a number, got {value!r}")
+    raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
 
 
 def check_array(value, name: str, ndim: int = 1, finite: bool = True) -> NDArray:
@@ -506,12 +508,14 @@ def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
 
 
 class Intersection(ConvexSet):
-    """Intersection of convex sets, projected by Dykstra's scheme.
+    """Intersection of convex sets.
 
-    The intersection is assumed nonempty (caller contract).  `project`
-    iterates within `budget` sweeps and is exact only up to the internal
-    stopping tolerance; the certified route for a stated slack is
-    `approx_project` with the Iterative policy.
+    The intersection is assumed nonempty (caller contract).  One ball and
+    one halfspace, in either order, project in closed form (`_cap_project`);
+    any other intersection sweeps through Dykstra's scheme, within `budget`
+    sweeps and exact only up to the internal stopping tolerance.  The
+    certified route for a stated slack is `approx_project` with the
+    Iterative policy, which sweeps through Dykstra on every intersection.
     """
 
     variant = "intersection"
@@ -526,26 +530,64 @@ class Intersection(ConvexSet):
         self.members = members
         self.budget = check_integer(budget, "budget", minimum=1)
         self.dim = members[0].dim
+        self._cap = None
+        if len(members) == 2 and {type(m) for m in members} == {Ball, Halfspace}:
+            ball, half = sorted(members, key=lambda m: type(m) is Halfspace)
+            # the disc where the sphere meets the hyperplane: its centre c'
+            # and radius rho, from the centre's signed distance t to the plane
+            s = half._slack(ball.center)
+            t = s / half.norm
+            rho = math.sqrt(max((ball.radius - t) * (ball.radius + t), 0.0))
+            self._cap = ball, half, ball.center - (s / half.norm_sq) * half.normal, rho
 
     def project(self, y) -> NDArray:
-        return self._dykstra_judged(_as_points(y, self.dim))[0]
+        return self._judged(_as_points(y, self.dim))[0]
 
     def project_judged(self, y) -> tuple[NDArray, float]:
-        return self._dykstra_judged(_as_vector(y, self.dim))
+        return self._judged(_as_vector(y, self.dim))
 
-    def _dykstra_judged(self, y: NDArray):
-        """The Dykstra limit of a vector, or of each row of a stack, with its
+    def _judged(self, y: NDArray):
+        """The projection of a vector, or of each row of a stack, with its
         largest member distance, which `contains` judges; ProjectionError
         when a point is not a member."""
-        tol = 1e-13 * (1.0 + _norm(y))
-        z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
+        if self._cap:
+            z, failure = self._cap_project(y), "closed-form projection is not a member"
+        else:
+            tol = 1e-13 * (1.0 + _norm(y))
+            z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
+            failure = f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
         tol = membership_tol(z)
         worst = self._worst_distance(z, tol)
         if not np.all(worst <= tol):
-            raise ProjectionError(
-                f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
-            )
+            raise ProjectionError(failure)
         return z, worst
+
+    def _cap_project(self, y: NDArray) -> NDArray:
+        """The metric projection onto a ball B n halfspace H, by the active
+        constraints (Bauschke & Combettes, ch. 29): P_B(y) if it lies in H,
+        else P_H(y) if it lies in B, else the point of the rim circle (centre
+        c', radius rho, in the hyperplane) nearest the hyperplane projection
+        p of y.  A stack takes each row's case by masks; every candidate is
+        computed row by row, so a row keeps the bits of its point alone."""
+        ball, half, rim_centre, rho = self._cap
+        on_ball = ball.project(y)
+        in_half = half._slack(on_ball) <= 0
+        if y.ndim == 1 and in_half:
+            return on_ball
+        on_half = half.project(y)
+        in_ball = _norm(on_half - ball.center) <= ball.radius
+        if y.ndim == 1 and in_ball:
+            return on_half
+        # d = p - c' for p, the projection onto the hyperplane: not P_H(y),
+        # which leaves a y inside H where it is
+        d = y - np.multiply.outer(half._slack(y) / half.norm_sq, half.normal) - rim_centre
+        nrm = _norm(d)
+        if y.ndim == 1:
+            return rim_centre + (rho / nrm if nrm != 0 else 0.0) * d
+        # only rim rows divide, and a zero norm never (as in Ball.project)
+        scale = rho / np.where(~(in_half | in_ball) & (nrm != 0), nrm, np.inf)
+        rim = rim_centre + scale[:, None] * d
+        return np.where(in_half[:, None], on_ball, np.where(in_ball[:, None], on_half, rim))
 
     def distance_lower_bound(self, y) -> float:
         """max_i d_{C_i}(y), a certified lower bound on the intersection distance.

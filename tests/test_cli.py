@@ -589,6 +589,21 @@ class TestBoundaryValidation:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth, message", [
+        (900, "weights[0] must be a number, got [[["),
+        (3000, "is nested too deeply to read"),
+    ])
+    def test_deeply_nested_entry_is_config_error(self, tmp_path, capsys, depth, message):
+        # an l1 weight 0.0 inside `depth` lists: 3000 levels exceed the JSON
+        # reader's recursion limit, 900 parse and are echoed in a short form
+        model = {**self.GENERIC, "G": {"type": "l1", "weights": "NESTED"}}
+        text = json.dumps(onedim_config(model=model, x0=[0.5], T=0.1))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text.replace('"NESTED"', "[" * depth + "0.0" + "]" * depth))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err) < 200
+
     @pytest.mark.parametrize("command, entry", [
         ("run", {"selection": {"kind": "randomized", "seed": float("inf")}}),
         ("run", {"selection": {"kind": "sign", "sign": float("inf")}}),

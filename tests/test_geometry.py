@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from catchup.geometry import (
     Ball,
@@ -227,6 +227,12 @@ class TestIntersection:
         C, x, bisector = self.outside_corner(0.0, 2.5e-9)
         assert in_approx_normal_cone(C, x, bisector, 0.0).holds
 
+    def test_normal_cone_at_a_thin_corner(self):
+        # the cap projects its probes in closed form, where Dykstra
+        # projected none of them within its budget
+        C, x, bisector = self.outside_corner(-0.99, 1e-8)
+        assert in_approx_normal_cone(C, x, bisector, 0.0).holds
+
     def test_bounded_via_members(self):
         C = self.cap()
         assert C.bounding_radius() == pytest.approx(1.0)
@@ -238,6 +244,74 @@ class TestIntersection:
         # tangent cone there: left of the vertical wall and below the circle tangent
         assert t[0] <= 1e-9
         assert float(x @ t) <= 1e-9
+
+
+def _kkt_violation(ball, half, y, z):
+    """How far z misses the KKT conditions of projecting y onto ball n half:
+    y - z = lam_B (z - c) + lam_H n with lam >= 0 and lam_i g_i = 0.  The
+    constraints g_B = |z - c| - r, g_H = n.z - b active within `allow` carry
+    the multipliers, fitted by least squares; the others carry none.
+    Returns the residual's norm, the smallest multiplier, the largest
+    |lam_i g_i| and the allowance 1e-9 (1 + |y|)."""
+    allow = 1e-9 * (1.0 + np.linalg.norm(y))
+    columns = [(z - ball.center, np.linalg.norm(z - ball.center) - ball.radius),
+               (half.normal, float(half.normal @ z) - half.offset)]
+    active = [(col, g) for col, g in columns if g >= -allow]
+    if not active:
+        return float(np.linalg.norm(y - z)), 0.0, 0.0, allow
+    A = np.column_stack([col for col, _ in active])
+    lam = np.linalg.lstsq(A, y - z, rcond=None)[0]
+    residual = float(np.linalg.norm(y - z - A @ lam))
+    slack = max(abs(l * g) for l, (_, g) in zip(lam, active))
+    return residual, float(lam.min()), slack, allow
+
+
+@st.composite
+def caps_with_points(draw):
+    """Ball(c, r) n Halfspace(n, n.c + u r) in R^2 to R^5, u down to -0.999,
+    and points of it in every case: random draws around the ball, and
+    points z0 + alpha (z0 - c) + beta n off a rim point z0, which project
+    onto z0 with both constraints active; with beta = 0 and u < 0 those lie
+    inside H but outside B."""
+    d = draw(st.integers(2, 5))
+    coords = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=d, max_size=d).map(np.array)
+    c, r = draw(coords(-2.0, 2.0)), draw(st.floats(0.1, 3.0))
+    u = draw(st.one_of(st.floats(-0.999, 0.9), st.sampled_from([-0.999, -0.99, -0.9, 0.0])))
+    g = draw(coords(-1.0, 1.0))
+    assume(np.linalg.norm(g) > 0.1)
+    n = g / np.linalg.norm(g)
+    ball, half = Ball(c, r), Halfspace(n, float(n @ c) + u * r)
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["draw", "rim", "rim-in-H"]), min_size=1,
+                              max_size=8)):
+        if kind == "draw":
+            points.append(c + r * draw(coords(-4.0, 4.0)))
+            continue
+        e = draw(coords(-1.0, 1.0))
+        e -= (e @ n) * n
+        assume(np.linalg.norm(e) > 0.1)
+        z0 = c + u * r * n + r * np.sqrt(1.0 - u * u) * e / np.linalg.norm(e)
+        beta = 0.0 if kind == "rim-in-H" else draw(st.floats(0.0, 2.0))
+        points.append(z0 + draw(st.floats(0.0, 2.0)) * (z0 - c) + beta * n)
+    return ball, half, np.array(points)
+
+
+class TestCapProjection:
+    """One ball and one halfspace project in closed form."""
+
+    @given(caps_with_points())
+    @settings(max_examples=200, deadline=None)
+    def test_point_meets_the_kkt_conditions(self, case):
+        ball, half, Y = case
+        C = Intersection([ball, half])
+        Z = C.project(Y)
+        assert Intersection([half, ball]).project(Y).tobytes() == Z.tobytes()
+        for y, z in zip(Y, Z):
+            assert C.project(y).tobytes() == z.tobytes()
+            tol = membership_tol(z)
+            assert ball.distance(z) <= tol and half.distance(z) <= tol
+            residual, smallest, slack, allow = _kkt_violation(ball, half, y, z)
+            assert residual <= allow and smallest >= -allow and slack <= allow
 
 
 class TestApproxProject:
@@ -788,7 +862,8 @@ dykstra_rows = st.lists(st.one_of(
 
 
 # the polygon benchmark workload's run config for workload seed 4301, pinned
-# here so that a change of the workload generator leaves this test as it is
+# here so that a change of the workload generator leaves this test as it is;
+# its redundant box keeps the cap off the closed form, so it sweeps by Dykstra
 POLYGON_RUN = {
     "T": 2.0,
     "errors": {"beta": 1.0, "eps0": 0.1, "kind": "power_of_step"},
@@ -796,7 +871,8 @@ POLYGON_RUN = {
         "C": {"type": "intersection", "members": [
             {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
             {"type": "halfspace", "normal": [0.920378684104825, 0.3910282315197595],
-             "offset": 0.5}]},
+             "offset": 0.5},
+            {"type": "box", "lower": [-2.0, -2.0], "upper": [2.0, 2.0]}]},
         "G": {"type": "l1", "weights": [0.2, 0.2]},
         "constants": {"M": 4.560752510029523, "a": 2.442718521279629,
                       "b": 1.118033988749895, "ell": -1.0, "gamma": 1.0, "r_star": 1.0},

@@ -884,7 +884,8 @@ class TestBlockedCertificates:
     def test_probe_failure_on_a_budget_one_intersection(self, row_budget):
         # a single sweep (halfspace x_0 <= -0.5, then the unit ball) takes the
         # steps' predictors into the set, but not the far probe points
-        C = Intersection([Halfspace([1.0, 0.0], -0.5), Ball([0.0, 0.0], 1.0)], budget=1)
+        C = Intersection([Halfspace([1.0, 0.0], -0.5), Ball([0.0, 0.0], 1.0),
+                          Box([-2.0, -2.0], [2.0, 2.0])], budget=1)
         kw = dict(x0=(-0.9, 0.0), drift=(1.0, 0.2), mu=0.1)
         got = run_outcome(run, C, {}, **kw)
         assert got == run_outcome(reference_run, C, {}, **kw)

@@ -41,7 +41,10 @@ lands on the boundary, since the projection divides by |normal|^2
 (lower (-1, -inf, 0), upper (1, 2, inf)), 20 steps of mu = 0.05 from 0,
 each with a normal-cone certificate that projects the probe table of a
 box; a start outside
-a thin cap (a ball cut at -0.99 of its radius), a config error; a generic
+a thin cap (a ball cut at -0.99 of its radius), a config error; a run
+pushed by f(x) = (3, 1) - x from (-0.995, 0) into that cap's upper corner,
+whose normal-cone certificates project their probes onto the thin cap
+(in closed form, as a ball cut by one halfspace); a generic
 scalar model whose records carry fields their kinds do not have (`dim` on
 a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
 uniform schedule, `sign` on minimal_norm, `slack_fraction` on perturbed),
@@ -120,6 +123,12 @@ def _wedge(drift: list[float]) -> dict:
             "x0": [0.0, 0.0], "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.25}}
 
 
+# the unit disc cut by {x_0 <= -0.99}: a thin cap with sharp corners
+THIN_CAP = {"type": "intersection", "members": [
+    {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+    {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}
+
+
 PINNED_CASES = {
     "onedim-readme": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 10.0,
                       "schedule": {"kind": "uniform", "mu0": 0.01}},
@@ -160,9 +169,8 @@ PINNED_CASES = {
                                         {"type": "box", "lower": [-1.0, -float("inf"), 0.0],
                                          "upper": [1.0, 2.0, float("inf")]}, [0.0, 0.0, 0.0]),
                           "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.05}},
-    "thin-cap-start": _pushed_out([3.0, 1.0], {"type": "intersection", "members": [
-        {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
-        {"type": "halfspace", "normal": [1.0, 0.0], "offset": -0.99}]}, [5.0, 3.0]),
+    "thin-cap-start": _pushed_out([3.0, 1.0], THIN_CAP, [5.0, 3.0]),
+    "thin-cap-corner": _pushed_out([3.0, 1.0], THIN_CAP, [-0.995, 0.0]),
     "unknown-fields": {"model": {"f": {"type": "affine", "A": [[-1.0]], "b": [2.0]},
                                  "G": {"type": "linear", "matrix": [[1.0]], "extra": 1},
                                  "C": {"type": "halfline", "dim": 3},
