@@ -117,9 +117,10 @@ def _norm(a: NDArray):
     """Euclidean norm over the last axis: a float for a vector, an array for
     a stack.  Each row is summed like the 1-D `np.linalg.norm` (sqrt of the
     row's dot product), so a row of a stack gets the bits of that row on its
-    own; `np.linalg.norm(a, axis=1)` sums in another order."""
+    own; `np.linalg.norm(a, axis=1)` sums in another order.  A vector's
+    `a.dot(a)` has the bits of `np.vecdot(a, a)` at half its cost."""
     if a.ndim == 1:
-        return math.sqrt(np.vecdot(a, a))
+        return math.sqrt(a.dot(a))
     return np.sqrt(np.vecdot(a, a))
 
 
@@ -443,9 +444,12 @@ class Halfspace(ConvexSet):
         return (max(s, 0.0) if y.ndim == 1 else np.maximum(s, 0.0)) / self.norm
 
     def _slack(self, y: NDArray):
-        """<normal, y> - offset: a float for a vector, an array for a stack."""
-        s = np.vecdot(y, self.normal)
-        return (float(s) if y.ndim == 1 else s) - self.offset
+        """<normal, y> - offset: a float for a vector, an array for a stack.
+        `+ 0.0` makes 0.0 of the -0.0 that `y.dot` keeps of a one-coordinate
+        product, as `np.vecdot`, which sums from 0.0, does."""
+        if y.ndim == 1:
+            return float(y.dot(self.normal)) + 0.0 - self.offset
+        return np.vecdot(y, self.normal) - self.offset
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -558,7 +562,7 @@ class Intersection(ConvexSet):
             failure = f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
         tol = membership_tol(z)
         worst = self._worst_distance(z, tol)
-        if not np.all(worst <= tol):
+        if not (worst <= tol if z.ndim == 1 else (worst <= tol).all()):
             raise ProjectionError(failure)
         return z, worst
 
@@ -704,7 +708,7 @@ class PerturbedProjection:
         z, bound = C.project_judged(z0 + (r / nrm) * direction)
         # By nonexpansiveness |z - z0| <= r, hence |z - y| <= d + r and the
         # contract holds by construction; verify anyway and fall back.
-        if float(np.sum((z - y) ** 2)) <= d * d + eps:
+        if float(np.add.reduce((z - y) ** 2)) <= d * d + eps:
             return z, bound
         return z0, bound0
 
@@ -736,15 +740,19 @@ class IterativeProjection:
         z = y
         for _ in range(C.budget):
             z, points = _sweep(projectors, z, corrections)
-            n = np.sum(corrections, axis=0)
+            # 0 + q_0 + q_1 + ...: the order, and the 0.0 start, of np.sum(axis=0)
+            n = sum(corrections)
             nn = math.sqrt(n.dot(n))
             if nn > 0.0:
-                sep = (float(n @ y) - sum(float(q @ p) for q, p in zip(corrections, points))) / nn
+                # `.dot` differs from `@` only in the sign of a zero, and a
+                # zero sep fails the test whatever its sign
+                qp = sum(float(q.dot(p)) for q, p in zip(corrections, points))
+                sep = (float(n.dot(y)) - qp) / nn
                 if sep > 0.0:
                     lb = max(lb, sep * sep)
             tol = membership_tol(z)
             worst = C._worst_distance(z, tol)
-            if worst <= tol and float(np.sum((z - y) ** 2)) <= lb + eps:
+            if worst <= tol and float(np.add.reduce((z - y) ** 2)) <= lb + eps:
                 return z, worst
         raise ProjectionError(
             "Dykstra sweeps could not certify the eps-inequality "
@@ -768,8 +776,8 @@ def approx_project(C: ConvexSet, y, eps: float, policy=None,
     The returned point always satisfies the inequality; a policy that cannot
     certify it within budget raises ProjectionError.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:  # NaN too
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     y = _as_vector(y, C.dim)
     if policy is None:
         policy = ExactProjection()
@@ -887,7 +895,7 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
     v = _as_vector(v, C.dim)
     pts, W = points
     vals = (pts - x) @ v
-    worst = int(np.argmax(vals))
+    worst = int(vals.argmax())
     worst_val = float(vals[worst])
     tol = 1e-12 * (1.0 + math.sqrt(v.dot(v)) * (1.0 + W))
     return NormalConeCertificate(

@@ -110,7 +110,10 @@ class SeparableL1(RegularPart):
 
     def value(self, x) -> tuple[NDArray, NDArray]:
         x = _as_vector(x, self.dim)
-        zero, slope = x == 0.0, self.weights * np.sign(x)
+        slope = self.weights * np.sign(x)
+        if np.count_nonzero(x) == self.dim:  # no coordinate is zero: the singleton
+            return slope, slope
+        zero = x == 0.0
         return np.where(zero, -self.weights, slope), np.where(zero, self.weights, slope)
 
 
@@ -155,10 +158,14 @@ class AffineField:
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError(f"A must be a square matrix and b a vector of its size, "
                              f"got shapes {self.matrix.shape} and {self.offset.shape}")
+        # b with -0.0 made 0.0: `A.dot(x)`, half the cost of `A @ x`, keeps the
+        # -0.0 of a 1x1 A's product that `@` sums to 0.0, and adding this
+        # offset gives the bits of `A @ x + b`
+        self._offset = self.offset + 0.0
 
     def __call__(self, x) -> NDArray:
         x = _as_vector(x, self.dim)
-        return self.matrix @ x + self.offset
+        return self.matrix.dot(x) + self._offset
 
     def to_config(self) -> dict:
         return {"type": "affine", "A": self.matrix.tolist(), "b": self.offset.tolist()}

@@ -332,8 +332,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     """
     C = model.C
     x = _as_vector(x, model.dim)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not mu > 0:  # NaN too
+        raise ValueError(f"mu must be positive, got {mu}")
     w = select_F(model, x, rule=selection or MinimalNorm(), rng=sel_rng)
     y = x + mu * w
     try:
@@ -353,7 +353,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
         raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
                           kind="infeasible")
     if np.count_nonzero(p):
-        v = -p / mu
+        v = p / -mu  # -p / mu in one pass: p has no NaN, which fails the contract
     else:
         v = np.zeros(p.shape)
     return x_next, y, w, p, v

@@ -19,10 +19,16 @@ stacked probe builder as it was while every query was gathered and then
 projected, and `reference_csv_text` the CSV writer as it was while every
 cell was formatted on its own.  `reference_to_config` is the config record
 of each set and regular part as its own class wrote it, before one writer
-read every record off its constructor's signature.
+read every record off its constructor's signature.  `reference_norm`,
+`reference_slack`, `reference_leaf_distance` and `reference_field` are the
+vector formulas of the step path as they were while every vector product
+went through `np.vecdot` or `@`, and `reference_value` and `reference_pick`
+give G(x) and the point a rule picks from it as they were while every
+minimal-norm selection clipped.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -238,6 +244,29 @@ def distance_formula(C, y):
     return float(np.linalg.norm(y - C.project(y)))
 
 
+def reference_norm(a):
+    """|a| of a vector: the square root of `np.vecdot(a, a)`."""
+    return math.sqrt(np.vecdot(a, a))
+
+
+def reference_slack(H, y):
+    """<normal, y> - offset of a halfspace H at the vector y, a Python float."""
+    return float(np.vecdot(y, H.normal)) - H.offset
+
+
+def reference_leaf_distance(C, y):
+    """The distance of the vector y to a ball or a halfspace, a Python float:
+    max(gap, 0.0) keeps a NaN and a -0.0 gap."""
+    if hasattr(C, "radius"):
+        return max(reference_norm(y - C.center) - C.radius, 0.0)
+    return max(reference_slack(C, y), 0.0) / C.norm
+
+
+def reference_field(f, x):
+    """The affine drift A x + b at the vector x."""
+    return f.matrix @ x + f.offset
+
+
 def reference_value(G, x):
     """The bounds (lower, upper) of G(x), each a float vector, as each
     regular part builds them; a custom part's callable gives a vector or
@@ -385,19 +414,23 @@ def reference_dykstra_limit(projectors, y, budget, tol):
 
 
 def _leaf_distance(C, y):
-    """The distance of the vector y to a ball or a halfspace, in numpy scalars."""
+    """The distance of the vector y to a ball, a halfspace or a box, in
+    numpy scalars."""
+    if hasattr(C, "normal"):
+        return np.maximum(np.vecdot(y, C.normal) - C.offset, 0.0).item()
     if hasattr(C, "radius"):
         d = y - C.center
         return np.maximum(np.sqrt(np.vecdot(d, d)) - C.radius, 0.0).item()
-    return np.maximum(np.vecdot(y, C.normal) - C.offset, 0.0).item()
+    d = y - np.clip(y, C.lower, C.upper)
+    return np.sqrt(np.vecdot(d, d)).item()
 
 
 def reference_iterative_project(C, y, eps):
     """The Iterative policy's point for the vector y on an intersection of
-    balls and halfspaces: the first Dykstra iterate z that lies within the
-    membership tolerance 1e-9 (1 + |z|) of every member and whose squared
-    distance to y exceeds a certified lower bound on d_C(y)^2 by at most
-    eps.  The bound starts from the worst member distance and takes each
+    balls, halfspaces and boxes: the first Dykstra iterate z that lies
+    within the membership tolerance 1e-9 (1 + |z|) of every member and whose
+    squared distance to y exceeds a certified lower bound on d_C(y)^2 by at
+    most eps.  The bound starts from the worst member distance and takes each
     sweep's separating halfspace; the budget running out raises the
     policy's ProjectionError."""
     members = C.members

@@ -56,8 +56,8 @@ class TestRunCommand:
         assert "x0" in err and "not in the set" in err
 
     def test_start_outside_a_thin_cap_is_config_error(self, tmp_path, capsys):
-        # the thin cap's Dykstra projection of (5, 3) runs out of sweeps, so
-        # the message must not need one
+        # the message needs no projection of (5, 3) onto the thin cap, and
+        # names no Dykstra sweep
         model = {**POLYGON_MODEL, "C": {"type": "intersection", "members": [
             {"type": "ball", "center": [0, 0], "radius": 1.0},
             {"type": "halfspace", "normal": [1, 0], "offset": -0.99},

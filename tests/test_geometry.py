@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from catchup.geometry import (
     Ball,
@@ -30,7 +30,14 @@ from catchup.geometry import (
     _probe_layout,
 )
 from catchup.cli import main
-from catchup.operators import LinearPart, SeparableL1, ZeroPart, regular_part_from_config
+from catchup.operators import (
+    AffineField,
+    LinearPart,
+    MinimalNorm,
+    SeparableL1,
+    ZeroPart,
+    regular_part_from_config,
+)
 
 from oracles import (
     cone_grid_project,
@@ -39,10 +46,16 @@ from oracles import (
     normal_cone_record,
     probe_points_loop,
     reference_dykstra_limit,
+    reference_field,
     reference_iterative_project,
+    reference_leaf_distance,
+    reference_norm,
+    reference_pick,
     reference_probe_stack,
     reference_perturbed_project,
+    reference_slack,
     reference_to_config,
+    reference_value,
 )
 
 
@@ -213,8 +226,8 @@ class TestIntersection:
         np.testing.assert_array_equal(C.require_member(x), x)
 
     def test_outside_point_is_reported_without_projecting(self):
-        # Dykstra cannot project (5, 3) onto the thin cap within its budget;
-        # the message gives the largest member distance instead
+        # the message gives the largest member distance of (5, 3), which
+        # needs no projection onto the thin cap
         C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.99)])
         with pytest.raises(GeometryError, match="not in the set") as info:
             C.require_member([5.0, 3.0])
@@ -222,8 +235,8 @@ class TestIntersection:
         assert "5.990e+00" in str(info.value)
 
     def test_normal_cone_at_a_member_point(self):
-        # at the right-angle corner, where Dykstra projects every probe
-        # within its budget
+        # at the right-angle corner, where the cap projects every probe in
+        # closed form, as a ball cut by one halfspace
         C, x, bisector = self.outside_corner(0.0, 2.5e-9)
         assert in_approx_normal_cone(C, x, bisector, 0.0).holds
 
@@ -364,6 +377,10 @@ class TestApproxProject:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             approx_project(Halfline(), [1.0], -1e-3)
+
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+            approx_project(Halfline(), [0.5], float("nan"))
 
 
 class TestMoreau:
@@ -964,16 +981,22 @@ def _projection_outcome(project, C, y, eps):
         return str(e)
 
 
+# the cap with its top and bottom cut off by a box: three members, all of
+# which bind somewhere, so Dykstra sums three nonzero corrections
+BOXED_CAP = [*CAP, Box([-2.0, -0.6], [2.0, 0.6])]
+
+
 class TestIterativeMatchesReference:
     """The Iterative policy returns the bytes of its loop written out in numpy
     scalars, or raises the same ProjectionError."""
 
-    @given(thin=st.booleans(), eps=st.sampled_from([0.0, 1e-8, 1e-4]),
+    @given(members=st.sampled_from([CAP, THIN_CAP, BOXED_CAP]),
+           eps=st.sampled_from([0.0, 1e-8, 1e-4]),
            where=st.sampled_from(["outward", "arc", "wall", "inside"]),
            angle=st.floats(0.0, 2.0 * np.pi), r=st.floats(1.0, 4.0), t=st.floats(0.0, 1.0))
-    @settings(max_examples=150, deadline=None)
-    def test_project_matches_the_oracle(self, thin, eps, where, angle, r, t):
-        members = THIN_CAP if thin else CAP
+    @settings(max_examples=200, deadline=None)
+    def test_project_matches_the_oracle(self, members, eps, where, angle, r, t):
+        thin = members is THIN_CAP
         C, wall = Intersection(members), members[1].offset
         corner = np.arccos(wall)  # the arc runs from this angle to its mirror
         arc = corner + t * (2.0 * np.pi - 2.0 * corner)
@@ -987,6 +1010,128 @@ class TestIterativeMatchesReference:
         want = _projection_outcome(reference_iterative_project, C, y, eps)
         got = _projection_outcome(lambda *args: IterativeProjection().project(*args)[0], C, y, eps)
         assert got == want
+
+
+# --- the bits of the step path's vector formulas ---------------------------
+
+SPECIAL_ENTRIES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def entries(finite=False):
+    """One coordinate: a special value, a moderate float or any float."""
+    special = [v for v in SPECIAL_ENTRIES if np.isfinite(v)] if finite else SPECIAL_ENTRIES
+    return st.one_of(st.sampled_from(special), st.floats(-10.0, 10.0),
+                     st.floats(allow_nan=not finite, allow_infinity=not finite))
+
+
+def arrays(draw, shape, finite=False, elements=None):
+    size = int(np.prod(shape))
+    elements = entries(finite) if elements is None else elements
+    values = draw(st.lists(elements, min_size=size, max_size=size))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@st.composite
+def leaf_cases(draw):
+    """A ball or a halfspace in R^d, d = 1-13, and a vector."""
+    d = draw(st.integers(1, 13))
+    if draw(st.booleans()):
+        radius = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e300))
+        C = Ball(arrays(draw, (d,), finite=True), radius)
+    else:
+        u = arrays(draw, (d,), elements=st.sampled_from([0.0, -0.0, 1.0, -1.0])
+                   | st.floats(-10.0, 10.0))
+        assume(np.linalg.norm(u) > 1e-100)
+        C = Halfspace(u / np.linalg.norm(u), draw(entries(finite=True)))
+    return C, arrays(draw, (d,))
+
+
+@st.composite
+def field_cases(draw):
+    """An affine drift in R^d, d = 1-13, and a vector."""
+    d = draw(st.integers(1, 13))
+    f = AffineField(arrays(draw, (d, d), finite=True), arrays(draw, (d,), finite=True))
+    return f, arrays(draw, (d,))
+
+
+@st.composite
+def linear_cases(draw):
+    """A linear G(x) = {M x} in R^d, d = 1-13, M a diagonal (signed zeros
+    among its entries) or B B^T, and a vector."""
+    d = draw(st.integers(1, 13))
+    if draw(st.booleans()):
+        M = np.diag(arrays(draw, (d,), elements=st.sampled_from([0.0, -0.0])
+                           | st.floats(0.0, 10.0)))
+    else:
+        B = arrays(draw, (d, d), elements=st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0))
+        M = B @ B.T
+        M = np.triu(M) + np.triu(M, 1).T
+    return LinearPart(M), arrays(draw, (d,))
+
+
+@st.composite
+def l1_cases(draw):
+    """An l1 part in R^d, d = 1-13, with zero weights among others, a point
+    x and a drift value f(x)."""
+    d = draw(st.integers(1, 13))
+    weights = arrays(draw, (d,), elements=st.sampled_from([0.0, -0.0, 1.0])
+                     | st.floats(0.0, 1e300))
+    return SeparableL1(weights), arrays(draw, (d,)), arrays(draw, (d,))
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+class TestVectorFormulasKeepTheirBits:
+    """The vector formulas of the step path give the bytes of their forms in
+    `np.vecdot` and `@` (see oracles.py) for every float vector in
+    d = 1-13, signed zeros, NaN, infinities and 1e+-300 included."""
+
+    @given(case=leaf_cases())
+    @example(case=(Halfspace([1.0], 0.0), np.array([-0.0])))
+    @example(case=(Halfspace([-1.0], 0.0), np.array([0.0])))
+    @settings(max_examples=400, deadline=None)
+    def test_norm_slack_and_distance(self, case):
+        C, y = case
+        with np.errstate(all="ignore"):
+            assert same_bits(_norm(y), reference_norm(y))
+            assert same_bits(C.distance(y), reference_leaf_distance(C, y))
+            if isinstance(C, Halfspace):
+                assert same_bits(C._slack(y), reference_slack(C, y))
+
+    @given(case=field_cases())
+    @example(case=(AffineField([[1.0]], [-0.0]), np.array([-0.0])))
+    @example(case=(AffineField([[0.0]], [-0.0]), np.array([-2.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_affine_field(self, case):
+        f, x = case
+        with np.errstate(all="ignore"):
+            assert same_bits(f(x), reference_field(f, x))
+
+    @given(case=linear_cases())
+    @example(case=(LinearPart([[1.0]]), np.array([-0.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_linear_part(self, case):
+        G, x = case
+        with np.errstate(all="ignore"):
+            for got, want in zip(G.value(x), reference_value(G, x)):
+                assert same_bits(got, want)
+
+    @given(case=l1_cases())
+    @example(case=(SeparableL1([0.0]), np.array([-1.0]), np.array([-0.0])))
+    @example(case=(SeparableL1([0.5, 0.0]), np.array([0.0, 2.0]), np.array([np.nan, -0.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_l1_value_then_minimal_norm_pick(self, case):
+        # the bounds keep their bytes; the pick may return a singleton's
+        # bound where clip returned a NaN f(x), so the selection f(x) - g,
+        # which a NaN f(x) makes NaN either way, is compared
+        G, x, f_val = case
+        with np.errstate(all="ignore"):
+            bounds, want = G.value(x), reference_value(G, x)
+            assert all(same_bits(b, w) for b, w in zip(bounds, want))
+            got = f_val - MinimalNorm().pick(*bounds, f_val)
+            assert same_bits(got, f_val - reference_pick(MinimalNorm(), want, f_val, None))
 
 
 # every set type, with a vector and a stack, outside and all inside

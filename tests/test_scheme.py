@@ -206,6 +206,15 @@ class TestStep:
         with pytest.raises(ValueError):
             step(scalar_model(), [0.0], mu=0.0, eps=0.0)
 
+    def test_nan_mu_rejected(self):
+        with pytest.raises(ValueError, match="mu must be positive, got nan"):
+            step(scalar_model(), [0.5], mu=float("nan"), eps=0.0)
+
+    def test_nan_eps_rejected(self):
+        # not a contract failure, which a NaN right-hand side would give
+        with pytest.raises(ValueError, match="eps must be nonnegative, got nan"):
+            step(scalar_model(), [0.5], mu=1e-3, eps=float("nan"))
+
     def test_infeasible_start_rejected(self):
         m = scalar_model()
         with pytest.raises(Exception):

@@ -67,7 +67,11 @@ project by the Dykstra stop, whose 84 normal-cone certificates are
 enforced, and whose truncation diagnostic projects a stack; and the same
 run.json under perturbed projection with its power_of_step errors, whose
 every step projects onto the intersection twice, the exact projection and
-the moved one.
+the moved one; and a drift less an l1 part with a zero weight, pushed from
+a start with a zero coordinate out of a disc cut by a halfspace and a box,
+under the Iterative policy with power_of_step errors: its first step takes
+the interval of G(x) and the others a singleton, and every projection
+sweeps Dykstra over three members.
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -199,6 +203,19 @@ PINNED_CASES = {
                                              "ell": -1}},
                      "x0": [0, 0], "T": 1, "schedule": {"kind": "uniform", "mu0": 0.05}},
 }
+# f(x) = (3, 1) - x less an l1 part with a zero weight, out of the unit
+# disc cut by {0.6 x_0 + 0.8 x_1 <= 0.5} and the box [-0.8, 0.8]^2, from a
+# start with a zero coordinate: the first step takes G(x)'s interval, the
+# others its singleton, and the Iterative policy sweeps over three members
+PINNED_CASES["l1-zero-weight-iterative"] = {
+    **_pushed_out([3.0, 1.0], {"type": "intersection", "members": [
+        {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        {"type": "halfspace", "normal": [0.6, 0.8], "offset": 0.5},
+        {"type": "box", "lower": [-0.8, -0.8], "upper": [0.8, 0.8]}]}, [0.0, 0.3]),
+    "projection": {"kind": "iterative"},
+    "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}}
+PINNED_CASES["l1-zero-weight-iterative"]["model"]["G"] = {"type": "l1", "weights": [0.0, 0.5]}
+PINNED_CASES["l1-zero-weight-iterative"]["model"]["constants"].update(a=3.7, M=7.0)
 PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
                                "study": {"levels": [0.1, 0.05, 0.025]}}
 PINNED_CASES["top-level-typo"] = {**PINNED_CASES["onedim-readme"], "diagnostic": "all"}
