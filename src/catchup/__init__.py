@@ -37,7 +37,6 @@ from .operators import (
     SeparableL1,
     SignConvention,
     ZeroPart,
-    interval_vertices,
     model_from_config,
     select_F,
 )
@@ -89,7 +88,7 @@ __all__ = [
     # operators
     "AffineField", "LinearPart", "MinimalNorm", "MonotoneModel",
     "Randomized", "SeparableL1", "SignConvention", "ZeroPart",
-    "interval_vertices", "model_from_config", "select_F",
+    "model_from_config", "select_F",
     # scheme
     "DiscreteRun", "ExplicitErrors", "ExplicitSteps", "Polynomial",
     "PowerOfStep", "SchemeError", "StepSchedule", "Uniform", "ZeroError",

@@ -6,8 +6,6 @@ a run's checks are assembled from measured run constants (radius, selection
 bound) rather than the a-priori growth chain, which is also reported but
 can be astronomically loose; integrals over the interpolants are computed
 cell by cell in closed form, so the margins contain no quadrature error.
-The falsifiers of a model's declared constants only sample, and say so
-with detail["kind"] = "falsification".
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ExactProjection, approx_project, sample_points
-from .operators import MinimalNorm, MonotoneModel, interval_vertices, select_F
+from .geometry import ExactProjection, approx_project
+from .operators import MinimalNorm, MonotoneModel, select_F
 from .scheme import DiscreteRun, StepSchedule, _young_split, run as run_scheme, step as scheme_step
 
 __all__ = [
@@ -33,9 +31,6 @@ __all__ = [
     "local_truncation",
     "corrector_stability_check",
     "run_constants",
-    "check_linear_growth",
-    "check_tangent_dissipativity",
-    "estimate_one_sided_lipschitz",
 ]
 
 # float fuzz added to bounds before comparing; certificates must hold
@@ -130,11 +125,11 @@ def continuous_energy_bound(x0, M_tilde: float, gamma: float, t) -> NDArray:
     """The squared-norm envelope e^{-2 gamma t} |x0|^2
     + (M_tilde/gamma)(1 - e^{-2 gamma t}), nondecreasing toward
     M_tilde/gamma when it starts below it."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("t must be nonnegative")
     decay = np.exp(-2.0 * gamma * t)
     return decay * float(x0 @ x0) + (M_tilde / gamma) * (1.0 - decay)
@@ -356,7 +351,7 @@ def corrector_stability_check(model: MonotoneModel, x, x_bar, mu: float, eps: fl
     """
     if model.ell is None:
         raise ValueError("the model declares no one-sided Lipschitz level")
-    if mu <= 0 or eps < 0:
+    if not (mu > 0 and eps >= 0):
         raise ValueError("need mu > 0 and eps >= 0")
     C = model.C
     x = C.require_member(x)
@@ -376,116 +371,3 @@ def corrector_stability_check(model: MonotoneModel, x, x_bar, mu: float, eps: fl
     return CertificateEntry.check("one_step_stability", lhs, rhs,
                                   detail={"c_T": c_T, "C_T": C_T, "m": m})
 
-
-# --- falsifiers of a model's declared constants -----------------------------
-
-def _sampling_defaults(model: MonotoneModel, rng, radius):
-    """A seed-0 generator and the set's bounding radius (or a window scaled
-    by r_star for unbounded sets) unless the caller gave them."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if radius is None:
-        r = model.C.bounding_radius()
-        radius = r if np.isfinite(r) else 10.0 * (1.0 + model.r_star)
-    return rng, radius
-
-
-def _falsification(tag: str, measured: float, bound: float, **detail) -> CertificateEntry:
-    """The entry of a sampled claim measured <= bound, judged with slack 1e-9;
-    passing proves nothing, and the detail says which samples were tried."""
-    return CertificateEntry.check(tag, measured, bound, slack=1e-9,
-                                  detail={**detail, "kind": "falsification"})
-
-
-def check_linear_growth(model: MonotoneModel, rng=None, n_samples: int = 200,
-                        radius: float | None = None) -> CertificateEntry:
-    """Try to falsify sup_{w in F(x)} |w| <= a + b |x| over sampled feasible x.
-
-    The sup over the interval box is computed exactly per sample (vertex
-    norm).  Measured is minus the least margin a + b |x| - sup over the
-    samples against a bound of 0, so the entry's margin is that margin.
-    """
-    rng, radius = _sampling_defaults(model, rng, radius)
-    pts = sample_points(model.C, rng, n_samples, radius)
-    worst_margin = np.inf
-    worst_x = None
-    for x in pts:
-        lo, hi = model.F_interval(x)
-        sup = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-        margin = model.growth_bound(np.linalg.norm(x)) - sup
-        if margin < worst_margin:
-            worst_margin = float(margin)
-            worst_x = x
-    return _falsification("linear_growth", -float(worst_margin), 0.0,
-                          witness=None if worst_x is None else worst_x.tolist(),
-                          n_samples=int(n_samples), radius=float(radius))
-
-
-def check_tangent_dissipativity(model: MonotoneModel, rng=None, n_samples: int = 200,
-                                radius: float | None = None,
-                                use_global: bool = True) -> CertificateEntry:
-    """Try to falsify sup_v <x, v> <= M - gamma |x|^2 over sampled feasible x,
-    v ranging over tangent projections of the extreme selections of F(x).
-
-    With use_global the level is M_global and every sample counts;
-    otherwise only samples with |x| >= r_star are tested.  As for the
-    growth check, the entry's margin is the least margin over the samples:
-    NaN, a failure, when no sample was tested.
-    """
-    rng, radius = _sampling_defaults(model, rng, radius)
-    pts = sample_points(model.C, rng, n_samples, radius)
-    level = model.M_global if use_global else model.M
-    worst_margin = np.inf
-    worst = None
-    n_tested = 0
-    for x in pts:
-        nx2 = float(x @ x)
-        if not use_global and np.sqrt(nx2) < model.r_star:
-            continue
-        n_tested += 1
-        for w in interval_vertices(*model.F_interval(x)):
-            v = model.C.tangent_project(x, w)
-            margin = level - model.gamma * nx2 - float(x @ v)
-            if margin < worst_margin:
-                worst_margin = float(margin)
-                worst = (x, v)
-    return _falsification(
-        "tangent_dissipativity", -float(worst_margin) if n_tested else np.nan, 0.0,
-        witness=None if worst is None else {"x": worst[0].tolist(), "v": worst[1].tolist()},
-        level=float(level), use_global=bool(use_global), n_samples=int(n_tested),
-        radius=float(radius),
-    )
-
-
-def estimate_one_sided_lipschitz(model: MonotoneModel, rng=None, n_pairs: int = 300,
-                                 radius: float | None = None, rule=None) -> CertificateEntry:
-    """Sampled estimate of sup <x - xbar, w - wbar> / |x - xbar|^2 over
-    feasible pairs, w and wbar selections of F under the given rule.
-
-    Measured is the estimate and bound the declared level (inf when the
-    model declares none); an estimate above the declared level falsifies it.
-    """
-    rng, radius = _sampling_defaults(model, rng, radius)
-    if rule is None:
-        rule = MinimalNorm()
-    pts = sample_points(model.C, rng, 2 * n_pairs, radius)
-    best = -np.inf
-    witness = None
-    for i in range(n_pairs):
-        x, xb = pts[2 * i], pts[2 * i + 1]
-        dx = x - xb
-        dx2 = float(dx @ dx)
-        if dx2 < 1e-16:
-            continue
-        w = select_F(model, x, rule=rule, rng=rng)
-        wb = select_F(model, xb, rule=rule, rng=rng)
-        q = float(dx @ (w - wb)) / dx2
-        if q > best:
-            best = q
-            witness = (x, xb)
-    return _falsification(
-        "one_sided_lipschitz", float(best), np.inf if model.ell is None else model.ell,
-        witness=None if witness is None else {"x": witness[0].tolist(),
-                                              "xbar": witness[1].tolist()},
-        n_pairs=int(n_pairs), radius=float(radius),
-    )

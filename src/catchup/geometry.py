@@ -44,7 +44,6 @@ __all__ = [
     "in_approx_normal_cone",
     "probe_count",
     "probe_stack",
-    "sample_points",
     "build_record",
     "ConfigRecord",
     "set_from_config",
@@ -885,7 +884,7 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
     it (a run's x_{k+1} passed `bound <= membership_tol(x_{k+1})`, the
     verdict of `C.contains`) and is not judged again.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     if points is None:
         x = C.require_member(x)
@@ -907,18 +906,6 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
         n_probes=int(pts.shape[0]),
         seed=PROBE_SEED,
     )
-
-
-def sample_points(C: ConvexSet, rng: np.random.Generator, n: int, radius: float) -> NDArray:
-    """Draw n points of C by projecting uniform samples from the window box
-    [-radius, radius]^dim.
-
-    Biased toward the boundary (everything outside projects onto it), which
-    is what the falsification-style assumption checks want.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return C.project(rng.uniform(-radius, radius, size=(n, C.dim)))
 
 
 def _intersection(members, budget=200):

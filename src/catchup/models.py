@@ -98,14 +98,6 @@ class OneDimModel(MonotoneModel):
         x_unc = self.param_b / self.rate
         return float(np.log((x0 - x_unc) / (-x_unc)) / self.rate)
 
-    def energy_bound(self, x0: float, t) -> NDArray:
-        """Sharp squared-norm envelope e^{-(a+1)t} x0^2
-        + (b/(a+1))^2 (1 - e^{-(a+1)t})."""
-        t = np.asarray(t, dtype=float)
-        r = self.rate
-        decay = np.exp(-r * t)
-        return decay * x0 * x0 + (self.param_b / r) ** 2 * (1.0 - decay)
-
     def to_config(self) -> dict:
         return {"model": "onedim", "a": self.param_a, "b": self.param_b,
                 "r_star": self.r_star}

@@ -6,8 +6,7 @@ effective field F(x) = f(x) - G(x).  When G is genuinely set-valued the
 step needs a selection rule, and the runtime checks need the growth
 envelope sup |F(x)| <= a + b|x| and the dissipativity margin
 sup <x, v> <= M - gamma |x|^2 over tangentially projected selections.
-`diagnostics` holds the checks that try to falsify those bounds by
-sampling.
+A model declares the constants of those bounds; nothing here checks them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "interval_vertices",
     "RegularPart",
     "ZeroPart",
     "LinearPart",
@@ -255,9 +253,9 @@ def select_F(model: "MonotoneModel", x, rule=None, rng=None) -> NDArray:
 def globalize_constants(a: float, b: float, r_star: float, M: float, gamma: float) -> float:
     """Extend the dissipativity level M, valid beyond radius r_star, to one
     valid on the whole set: max(M, r(a + b r) + gamma r^2) at r = r_star."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if min(a, b, r_star) < 0:
+    if not (a >= 0 and b >= 0 and r_star >= 0):
         raise ValueError("a, b, r_star must be nonnegative")
     return max(M, r_star * (a + b * r_star) + gamma * r_star * r_star)
 
@@ -269,7 +267,8 @@ class MonotoneModel:
     (r_star, M, gamma) in sup <x, v> <= M - gamma |x|^2 for |x| >= r_star,
     the sup over tangentially projected selections v.  `ell` is an optional
     one-sided Lipschitz level for selections of F.  Constants are declared
-    by the modeler and checked empirically, never inferred.
+    by the modeler and trusted: no code infers or checks them, and every
+    certificate bounds with them as given.
     """
 
     def __init__(self, f, G: RegularPart, C: ConvexSet, growth, dissipativity,
@@ -310,13 +309,6 @@ class MonotoneModel:
     def growth_bound(self, radius: float) -> float:
         return self.a + self.b * float(radius)
 
-    def F_interval(self, x) -> tuple[NDArray, NDArray]:
-        """The bounds (lower, upper) of the interval box F(x) = f(x) - G(x)."""
-        x = _as_vector(x, self.dim)
-        f_val = self.f(x)
-        lo, hi = self.G.value(x)
-        return f_val - hi, f_val - lo
-
     def to_config(self) -> dict:
         return {
             "f": self.f.to_config(),
@@ -349,16 +341,3 @@ def model_from_config(cfg: dict) -> MonotoneModel:
     {"f": ..., "G": ..., "C": ..., "constants": {...}, "name": ...}."""
     return build_record("model", {None: _model}, cfg, None)
 
-
-# --- interval boxes ----------------------------------------------------------
-
-def interval_vertices(lower: NDArray, upper: NDArray) -> NDArray:
-    """The extreme points of the interval box [lower, upper] (float vectors),
-    one per row; exponential in the number of fat coordinates."""
-    fat = np.nonzero(upper > lower)[0]
-    if fat.size > 16:
-        raise ValueError("too many set-valued coordinates to enumerate")
-    out = np.tile(lower, (2 ** fat.size, 1))
-    for j, i in enumerate(fat):
-        out[(np.arange(out.shape[0]) >> j) % 2 == 1, i] = upper[i]
-    return out

@@ -427,10 +427,6 @@ class DiscreteRun:
         lam = np.clip((t - self.times[k]) / self.schedule.mus[k], 0.0, 1.0)[..., None]
         return (1.0 - lam) * self.X[k] + lam * self.X[k + 1]
 
-    def interpolate_predictor(self, t: float) -> NDArray:
-        """Piecewise-constant predictor: y_{k+1} on [t_k, t_{k+1})."""
-        return self.Y[self._cell(t)].copy()
-
     def to_manifest(self) -> dict:
         cert_summary = summarize_certificates(self.certificates)
         return {

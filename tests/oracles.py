@@ -103,6 +103,13 @@ def clamp_interval(y, lo, hi):
     return y
 
 
+def box_corners(lower, upper):
+    """Every corner of the interval box [lower, upper], one row each, by
+    plain enumeration; a coordinate with lower == upper has one value."""
+    ends = [sorted({float(lo), float(hi)}) for lo, hi in zip(lower, upper)]
+    return np.array(list(itertools.product(*ends)), dtype=float)
+
+
 def onedim_flow(a, b, x0, t):
     """Reference trajectory for the scalar model on the halfline.
 

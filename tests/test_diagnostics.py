@@ -18,9 +18,9 @@ from catchup.diagnostics import (
     run_constants,
     stability_experiment,
 )
-from catchup.geometry import GeometryError, Halfline, PerturbedProjection
+from catchup.geometry import GeometryError, Halfline, PerturbedProjection, in_approx_normal_cone
 from catchup.models import OneDimModel
-from catchup.operators import AffineField, LinearPart, MonotoneModel
+from catchup.operators import AffineField, LinearPart, MonotoneModel, globalize_constants
 from catchup.scheme import DiscreteRun, Uniform, make_schedule, run
 
 
@@ -403,3 +403,23 @@ class TestReport:
 
     def test_empty_report(self):
         assert "no certificates" in certificate_table([])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: in_approx_normal_cone(Halfline(), [0.0], [-1.0], NAN),
+    lambda: corrector_stability_check(OneDimModel(1, 2), [0.3], [0.7], mu=NAN, eps=0.0),
+    lambda: corrector_stability_check(OneDimModel(1, 2), [0.3], [0.7], mu=0.05, eps=NAN),
+    lambda: continuous_energy_bound([0.5], 1.0, NAN, 1.0),
+    lambda: continuous_energy_bound([0.5], 1.0, 1.0, NAN),
+    lambda: globalize_constants(1, 1, 1, 1, NAN),
+    lambda: globalize_constants(NAN, 1, 1, 1, 1),
+], ids=["cone-delta", "corrector-mu", "corrector-eps", "envelope-gamma", "envelope-t",
+        "globalize-gamma", "globalize-a"])
+def test_nan_argument_is_rejected(call):
+    """A guard written `x < 0` lets NaN through to a NaN or failed result;
+    each of these must refuse it as a bad argument instead."""
+    with pytest.raises(ValueError):
+        call()

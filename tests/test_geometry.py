@@ -23,7 +23,6 @@ from catchup.geometry import (
     moreau_decompose,
     probe_count,
     probe_stack,
-    sample_points,
     set_from_config,
     _dykstra_limit,
     _norm,
@@ -456,21 +455,6 @@ class TestNormalConeCertificate:
     def test_infeasible_base_point_rejected(self):
         with pytest.raises(GeometryError):
             in_approx_normal_cone(Halfline(), [-1.0], [0.0], delta=0.0)
-
-
-class TestSampling:
-    def test_samples_are_members(self):
-        C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.5)])
-        rng = np.random.default_rng(0)
-        pts = sample_points(C, rng, 50, radius=4.0)
-        assert pts.shape == (50, 2)
-        assert all(C.contains(p) for p in pts)
-
-    def test_deterministic_under_seed(self):
-        C = Ball([0.0, 0.0], 1.0)
-        a = sample_points(C, np.random.default_rng(3), 10, radius=2.0)
-        b = sample_points(C, np.random.default_rng(3), 10, radius=2.0)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestConfigRoundTrip:

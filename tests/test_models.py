@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from catchup.diagnostics import check_linear_growth, check_tangent_dissipativity
+from catchup.diagnostics import continuous_energy_bound
 from catchup.geometry import Box
 from catchup.operators import select_F
 from catchup.scheme import SchemeError, Uniform, make_schedule, run
@@ -13,7 +13,87 @@ from catchup.models import (
     reference_solution,
 )
 
-from oracles import onedim_flow, onedim_hit_time
+from oracles import box_corners, onedim_flow, onedim_hit_time
+
+# roundoff allowed to a declared constant's inequality; the checks below are
+# exact otherwise: every corner selection of G(x) at every point
+SLACK = 1e-9
+
+
+def corner_selections(model, x):
+    """The selections f(x) - g of F(x) with g a corner of the box G(x), one
+    row each."""
+    return model.f(x) - box_corners(*model.G.value(x))
+
+
+def growth_excess(model, x):
+    """max |w| - (a + b |x|) over the corner selections w at x: the norm is
+    convex, so its max over the box F(x) sits at a corner."""
+    W = corner_selections(model, x)
+    return float(np.linalg.norm(W, axis=1).max()) - model.growth_bound(np.linalg.norm(x))
+
+
+def dissipativity_excess(model, x):
+    """max <x, v> - (M - gamma |x|^2) over the tangent projections v of the
+    corner selections at x."""
+    inner = max(float(x @ model.C.tangent_project(x, w)) for w in corner_selections(model, x))
+    return inner - (model.M - model.gamma * float(x @ x))
+
+
+def lipschitz_excesses(model, points):
+    """max <x - xb, w - wb> - ell |x - xb|^2 over the corner selections w at
+    x and wb at xb, for every pair of distinct points."""
+    W = [corner_selections(model, x) for x in points]
+    out = []
+    for i in range(len(points)):
+        for j in range(i):
+            dx = points[i] - points[j]
+            out.append(float((W[i] @ dx).max() - (W[j] @ dx).min())
+                       - model.ell * float(dx @ dx))
+    return np.array(out)
+
+
+def onedim_grid(m):
+    """501 points of [0, 50], with 0 and r_star among them."""
+    return np.union1d(np.linspace(0.0, 50.0, 501), [0.0, m.r_star])[:, None]
+
+
+ONEDIM_PARAMS = [(a, b) for a in (0.5, 1.0, 3.0) for b in (-1.0, 0.0, 2.0)]
+
+
+def friction_workload_base():
+    """K = A A^T / d + I and the load tau of the d = 8 friction benchmark
+    workload before its seeded permutation, built as bench/workloads.py
+    builds them."""
+    rng = np.random.default_rng(1)
+    d = 8
+    A = rng.standard_normal((d, d))
+    K = A @ A.T / d + np.eye(d)
+    tau = rng.uniform(-1.0, 1.0, d)
+    tau[0::2] = rng.choice((-1.0, 1.0), d // 2) * rng.uniform(3.0, 4.0, d // 2)
+    return K, tau
+
+
+def box_test_points(lower, upper, rng, n=16):
+    """Points of the box [lower, upper] (which holds 0): n on a face, n with
+    exact-zero coordinates (the origin first), where G(x) is a fat interval,
+    and n in the interior."""
+    d = lower.shape[0]
+    faces = rng.uniform(lower, upper, (n, d))
+    k = rng.integers(0, d, n)
+    faces[np.arange(n), k] = np.where(rng.random(n) < 0.5, lower[k], upper[k])
+    zeros = rng.uniform(lower, upper, (n, d))
+    zeros[rng.random((n, d)) < 0.5] = 0.0
+    zeros[0] = 0.0
+    return np.vstack([faces, zeros, rng.uniform(lower, upper, (n, d))])
+
+
+FRICTION_CASES = {
+    "workload-8d": lambda: DryFrictionModel(*friction_workload_base(), weights=[0.2] * 8,
+                                            lower=[-1.0] * 8, upper=[1.0] * 8),
+    "2d": lambda: DryFrictionModel(K=[[2.0, 0.5], [0.5, 1.0]], tau=[0.5, -0.3],
+                                   weights=[1.0, 0.5], lower=[-2.0, -1.0], upper=[2.0, 1.5]),
+}
 
 
 class TestOneDimModel:
@@ -72,28 +152,35 @@ class TestOneDimModel:
         m = OneDimModel(1.0, 2.0)
         t = np.array([0.0, 0.5, 2.0])
         expect = np.exp(-2 * t) * 0.25 + 1.0 * (1 - np.exp(-2 * t))
-        np.testing.assert_allclose(m.energy_bound(0.5, t), expect, rtol=1e-12)
+        np.testing.assert_allclose(continuous_energy_bound([0.5], m.M, m.gamma, t), expect,
+                                   rtol=1e-12)
 
     def test_energy_bound_dominates_flow(self):
         for b in (2.0, -1.0):
             m = OneDimModel(1.0, b)
             t = np.linspace(0.0, 3.0, 301)
             x = m.exact_flow(0.5, t)
-            assert np.all(x * x <= m.energy_bound(0.5, t) + 1e-12)
+            assert np.all(x * x <= continuous_energy_bound([0.5], m.M, m.gamma, t) + 1e-12)
 
     def test_dissipativity_constants_pass_checker(self):
-        m = OneDimModel(1.0, 2.0)
-        rec = check_tangent_dissipativity(
-            m, rng=np.random.default_rng(0), n_samples=300,
-            radius=10.0 * m.equilibrium() + 10.0, use_global=False,
-        )
-        assert rec.passed
-        assert rec.margin >= 0.0
+        for a, b in ONEDIM_PARAMS:
+            m = OneDimModel(a, b)
+            excess = [dissipativity_excess(m, x) for x in onedim_grid(m) if x[0] >= m.r_star]
+            assert max(excess) <= SLACK, (a, b)
 
     def test_growth_constants_pass_checker(self):
-        m = OneDimModel(1.0, 2.0)
-        rec = check_linear_growth(m, rng=np.random.default_rng(1), n_samples=300, radius=10.0)
-        assert rec.passed
+        for a, b in ONEDIM_PARAMS:
+            m = OneDimModel(a, b)
+            excess = [growth_excess(m, x) for x in onedim_grid(m)]
+            # the bound is sharp at x = 0, where |F(0)| = |b|
+            assert -SLACK <= max(excess) <= SLACK, (a, b)
+
+    def test_one_sided_lipschitz_constant_holds_on_pairs(self):
+        for a, b in ONEDIM_PARAMS:
+            m = OneDimModel(a, b)
+            excess = lipschitz_excesses(m, onedim_grid(m)[::5])
+            # F is affine with slope ell, so every pair meets the bound with equality
+            assert np.all(np.abs(excess) <= SLACK), (a, b)
 
 
 class TestDryFrictionModel:
@@ -118,6 +205,20 @@ class TestDryFrictionModel:
         # L = |tau| + |K| R_C + sqrt(n) w_max = 0.5 + 1 + 1
         assert m.field_bound == pytest.approx(2.5)
         assert m.M == pytest.approx(2.5 * 1.0 + 1.0)
+
+    @pytest.mark.parametrize("case", sorted(FRICTION_CASES))
+    def test_declared_constants_hold_on_the_box(self, case):
+        m = FRICTION_CASES[case]()
+        corners = box_corners(m.C.lower, m.C.upper)
+        others = box_test_points(m.C.lower, m.C.upper, np.random.default_rng(7))
+        points = np.vstack([corners, others])
+        assert max(growth_excess(m, x) for x in points) <= SLACK
+        far = [x for x in points if np.linalg.norm(x) >= m.r_star]
+        assert len(far) >= corners.shape[0]
+        assert max(dissipativity_excess(m, x) for x in far) <= SLACK
+        # every sort of point meets every other: corners, faces, zeros, interior
+        pairs = np.vstack([corners[:16], others])
+        assert lipschitz_excesses(m, pairs).max() <= SLACK
 
     def test_sticking_when_force_below_threshold(self):
         m = self.small(tau=(0.5,))

@@ -2,11 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catchup.diagnostics import (
-    check_linear_growth,
-    check_tangent_dissipativity,
-    estimate_one_sided_lipschitz,
-)
 from catchup.geometry import Box, Halfline, NonnegOrthant
 from catchup.operators import (
     AffineField,
@@ -19,12 +14,11 @@ from catchup.operators import (
     SignConvention,
     ZeroPart,
     globalize_constants,
-    interval_vertices,
     model_from_config,
     select_F,
 )
 
-from oracles import clamp_interval, reference_select_F
+from oracles import box_corners, clamp_interval, reference_select_F
 
 
 def scalar_model(a=1.0, b=2.0):
@@ -87,26 +81,6 @@ class TestIntervalValues:
         with pytest.raises(ValueError, match="equal shape"):
             CustomPart(lambda x: (x, [0.0, 1.0]), 1).value([0.5])
 
-    def test_vertices_enumeration(self):
-        V = interval_vertices(np.array([-1.0, 2.0, 0.0]), np.array([1.0, 2.0, 3.0]))
-        assert V.shape == (4, 3)
-        assert {tuple(v) for v in V} == {
-            (-1.0, 2.0, 0.0), (1.0, 2.0, 0.0), (-1.0, 2.0, 3.0), (1.0, 2.0, 3.0),
-        }
-
-    def test_singleton_has_one_vertex(self):
-        g = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(interval_vertices(g, g), [[1.0, -2.0]])
-
-    def test_growth_check_takes_the_max_norm_at_a_vertex(self):
-        # F(x) = -G(x) = [-3, 1] x [-1, 2], whose largest norm sqrt(9 + 4) sits at a vertex
-        G = CustomPart(lambda x: (np.array([-1.0, -2.0]), np.array([3.0, 1.0])), 2)
-        m = MonotoneModel(AffineField(np.zeros((2, 2)), [0.0, 0.0]), G,
-                          Box([-1.0, -1.0], [1.0, 1.0]), growth=(4.0, 0.0),
-                          dissipativity=(1.0, 1.0, 1.0))
-        rec = check_linear_growth(m, n_samples=5)
-        assert rec.margin == pytest.approx(4.0 - np.sqrt(9.0 + 4.0))
-
     def test_linear_part_rejects_indefinite(self):
         with pytest.raises(ValueError):
             LinearPart([[0.0, 1.0], [1.0, 0.0]])
@@ -157,7 +131,8 @@ class TestSelection:
         x_vec = np.array([x])
         for rule in (MinimalNorm(), SignConvention(-1), SignConvention(1), Randomized(seed=1)):
             w = select_F(m, x_vec, rule=rule)
-            lo, hi = m.F_interval(x_vec)
+            g_lo, g_hi = m.G.value(x_vec)
+            lo, hi = m.f(x_vec) - g_hi, m.f(x_vec) - g_lo
             assert np.all(w >= lo - 1e-12) and np.all(w <= hi + 1e-12)
 
     @given(st.floats(min_value=-5, max_value=5))
@@ -229,82 +204,7 @@ class TestGlobalize:
         assert m.M_global == 5.0
 
 
-class TestGrowthCheck:
-    def test_scalar_model_holds(self):
-        m = scalar_model(a=1.0, b=2.0)
-        rec = check_linear_growth(m, rng=np.random.default_rng(0), n_samples=300, radius=10.0)
-        assert rec.passed
-        assert rec.detail["kind"] == "falsification"
-
-    def test_zero_field_holds(self):
-        m = MonotoneModel(
-            f=AffineField([[0.0]], [0.0]), G=ZeroPart(1), C=Halfline(),
-            growth=(0.0, 0.0), dissipativity=(1.0, 1.0, 1.0),
-        )
-        assert check_linear_growth(m, rng=np.random.default_rng(1)).passed
-
-    def test_understated_slope_is_falsified(self):
-        # |F(x)| = |2 - 2x| exceeds 2 + x once x > 4
-        m = MonotoneModel(
-            f=AffineField([[-1.0]], [2.0]), G=LinearPart([[1.0]]), C=Halfline(),
-            growth=(2.0, 1.0), dissipativity=(1.0, 1.0, 1.0),
-        )
-        rec = check_linear_growth(m, rng=np.random.default_rng(2), n_samples=400, radius=10.0)
-        assert not rec.passed
-        assert rec.detail["witness"][0] > 4.0
-
-
-class TestDissipativityCheck:
-    def test_scalar_model_holds_globally(self):
-        m = scalar_model(a=1.0, b=2.0)
-        rec = check_tangent_dissipativity(
-            m, rng=np.random.default_rng(0), n_samples=300, radius=10.0, use_global=True
-        )
-        assert rec.passed
-        assert rec.detail["level"] == 5.0
-
-    def test_scalar_model_local_level(self):
-        # xF(x) = -2x^2 + 2x <= 1 - x^2 for all x, so the local level M=1
-        # already works without globalization
-        m = scalar_model(a=1.0, b=2.0)
-        rec = check_tangent_dissipativity(
-            m, rng=np.random.default_rng(0), n_samples=300, radius=10.0, use_global=False
-        )
-        assert rec.passed
-        assert rec.detail["level"] == 1.0
-
-    def test_friction_model_holds_on_box(self):
-        m = friction_model([0.5, -0.3], K=[[2.0, 0.0], [0.0, 1.0]], weights=[1.0, 1.0])
-        rec = check_tangent_dissipativity(m, rng=np.random.default_rng(3), n_samples=200)
-        assert rec.passed
-
-    def test_anti_dissipative_is_falsified(self):
-        m = MonotoneModel(
-            f=AffineField([[1.0]], [0.0]), G=ZeroPart(1), C=Halfline(),
-            growth=(0.0, 1.0), dissipativity=(1.0, 1.0, 1.0),
-        )
-        rec = check_tangent_dissipativity(
-            m, rng=np.random.default_rng(4), n_samples=200, radius=10.0
-        )
-        assert not rec.passed
-
-
 class TestOneSidedLipschitz:
-    def test_affine_model_estimate_is_exact(self):
-        m = scalar_model(a=1.0, b=2.0)
-        rec = estimate_one_sided_lipschitz(m, rng=np.random.default_rng(0), n_pairs=200)
-        assert rec.measured == pytest.approx(-2.0, abs=1e-9)
-        assert rec.passed
-
-    def test_understated_level_is_flagged(self):
-        m = MonotoneModel(
-            f=AffineField([[1.0]], [0.0]), G=ZeroPart(1), C=Halfline(),
-            growth=(0.0, 1.0), dissipativity=(1.0, 1.0, 1.0), ell=0.5,
-        )
-        rec = estimate_one_sided_lipschitz(m, rng=np.random.default_rng(1), n_pairs=200)
-        assert rec.measured == pytest.approx(1.0, abs=1e-9)
-        assert not rec.passed
-
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_monotone_regular_part_pairs(self, seed):
@@ -315,8 +215,8 @@ class TestOneSidedLipschitz:
         pts = rng.uniform(-2, 2, size=(2, 2))
         pts[rng.random(size=(2, 2)) < 0.3] = 0.0
         x1, x2 = pts
-        for g1 in interval_vertices(*G.value(x1)):
-            for g2 in interval_vertices(*G.value(x2)):
+        for g1 in box_corners(*G.value(x1)):
+            for g2 in box_corners(*G.value(x2)):
                 assert float((g1 - g2) @ (x1 - x2)) >= -1e-12
 
 

@@ -460,12 +460,6 @@ class TestInterpolants:
             r.interpolate_state(mid), 0.5 * (r.X[3] + r.X[4]), atol=1e-14
         )
 
-    def test_predictor_is_cellwise_constant(self):
-        r = self.make_run()
-        np.testing.assert_allclose(r.interpolate_predictor(0.0), r.Y[0])
-        np.testing.assert_allclose(r.interpolate_predictor(0.0999), r.Y[0])
-        np.testing.assert_allclose(r.interpolate_predictor(0.1), r.Y[1])
-
     def test_out_of_range_rejected(self):
         r = self.make_run()
         with pytest.raises(ValueError):
