@@ -34,6 +34,7 @@ from .geometry import (
     ConfigError,
     ExactProjection,
     GeometryError,
+    _norm,
     build_record,
     check_array,
     check_integer,
@@ -336,7 +337,7 @@ def cmd_study(args) -> int:
             certificates = {tag: e.to_record()
                             for tag, e in _run_report(completed, STUDY_TAGS).items()}
             per_level.append({"mu": mu, "n_steps": completed.n_steps,
-                              "sup_error": max(float(np.linalg.norm(gap)) for gap in gaps),
+                              "sup_error": float(np.max(_norm(gaps))),
                               **certificates})
     except (SchemeError, GeometryError) as e:
         return _failure(out, "study", e)

@@ -128,6 +128,9 @@ def continuous_energy_bound(x0, M_tilde: float, gamma: float, t) -> NDArray:
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    for name, value in (("M_tilde", M_tilde), ("x0", x0)):
+        if np.isnan(value).any():
+            raise ValueError(f"{name} must not be NaN")
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):
         raise ValueError("t must be nonnegative")

@@ -265,11 +265,11 @@ class ConvexSet(ConfigRecord):
         return self.distance(x) <= tol
 
     def project_judged(self, y) -> tuple[NDArray, float]:
-        """The projection z of a vector y and the bound that `contains(z)`
-        compares with its tolerance, found without projecting z again, so
-        `bound <= membership_tol(z)` decides what `contains(z)` decides: here
-        d_C(z), 0.0 for a finite point of a box, the largest member distance
-        for an intersection; NaN for a point with a NaN coordinate."""
+        """The projection z of a vector y and a bound found without
+        projecting z again, such that `bound <= membership_tol(z)` decides
+        what `contains(z)` decides: here d_C(z), NaN for a point with a NaN
+        coordinate.  A bound of 0.0 means the projection judged z a member
+        itself: a finite point of a box, any point an intersection returns."""
         z = self.project(y)
         return z, self.distance(z)
 
@@ -514,10 +514,12 @@ class Intersection(ConvexSet):
     """Intersection of convex sets.
 
     The intersection is assumed nonempty (caller contract).  One ball and
-    one halfspace, in either order, project in closed form (`_cap_project`);
-    any other intersection sweeps through Dykstra's scheme, within `budget`
-    sweeps and exact only up to the internal stopping tolerance.  The
-    certified route for a stated slack is `approx_project` with the
+    one halfspace, in either order, project in closed form (`_cap_judged`,
+    `_cap_project` for a stack); any other intersection sweeps through
+    Dykstra's scheme, within `budget` sweeps and exact only up to the
+    internal stopping tolerance.  A projected point that fails the test of
+    `contains` raises ProjectionError, so `project_judged`'s bound is 0.0.
+    The certified route for a stated slack is `approx_project` with the
     Iterative policy, which sweeps through Dykstra on every intersection.
     """
 
@@ -544,53 +546,77 @@ class Intersection(ConvexSet):
             self._cap = ball, half, ball.center - (s / half.norm_sq) * half.normal, rho
 
     def project(self, y) -> NDArray:
-        return self._judged(_as_points(y, self.dim))[0]
+        return self._judged(_as_points(y, self.dim))
 
     def project_judged(self, y) -> tuple[NDArray, float]:
-        return self._judged(_as_vector(y, self.dim))
+        return self._judged(_as_vector(y, self.dim)), 0.0
 
-    def _judged(self, y: NDArray):
-        """The projection of a vector, or of each row of a stack, with its
-        largest member distance, which `contains` judges; ProjectionError
-        when a point is not a member."""
-        if self._cap:
-            z, failure = self._cap_project(y), "closed-form projection is not a member"
+    def _judged(self, y: NDArray) -> NDArray:
+        """The projection of a vector, or of each row of a stack, judged a
+        member as `contains` judges it; ProjectionError when it is not."""
+        if self._cap and y.ndim == 1:
+            z, worst = self._cap_judged(y)
+            # membership_tol is MEMBERSHIP_RTOL at least, which passes roundoff
+            tol = MEMBERSHIP_RTOL if worst <= MEMBERSHIP_RTOL else membership_tol(z)
         else:
-            tol = 1e-13 * (1.0 + _norm(y))
-            z = _dykstra_limit([m.project for m in self.members], y, self.budget, tol)
-            failure = f"Dykstra sweep budget {self.budget} exhausted before reaching feasibility"
-        tol = membership_tol(z)
-        worst = self._worst_distance(z, tol)
+            z = self._cap_project(y) if self._cap else _dykstra_limit(
+                [m.project for m in self.members], y, self.budget, 1e-13 * (1.0 + _norm(y)))
+            tol = membership_tol(z)
+            worst = self._worst_distance(z, tol)
         if not (worst <= tol if z.ndim == 1 else (worst <= tol).all()):
-            raise ProjectionError(failure)
-        return z, worst
+            raise ProjectionError("closed-form projection is not a member" if self._cap else
+                                  f"Dykstra sweep budget {self.budget} exhausted before "
+                                  "reaching feasibility")
+        return z
 
     def _cap_project(self, y: NDArray) -> NDArray:
-        """The metric projection onto a ball B n halfspace H, by the active
-        constraints (Bauschke & Combettes, ch. 29): P_B(y) if it lies in H,
-        else P_H(y) if it lies in B, else the point of the rim circle (centre
-        c', radius rho, in the hyperplane) nearest the hyperplane projection
-        p of y.  A stack takes each row's case by masks; every candidate is
-        computed row by row, so a row keeps the bits of its point alone."""
+        """The metric projection onto a ball B n halfspace H of each row of
+        a stack, by the active constraints (Bauschke & Combettes, ch. 29):
+        P_B(y) if it lies in H, else P_H(y) if it lies in B, else the point
+        of the rim circle (centre c', radius rho, in the hyperplane) nearest
+        the hyperplane projection p of y.  Rows take their cases by masks, so
+        a row keeps the bits of `_cap_judged` on its point alone."""
         ball, half, rim_centre, rho = self._cap
         on_ball = ball.project(y)
         in_half = half._slack(on_ball) <= 0
-        if y.ndim == 1 and in_half:
-            return on_ball
         on_half = half.project(y)
         in_ball = _norm(on_half - ball.center) <= ball.radius
-        if y.ndim == 1 and in_ball:
-            return on_half
         # d = p - c' for p, the projection onto the hyperplane: not P_H(y),
         # which leaves a y inside H where it is
-        d = y - np.multiply.outer(half._slack(y) / half.norm_sq, half.normal) - rim_centre
+        d = y - (half._slack(y) / half.norm_sq)[:, None] * half.normal - rim_centre
         nrm = _norm(d)
-        if y.ndim == 1:
-            return rim_centre + (rho / nrm if nrm != 0 else 0.0) * d
         # only rim rows divide, and a zero norm never (as in Ball.project)
         scale = rho / np.where(~(in_half | in_ball) & (nrm != 0), nrm, np.inf)
         rim = rim_centre + scale[:, None] * d
         return np.where(in_half[:, None], on_ball, np.where(in_ball[:, None], on_half, rim))
+
+    def _cap_judged(self, y: NDArray) -> tuple[NDArray, float]:
+        """`_cap_project` of a vector, with its larger member distance from
+        the norms and slacks its cases compute: the bits of the stack's row
+        and, on a member, of `_worst_distance`.  z is finite or has a NaN,
+        which makes both distances NaN, so the verdict is that of `contains`."""
+        ball, half, rim_centre, rho = self._cap
+        d = y - ball.center
+        nrm, s = _norm(d), half._slack(y)
+        if nrm <= ball.radius:  # P_B(y) is y, with y's norm and slack
+            z, slack = y.copy(), s
+        else:
+            z = ball.center + (ball.radius / nrm) * d
+            slack = half._slack(z)
+            if slack <= 0:  # z is the answer
+                nrm = _norm(z - ball.center)
+        if not slack <= 0:
+            p = y - (s / half.norm_sq) * half.normal
+            # P_H(y) is p for s > 0, and else y, which lies outside B
+            nrm = _norm(p - ball.center) if s > 0 else math.inf
+            if nrm <= ball.radius:
+                z, slack = p, half._slack(p)
+            else:
+                d = p - rim_centre
+                dn = _norm(d)
+                z = rim_centre + (rho / dn if dn != 0 else 0.0) * d
+                nrm, slack = _norm(z - ball.center), half._slack(z)
+        return z, max(max(nrm - ball.radius, 0.0), max(slack, 0.0) / half.norm)
 
     def distance_lower_bound(self, y) -> float:
         """max_i d_{C_i}(y), a certified lower bound on the intersection distance.
@@ -716,14 +742,15 @@ class PerturbedProjection:
 class IterativeProjection:
     """Dykstra sweeps onto an Intersection with a certified stop.
 
-    Accept the iterate z once it is feasible and |z - y|^2 <= lb + eps,
-    where lb is a certified lower bound on d_C(y)^2.  The bound starts from
-    the worst member distance and is tightened every sweep by the
-    separating halfspace {u : <n, u> <= sum_i <q_i, z_i>} built from the
-    Dykstra corrections q_i (each lies in the normal cone of its member at
-    the point it was produced, so the halfspace contains C).  The bound
-    converges to the true distance, so any eps > 0 is eventually
-    certifiable when the sweeps converge.  Other sets are projected exactly.
+    Accept the iterate z, judged a member (bound 0.0), once |z - y|^2 <=
+    lb + eps.  lb, a certified lower bound on d_C(y)^2, is the larger of the
+    squared worst member distance of y, measured only when a feasible z or
+    the budget error needs it, and the squared distances of y to the
+    separating halfspaces {u : <n, u> <= sum_i <q_i, z_i>} built each sweep
+    from the Dykstra corrections q_i (each lies in the normal cone of its
+    member at the point it was produced, so the halfspace contains C).  It
+    converges to d_C(y)^2, so any eps > 0 is eventually certifiable when the
+    sweeps converge.  Other sets are projected exactly.
     """
 
     name = "iterative"
@@ -735,7 +762,9 @@ class IterativeProjection:
             return C.project_judged(y)
         projectors = [m.project for m in C.members]
         corrections = [np.zeros(y.shape) for _ in projectors]
-        lb = C.distance_lower_bound(y) ** 2
+        # the separating bound; the member bound joins it, first so that a
+        # NaN stays, once a feasible iterate or the message needs it
+        lb, joined = 0.0, False
         z = y
         for _ in range(C.budget):
             z, points = _sweep(projectors, z, corrections)
@@ -750,9 +779,13 @@ class IterativeProjection:
                 if sep > 0.0:
                     lb = max(lb, sep * sep)
             tol = membership_tol(z)
-            worst = C._worst_distance(z, tol)
-            if worst <= tol and float(np.add.reduce((z - y) ** 2)) <= lb + eps:
-                return z, worst
+            if C._worst_distance(z, tol) <= tol:
+                gap = float(np.add.reduce((z - y) ** 2))
+                if not (gap <= lb + eps or joined):
+                    lb, joined = max(C.distance_lower_bound(y) ** 2, lb), True
+                if gap <= lb + eps:
+                    return z, 0.0
+        lb = lb if joined else max(C.distance_lower_bound(y) ** 2, lb)
         raise ProjectionError(
             "Dykstra sweeps could not certify the eps-inequality "
             f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"

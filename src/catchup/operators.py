@@ -257,6 +257,8 @@ def globalize_constants(a: float, b: float, r_star: float, M: float, gamma: floa
         raise ValueError("gamma must be positive")
     if not (a >= 0 and b >= 0 and r_star >= 0):
         raise ValueError("a, b, r_star must be nonnegative")
+    if np.isnan(M):
+        raise ValueError("M must not be NaN")
     return max(M, r_star * (a + b * r_star) + gamma * r_star * r_star)
 
 

@@ -348,7 +348,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
             f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}",
             kind="contract",
         )
-    # the projection judged x_next already: bound <= tol is C.contains(x_next)
+    # 0.0 is a member verdict the projection took; else bound <= tol is C.contains(x_next)
     if not (bound == 0.0 or bound <= membership_tol(x_next)):
         raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
                           kind="infeasible")

@@ -408,18 +408,22 @@ class TestReport:
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: in_approx_normal_cone(Halfline(), [0.0], [-1.0], NAN),
-    lambda: corrector_stability_check(OneDimModel(1, 2), [0.3], [0.7], mu=NAN, eps=0.0),
-    lambda: corrector_stability_check(OneDimModel(1, 2), [0.3], [0.7], mu=0.05, eps=NAN),
-    lambda: continuous_energy_bound([0.5], 1.0, NAN, 1.0),
-    lambda: continuous_energy_bound([0.5], 1.0, 1.0, NAN),
-    lambda: globalize_constants(1, 1, 1, 1, NAN),
-    lambda: globalize_constants(NAN, 1, 1, 1, 1),
+@pytest.mark.parametrize("call, name", [
+    (lambda: in_approx_normal_cone(Halfline(), [0.0], [-1.0], NAN), "delta"),
+    (lambda: corrector_stability_check(OneDimModel(1, 2), [0.3], [0.7], mu=NAN, eps=0.0), "mu"),
+    (lambda: corrector_stability_check(OneDimModel(1, 2), [0.3], [0.7], mu=0.05, eps=NAN),
+     "eps"),
+    (lambda: continuous_energy_bound([0.5], 1.0, NAN, 1.0), "gamma"),
+    (lambda: continuous_energy_bound([0.5], 1.0, 1.0, NAN), "t"),
+    (lambda: continuous_energy_bound([0.5], NAN, 1.0, 1.0), "M_tilde"),
+    (lambda: continuous_energy_bound([NAN], 1.0, 1.0, 1.0), "x0"),
+    (lambda: globalize_constants(1, 1, 1, 1, NAN), "gamma"),
+    (lambda: globalize_constants(NAN, 1, 1, 1, 1), "a"),
+    (lambda: globalize_constants(1, 1, 1, NAN, 1), "M"),
 ], ids=["cone-delta", "corrector-mu", "corrector-eps", "envelope-gamma", "envelope-t",
-        "globalize-gamma", "globalize-a"])
-def test_nan_argument_is_rejected(call):
+        "envelope-M_tilde", "envelope-x0", "globalize-gamma", "globalize-a", "globalize-M"])
+def test_nan_argument_is_rejected(call, name):
     """A guard written `x < 0` lets NaN through to a NaN or failed result;
-    each of these must refuse it as a bad argument instead."""
-    with pytest.raises(ValueError):
+    each of these must refuse it as a bad argument, named in the message."""
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call()

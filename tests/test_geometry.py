@@ -27,6 +27,7 @@ from catchup.geometry import (
     _dykstra_limit,
     _norm,
     _probe_layout,
+    _sweep,
 )
 from catchup.cli import main
 from catchup.operators import (
@@ -996,6 +997,50 @@ class TestIterativeMatchesReference:
         assert got == want
 
 
+class TestIterativeMemberBound:
+    """The Iterative policy measures the member distances of y only when a
+    feasible iterate is not certified by the separating halfspaces alone,
+    or for the budget error's message; its point and message are those of
+    the oracle, which measures them before the first sweep."""
+
+    @pytest.mark.parametrize("members, budget, y, eps, measured, sweeps", [
+        # inside: the first iterate is y itself, certified with no bound at all
+        (CAP, 200, [0.0, 0.5], 0.0, 0, 1),
+        # beyond the wall: the sweep lands on (0.5, 0), |z - y|^2 = 1, and
+        # its separating bound is 0.75^2; the wall's distance 1 certifies it
+        (CAP, 200, [1.5, 0.0], 0.0, 1, 1),
+        # the budget runs out before feasibility: the message takes the bound
+        (THIN_CAP, 1, [-0.5, 1.5], 0.0, 1, 1),
+        (THIN_CAP, 2, [0.0, 2.0], 0.0, 1, 2),
+        # a NaN bound stays NaN in the message
+        (CAP, 1, [np.nan, 0.0], 1e-3, 1, 1),
+    ], ids=["inside", "needs-member-bound", "budget-thin", "budget-two", "budget-nan"])
+    def test_matches_the_eager_oracle(self, monkeypatch, members, budget, y, eps, measured,
+                                      sweeps):
+        C, y = Intersection(members, budget=budget), np.array(y)
+        want = _projection_outcome(reference_iterative_project, C, y, eps)
+        counts = {"bound": 0, "sweeps": 0}
+
+        def counted(name, f):
+            def call(*args):
+                counts[name] += 1
+                return f(*args)
+            return call
+
+        monkeypatch.setattr(Intersection, "distance_lower_bound",
+                            counted("bound", Intersection.distance_lower_bound))
+        monkeypatch.setattr("catchup.geometry._sweep",
+                            counted("sweeps", _sweep))
+
+        def project(C, y, eps):
+            z, bound = IterativeProjection().project(C, y, eps)
+            assert bound == 0.0
+            return z
+
+        assert _projection_outcome(project, C, y, eps) == want
+        assert counts == {"bound": measured, "sweeps": sweeps}
+
+
 # --- the bits of the step path's vector formulas ---------------------------
 
 SPECIAL_ENTRIES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300]
@@ -1118,6 +1163,21 @@ class TestVectorFormulasKeepTheirBits:
             assert same_bits(got, f_val - reference_pick(MinimalNorm(), want, f_val, None))
 
 
+class TestStackNormRows:
+    """Each row of `_norm` of a stack, from which `catchup study` takes its
+    sup_error in one call, has the bits of the 1-D `np.linalg.norm` of
+    that row in d = 1-13, signed zeros, NaN, infinities and 1e+-300
+    included."""
+
+    @given(data=st.data(), d=st.integers(1, 13), m=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_vector_norm(self, data, d, m):
+        A = arrays(data.draw, (m, d))
+        with np.errstate(all="ignore"):
+            for row, got in zip(A, _norm(A)):
+                assert same_bits(got, np.linalg.norm(row))
+
+
 # every set type, with a vector and a stack, outside and all inside
 ALIAS_CASES = [
     (Box([-1.0, 0.0], [2.0, 3.0]), [[5.0, -1.0], [0.5, 1.0]], [[0.5, 1.0], [0.0, 2.0]]),
@@ -1228,3 +1288,28 @@ class TestJudgedProjection:
                     return z, C.contains(z)
 
                 assert _outcome(judged) == _outcome(parent), policy.name
+
+
+class TestCapVectorPath:
+    """The vector path of a ball cut by a halfspace gives the bytes of its
+    row in the stacked closed form, and its bound, the larger member
+    distance, passes the membership tolerance just when `contains` does on
+    its point, with the bits of `_worst_distance` on a member."""
+
+    @given(case=caps_with_points(), swap=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_bytes_and_verdict(self, case, swap, data):
+        ball, half, Y = case
+        C = Intersection([half, ball] if swap else [ball, half])
+        queries = st.lists(judged_coordinates, min_size=C.dim, max_size=C.dim)
+        extra = data.draw(st.lists(queries, max_size=4))
+        Y = np.concatenate([Y, np.array(extra, dtype=float).reshape(-1, C.dim)])
+        with np.errstate(all="ignore"):  # inf - inf and overflowing norms
+            for y, row in zip(Y, C._cap_project(Y)):
+                z, bound = C._cap_judged(y)
+                assert z.tobytes() == row.tobytes()
+                tol = membership_tol(z)
+                inside = C.contains(z)
+                assert (bound <= tol) == inside
+                if inside:
+                    assert same_bits(bound, C._worst_distance(z, tol))

@@ -44,7 +44,11 @@ box; a start outside
 a thin cap (a ball cut at -0.99 of its radius), a config error; a run
 pushed by f(x) = (3, 1) - x from (-0.995, 0) into that cap's upper corner,
 whose normal-cone certificates project their probes onto the thin cap
-(in closed form, as a ball cut by one halfspace); a generic
+(in closed form, as a ball cut by one halfspace), and the same run
+under the Iterative policy with power_of_step errors, whose steps stop
+Dykstra on the thin cap until step 15 exhausts the 200-sweep budget (a
+failure manifest, reason projection_budget, whose message holds the
+distance bound, exit 1, and its partial trajectory); a generic
 scalar model whose records carry fields their kinds do not have (`dim` on
 a halfline, `extra` on a linear G, `elll` among the constants, `mu` in a
 uniform schedule, `sign` on minimal_norm, `slack_fraction` on perturbed),
@@ -216,6 +220,11 @@ PINNED_CASES["l1-zero-weight-iterative"] = {
     "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}}
 PINNED_CASES["l1-zero-weight-iterative"]["model"]["G"] = {"type": "l1", "weights": [0.0, 0.5]}
 PINNED_CASES["l1-zero-weight-iterative"]["model"]["constants"].update(a=3.7, M=7.0)
+# the thin-cap-corner run under the Iterative policy: every step sweeps
+# Dykstra on the thin cap, and step 15 exhausts the budget of 200 sweeps
+PINNED_CASES["thin-cap-corner-iterative"] = {
+    **PINNED_CASES["thin-cap-corner"], "projection": {"kind": "iterative"},
+    "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}}
 PINNED_CASES["wedge-study"] = {**PINNED_CASES["wedge-truncation"],
                                "study": {"levels": [0.1, 0.05, 0.025]}}
 PINNED_CASES["top-level-typo"] = {**PINNED_CASES["onedim-readme"], "diagnostic": "all"}
