@@ -291,7 +291,7 @@ def cmd_run(args) -> int:
 
     completed.to_csv(out / "trajectory.csv")
     certificates = {tag: e.to_record() for tag, e in entries.items()}
-    (out / "diagnostics.json").write_text(json.dumps(certificates, indent=2) + "\n")
+    _write_json(out / "diagnostics.json", certificates)
     manifest = {
         "command": "run",
         "config": _config_record(cfg, x0, schedule.horizon, strict=args.strict,
@@ -418,7 +418,7 @@ def cmd_stability(args) -> int:
     code = _exit_code(not entry.passed, informational, args.strict)
 
     certificates = {"stability": entry.to_record()}
-    (out / "diagnostics.json").write_text(json.dumps(certificates, indent=2) + "\n")
+    _write_json(out / "diagnostics.json", certificates)
     manifest = {
         "command": "stability",
         "config": _config_record(cfg, [x0_one, x0_two], schedule.horizon, strict=args.strict,

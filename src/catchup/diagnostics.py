@@ -226,7 +226,8 @@ def predictor_feasibility(run: DiscreteRun,
     C = run.model.C
     sched = run.schedule
     T = run.T
-    d = C.distance(run.Y)
+    # d_k, the distance of the predictor y_{k+1} = x_k + mu_k w_k
+    d = C.distance(run.X[:-1] + sched.mus[:run.n_steps, None] * run.W)
     L2 = float(np.sum(sched.mus * d * d))
     C_T = k["M_T"] ** 2 * sched.sum_mu_sq + float(np.sum(sched.eps))
     mu_norm = sched.mu_norm
@@ -324,8 +325,8 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
     ref_states = reference.interpolate_state(schedule.times)
     starts = C.project(ref_states[:-1])
     for k in range(schedule.n_steps):
-        z, _, _, _, _ = scheme_step(model, starts[k], float(schedule.mus[k]),
-                                    float(schedule.eps[k]), selection=sel, projection=proj)
+        z, _, _ = scheme_step(model, starts[k], float(schedule.mus[k]),
+                              float(schedule.eps[k]), selection=sel, projection=proj)
         defect = float(np.linalg.norm(z - ref_states[k + 1]))
         ratios[k] = defect / (schedule.mus[k] + np.sqrt(schedule.eps[k]))
         radius = max(radius, float(np.linalg.norm(z)))

@@ -5,7 +5,7 @@ distance function, its metric projection, and the projection onto its
 tangent cone at a feasible point.  On top of those primitives this module
 provides the eps-relaxed projection (any feasible point whose squared
 distance to the query exceeds the minimum by at most eps), returned with
-the membership bound that its projection already established, the Moreau
+the membership verdict that its projection already reached, the Moreau
 split of a vector into tangent and normal components, and a sampling
 certificate for membership of a vector in the delta-approximate normal
 cone {v : <v, z - x> <= delta for all z in C}.
@@ -264,14 +264,12 @@ class ConvexSet(ConfigRecord):
             tol = membership_tol(x)
         return self.distance(x) <= tol
 
-    def project_judged(self, y) -> tuple[NDArray, float]:
-        """The projection z of a vector y and a bound found without
-        projecting z again, such that `bound <= membership_tol(z)` decides
-        what `contains(z)` decides: here d_C(z), NaN for a point with a NaN
-        coordinate.  A bound of 0.0 means the projection judged z a member
-        itself: a finite point of a box, any point an intersection returns."""
+    def project_judged(self, y) -> tuple[NDArray, bool]:
+        """The projection z of a vector y and the bool `contains(z)` gives:
+        here d_C(z) <= membership_tol(z).  A box (z finite) and an
+        intersection (always True) take the test their projection made."""
         z = self.project(y)
-        return z, self.distance(z)
+        return z, self.distance(z) <= membership_tol(z)
 
     def tangent_project(self, x, u) -> NDArray:
         """Project u onto the tangent cone of the set at the feasible point x."""
@@ -319,12 +317,11 @@ class Box(ConvexSet):
     def project(self, y) -> NDArray:
         return _as_points(y, self.dim).clip(self.lower, self.upper)
 
-    def project_judged(self, y) -> tuple[NDArray, float]:
+    def project_judged(self, y) -> tuple[NDArray, bool]:
         # clip lands in [lower, upper] exactly, so a finite z is a member; a
         # finite z beyond 1e154 overflows z.z, hence the second test
         z = self.project(y)
-        finite = math.isfinite(z.dot(z)) or bool(np.isfinite(z).all())
-        return z, 0.0 if finite else math.nan
+        return z, math.isfinite(z.dot(z)) or bool(np.isfinite(z).all())
 
     def tangent_project(self, x, u) -> NDArray:
         x = self.require_member(x)
@@ -518,7 +515,7 @@ class Intersection(ConvexSet):
     `_cap_project` for a stack); any other intersection sweeps through
     Dykstra's scheme, within `budget` sweeps and exact only up to the
     internal stopping tolerance.  A projected point that fails the test of
-    `contains` raises ProjectionError, so `project_judged`'s bound is 0.0.
+    `contains` raises ProjectionError, so `project_judged`'s verdict is True.
     The certified route for a stated slack is `approx_project` with the
     Iterative policy, which sweeps through Dykstra on every intersection.
     """
@@ -548,8 +545,8 @@ class Intersection(ConvexSet):
     def project(self, y) -> NDArray:
         return self._judged(_as_points(y, self.dim))
 
-    def project_judged(self, y) -> tuple[NDArray, float]:
-        return self._judged(_as_vector(y, self.dim)), 0.0
+    def project_judged(self, y) -> tuple[NDArray, bool]:
+        return self._judged(_as_vector(y, self.dim)), True
 
     def _judged(self, y: NDArray) -> NDArray:
         """The projection of a vector, or of each row of a stack, judged a
@@ -680,10 +677,9 @@ def moreau_decompose(C: ConvexSet, x, u) -> tuple[NDArray, NDArray]:
 # --- approximate projection policies -------------------------------------
 #
 # A policy's `project(C, y, eps, rng)` returns a point z of C with
-# |z - y|^2 <= d_C(y)^2 + eps, together with the bound on z that its
-# projection judged membership by (see `ConvexSet.project_judged`), so the
-# caller checks `bound <= membership_tol(z)` and never projects z again;
-# `seed` is None for deterministic policies,
+# |z - y|^2 <= d_C(y)^2 + eps, together with the bool `C.contains(z)` gives,
+# as its projection judged it (see `ConvexSet.project_judged`), so the
+# caller never projects z again; `seed` is None for deterministic policies,
 # else the seed of the generator a run hands to `project`.  `exact` marks
 # the metric projection, under which a normal term must pass its cone
 # certificate.  A policy's config record holds its constructor arguments
@@ -697,7 +693,7 @@ class ExactProjection:
     seed = None
     exact = True
 
-    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, float]:
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, bool]:
         return C.project_judged(y)
 
 
@@ -717,10 +713,10 @@ class PerturbedProjection:
     def __post_init__(self):
         check_integer(self.seed)
 
-    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, float]:
-        z0, bound0 = C.project_judged(y)
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, bool]:
+        z0, member0 = C.project_judged(y)
         if eps == 0.0:
-            return z0, bound0
+            return z0, member0
         d = float(np.linalg.norm(z0 - y))
         slack = SLACK_FRACTION * eps
         r = -d + np.sqrt(d * d + slack)
@@ -729,20 +725,20 @@ class PerturbedProjection:
         direction = rng.standard_normal(C.dim)
         nrm = float(np.linalg.norm(direction))
         if nrm == 0.0:
-            return z0, bound0
-        z, bound = C.project_judged(z0 + (r / nrm) * direction)
+            return z0, member0
+        z, member = C.project_judged(z0 + (r / nrm) * direction)
         # By nonexpansiveness |z - z0| <= r, hence |z - y| <= d + r and the
         # contract holds by construction; verify anyway and fall back.
         if float(np.add.reduce((z - y) ** 2)) <= d * d + eps:
-            return z, bound
-        return z0, bound0
+            return z, member
+        return z0, member0
 
 
 @dataclass(frozen=True)
 class IterativeProjection:
     """Dykstra sweeps onto an Intersection with a certified stop.
 
-    Accept the iterate z, judged a member (bound 0.0), once |z - y|^2 <=
+    Accept the iterate z, judged a member (verdict True), once |z - y|^2 <=
     lb + eps.  lb, a certified lower bound on d_C(y)^2, is the larger of the
     squared worst member distance of y, measured only when a feasible z or
     the budget error needs it, and the squared distances of y to the
@@ -757,12 +753,13 @@ class IterativeProjection:
     seed = None
     exact = False
 
-    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, float]:
+    def project(self, C: ConvexSet, y: NDArray, eps: float, rng=None) -> tuple[NDArray, bool]:
         if not isinstance(C, Intersection):
             return C.project_judged(y)
         projectors = [m.project for m in C.members]
         corrections = [np.zeros(y.shape) for _ in projectors]
-        # the separating bound; the member bound joins it, first so that a
+        # the separating bound; the member bound d joins it as d * d (a float
+        # power would raise OverflowError, not give inf), first so that a
         # NaN stays, once a feasible iterate or the message needs it
         lb, joined = 0.0, False
         z = y
@@ -782,10 +779,10 @@ class IterativeProjection:
             if C._worst_distance(z, tol) <= tol:
                 gap = float(np.add.reduce((z - y) ** 2))
                 if not (gap <= lb + eps or joined):
-                    lb, joined = max(C.distance_lower_bound(y) ** 2, lb), True
+                    lb, joined = max((d := C.distance_lower_bound(y)) * d, lb), True
                 if gap <= lb + eps:
-                    return z, 0.0
-        lb = lb if joined else max(C.distance_lower_bound(y) ** 2, lb)
+                    return z, True
+        lb = lb if joined else max((d := C.distance_lower_bound(y)) * d, lb)
         raise ProjectionError(
             "Dykstra sweeps could not certify the eps-inequality "
             f"within {C.budget} sweeps (eps={eps:.3e}, distance bound {lb:.3e})"
@@ -801,9 +798,9 @@ PROJECTION_POLICIES = {
 
 
 def approx_project(C: ConvexSet, y, eps: float, policy=None,
-                   rng=None) -> tuple[NDArray, float]:
+                   rng=None) -> tuple[NDArray, bool]:
     """A point z in C with |z - y|^2 <= distance(C, y)^2 + eps, and the
-    bound its membership is judged by (see `ConvexSet.project_judged`).
+    bool `C.contains(z)` gives (see `ConvexSet.project_judged`).
 
     The returned point always satisfies the inequality; a policy that cannot
     certify it within budget raises ProjectionError.
@@ -914,8 +911,8 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
     member of C.  `points`, when given, is the certificate's row of
     `probe_stack` at x with its window, (points (P, dim), W), which it then
     does not rebuild; x is then taken as judged by the step that produced
-    it (a run's x_{k+1} passed `bound <= membership_tol(x_{k+1})`, the
-    verdict of `C.contains`) and is not judged again.
+    it (a run's x_{k+1} passed its projection's verdict, that of
+    `C.contains`) and is not judged again.
     """
     if not delta >= 0:
         raise ValueError("delta must be nonnegative")

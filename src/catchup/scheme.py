@@ -33,7 +33,6 @@ from .geometry import (
     check_array,
     check_number,
     in_approx_normal_cone,
-    membership_tol,
     probe_count,
     probe_stack,
 )
@@ -84,7 +83,7 @@ class SchemeError(Exception):
 # constructor arguments (see `geometry.build_record`), which `resolve`
 # converts and checks.
 
-# The most steps a schedule may have.  A run keeps five (n, dim) arrays and
+# The most steps a schedule may have.  A run keeps three (n, dim) arrays and
 # a 30 us step, so 10**7 steps are minutes of stepping and gigabytes of CSV;
 # without a cap, a horizon the steps cannot fill (polynomial steps over
 # T = 1e308) grows its step list until memory runs out.
@@ -325,10 +324,11 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
          selection=None, projection=None, sel_rng=None, proj_rng=None):
     """One predictor-projection update from a feasible point.
 
-    Returns (x_next, y, w, p, v).  Raises SchemeError if the defect
-    violates the eps-contract |p|^2 <= mu^2 |w|^2 + eps (which any valid
-    relaxed projection must satisfy, since x itself is feasible) or if the
-    produced point is infeasible.
+    Returns (x_next, w, p); the predictor x + mu w and the normal term
+    -p / mu follow from them.  Raises SchemeError if the defect violates
+    the eps-contract |p|^2 <= mu^2 |w|^2 + eps (which any valid relaxed
+    projection must satisfy, since x itself is feasible) or if the
+    projection judged the produced point infeasible.
     """
     C = model.C
     x = _as_vector(x, model.dim)
@@ -337,8 +337,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     w = select_F(model, x, rule=selection or MinimalNorm(), rng=sel_rng)
     y = x + mu * w
     try:
-        x_next, bound = approx_project(C, y, eps, policy=projection or ExactProjection(),
-                                       rng=proj_rng)
+        x_next, member = approx_project(C, y, eps, policy=projection or ExactProjection(),
+                                        rng=proj_rng)
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
@@ -348,15 +348,10 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
             f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}",
             kind="contract",
         )
-    # 0.0 is a member verdict the projection took; else bound <= tol is C.contains(x_next)
-    if not (bound == 0.0 or bound <= membership_tol(x_next)):
+    if not member:
         raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
                           kind="infeasible")
-    if np.count_nonzero(p):
-        v = p / -mu  # -p / mu in one pass: p has no NaN, which fails the contract
-    else:
-        v = np.zeros(p.shape)
-    return x_next, y, w, p, v
+    return x_next, w, p
 
 
 # --- full runs --------------------------------------------------------------
@@ -369,21 +364,20 @@ PROBE_ROW_BUDGET = 4096
 class DiscreteRun:
     """A completed (or aborted) trajectory with all per-step data.
 
-    Arrays: X has n+1 rows; W, Y, P, V have n rows (one per step).  The
-    interpolants follow the usual half-open cell convention [t_k, t_{k+1})
-    with the right endpoint of the last cell included.
+    Arrays: X has n+1 rows; the selections W and the defects P have n rows
+    (one per step), from which the predictors and normal terms follow.
+    The interpolants follow the usual half-open cell convention
+    [t_k, t_{k+1}) with the right endpoint of the last cell included.
     """
 
-    def __init__(self, model, schedule, X, W, Y, P, V,
+    def __init__(self, model, schedule, X, W, P,
                  selection_name="minimal_norm", projection_name="exact",
                  seeds=None, certificates=None, apriori=None):
         self.model = model
         self.schedule = schedule
         self.X = np.asarray(X, dtype=float)
         self.W = np.asarray(W, dtype=float)
-        self.Y = np.asarray(Y, dtype=float)
         self.P = np.asarray(P, dtype=float)
-        self.V = np.asarray(V, dtype=float)
         self.selection_name = selection_name
         self.projection_name = projection_name
         self.seeds = dict(seeds or {})
@@ -449,11 +443,14 @@ class DiscreteRun:
 
     def to_csv(self, path=None) -> str | None:
         """Columnar dump: k, t, state, selection, defect, normal term,
-        step, tolerance.  The last row carries only (k, t, state)."""
+        step, tolerance.  The last row carries only (k, t, state).  The
+        normal term of a step with a zero defect is +0.0, else -p / mu."""
         d, n = self.dim, self.n_steps
+        mus = self.schedule.mus[:n]
+        V = np.where(self.P.any(axis=1, keepdims=True), self.P / -mus[:, None], 0.0)
         header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
         columns = [np.arange(n), self.times[:n], *self.X[:n].T, *self.W.T, *self.P.T,
-                   *self.V.T, self.schedule.mus[:n], self.schedule.eps[:n]]
+                   *V.T, mus, self.schedule.eps[:n]]
         last = (n, float(self.times[n]), *self.X[n].tolist(), *[None] * (3 * d + 2))
         return write_csv(path, header, columns, last)
 
@@ -550,9 +547,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     d = model.dim
     X = np.empty((n + 1, d))
     W = np.empty((n, d))
-    Y = np.empty((n, d))
     P = np.empty((n, d))
-    V = np.empty((n, d))
     X[0] = x0
 
     policies = {"selection": selection, "projection": projection}
@@ -566,7 +561,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     def result(k, apriori=None):
         """The run over its first k steps."""
         return DiscreteRun(
-            model, schedule, X[: k + 1], W[:k], Y[:k], P[:k], V[:k],
+            model, schedule, X[: k + 1], W[:k], P[:k],
             selection_name=selection.name, projection_name=projection.name,
             seeds=seeds, certificates=certificates, apriori=apriori,
         )
@@ -579,9 +574,8 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     failure, done, x = None, n, x0
     for k in range(n):
         try:
-            x, Y[k], W[k], P[k], V[k] = step(model, x, mus[k], eps[k],
-                                             selection=selection, projection=projection,
-                                             sel_rng=sel_rng, proj_rng=proj_rng)
+            x, W[k], P[k] = step(model, x, mus[k], eps[k], selection=selection,
+                                 projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
         except Exception as exc:
             failure, done = exc, k
             break
@@ -601,7 +595,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
             for i, k in enumerate(ks.tolist()):
                 delta_k = deltas[k]
                 row = None if points is None else (points[i], float(windows[i]))
-                cert = in_approx_normal_cone(C, X[k + 1], V[k], delta_k, row)
+                cert = in_approx_normal_cone(C, X[k + 1], P[k] / -mus[k], delta_k, row)
                 certificates.append({**cert.to_record(), "k": k})
                 if projection.exact and not cert.holds:
                     raise SchemeError(

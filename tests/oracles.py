@@ -344,9 +344,11 @@ def reference_step(model, x, mu, eps, selection, projection, sel_rng=None, proj_
 
 def reference_run(model, x0, schedule, selection=None, projection=None):
     """The run of `scheme.run` with normal-cone certificates, each taken
-    right after its step: (X, W, Y, P, V, certificate records).  A failed
-    step or certificate raises the SchemeError the loop raised, with the
-    partial run; a certificate's GeometryError propagates as it is."""
+    right after its step: (X, W, Y, P, V, certificate records), with the
+    predictor y = x + mu w and the normal term v = -p / mu (zeros for a
+    zero defect) stored step by step.  A failed step or certificate raises
+    the SchemeError the loop raised, with the partial run; a certificate's
+    GeometryError propagates as it is."""
     C = model.C
     selection = selection or MinimalNorm()
     projection = projection or ExactProjection()
@@ -360,17 +362,18 @@ def reference_run(model, x0, schedule, selection=None, projection=None):
     certificates = []
 
     def partial(k):
-        return DiscreteRun(model, schedule, X[: k + 1], W[:k], Y[:k], P[:k], V[:k],
-                           certificates=certificates)
+        return DiscreteRun(model, schedule, X[: k + 1], W[:k], P[:k], certificates=certificates)
 
     for k in range(n):
         mu, eps = float(schedule.mus[k]), float(schedule.eps[k])
         try:
-            x_next, y, w, p, v = step(model, X[k], mu, eps, selection=selection,
-                                      projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
+            x_next, w, p = step(model, X[k], mu, eps, selection=selection,
+                                projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
         except SchemeError as exc:
             raise SchemeError(f"step {k} failed: {exc}", partial_run=partial(k),
                               kind=exc.kind) from exc
+        y = X[k] + mu * w
+        v = -p / mu if np.any(p) else np.zeros_like(p)
         X[k + 1], Y[k], W[k], P[k], V[k] = x_next, y, w, p, v
         if np.any(p):
             delta_k = float(schedule.eps[k] / (2.0 * schedule.mus[k]))

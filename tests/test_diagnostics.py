@@ -116,7 +116,7 @@ class TestDiscreteEnergy:
         model, r = relaxing_run
         X = r.X.copy()
         X[-1] = 40.0
-        bad = DiscreteRun(model, r.schedule, X, r.W, r.Y, r.P, r.V)
+        bad = DiscreteRun(model, r.schedule, X, r.W, r.P)
         entry = check_discrete_energy(bad)
         assert not entry.passed
         assert entry.measured > 100.0
@@ -154,7 +154,7 @@ class TestBetaDomination:
         model, r = relaxing_run
         X = r.X.copy()
         X[50] = 3.0
-        bad = DiscreteRun(model, r.schedule, X, r.W, r.Y, r.P, r.V)
+        bad = DiscreteRun(model, r.schedule, X, r.W, r.P)
         entry = check_beta_domination(bad, level=model.M, gamma=model.gamma)
         assert not entry.passed
         assert entry.detail["worst_time"] == pytest.approx(0.5)
@@ -185,7 +185,7 @@ class TestDefectSummability:
         model, r = sticking_run
         P = r.P.copy()
         P[:] = 1.0
-        bad = DiscreteRun(model, r.schedule, r.X, r.W, r.Y, P, r.V)
+        bad = DiscreteRun(model, r.schedule, r.X, r.W, P)
         assert not defect_summability(bad).passed
 
 

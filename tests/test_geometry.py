@@ -1033,12 +1033,20 @@ class TestIterativeMemberBound:
                             counted("sweeps", _sweep))
 
         def project(C, y, eps):
-            z, bound = IterativeProjection().project(C, y, eps)
-            assert bound == 0.0
+            z, member = IterativeProjection().project(C, y, eps)
+            assert member is True
             return z
 
         assert _projection_outcome(project, C, y, eps) == want
         assert counts == {"bound": measured, "sweeps": sweeps}
+
+    def test_far_member_bound_squares_to_inf(self):
+        # the member bound 1e200 squares to inf, which certifies the feasible
+        # iterate (0, 0); squared as a float power it raised OverflowError
+        quadrant = Intersection([Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)])
+        with np.errstate(over="ignore"):  # |z - y|^2 overflows to inf as well
+            z, member = IterativeProjection().project(quadrant, np.array([1e200, 0.0]), 0.1)
+        assert z.tolist() == [0.0, 0.0] and member is True
 
 
 # --- the bits of the step path's vector formulas ---------------------------
@@ -1241,8 +1249,8 @@ def _outcome(project, *args):
 
 
 class TestJudgedProjection:
-    """A projection's bound decides membership as `contains` would on its
-    point, and the point keeps the bytes of the plain projection."""
+    """A projection's verdict is the bool `contains` gives on its point,
+    and the point keeps the bytes of the plain projection."""
 
     @pytest.mark.parametrize("name", sorted(JUDGED_SETS))
     @given(data=st.data())
@@ -1252,9 +1260,9 @@ class TestJudgedProjection:
         y = data.draw(judged_queries(name))
 
         def judged(y):
-            z, bound = C.project_judged(y)
-            assert type(bound) is float
-            return z, bound <= membership_tol(z)
+            z, member = C.project_judged(y)
+            assert type(member) is bool
+            return z, member
 
         def plain(y):
             z = C.project(y)
@@ -1280,8 +1288,9 @@ class TestJudgedProjection:
         with np.errstate(all="ignore"):
             for policy, reference in references:
                 def judged():
-                    z, bound = policy.project(C, y, eps)
-                    return z, bound <= membership_tol(z)
+                    z, member = policy.project(C, y, eps)
+                    assert type(member) is bool
+                    return z, member
 
                 def parent():
                     z = reference()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catchup.scheme as scheme
+from catchup.diagnostics import predictor_feasibility
 from catchup.geometry import (
     Ball,
     Box,
@@ -176,19 +177,19 @@ class TestStep:
     def test_interior_step_frozen(self):
         # x = 0, w = F(0) = 2, y = 0.2 feasible: no defect
         m = scalar_model(a=1.0, b=2.0)
-        x1, y, w, p, v = step(m, [0.0], mu=0.1, eps=0.0)
+        x1, w, p = step(m, [0.0], mu=0.1, eps=0.0)
         assert w[0] == pytest.approx(2.0)
-        assert y[0] == pytest.approx(0.2)
+        assert 0.0 + 0.1 * w[0] == pytest.approx(0.2)
         assert x1[0] == pytest.approx(0.2)
         assert p[0] == 0.0
-        assert v[0] == 0.0
 
     def test_boundary_step_frozen(self):
         # b = -1: w = F(0) = -1, predictor leaves the set, projection sticks
         m = scalar_model(a=1.0, b=-1.0)
-        x1, y, w, p, v = step(m, [0.0], mu=0.1, eps=0.0)
+        x1, w, p = step(m, [0.0], mu=0.1, eps=0.0)
+        v = -p / 0.1
         assert w[0] == pytest.approx(-1.0)
-        assert y[0] == pytest.approx(-0.1)
+        assert 0.0 + 0.1 * w[0] == pytest.approx(-0.1)
         assert x1[0] == 0.0
         assert p[0] == pytest.approx(0.1)
         assert v[0] == pytest.approx(-1.0)
@@ -199,7 +200,8 @@ class TestStep:
         # y = (1 - (a+1) mu) x + mu b away from the boundary
         m = scalar_model(a=1.0, b=2.0)
         x = np.array([0.7])
-        _, y, _, _, _ = step(m, x, mu=0.05, eps=0.0)
+        _, w, _ = step(m, x, mu=0.05, eps=0.0)
+        y = x + 0.05 * w
         assert y[0] == pytest.approx((1.0 - 2.0 * 0.05) * 0.7 + 0.05 * 2.0)
 
     def test_zero_mu_rejected(self):
@@ -262,6 +264,15 @@ def step_outcome(stepper, model, x, mu, eps, sel, proj, seed):
     return [(a.dtype, a.shape, a.tobytes()) for a in out]
 
 
+def reference_triple(model, x, mu, eps, **policies):
+    """(x_next, w, p) of the reference step, whose predictor and normal
+    term have the bits of x + mu w and of p / -mu (zeros for p = 0)."""
+    x_next, y, w, p, v = reference_step(model, x, mu, eps, **policies)
+    assert y.tobytes() == (x + mu * w).tobytes()
+    assert v.tobytes() == (p / -mu if p.any() else np.zeros(p.shape)).tobytes()
+    return x_next, w, p
+
+
 class TestDefectContract:
     @given(d=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -284,8 +295,9 @@ class TestDefectContract:
 
 
 class TestStepMatchesReference:
-    """The step gives the bytes of the reference step, which builds the
-    bounds of G(x) and picks from them with code of its own."""
+    """The step's (x_next, w, p) has the bytes of the reference step's,
+    which builds the bounds of G(x) and picks from them with code of its
+    own."""
 
     @given(
         st.sampled_from(sorted(STEP_PARTS)),
@@ -304,7 +316,7 @@ class TestStepMatchesReference:
                               growth=(10.0, 10.0), dissipativity=(1.0, 10.0, 0.5))
         x = np.array(x)
         args = (model, x, mu, eps, sel, proj, seed)
-        assert step_outcome(step, *args) == step_outcome(reference_step, *args)
+        assert step_outcome(step, *args) == step_outcome(reference_triple, *args)
 
 
 class TestStepInputs:
@@ -320,7 +332,7 @@ class TestStepInputs:
     @pytest.mark.parametrize("x", [[0.5], np.array([1]), np.array([0.5], dtype=np.float32),
                                    np.array(0.5)], ids=["list", "int", "float32", "0-d"])
     def test_vector_likes_step_like_a_float64_vector(self, x):
-        # the predictor 0.5 - 0.4 * 2 leaves the halfline, so p and v are nonzero
+        # the predictor 0.5 - 0.4 * 2 leaves the halfline, so p is nonzero
         m = scalar_model(b=-1.0)
         expected = step(m, np.asarray(x, dtype=float).reshape(1), mu=0.4, eps=0.0)
         got = step(m, x, mu=0.4, eps=0.0)
@@ -432,7 +444,8 @@ class TestRun:
         r = run(m, [0.5], s)
         for k in range(r.n_steps):
             vel = (r.X[k + 1] - r.X[k]) / s.mus[k]
-            resid = np.linalg.norm(vel - (r.W[k] - r.V[k]))
+            v = -r.P[k] / s.mus[k]
+            resid = np.linalg.norm(vel - (r.W[k] - v))
             assert resid <= 1e-12 * (1.0 + np.linalg.norm(r.W[k]))
 
     def test_normal_certificates_on_sticking_steps(self):
@@ -502,6 +515,19 @@ class TestInterpolants:
         assert sups[2] < sups[0]
 
 
+def run_table(schedule, X, W, P, V, path=None):
+    """The trajectory table of a run with any normal-term columns V,
+    written as `DiscreteRun.to_csv` writes it."""
+    X = np.asarray(X, dtype=float)
+    n, d = len(W), X.shape[1]
+    W, P, V = (np.asarray(a, dtype=float).reshape(n, d) for a in (W, P, V))
+    header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
+    columns = [np.arange(n), schedule.times[:n], *X[:n].T, *W.T, *P.T, *V.T,
+               schedule.mus[:n], schedule.eps[:n]]
+    last = (n, float(schedule.times[n]), *X[n].tolist(), *[None] * (3 * d + 2))
+    return write_csv(path, header, columns, last)
+
+
 class TestSerialization:
     def make_run(self):
         m = scalar_model(a=1.0, b=-1.0)
@@ -510,11 +536,12 @@ class TestSerialization:
 
     def test_csv_round_trip_bitwise(self):
         r = self.make_run()
+        V = reference_run(r.model, [0.5], r.schedule, projection=PerturbedProjection(seed=4))[4]
         data = read_run_csv(r.to_csv())
         np.testing.assert_array_equal(data["X"], r.X)
         np.testing.assert_array_equal(data["W"], r.W)
         np.testing.assert_array_equal(data["P"], r.P)
-        np.testing.assert_array_equal(data["V"], r.V)
+        np.testing.assert_array_equal(data["V"], V)
         np.testing.assert_array_equal(data["times"], r.times)
         np.testing.assert_array_equal(data["mus"], r.schedule.mus)
         np.testing.assert_array_equal(data["eps"], r.schedule.eps)
@@ -523,9 +550,9 @@ class TestSerialization:
         s = make_schedule(1.0, Uniform(0.5), ExplicitErrors([0.25, 0.125]))
         X = [[0.0, 1.0], [0.5, -0.25], [1.5, 0.1]]
         W = [[2.0, -3.0], [1.0, 0.75]]
+        # the v columns are -p / mu, with the -0.0 of p's zero entry
         P = [[-0.5, 0.25], [0.5, 0.0]]
-        V = [[1.0, -0.5], [-1.0, -0.0]]
-        r = DiscreteRun(None, s, X, W, np.zeros((2, 2)), P, V)
+        r = DiscreteRun(None, s, X, W, P)
         assert r.to_csv() == (
             "k,t,x0,x1,w0,w1,p0,p1,v0,v1,mu,eps\n"
             "0,0.0,0.0,1.0,2.0,-3.0,-0.5,0.25,1.0,-0.5,0.5,0.25\n"
@@ -542,9 +569,8 @@ class TestSerialization:
         W = [[tiny, -0.0], [-tiny, huge]]
         P = [[-huge, 0.0], [-0.0, tiny]]
         V = [[huge, -tiny], [0.0, -0.0]]
-        r = DiscreteRun(None, s, X, W, np.zeros((2, 2)), P, V)
-        data = read_run_csv(r.to_csv())
-        for key, want in [("X", X), ("W", W), ("P", P), ("V", V), ("times", r.times),
+        data = read_run_csv(run_table(s, X, W, P, V))
+        for key, want in [("X", X), ("W", W), ("P", P), ("V", V), ("times", s.times),
                           ("mus", s.mus), ("eps", s.eps)]:
             assert data[key].tobytes() == np.asarray(want, dtype=float).tobytes(), key
 
@@ -552,8 +578,7 @@ class TestSerialization:
                              ids=["empty", "garbled", "short"])
     def test_bad_cell_is_value_error(self, cell, bad):
         s = make_schedule(1.0, Uniform(0.5))
-        r = DiscreteRun(None, s, [[0.0], [0.5], [1.0]], [[1.0], [1.0]], np.zeros((2, 1)),
-                        [[0.0], [0.0]], [[0.0], [0.0]])
+        r = DiscreteRun(None, s, [[0.0], [0.5], [1.0]], [[1.0], [1.0]], [[0.0], [0.0]])
         lines = r.to_csv().split("\n")
         lines[2] = lines[2].replace(cell, bad, 1)
         with pytest.raises(ValueError):
@@ -674,7 +699,6 @@ class TestColumnwiseCSV:
                                    eps=_float_array(data, n))
         X = _float_array(data, (n + 1, d))
         W, P, V = (_float_array(data, (n, d)) for _ in range(3))
-        r = DiscreteRun(None, schedule, X, W, np.zeros((n, d)), P, V)
         header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
         rows = [(k, schedule.times[k], *X[k], *W[k], *P[k], *V[k], schedule.mus[k],
                  schedule.eps[k]) for k in range(n)]
@@ -682,9 +706,9 @@ class TestColumnwiseCSV:
         want = reference_csv_text(header, rows)
         with mock.patch.object(scheme, "CSV_BLOCK_ROWS", block), \
                 tempfile.TemporaryDirectory() as tmp:
-            assert r.to_csv() == want
+            assert run_table(schedule, X, W, P, V) == want
             path = Path(tmp) / "trajectory.csv"
-            r.to_csv(path)
+            run_table(schedule, X, W, P, V, path)
             assert path.read_bytes() == want.encode()
             for parsed in (read_run_csv(want), read_run_csv(str(path))):
                 for key, value in [("times", schedule.times), ("X", X), ("W", W), ("P", P),
@@ -702,13 +726,10 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_single_step_contract(self, x0, mu, b, eps):
         m = scalar_model(a=1.0, b=b)
-        x1, y, w, p, v = step(m, [x0], mu=mu, eps=eps,
-                              projection=PerturbedProjection(seed=1))
+        x1, w, p = step(m, [x0], mu=mu, eps=eps, projection=PerturbedProjection(seed=1))
         assert m.C.contains(x1)
         assert float(p @ p) <= mu * mu * float(w @ w) + eps + 1e-12
         np.testing.assert_allclose(x1, [x0] + mu * w + p, atol=1e-12)
-        if not np.any(p):
-            assert not np.any(v)
 
 
 class ScriptedProjection:
@@ -719,7 +740,7 @@ class ScriptedProjection:
     breaks the contract; `outside` moves the projection out through the
     face x_0 = 1 by mu / 4, inside the contract but not in the set;
     `budget` raises ProjectionError and `bad` a ValueError, which the step
-    does not catch.  A moved point comes with its distance to the set."""
+    does not catch.  A moved point comes with the verdict of `contains`."""
 
     name = "scripted"
     seed = None
@@ -735,13 +756,13 @@ class ScriptedProjection:
         self.calls += 1
         if fault == "shift":
             z = C.project(y) - [0.0, 0.25 * self.mu]
-            return z, C.distance(z)
+            return z, C.contains(z)
         if fault == "far":
             z = np.array([-1.0, -1.0])
-            return z, C.distance(z)
+            return z, C.contains(z)
         if fault == "outside":
             z = C.project(y) + [0.25 * self.mu, 0.0]
-            return z, C.distance(z)
+            return z, C.contains(z)
         if fault == "budget":
             raise ProjectionError("scripted budget")
         if fault == "bad":
@@ -773,13 +794,14 @@ def run_outcome(runner, C, faults, x0=(1.0, 0.0), drift=(1.0, 0.5), mu=0.05, T=1
     except SchemeError as exc:
         part = exc.partial_run
         return ("SchemeError", exc.kind, str(exc), part.n_steps,
-                [a.tobytes() for a in (part.X, part.W, part.Y, part.P, part.V)],
-                part.certificates)
+                [a.tobytes() for a in (part.X, part.W, part.P)], part.certificates)
     except (GeometryError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
     if isinstance(out, DiscreteRun):
-        out = (out.X, out.W, out.Y, out.P, out.V, out.certificates)
-    return ("ok", [a.tobytes() for a in out[:5]], out[5])
+        out = (out.X, out.W, out.P, out.certificates)
+    else:  # the reference's (X, W, Y, P, V, certificates)
+        out = (out[0], out[1], out[3], out[5])
+    return ("ok", [a.tobytes() for a in out[:3]], out[3])
 
 
 BOX = Box([-1.0, -1.0], [1.0, 1.0])
@@ -869,7 +891,7 @@ class TestBlockedCertificates:
         assert len(out.certificates) == out.n_steps == 500
         assert C.stacked == {None: 4, 75: 167}[row_budget]
         # each point is judged once: x0 by `require_member`, x_{k+1} by its
-        # step's projection bound; a certificate that judged its point again
+        # step's projection verdict; a certificate that judged its point again
         # would add one projection and one membership test
         assert C.single == out.n_steps + 1
         assert C.contains_calls == 1
@@ -894,3 +916,69 @@ class TestBlockedCertificates:
         assert got == run_outcome(reference_run, C, {}, **kw)
         assert got[0] == "ProjectionError" and "budget 1 exhausted" in got[1]
 
+
+
+def pushed_out(b, C, x0):
+    """f(x) = b - x on C, whose equilibrium b lies outside C, and a start."""
+    d = len(b)
+    size = float(np.linalg.norm(b))
+    model = MonotoneModel(AffineField(-np.eye(d), b), ZeroPart(d), C,
+                          growth=(size, 1.0), dissipativity=(1.0, size * size / 2.0, 0.5))
+    return model, np.array(x0, dtype=float)
+
+
+# runs whose exact steps take zero defects first, then nonzero ones; on the
+# box face x_0 = 1 and the cap's wall x_0 = 0.5 a defect is (p_0, 0.0)
+DERIVED_RUNS = {
+    "halfline": lambda: (scalar_model(a=1.0, b=-1.0), np.array([0.5])),
+    "box": lambda: pushed_out([3.0, 0.5], Box([-1.0, -1.0], [1.0, 1.0]), [0.0, 0.0]),
+    "cap": lambda: pushed_out([3.0, 1.0], Intersection([Ball([0.0, 0.0], 1.0),
+                                                       Halfspace([1.0, 0.0], 0.5)]), [0.0, 0.0]),
+}
+
+
+class TestDerivedColumns:
+    """The normal terms a run's CSV writes and the predictors that
+    `predictor_feasibility` measures, derived from the run's selections and
+    defects, have the bytes of the ones the reference loop stores step by
+    step."""
+
+    @pytest.mark.parametrize("policy", sorted(STEP_PROJECTIONS))
+    @pytest.mark.parametrize("case", sorted(DERIVED_RUNS))
+    def test_v_columns_and_predictors(self, monkeypatch, case, policy):
+        model, x0 = DERIVED_RUNS[case]()
+        schedule = make_schedule(1.0, Uniform(0.02), PowerOfStep(0.1, beta=1.0))
+        r = run(model, x0, schedule, projection=STEP_PROJECTIONS[policy](3))
+        X, W, Y, P, V, _ = reference_run(model, x0, schedule,
+                                         projection=STEP_PROJECTIONS[policy](3))
+        assert [a.tobytes() for a in (r.X, r.W, r.P)] == [a.tobytes() for a in (X, W, P)]
+        assert read_run_csv(r.to_csv())["V"].tobytes() == V.tobytes()
+        measured = []
+        distance = model.C.distance
+        monkeypatch.setattr(model.C, "distance", lambda y: measured.append(y) or distance(y))
+        predictor_feasibility(r)
+        assert measured[0].tobytes() == Y.tobytes()
+        if policy != "perturbed":  # which moves every projection
+            zero = ~P.any(axis=1)
+            assert zero.any() and not zero.all()
+            assert not np.signbit(V[zero]).any()
+            on_face = (P == 0.0) & ~zero[:, None]
+            assert on_face.any() == (case != "halfline")
+            assert np.signbit(V[on_face]).all()
+
+    def test_partial_run_csv(self):
+        # the Iterative policy exhausts its 200 sweeps on a thin cap at step 15
+        thin_cap = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -0.99)])
+        model, x0 = pushed_out([3.0, 1.0], thin_cap, [-0.995, 0.0])
+        errors = PowerOfStep(0.1, beta=1.0)
+        with pytest.raises(SchemeError) as info:
+            run(model, x0, make_schedule(2.0, Uniform(0.01), errors),
+                projection=IterativeProjection())
+        part = info.value.partial_run
+        assert info.value.kind == "projection_budget" and part.n_steps == 15
+        X, W, _, P, V, _ = reference_run(model, x0, make_schedule(0.15, Uniform(0.01), errors),
+                                         projection=IterativeProjection())
+        data = read_run_csv(part.to_csv())
+        for key, want in [("X", X), ("W", W), ("P", P), ("V", V)]:
+            assert data[key].tobytes() == want.tobytes(), key
+        assert np.signbit(V[P == 0.0]).any()

@@ -15,9 +15,12 @@ The matrix: for seeds 1-3, the configs `bench/workloads.generate` makes
 for every benchmark workload, run as `run` and
 `run --diagnostics all --strict` (each run.json), `stability` and
 `stability --strict` (the scalar stability.json) and `study` (the polygon
-study.json); plus runs with `--diagnostics all` of pinned configs: three
-onedim runs (the README example, a sticking run with b < 0, and a
-polynomial schedule with perturbed projection and randomized selection),
+study.json); plus runs with `--diagnostics all` of pinned configs: four
+onedim runs (the README example, a sticking run with b < 0, a
+polynomial schedule with perturbed projection and randomized selection,
+and explicit step and error lists under perturbed projection, whose
+errors keep eps_k / mu_k^2 at 0.1, so the schedule records the warning
+that the ratio does not decay),
 and four runs whose normal-cone certificates probe sets the benchmark
 configs do not: an affine field pushing out of a lone ball, one pushing
 out of a lone halfspace, the orthant of dimension 3, and an
@@ -147,6 +150,12 @@ PINNED_CASES = {
                           "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
                           "selection": {"kind": "randomized"},
                           "projection": {"kind": "perturbed"}},
+    "onedim-explicit": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 1.0,
+                        "schedule": {"kind": "explicit",
+                                     "values": [0.2, 0.2, 0.1, 0.1, 0.1] + [0.05] * 6},
+                        "errors": {"kind": "explicit",
+                                   "values": [0.004, 0.004] + [0.001] * 3 + [0.00025] * 6},
+                        "projection": {"kind": "perturbed"}},
     "ball-outward": _pushed_out([3.0, 1.0], {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
                                 [0.0, 0.0]),
     "halfspace-outward": _pushed_out([2.0, 0.5], {"type": "halfspace", "normal": [0.6, 0.8],
