@@ -117,10 +117,22 @@ def _norm(a: NDArray):
     a stack.  Each row is summed like the 1-D `np.linalg.norm` (sqrt of the
     row's dot product), so a row of a stack gets the bits of that row on its
     own; `np.linalg.norm(a, axis=1)` sums in another order.  A vector's
-    `a.dot(a)` has the bits of `np.vecdot(a, a)` at half its cost."""
+    `a.dot(a)` has the bits of `np.vecdot(a, a)` at half its cost.  Where
+    the dot product overflows (numpy warns of it) and the entries are finite,
+    the norm is that of the entries divided by their largest magnitude,
+    times that magnitude, as BLAS dnrm2 scales."""
     if a.ndim == 1:
-        return math.sqrt(a.dot(a))
-    return np.sqrt(np.vecdot(a, a))
+        nrm = math.sqrt(a.dot(a))
+        if nrm == math.inf and np.isfinite(a).all():
+            scale = float(np.abs(a).max())
+            return scale * _norm(a / scale)
+        return nrm
+    nrm = np.sqrt(np.vecdot(a, a))
+    over = (nrm == np.inf) & np.isfinite(a).all(axis=-1)
+    if over.any():
+        scale = np.abs(a[over]).max(axis=-1)
+        nrm[over] = scale * _norm(a[over] / scale[:, None])
+    return nrm
 
 
 # --- config records --------------------------------------------------------
@@ -572,7 +584,8 @@ class Intersection(ConvexSet):
         P_B(y) if it lies in H, else P_H(y) if it lies in B, else the point
         of the rim circle (centre c', radius rho, in the hyperplane) nearest
         the hyperplane projection p of y.  Rows take their cases by masks, so
-        a row keeps the bits of `_cap_judged` on its point alone."""
+        a row keeps the bits of `_cap_judged` on its point alone, NaNs made
+        canonical."""
         ball, half, rim_centre, rho = self._cap
         on_ball = ball.project(y)
         in_half = half._slack(on_ball) <= 0
@@ -585,7 +598,13 @@ class Intersection(ConvexSet):
         # only rim rows divide, and a zero norm never (as in Ball.project)
         scale = rho / np.where(~(in_half | in_ball) & (nrm != 0), nrm, np.inf)
         rim = rim_centre + scale[:, None] * d
-        return np.where(in_half[:, None], on_ball, np.where(in_ball[:, None], on_half, rim))
+        z = np.where(in_half[:, None], on_ball, np.where(in_ball[:, None], on_half, rim))
+        # numpy's vector loops and scalar tails carry NaN payloads apart, so a
+        # row's NaNs are made canonical, as `_cap_judged` makes them
+        nan = np.isnan(z)
+        if nan.any():
+            z[nan] = np.nan
+        return z
 
     def _cap_judged(self, y: NDArray) -> tuple[NDArray, float]:
         """`_cap_project` of a vector, with its larger member distance from
@@ -613,7 +632,10 @@ class Intersection(ConvexSet):
                 dn = _norm(d)
                 z = rim_centre + (rho / dn if dn != 0 else 0.0) * d
                 nrm, slack = _norm(z - ball.center), half._slack(z)
-        return z, max(max(nrm - ball.radius, 0.0), max(slack, 0.0) / half.norm)
+        bound = max(max(nrm - ball.radius, 0.0), max(slack, 0.0) / half.norm)
+        if bound != bound:  # z has a NaN: canonical ones, as in `_cap_project`
+            z = np.where(np.isnan(z), np.nan, z)
+        return z, bound
 
     def distance_lower_bound(self, y) -> float:
         """max_i d_{C_i}(y), a certified lower bound on the intersection distance.
@@ -808,9 +830,7 @@ def approx_project(C: ConvexSet, y, eps: float, policy=None,
     if not eps >= 0:  # NaN too
         raise ValueError(f"eps must be nonnegative, got {eps}")
     y = _as_vector(y, C.dim)
-    if policy is None:
-        policy = ExactProjection()
-    return policy.project(C, y, eps, rng)
+    return (policy or ExactProjection()).project(C, y, eps, rng)
 
 
 # --- delta-approximate normal cone certificates ---------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import (
+    Box,
     ConfigRecord,
     ConvexSet,
     _as_vector,
@@ -178,8 +179,17 @@ def field_from_config(cfg: dict):
 # A rule's `pick(lower, upper, f_val, rng)` returns the point g of the
 # interval box [lower, upper] = G(x) that the selection f(x) - g uses;
 # `seed` is None for deterministic rules, else the seed of the generator a
-# run hands to `pick`.  A rule's config record holds its constructor
-# arguments (see `build_record`).
+# run hands to `pick`.  `pick_float`, where a rule has it, is `pick` on one
+# coordinate in Python floats, bit for bit.  A rule's config record holds
+# its constructor arguments (see `build_record`).
+
+def clip_float(lower: float, upper: float, v: float) -> float:
+    """v clipped into [lower, upper] in Python floats, as `np.clip` clips into
+    one-element arrays: a tie takes the bound (so -0.0 clipped at 0.0 is 0.0),
+    and a NaN v gives a bound, where numpy keeps the NaN."""
+    v = v if v > lower else lower
+    return v if v < upper else upper
+
 
 @dataclass(frozen=True)
 class MinimalNorm:
@@ -193,6 +203,8 @@ class MinimalNorm:
         if lower is upper:  # a singleton G(x), which clip would return bit for bit
             return lower
         return np.asarray(f_val, dtype=float).clip(lower, upper)
+
+    pick_float = staticmethod(clip_float)  # any f_val but NaN clips into [g, g] at g
 
 
 @dataclass(frozen=True)
@@ -214,6 +226,9 @@ class SignConvention:
         if self.sign > 0:
             return upper.copy()
         return 0.5 * (lower + upper)
+
+    def pick_float(self, lower: float, upper: float, f_val: float) -> float:
+        return 0.5 * (lower + upper) if not self.sign else lower if self.sign < 0 else upper
 
 
 @dataclass(frozen=True)
@@ -243,11 +258,9 @@ SELECTION_RULES = {
 
 def select_F(model: "MonotoneModel", x, rule=None, rng=None) -> NDArray:
     """One selection w in F(x) = f(x) - G(x) under the given rule."""
-    if rule is None:
-        rule = MinimalNorm()
     x = _as_vector(x, model.dim)
     f_val = model.f(x)
-    return f_val - rule.pick(*model.G.value(x), f_val, rng)
+    return f_val - (rule or MinimalNorm()).pick(*model.G.value(x), f_val, rng)
 
 
 def globalize_constants(a: float, b: float, r_star: float, M: float, gamma: float) -> float:
@@ -302,6 +315,17 @@ class MonotoneModel:
         if len(dims) != 1:
             raise ValueError(f"inconsistent dimensions {dims}")
         self.dim = C.dim
+        # f(x) = a x + b (an AffineField's b), G(x) = {m x} (a zero or linear G)
+        # or the l1 part of `weight` (m None), and a box C = [lower, upper] in R:
+        # the float form (a, b, m, weight, lower, upper) `step` steps in floats
+        self.float_form = None
+        if (self.dim == 1 and type(f) is AffineField and isinstance(C, Box)
+                and type(C).project is Box.project
+                and type(G) in (ZeroPart, LinearPart, SeparableL1)):
+            m = None if type(G) is SeparableL1 else 0.0 if type(G) is ZeroPart else G.matrix.item()
+            weight = G.weights.item() if m is None else None
+            self.float_form = (f.matrix.item(), f._offset.item(), m, weight,
+                               C.lower.item(), C.upper.item())
 
     @property
     def M_global(self) -> float:

@@ -36,7 +36,7 @@ from .geometry import (
     probe_count,
     probe_stack,
 )
-from .operators import MinimalNorm, MonotoneModel, select_F
+from .operators import MinimalNorm, MonotoneModel, clip_float, select_F
 
 __all__ = [
     "SchemeError",
@@ -83,10 +83,11 @@ class SchemeError(Exception):
 # constructor arguments (see `geometry.build_record`), which `resolve`
 # converts and checks.
 
-# The most steps a schedule may have.  A run keeps three (n, dim) arrays and
-# a 30 us step, so 10**7 steps are minutes of stepping and gigabytes of CSV;
-# without a cap, a horizon the steps cannot fill (polynomial steps over
-# T = 1e308) grows its step list until memory runs out.
+# The most steps a schedule may have.  A run keeps three (n, dim) arrays,
+# and a step takes about 1 us (a float state) to 15 us (a vector in R^8) on
+# a 2-vCPU Xeon, so 10**7 steps are seconds to minutes of stepping and
+# gigabytes of CSV; without a cap, a horizon the steps cannot fill
+# (polynomial steps over T = 1e308) grows its step list until memory runs out.
 MAX_STEPS = 10 ** 7
 
 
@@ -311,13 +312,40 @@ def _defect_contract(p, w, x, mu, eps):
     p of a step from x, with roundoff slack scaled to the step's sizes.
     One step gives Python floats; stacked steps (one per row, with arrays of
     mu and eps) give arrays, each row with the bits of its step alone."""
-    if p.ndim == 1:
-        lhs = float(p.dot(p))
-        rhs = mu * mu * float(w.dot(w)) + eps
-        return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + float(x.dot(x)))
-    lhs = np.vecdot(p, p)
-    rhs = mu * mu * np.vecdot(w, w) + eps
-    return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + np.vecdot(x, x))
+    if type(p) is float:  # a one-coordinate dot product is the square
+        lhs, ww, xx = p * p, w * w, x * x
+    elif p.ndim == 1:
+        lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
+    else:
+        lhs, ww, xx = np.vecdot(p, p), np.vecdot(w, w), np.vecdot(x, x)
+    rhs = mu * mu * ww + eps
+    return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + xx)
+
+
+def _float_form(model: MonotoneModel, selection, projection) -> tuple | None:
+    """`model.float_form` when the rules have one too: a selection with
+    `pick_float` and the exact projection; else None."""
+    return (getattr(selection, "pick_float", None) and type(projection) is ExactProjection
+            and model.float_form) or None
+
+
+def _float_values(form: tuple, pick, x: float, mu: float) -> tuple | None:
+    """(x_next, w, p) of the step from the float x of a model of float form
+    `form` under a rule's `pick_float`, with the bits of the step from [x];
+    None where a square of x, w, x_next or p is not finite (that step warns)."""
+    a, b, m, weight, lower, upper = form
+    f = a * x + b
+    if weight is None:
+        g_lo = g_hi = m * x + 0.0  # {m x}, which `@` sums from 0.0
+    elif x:
+        g_lo = g_hi = weight if x > 0 else -weight  # {weight sign(x)}
+    else:
+        g_lo, g_hi = -weight, weight
+    w = f - pick(g_lo, g_hi, f)
+    y = x + mu * w
+    x_next = clip_float(lower, upper, y)
+    p = x_next - y
+    return (x_next, w, p) if math.isfinite(x * x + w * w + x_next * x_next + p * p) else None
 
 
 def step(model: MonotoneModel, x, mu: float, eps: float,
@@ -329,19 +357,29 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     the eps-contract |p|^2 <= mu^2 |w|^2 + eps (which any valid relaxed
     projection must satisfy, since x itself is feasible) or if the
     projection judged the produced point infeasible.
+
+    A Python float x with a Python float mu steps in Python floats when the
+    model and the rules have a float form (see `_float_form`): x_next, w and
+    p are then Python floats with the bits of the step from [x], which runs
+    in their place where its numpy calls would warn.  Any other x is read as
+    a vector, a float without a float form as [x].
     """
-    C = model.C
-    x = _as_vector(x, model.dim)
-    if not mu > 0:  # NaN too
-        raise ValueError(f"mu must be positive, got {mu}")
-    w = select_F(model, x, rule=selection or MinimalNorm(), rng=sel_rng)
-    y = x + mu * w
-    try:
-        x_next, member = approx_project(C, y, eps, policy=projection or ExactProjection(),
-                                        rng=proj_rng)
-    except GeometryError as exc:
-        raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
-    p = x_next - y
+    selection, projection = selection or MinimalNorm(), projection or ExactProjection()
+    form = type(x) is float and type(mu) is float and _float_form(model, selection, projection)
+    values = form and mu > 0 and eps >= 0 and _float_values(form, selection.pick_float, x, mu)
+    if values:
+        (x_next, w, p), member = values, True
+    else:
+        x = _as_vector(x, model.dim)
+        if not mu > 0:  # NaN too
+            raise ValueError(f"mu must be positive, got {mu}")
+        w = select_F(model, x, rule=selection, rng=sel_rng)
+        y = x + mu * w
+        try:
+            x_next, member = approx_project(model.C, y, eps, policy=projection, rng=proj_rng)
+        except GeometryError as exc:
+            raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
+        p = x_next - y
     lhs, rhs, ok = _defect_contract(p, w, x, mu, eps)
     if not ok:
         raise SchemeError(
@@ -349,8 +387,10 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
             kind="contract",
         )
     if not member:
-        raise SchemeError(f"projected point left the set (distance {C.distance(x_next):.3e})",
-                          kind="infeasible")
+        raise SchemeError(f"projected point left the set (distance "
+                          f"{model.C.distance(x_next):.3e})", kind="infeasible")
+    if form and not values:  # a float state stepped as the vector [x]
+        return x_next.item(), w.item(), p.item()
     return x_next, w, p
 
 
@@ -527,6 +567,8 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         certify_normals: bool = True) -> DiscreteRun:
     """Iterate the scheme over the whole grid.
 
+    Under a model and rules of float form (see `step`), the state is a
+    Python float, and the steps' values go into X, W and P through memoryviews.
     A failed step raises SchemeError with the partial run attached.  When
     `certify_normals` is set, every completed step with a nonzero defect
     then gets a sampled normal-cone certificate for v_k at slack delta_k;
@@ -571,15 +613,17 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     # per step, which raises the peak memory of a 20000-step run by about 1 MB
     mus, eps = memoryview(schedule.mus), memoryview(schedule.eps)
     deltas = memoryview(schedule.eps / (2.0 * schedule.mus))
-    failure, done, x = None, n, x0
+    failure, done, x, (Xs, Ws, Ps) = None, n, x0, (X, W, P)
+    if _float_form(model, selection, projection):  # float states, written through memoryviews
+        x, Xs, Ws, Ps = x0.item(), *(memoryview(A.reshape(-1)) for A in (X, W, P))
     for k in range(n):
         try:
-            x, W[k], P[k] = step(model, x, mus[k], eps[k], selection=selection,
-                                 projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
+            x, Ws[k], Ps[k] = step(model, x, mus[k], eps[k], selection=selection,
+                                   projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
         except Exception as exc:
             failure, done = exc, k
             break
-        X[k + 1] = x
+        Xs[k + 1] = x
 
     if certify_normals:
         certified = np.flatnonzero((P[:done] != 0).any(axis=1))

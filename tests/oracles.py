@@ -252,8 +252,14 @@ def distance_formula(C, y):
 
 
 def reference_norm(a):
-    """|a| of a vector: the square root of `np.vecdot(a, a)`."""
-    return math.sqrt(np.vecdot(a, a))
+    """|a| of a vector: the square root of `np.vecdot(a, a)`; where that
+    overflows and the entries are finite, m |a / m| with m the largest
+    entry magnitude."""
+    nrm = math.sqrt(np.vecdot(a, a))
+    if nrm == math.inf and np.isfinite(a).all():
+        m = float(np.max(np.abs(a)))
+        return m * math.sqrt(np.vecdot(a / m, a / m))
+    return nrm
 
 
 def reference_slack(H, y):
@@ -444,7 +450,8 @@ def reference_iterative_project(C, y, eps):
     sweep's separating halfspace; the budget running out raises the
     policy's ProjectionError."""
     members = C.members
-    lb = max(_leaf_distance(m, y) for m in members) ** 2
+    d = max(_leaf_distance(m, y) for m in members)
+    lb = d * d  # as the policy squares it: `d ** 2` can be one ulp lower
     for z, corrections, points in dykstra_sweeps([m.project for m in members], y,
                                                   C.budget):
         n = np.sum(corrections, axis=0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -1174,8 +1175,9 @@ class TestVectorFormulasKeepTheirBits:
 class TestStackNormRows:
     """Each row of `_norm` of a stack, from which `catchup study` takes its
     sup_error in one call, has the bits of the 1-D `np.linalg.norm` of
-    that row in d = 1-13, signed zeros, NaN, infinities and 1e+-300
-    included."""
+    that row where its dot product is finite, and of the rescaled norm of
+    `reference_norm` where that overflows, in d = 1-13, signed zeros, NaN,
+    infinities and 1e+-300 included."""
 
     @given(data=st.data(), d=st.integers(1, 13), m=st.integers(1, 5))
     @settings(max_examples=300, deadline=None)
@@ -1183,7 +1185,41 @@ class TestStackNormRows:
         A = arrays(data.draw, (m, d))
         with np.errstate(all="ignore"):
             for row, got in zip(A, _norm(A)):
-                assert same_bits(got, np.linalg.norm(row))
+                want = np.linalg.norm(row)
+                if want == np.inf and np.isfinite(row).all():
+                    want = reference_norm(row)
+                assert same_bits(got, want)
+
+
+class TestOverflowSafeNorm:
+    """A norm whose dot product overflows, of finite entries, is taken of the
+    entries scaled by their largest magnitude: within two ulps of
+    `math.hypot`, for a vector and for each row of a stack, so that a far
+    point projects onto a ball, and a cap, where it should."""
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_norm_against_hypot(self, big):
+        rows = np.array([[big, 0.0], [big, big], [-big, 3.0], [0.5 * big, -0.25 * big],
+                         [big / 3.0, big / 7.0]])
+        with np.errstate(over="ignore"):  # the dot products, before rescaling
+            stacked = _norm(rows)
+            for row, got in zip(rows, stacked):
+                assert _norm(row) == got
+                assert got == pytest.approx(math.hypot(*row), rel=4.5e-16)
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_far_point_projects(self, big):
+        ball = Ball([0.0, 0.0], 1.0)
+        y = np.array([big, 0.0])
+        cap = Intersection([ball, Halfspace([0.6, 0.8], 0.5)])
+        with np.errstate(over="ignore"):
+            assert ball.project(y) == pytest.approx([1.0, 0.0], abs=1e-15)
+            assert ball.distance(y) == big
+            # beyond 1e6 along e_0, the nearest point of the cap is the rim
+            # point of largest x_0
+            rim = cap.project(np.array([1e6, 0.0]))
+            assert cap.project(y) == pytest.approx(rim, abs=1e-6)
+            assert cap.project(y[None])[0] == pytest.approx(rim, abs=1e-6)
 
 
 # every set type, with a vector and a stack, outside and all inside
@@ -1271,6 +1307,13 @@ class TestJudgedProjection:
         with np.errstate(all="ignore"):  # inf - inf and overflowing norms
             assert _outcome(judged, y) == _outcome(plain, y)
 
+    def test_iterative_bound_squared_by_multiplication(self):
+        # the member bound d = 0.9899999999 squares to the gap |z - y|^2 as
+        # d * d, one ulp above d ** 2, so the policy certifies at eps = 0
+        C, y = JUDGED_SETS["thin_cap"][0], np.array([-1e-10, 0.0])
+        z, member = IterativeProjection().project(C, y, 0.0)
+        assert member and z.tobytes() == reference_iterative_project(C, y, 0.0).tobytes()
+
     @pytest.mark.parametrize("name", sorted(JUDGED_SETS))
     @given(data=st.data(), eps=st.sampled_from([0.0, 1e-8, 1e-3, 0.1]),
            seed=st.integers(0, 3))
@@ -1322,3 +1365,16 @@ class TestCapVectorPath:
                 assert (bound <= tol) == inside
                 if inside:
                     assert same_bits(bound, C._worst_distance(z, tol))
+
+    @pytest.mark.parametrize("rows", range(10))
+    def test_nan_payload_after_any_rows(self, rows):
+        # a NaN with payload 1 came out of a stack canonical after 4-6, 8 or 9
+        # finite rows and kept its payload after the others, as alone
+        C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([0.6, 0.8], 0.5)])
+        y = np.array([np.nan, np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]])
+        Y = np.vstack([np.random.default_rng(rows).uniform(-2.0, 2.0, (rows, 2)), y])
+        with np.errstate(invalid="ignore"):
+            row = C._cap_project(Y)[-1]
+            z, bound = C._cap_judged(y)
+        assert z.tobytes() == row.tobytes() == np.array([np.nan, np.nan]).tobytes()
+        assert np.isnan(bound)

@@ -1,14 +1,16 @@
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import catchup.scheme as scheme
 from catchup.diagnostics import predictor_feasibility
+from catchup.models import OneDimModel
 from catchup.geometry import (
     Ball,
     Box,
@@ -982,3 +984,114 @@ class TestDerivedColumns:
         for key, want in [("X", X), ("W", W), ("P", P), ("V", V)]:
             assert data[key].tobytes() == want.tobytes(), key
         assert np.signbit(V[P == 0.0]).any()
+
+
+# numbers a float step meets: ordinary, signed zeros, tiny and huge ones
+FLOAT_NUMBERS = st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e200, -1e200,
+                                           1e308, -1e308]))
+SIGN_RULES = {"minimal_norm": MinimalNorm(), "sign-1": SignConvention(-1),
+              "sign0": SignConvention(0), "sign+1": SignConvention(1)}
+
+
+@st.composite
+def float_form_models(draw):
+    """A one-dimensional model of float form: f(x) = a x + b, a zero, linear
+    or l1 G, on the halfline or on a box whose ends may be infinite or
+    signed zeros."""
+    nonneg = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.sampled_from([1e200, 1e308]))
+    G = draw(st.sampled_from([ZeroPart(1), "linear", "l1"]))
+    if G == "linear":
+        G = LinearPart([[draw(nonneg)]])
+    elif G == "l1":
+        G = SeparableL1([draw(nonneg)])
+    ends = st.one_of(FLOAT_NUMBERS, st.sampled_from([-np.inf, np.inf]))
+    lower, upper = sorted([draw(ends), draw(ends)])
+    assume(lower < np.inf and upper > -np.inf)
+    C = draw(st.sampled_from([Halfline(), Box([lower], [upper])]))
+    return MonotoneModel(AffineField([[draw(FLOAT_NUMBERS)]], [draw(FLOAT_NUMBERS)]), G, C,
+                         growth=(1.0, 1.0), dissipativity=(1.0, 1.0, 1.0))
+
+
+def float_run_outcome(runner, model, x0, schedule, selection):
+    """A run's X, W and P as bytes with its certificate records, or the
+    error it raises, with the kind, message and partial run of a
+    SchemeError; records are compared by repr, so that a NaN equals itself."""
+    try:
+        with np.errstate(all="ignore"):
+            out = runner(model, np.array([x0]), schedule, selection=selection)
+    except SchemeError as exc:
+        part = exc.partial_run
+        return ("SchemeError", exc.kind, str(exc),
+                [a.tobytes() for a in (part.X, part.W, part.P)], repr(part.certificates))
+    except (GeometryError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(out, DiscreteRun):
+        out = (out.X, out.W, out.P, out.certificates)
+    else:  # the reference's (X, W, Y, P, V, certificates)
+        out = (out[0], out[1], out[3], out[5])
+    return ("ok", [a.tobytes() for a in out[:3]], repr(out[3]))
+
+
+class TestFloatStep:
+    """A one-dimensional model of float form (`MonotoneModel.float_form`)
+    under minimal norm or a sign convention and exact projection steps a
+    Python float state in Python floats, with the bits of the vector step:
+    a run writes the bytes of `reference_run`, which steps vectors, and
+    one step returns, raises and warns as the step from [x] does."""
+
+    @given(model=float_form_models(), x0=FLOAT_NUMBERS, rule=st.sampled_from(sorted(SIGN_RULES)),
+           steps=st.one_of(st.builds(Uniform, st.floats(0.02, 0.5)),
+                           st.builds(Polynomial, st.floats(0.05, 0.5), st.floats(0.1, 0.5)),
+                           st.lists(st.floats(0.02, 0.5), min_size=1, max_size=12).map(
+                               lambda v: ExplicitSteps(sorted(v, reverse=True)))),
+           errors=st.sampled_from([ZeroError(), PowerOfStep(0.1, 1.0)]))
+    @example(model=OneDimModel(1e308, 2.0), x0=10.0, rule="minimal_norm",
+             steps=Uniform(0.1), errors=ZeroError())  # w = -inf passes the contract
+    @example(model=OneDimModel(1.0, -1.0), x0=-0.0, rule="sign0",
+             steps=Uniform(0.1), errors=ZeroError())
+    @settings(max_examples=300, deadline=None)
+    def test_run_has_the_bytes_of_the_vector_run(self, model, x0, rule, steps, errors):
+        C = model.C
+        x0 = float(np.clip(x0, C.lower, C.upper)[0])  # a member
+        schedule = make_schedule(1.0, steps, errors)
+        selection = SIGN_RULES[rule]
+        assert scheme._float_form(model, selection, ExactProjection())
+        assert float_run_outcome(run, model, x0, schedule, selection) == \
+            float_run_outcome(reference_run, model, x0, schedule, selection)
+
+    @staticmethod
+    def outcome(model, x, mu, eps, selection):
+        """What a step returns, as bytes, or raises, with every warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = step(model, x, mu, eps, selection=selection)
+            except (SchemeError, ValueError) as exc:
+                out = (type(exc).__name__, getattr(exc, "kind", None), str(exc))
+            else:
+                if type(x) is float:
+                    assert [type(v) for v in out] == [float] * 3
+                out = np.array(out, dtype=float).tobytes()
+        return out, [str(w.message) for w in caught]
+
+    @given(model=float_form_models(), x=st.one_of(FLOAT_NUMBERS, st.floats()),
+           mu=st.one_of(st.floats(0.01, 1.0), st.floats()),
+           eps=st.one_of(st.just(0.0), st.floats()),
+           rule=st.sampled_from(sorted(SIGN_RULES)))
+    @example(model=OneDimModel(1e308, 2.0), x=10.0, mu=0.1, eps=0.0, rule="minimal_norm")
+    @example(model=OneDimModel(1.0, 2.0), x=0.5, mu=0.1, eps=float("nan"), rule="minimal_norm")
+    @example(model=OneDimModel(1.0, 2.0), x=-1.0, mu=0.5, eps=0.0, rule="minimal_norm")
+    @settings(max_examples=400, deadline=None)
+    def test_step_is_the_step_from_the_vector(self, model, x, mu, eps, rule):
+        selection = SIGN_RULES[rule]
+        assert self.outcome(model, x, mu, eps, selection) == \
+            self.outcome(model, np.array([x]), mu, eps, selection)
+
+    def test_run_steps_floats_only_in_float_form(self):
+        model, schedule = OneDimModel(1.0, -1.0), make_schedule(0.5, Uniform(0.1))
+        for selection, kind in [(MinimalNorm(), float), (Randomized(3), np.ndarray)]:
+            with mock.patch.object(scheme, "step", wraps=scheme.step) as stepper:
+                run(model, [0.5], schedule, selection=selection)
+            assert {type(c.args[1]) for c in stepper.call_args_list} == {kind}
+            assert stepper.call_count == schedule.n_steps

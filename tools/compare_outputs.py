@@ -78,7 +78,11 @@ the moved one; and a drift less an l1 part with a zero weight, pushed from
 a start with a zero coordinate out of a disc cut by a halfspace and a box,
 under the Iterative policy with power_of_step errors: its first step takes
 the interval of G(x) and the others a singleton, and every projection
-sweeps Dykstra over three members.
+sweeps Dykstra over three members; and five one-dimensional runs that
+step in Python floats through every branch: a zero G on the interval
+[-1, 2], an l1 G that sticks at an exact 0 under minimal norm and under
+the sign conventions -1, 0 and +1, and a linear G on a box whose lower
+end is -inf.
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -241,6 +245,25 @@ PINNED_CASES["study-typo"] = {**PINNED_CASES["onedim-readme"], "T": 2.0,
                               "study": {"levels": [0.04, 0.02, 0.01], "referenc_refine": 2}}
 PINNED_CASES["wedge-stability"] = {**_wedge([4.0, 4.0]), "x0": [[0.0, 0.0], [-1.0, 0.0]]}
 PINNED_CASES["wedge-stability"]["model"]["constants"]["ell"] = 0.0
+# one-dimensional runs through every branch of a step in Python floats: a
+# zero G pushed onto the upper end of [-1, 2]; f(x) = 0.3 - x less the l1
+# part |x| on [0, 2], which sticks at the exact 0 of the lower end under
+# minimal norm, leaves it under the lower end of G(0) = [-1, 1] and presses
+# on it under the upper end and the midpoint; and a linear G on a box whose
+# lower end is -inf
+L1_STICKING = {**_pushed_out([0.3], {"type": "box", "lower": [0.0], "upper": [2.0]}, [0.5]),
+               "T": 1.0, "schedule": {"kind": "uniform", "mu0": 0.05}}
+L1_STICKING["model"]["G"] = {"type": "l1", "weights": [1.0]}
+PINNED_CASES.update({
+    "interval-zero-G": _pushed_out([3.0], {"type": "box", "lower": [-1.0], "upper": [2.0]},
+                                   [0.0]),
+    "l1-sticking": L1_STICKING,
+    **{f"l1-sticking-{end}": {**L1_STICKING, "selection": {"kind": "sign", "sign": sign}}
+       for end, sign in (("lower", -1), ("midpoint", 0), ("upper", 1))},
+    "box-lower-infinite": _pushed_out([3.0], {"type": "box", "lower": [-float("inf")],
+                                              "upper": [1.0]}, [-1.0]),
+})
+PINNED_CASES["box-lower-infinite"]["model"]["G"] = {"type": "linear", "matrix": [[0.5]]}
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
                "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
