@@ -7,7 +7,8 @@ systems.  Outputs are plain CSV and JSON with no timestamps, so the same
 config and seed produce bit-identical files.
 
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 the config
-is invalid, 3 the geometry or the stepping loop failed.
+is invalid, 3 the geometry or the stepping loop failed, or a certificate's
+bound overflowed.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def _schedule_from(cfg, mu_override: float | None = None):
         raise ConfigError(f"schedule: {e}") from None
 
 
-def _tags_from(value, default=DEFAULT_RUN_TAGS):
+def _tags_from(value):
     if value is None:
-        return tuple(default)
+        return DEFAULT_RUN_TAGS
     if isinstance(value, str):
         value = [t.strip() for t in value.split(",") if t.strip()]
     if not isinstance(value, list):
@@ -261,11 +262,16 @@ STUDY_TAGS = ("feas_L2", "defect_sum", "energy")
 
 
 def _run_report(completed, tags) -> dict:
-    """{tag: entry} of the certificates `tags` names, in their order."""
+    """{tag: entry} of the certificates `tags` names, in their order.  A
+    check whose bound leaves float range raises SchemeError, kind `overflow`."""
     entries = {}
     for tag in tags:
         if tag not in entries:
-            entries.update((e.theorem_tag, e) for e in _RUN_CHECKS[tag](completed))
+            try:
+                entries.update((e.theorem_tag, e) for e in _RUN_CHECKS[tag](completed))
+            except OverflowError as e:
+                raise SchemeError(f"{tag}: a bound of the check leaves the float range",
+                                  kind="overflow") from e
     return {tag: entries[tag] for tag in tags}
 
 

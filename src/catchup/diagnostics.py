@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ExactProjection, approx_project
-from .operators import MinimalNorm, MonotoneModel, select_F
-from .scheme import DiscreteRun, StepSchedule, _young_split, run as run_scheme, step as scheme_step
+from .geometry import approx_project
+from .operators import MonotoneModel, select_F
+from .scheme import DiscreteRun, StepSchedule, run as run_scheme, step as scheme_step
 
 __all__ = [
     "CertificateEntry",
@@ -36,6 +36,9 @@ __all__ = [
 # float fuzz added to bounds before comparing; certificates must hold
 # mathematically, this only absorbs roundoff in their evaluation
 _FUZZ = 1e-9
+
+# the distances above which predictor_feasibility measures the predictor's cells
+FEAS_THRESHOLDS = (1e-1, 1e-2, 1e-3)
 
 
 @dataclass
@@ -97,27 +100,25 @@ def certificate_table(entries) -> str:
     return "\n".join(lines)
 
 
-def run_constants(run: DiscreteRun, c: float | None = None) -> dict:
-    """Measured constants of a run plus the Young-split bookkeeping.
-
-    The split parameters satisfy delta + eta = 2 gamma - c with the even
-    choice delta = eta; R_T is the measured radius, M_T = a + b R_T its
-    induced selection bound, q_T comes from the schedule.
-    """
+def run_constants(run: DiscreteRun) -> dict:
+    """Measured constants of a run plus the model's Young split (c, delta,
+    eta): R_T is the measured radius, M_T = a + b R_T its induced selection
+    bound, q_T comes from the schedule, and C_T = M_T^2 sum(mu^2) + sum(eps)
+    is the defect budget (OverflowError where M_T^2 leaves float range)."""
     model = run.model
-    c, delta, eta = _young_split(model.gamma, c)
+    c, delta, eta = model.young_split
     R_T = run.measured_radius()
-    M_T = model.growth_bound(R_T)
+    M_T = float(model.growth_bound(R_T))
     q_T = run.schedule.q_T
     return {
         "c": c,
         "delta": delta,
         "eta": eta,
         "R_T": float(R_T),
-        "M_T": float(M_T),
+        "M_T": M_T,
         "q_T": float(q_T),
         "M_tilde": float(model.M_global),
-        "sup_w": run.measured_sup_w(),
+        "C_T": M_T ** 2 * run.schedule.sum_mu_sq + float(np.sum(run.schedule.eps)),
     }
 
 
@@ -138,7 +139,7 @@ def continuous_energy_bound(x0, M_tilde: float, gamma: float, t) -> NDArray:
     return decay * float(x0 @ x0) + (M_tilde / gamma) * (1.0 - decay)
 
 
-def check_discrete_energy(run: DiscreteRun, c: float | None = None) -> CertificateEntry:
+def check_discrete_energy(run: DiscreteRun) -> CertificateEntry:
     """Per-step energy inequality with assembled constants.
 
     Verifies |x_{k+1}|^2 <= (1 - c mu_k) |x_k|^2 + C0 mu_k + C1 mu_k^2 at
@@ -146,7 +147,7 @@ def check_discrete_energy(run: DiscreteRun, c: float | None = None) -> Certifica
     C1 = 4 M_T^2 + 2 q_T.  The measured value is the worst residual
     (positive = violation); the bound is zero.
     """
-    k = run_constants(run, c)
+    k = run_constants(run)
     C0 = 2.0 * k["M_tilde"] + (1.0 / k["delta"] + 1.0 / k["eta"]) * k["M_T"] ** 2 \
         + k["q_T"] / k["delta"]
     C1 = 4.0 * k["M_T"] ** 2 + 2.0 * k["q_T"]
@@ -195,7 +196,7 @@ def check_beta_domination(run: DiscreteRun, level: float | None = None,
 
 
 def defect_summability(run: DiscreteRun) -> CertificateEntry:
-    """Sum of squared defects against M_T^2 sum(mu^2) + sum(eps).
+    """Sum of squared defects against the defect budget C_T of `run_constants`.
 
     This bound is algebraic: each term obeys the per-step contract with
     |w_k| <= M_T, so a failure here means the stepping loop is broken,
@@ -203,16 +204,14 @@ def defect_summability(run: DiscreteRun) -> CertificateEntry:
     """
     k = run_constants(run)
     total = float(np.sum(run.P * run.P))
-    bound = k["M_T"] ** 2 * run.schedule.sum_mu_sq + float(np.sum(run.schedule.eps))
     return CertificateEntry.check(
-        "defect_sum", total, bound,
+        "defect_sum", total, k["C_T"],
         detail={"M_T": k["M_T"], "sum_mu_sq": run.schedule.sum_mu_sq,
                 "sum_eps": float(np.sum(run.schedule.eps))},
     )
 
 
-def predictor_feasibility(run: DiscreteRun,
-                          thresholds=(1e-1, 1e-2, 1e-3)) -> list[CertificateEntry]:
+def predictor_feasibility(run: DiscreteRun) -> list[CertificateEntry]:
     """Infeasibility of the predictor in three integrated senses.
 
     The predictor interpolant is constant on cells, so all integrals are
@@ -229,22 +228,22 @@ def predictor_feasibility(run: DiscreteRun,
     # d_k, the distance of the predictor y_{k+1} = x_k + mu_k w_k
     d = C.distance(run.X[:-1] + sched.mus[:run.n_steps, None] * run.W)
     L2 = float(np.sum(sched.mus * d * d))
-    C_T = k["M_T"] ** 2 * sched.sum_mu_sq + float(np.sum(sched.eps))
     mu_norm = sched.mu_norm
-    L2_bound = 2.0 * k["M_T"] ** 2 * T * mu_norm ** 2 + 2.0 * C_T * mu_norm
+    L2_bound = 2.0 * k["M_T"] ** 2 * T * mu_norm ** 2 + 2.0 * k["C_T"] * mu_norm
     cesaro = float(np.sum(sched.mus * d)) / T
     cesaro_bound = float(np.sqrt(L2 / T))
     entries = [
         CertificateEntry.check(
             "feas_L2", L2, L2_bound,
-            detail={"C_T": C_T, "mu_norm": mu_norm, "T": T, "max_distance": float(d.max(initial=0.0))},
+            detail={"C_T": k["C_T"], "mu_norm": mu_norm, "T": T,
+                    "max_distance": float(d.max(initial=0.0))},
         ),
         CertificateEntry.check("feas_cesaro", cesaro, cesaro_bound, detail={"T": T}),
     ]
     # (threshold, measure, Chebyshev bound); the entry shows the pair with
     # the least margin and passes when every pair does
     pairs = [(f"{thr:g}", float(np.sum(sched.mus[d > thr])) / T, cesaro / thr)
-             for thr in thresholds]
+             for thr in FEAS_THRESHOLDS]
     _, meas, cheb = min(pairs, key=lambda pair: pair[2] - pair[1])
     entries.append(CertificateEntry(
         "feas_measure", meas, cheb, cheb - meas, all(_within(m, b) for _, m, b in pairs),
@@ -317,8 +316,6 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
         )
     if schedule.T > reference.T + 1e-12:
         raise ValueError("reference run is shorter than the coarse schedule")
-    sel = selection or MinimalNorm()
-    proj = projection or ExactProjection()
     C = model.C
     ratios = np.empty(schedule.n_steps)
     radius = reference.measured_radius()
@@ -326,7 +323,7 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
     starts = C.project(ref_states[:-1])
     for k in range(schedule.n_steps):
         z, _, _ = scheme_step(model, starts[k], float(schedule.mus[k]),
-                              float(schedule.eps[k]), selection=sel, projection=proj)
+                              float(schedule.eps[k]), selection=selection, projection=projection)
         defect = float(np.linalg.norm(z - ref_states[k + 1]))
         ratios[k] = defect / (schedule.mus[k] + np.sqrt(schedule.eps[k]))
         radius = max(radius, float(np.linalg.norm(z)))
@@ -360,12 +357,10 @@ def corrector_stability_check(model: MonotoneModel, x, x_bar, mu: float, eps: fl
     C = model.C
     x = C.require_member(x)
     x_bar = C.require_member(x_bar)
-    sel = selection or MinimalNorm()
-    proj = projection or ExactProjection()
-    w = select_F(model, x, rule=sel)
-    w_bar = select_F(model, x_bar, rule=sel)
-    u = approx_project(C, x + mu * w, eps, policy=proj)[0]
-    u_bar = approx_project(C, x_bar + mu * w_bar, eps, policy=proj)[0]
+    w = select_F(model, x, rule=selection)
+    w_bar = select_F(model, x_bar, rule=selection)
+    u = approx_project(C, x + mu * w, eps, policy=projection)[0]
+    u_bar = approx_project(C, x_bar + mu * w_bar, eps, policy=projection)[0]
     dx2 = float(np.sum((x - x_bar) ** 2))
     lhs = float(np.sum((u - u_bar) ** 2))
     m = model.growth_bound(max(float(np.linalg.norm(x)), float(np.linalg.norm(x_bar))))

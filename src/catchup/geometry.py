@@ -63,6 +63,9 @@ MAX_CORNER_DIM = 10
 PROBE_DRAWS = 16
 PROBE_SEED = 0
 
+# the Dykstra sweeps an intersection may take unless its config gives a budget
+DYKSTRA_BUDGET = 200
+
 # the share of the slack eps that PerturbedProjection spends on its perturbation
 SLACK_FRACTION = 0.9
 
@@ -268,13 +271,11 @@ class ConvexSet(ConfigRecord):
         y = _as_points(y, self.dim)
         return _norm(y - self.project(y))
 
-    def contains(self, x, tol: float | None = None) -> bool | NDArray:
-        """Whether a vector, or each row of a stack, is within `tol` of the
-        set; by default the tolerance is `membership_tol` of the point."""
+    def contains(self, x) -> bool | NDArray:
+        """Whether a vector, or each row of a stack, is within its
+        `membership_tol` of the set."""
         x = _as_points(x, self.dim)
-        if tol is None:
-            tol = membership_tol(x)
-        return self.distance(x) <= tol
+        return self.distance(x) <= membership_tol(x)
 
     def project_judged(self, y) -> tuple[NDArray, bool]:
         """The projection z of a vector y and the bool `contains(z)` gives:
@@ -534,7 +535,7 @@ class Intersection(ConvexSet):
 
     variant = "intersection"
 
-    def __init__(self, members, budget: int = 200):
+    def __init__(self, members, budget: int = DYKSTRA_BUDGET):
         members = list(members)
         if not members:
             raise ValueError("intersection needs at least one member")
@@ -654,10 +655,9 @@ class Intersection(ConvexSet):
         tol = 1e-14 * (1.0 + float(np.linalg.norm(u)))
         return _dykstra_limit(projectors, u, self.budget, tol)
 
-    def contains(self, x, tol: float | None = None) -> bool | NDArray:
+    def contains(self, x) -> bool | NDArray:
         x = _as_points(x, self.dim)
-        if tol is None:
-            tol = membership_tol(x)
+        tol = membership_tol(x)
         return self._worst_distance(x, tol) <= tol
 
     def _worst_distance(self, x: NDArray, tol):
@@ -836,8 +836,8 @@ def approx_project(C: ConvexSet, y, eps: float, policy=None,
 # --- delta-approximate normal cone certificates ---------------------------
 
 def probe_count(dim: int) -> int:
-    """The probe points of one certificate in R^dim."""
-    return 1 + 2 * dim + (2 ** dim if dim <= MAX_CORNER_DIM else 0) + PROBE_DRAWS
+    """The probe points of one certificate in R^dim: x and its queries."""
+    return 1 + _probe_layout(dim)[0].size // dim
 
 
 @dataclass(frozen=True)
@@ -958,7 +958,7 @@ def in_approx_normal_cone(C: ConvexSet, x, v, delta: float,
     )
 
 
-def _intersection(members, budget=200):
+def _intersection(members, budget=DYKSTRA_BUDGET):
     return Intersection([set_from_config(m) for m in members], budget)
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Box, Halfline, build_record, check_array, check_number, membership_tol
-from .operators import AffineField, LinearPart, MonotoneModel, SeparableL1
+from .geometry import Box, Halfline, build_record, check_array, check_number
+from .operators import AffineField, LinearPart, MonotoneModel, SeparableL1, select_F
 from .scheme import SchemeError, Uniform, make_schedule, run
 
 __all__ = [
@@ -190,25 +190,13 @@ def reference_solution(model: MonotoneModel, x0, T: float, n_steps: int):
 
 
 def equilibrium_residual(model: MonotoneModel, x) -> float:
-    """Distance of 0 from f(x) - G(x) - N_C(x), componentwise on a box.
-
-    The equilibrium inclusion 0 in f(x) - G(x) - N_C(x) is equivalent to
-    f_i(x) landing in [g_lo, g_hi] widened by the active normal-cone ray
-    of coordinate i.  Returns the Euclidean norm of the componentwise
-    distances; zero (within float fuzz) certifies an equilibrium.
-    """
-    C = model.C
-    if not isinstance(C, Box):
+    """Distance of 0 from f(x) - G(x) - N_C(x) at a member x of a box C
+    (else GeometryError): the minimal-norm selection of f(x) - G(x), which
+    attains it coordinate by coordinate, projected onto the tangent cone at x.
+    Zero (within float fuzz) certifies an equilibrium."""
+    if not isinstance(model.C, Box):
         raise ValueError("equilibrium residuals are implemented for box sets only")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f_val = model.f(x)
-    lo, hi = model.G.value(x)
-    tol = membership_tol(x)
-    # normal cone at a lower face contributes (-inf, 0], at an upper face [0, inf)
-    lo = np.where(x <= C.lower + tol, -np.inf, lo)
-    hi = np.where(x >= C.upper - tol, np.inf, hi)
-    resid = np.maximum(0.0, np.maximum(lo - f_val, f_val - hi))
-    return float(np.linalg.norm(resid))
+    return float(np.linalg.norm(model.C.tangent_project(x, select_F(model, x))))
 
 
 # config model name -> model

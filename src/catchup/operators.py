@@ -332,6 +332,13 @@ class MonotoneModel:
         """Dissipativity level valid at every feasible point."""
         return globalize_constants(self.a, self.b, self.r_star, self.M, self.gamma)
 
+    @property
+    def young_split(self) -> tuple[float, float, float]:
+        """(c, delta, eta) of the energy bounds: the rate c = gamma in (0, 2 gamma)
+        and the even split delta = eta = (2 gamma - c) / 2 of the margin left."""
+        delta = (2.0 * self.gamma - self.gamma) / 2.0
+        return self.gamma, delta, delta
+
     def growth_bound(self, radius: float) -> float:
         return self.a + self.b * float(radius)
 

@@ -66,7 +66,8 @@ class SchemeError(Exception):
     could not certify its output within budget), `contract` (the defect
     contract), `infeasible` (the projected point left the set) or
     `normal_cone` (a normal term failed its cone certificate under exact
-    projection); it is None for a failure outside the loop.
+    projection); it is None for a failure outside the loop, except
+    `overflow`, a certificate bound beyond float range in the CLI's report.
     """
 
     def __init__(self, message, partial_run=None, kind: str | None = None):
@@ -513,26 +514,13 @@ def summarize_certificates(certificates) -> dict:
     }
 
 
-def _young_split(gamma: float, c: float | None = None):
-    """A contraction rate c in (0, 2 gamma), gamma by default, and the even
-    Young split delta = eta = (2 gamma - c) / 2 of the remaining margin."""
-    if c is None:
-        c = gamma
-    if not (0.0 < c < 2.0 * gamma):
-        raise ValueError(f"c must lie in (0, {2.0 * gamma}), got {c}")
-    delta = (2.0 * gamma - c) / 2.0
-    return float(c), float(delta), float(delta)
-
-
-def _apriori_constants(model: MonotoneModel, schedule: StepSchedule, x0: NDArray,
-                       c: float | None = None) -> dict:
-    """The rough growth chain: a contraction rate c in (0, 2 gamma) splits
-    2 gamma - c evenly between the two Young couplings, and the recursion
-    a_{k+1} <= (1 + Lam mu) a_k + A mu + B mu^2 integrates to the
-    exponential envelope K(T) bounding max_k |x_k|^2 ahead of the run.
+def _apriori_constants(model: MonotoneModel, schedule: StepSchedule, x0: NDArray) -> dict:
+    """The rough growth chain: the model's Young split (c, delta, eta) and
+    the recursion a_{k+1} <= (1 + Lam mu) a_k + A mu + B mu^2 integrate to
+    the exponential envelope K(T) bounding max_k |x_k|^2 ahead of the run.
     An envelope beyond float range is vacuous: its K_T, R_T, M_T and L_T
     are recorded as None."""
-    c, delta, eta = _young_split(model.gamma, c)
+    c, delta, eta = model.young_split
     a, b = model.a, model.b
     q_T = schedule.q_T
     mu_T = schedule.mu_norm

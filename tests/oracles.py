@@ -24,7 +24,10 @@ read every record off its constructor's signature.  `reference_norm`,
 vector formulas of the step path as they were while every vector product
 went through `np.vecdot` or `@`, and `reference_value` and `reference_pick`
 give G(x) and the point a rule picks from it as they were while every
-minimal-norm selection clipped.
+minimal-norm selection clipped.  `reference_equilibrium_residual` is the
+equilibrium residual as it was while it widened G(x) by the normal-cone
+rays of the active faces itself, and `reference_young_split` the Young
+split as it was while its rate c was an option.
 """
 
 import itertools
@@ -43,6 +46,7 @@ from catchup.geometry import (
     NonnegOrthant,
     ProjectionError,
     in_approx_normal_cone,
+    membership_tol,
 )
 from catchup.operators import LinearPart, MinimalNorm, Randomized, SeparableL1, ZeroPart
 from catchup.scheme import DiscreteRun, SchemeError, step
@@ -508,3 +512,29 @@ _REFERENCE_WRITERS = {
 def reference_to_config(record) -> dict:
     """The config record of a set or a regular part, written field by field."""
     return _REFERENCE_WRITERS[type(record)](record)
+
+
+def reference_equilibrium_residual(model, x) -> float:
+    """The face formula of the equilibrium residual on a box: f_i(x) must
+    land in [g_lo, g_hi] widened by the normal-cone ray of an active face
+    of coordinate i; the norm of the componentwise distances."""
+    C = model.C
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    f_val = model.f(x)
+    lo, hi = model.G.value(x)
+    tol = membership_tol(x)
+    lo = np.where(x <= C.lower + tol, -np.inf, lo)
+    hi = np.where(x >= C.upper - tol, np.inf, hi)
+    resid = np.maximum(0.0, np.maximum(lo - f_val, f_val - hi))
+    return float(np.linalg.norm(resid))
+
+
+def reference_young_split(gamma: float, c: float | None = None):
+    """(c, delta, eta) with c in (0, 2 gamma), gamma by default, and the
+    even split delta = eta = (2 gamma - c) / 2."""
+    if c is None:
+        c = gamma
+    if not (0.0 < c < 2.0 * gamma):
+        raise ValueError(f"c must lie in (0, {2.0 * gamma}), got {c}")
+    delta = (2.0 * gamma - c) / 2.0
+    return float(c), float(delta), float(delta)

@@ -805,6 +805,58 @@ class TestBoundaryValidation:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    FRICTION = {"model": "dry_friction", "K": [[2.0, 0.5], [0.5, 1.0]], "tau": [1.0, 0.0],
+                "weights": [0.5, 0.5], "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model": {**GENERIC, "f": {"type": "affine", "A": [[-1.0, 0.0], [1.0]],
+                                     "b": [2.0, 0.0]}}},
+         "f: A must have rows of equal length"),
+        ({"model": {**GENERIC, "G": {"type": "linear", "matrix": [[1.0, 0.0]]}}},
+         "G: matrix must be square, got shape (1, 2)"),
+        ({"model": {**FRICTION, "K": [[2.0, 0.5], [0.0, 1.0]]}}, "model: K must be symmetric"),
+        ({"model": {**FRICTION, "lower": [-1.0], "upper": [1.0]}},
+         "model: box bounds must match tau"),
+        ({"model": {**FRICTION, "lower": [-1.0, 0.0], "upper": [1.0, 0.0]}},
+         "model: box must have nonempty interior"),
+        ({"schedule": {"kind": "polynomial", "mu0": 0.0, "alpha": 0.5}},
+         "schedule: mu0 must be positive"),
+        ({"T": 0.1, "schedule": {"kind": "polynomial", "mu0": 0.5, "alpha": 0.5}},
+         "schedule: horizon 0.1 is shorter than the first step 0.5"),
+        ({"T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.05},
+          "errors": {"kind": "explicit", "values": [1e-4, -1e-4]}},
+         "schedule: explicit error values must be nonnegative"),
+    ], ids=["ragged-rows", "non-square-G", "non-symmetric-K", "bounds-off-tau",
+            "empty-interior", "polynomial-mu0", "polynomial-short-horizon", "negative-errors"])
+    def test_malformed_model_or_schedule_is_config_error(self, tmp_path, capsys, overrides,
+                                                         message):
+        # the model and the schedule are judged before the start, so x0 stays [0.0]
+        cfg = write_config(tmp_path / "c.json", onedim_config(**overrides))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("model", [
+        {"model": "onedim", "a": 1e308, "b": 2.0},
+        {**GENERIC, "constants": {**GENERIC["constants"], "a": 1e308}},
+    ], ids=["onedim", "declared-a"])
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_overflowing_bound_is_runtime_error(self, tmp_path, capsys, command, model):
+        # M_T = a + b R_T is about 1e308, so M_T^2 leaves float range; the
+        # energy certificate used to escape as an OverflowError, exit 1
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            model=model, x0=[0.5], T=0.1,
+            schedule={"kind": "uniform", "mu0": 0.02},
+            study={"levels": [0.02, 0.01, 0.005]}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):  # onedim's steps themselves overflow |p|^2
+            assert main([command, cfg, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["failed"], manifest["reason"]) == (
+            command, "scheme", "overflow")
+        err = capsys.readouterr().err
+        assert err.startswith("scheme failure: ") and "leaves the float range" in err
+        assert "Traceback" not in err
+
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so
         # exp(Lambda_T T) leaves float range at T = 20

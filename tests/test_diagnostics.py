@@ -23,6 +23,8 @@ from catchup.models import OneDimModel
 from catchup.operators import AffineField, LinearPart, MonotoneModel, globalize_constants
 from catchup.scheme import DiscreteRun, Uniform, make_schedule, run
 
+from oracles import reference_young_split
+
 
 @pytest.fixture(scope="module")
 def relaxing_run():
@@ -77,14 +79,23 @@ class TestRunConstants:
         assert k["M_T"] == pytest.approx(model.a + model.b * k["R_T"])
         assert k["q_T"] == 0.0
 
-    def test_rejects_c_outside_open_interval(self, relaxing_run):
-        _, r = relaxing_run
-        with pytest.raises(ValueError):
-            run_constants(r, c=3.0)
-        with pytest.raises(ValueError):
-            run_constants(r, c=2.0)
-        with pytest.raises(ValueError):
-            run_constants(r, c=0.0)
+    @pytest.mark.parametrize("gamma", [1e-300, 0.5, 1.0, 3.7, 1e308])
+    def test_young_split_keeps_its_bits(self, gamma):
+        model = MonotoneModel(AffineField([[-1.0]], [0.0]), LinearPart([[1.0]]), Halfline(),
+                              growth=(0.0, 2.0), dissipativity=(0.0, 0.0, gamma))
+        split = model.young_split
+        assert [v.hex() for v in split] == [v.hex() for v in reference_young_split(gamma)]
+        assert split[0] == gamma
+        if gamma == 1e308:  # 2 gamma overflows, so the margin left is inf
+            assert split[1] == split[2] == np.inf
+
+    def test_defect_budget_is_one_number(self, sticking_run):
+        _, r = sticking_run
+        k = run_constants(r)
+        C_T = k["C_T"]
+        assert C_T == k["M_T"] ** 2 * r.schedule.sum_mu_sq + float(np.sum(r.schedule.eps))
+        assert defect_summability(r).bound == C_T
+        assert predictor_feasibility(r)[0].detail["C_T"] == C_T
 
 
 class TestDiscreteEnergy:
@@ -215,7 +226,7 @@ class TestPredictorFeasibility:
 
     def test_measure_chebyshev_chain(self, sticking_run):
         _, r = sticking_run
-        _, cesaro, measure = predictor_feasibility(r, thresholds=(1e-3,))
+        _, cesaro, measure = predictor_feasibility(r)
         rec = measure.detail["thresholds"]["0.001"]
         # 166 cells of width 0.01 carry a distance above the threshold
         assert rec["measured"] == pytest.approx(0.83)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catchup.diagnostics import continuous_energy_bound
-from catchup.geometry import Box
-from catchup.operators import select_F
+from catchup.geometry import Box, GeometryError
+from catchup.operators import (AffineField, LinearPart, MonotoneModel, SeparableL1, ZeroPart,
+                               select_F)
 from catchup.scheme import SchemeError, Uniform, make_schedule, run
 from catchup.models import (
     DryFrictionModel,
@@ -13,7 +15,7 @@ from catchup.models import (
     reference_solution,
 )
 
-from oracles import box_corners, onedim_flow, onedim_hit_time
+from oracles import box_corners, onedim_flow, onedim_hit_time, reference_equilibrium_residual
 
 # roundoff allowed to a declared constant's inequality; the checks below are
 # exact otherwise: every corner selection of G(x) at every point
@@ -144,6 +146,18 @@ class TestOneDimModel:
         m = OneDimModel(1.0, -1.0)
         np.testing.assert_array_equal(m.exact_flow(0.0, np.linspace(0, 2, 9)), np.zeros(9))
 
+    def test_flow_without_push_decays_and_never_hits(self):
+        m = OneDimModel(1.0, 0.0)
+        t = np.linspace(0.0, 5.0, 51)
+        x = m.exact_flow(0.5, t)
+        np.testing.assert_allclose(x, onedim_flow(1.0, 0.0, 0.5, t), rtol=1e-14)
+        assert np.all(x > 0.0)
+        assert m.hitting_time(0.5) == np.inf == onedim_hit_time(1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0])
+    def test_wall_start_hits_at_once_for_nonpositive_b(self, b):
+        assert OneDimModel(1.0, b).hitting_time(0.0) == 0.0 == onedim_hit_time(1.0, b, 0.0)
+
     def test_flow_rejects_negative_start(self):
         with pytest.raises(ValueError):
             OneDimModel(1.0, 1.0).exact_flow(-0.1, 1.0)
@@ -181,6 +195,57 @@ class TestOneDimModel:
             excess = lipschitz_excesses(m, onedim_grid(m)[::5])
             # F is affine with slope ell, so every pair meets the bound with equality
             assert np.all(np.abs(excess) <= SLACK), (a, b)
+
+
+@st.composite
+def box_models(draw):
+    """A model f(x) = A x + b less a zero, linear or l1 G on a box whose
+    coordinates are finite, pinched or infinite at either end, and a member
+    x with coordinates on faces, within roundoff of them, at an exact zero
+    and inside."""
+    d = draw(st.integers(1, 4))
+    num = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 2))
+    lower, upper, x = [], [], []
+    for _ in range(d):
+        lo = draw(num)
+        hi = lo + draw(st.sampled_from([0.0, 0.5, 2.0, 6.0]))
+        lo, hi = draw(st.sampled_from([(lo, hi), (-np.inf, hi), (lo, np.inf),
+                                       (-np.inf, np.inf)]))
+        ends = [v for v in (lo, hi) if np.isfinite(v)]
+        near = [v + s * 1e-12 * (1.0 + abs(v)) for v in ends for s in (-1.0, 1.0)]
+        inside = [v for v in near + [0.0, lo + 0.3, hi - 0.3] if lo <= v <= hi and np.isfinite(v)]
+        lower.append(lo)
+        upper.append(hi)
+        x.append(draw(st.sampled_from(ends + inside)))
+    A = np.array(draw(st.lists(num, min_size=d * d, max_size=d * d))).reshape(d, d)
+    kind = draw(st.sampled_from(["zero", "linear", "l1"]))
+    if kind == "zero":
+        G = ZeroPart(d)
+    elif kind == "linear":
+        B = np.array(draw(st.lists(num, min_size=d * d, max_size=d * d))).reshape(d, d)
+        G = LinearPart(B @ B.T)
+    else:
+        G = SeparableL1(draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=d, max_size=d)))
+    m = MonotoneModel(AffineField(A, draw(st.lists(num, min_size=d, max_size=d))), G,
+                      Box(lower, upper), growth=(0.0, 0.0), dissipativity=(0.0, 0.0, 1.0))
+    return m, np.array(x)
+
+
+class TestEquilibriumResidual:
+    """The residual is the norm of the minimal-norm selection projected onto
+    the box's tangent cone, with the bytes of the face formula it replaced."""
+
+    @given(box_models())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_face_formula(self, case):
+        m, x = case
+        assert m.C.contains(x)
+        assert equilibrium_residual(m, x).hex() == reference_equilibrium_residual(m, x).hex()
+
+    def test_point_outside_the_box_is_rejected(self):
+        m = DryFrictionModel(K=[[1.0]], tau=[0.5], weights=[1.0], lower=[-1.0], upper=[1.0])
+        with pytest.raises(GeometryError, match="not in the set"):
+            equilibrium_residual(m, [1.5])
 
 
 class TestDryFrictionModel:

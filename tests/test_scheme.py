@@ -825,9 +825,9 @@ class StackCountingBox(Box):
         self.rows += y.shape[0] if y.ndim == 2 else 0
         return super().project(y)
 
-    def contains(self, x, tol=None):
+    def contains(self, x):
         self.contains_calls += 1
-        return super().contains(x, tol)
+        return super().contains(x)
 
 
 class TestBlockedCertificates:

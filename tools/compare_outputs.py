@@ -82,7 +82,11 @@ sweeps Dykstra over three members; and five one-dimensional runs that
 step in Python floats through every branch: a zero G on the interval
 [-1, 2], an l1 G that sticks at an exact 0 under minimal norm and under
 the sign conventions -1, 0 and +1, and a linear G on a box whose lower
-end is -inf.
+end is -inf; a `study` of the README model from its equilibrium x = 1,
+whose every sup_error is 0, so its empirical order is null; and the
+record-kinds model declaring a growth constant a = 1e308, run for T 0.1
+with mu0 0.02, whose energy bound squares an M_T of about 1e308 (a
+failure manifest, reason overflow, exit 3).
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -245,6 +249,19 @@ PINNED_CASES["study-typo"] = {**PINNED_CASES["onedim-readme"], "T": 2.0,
                               "study": {"levels": [0.04, 0.02, 0.01], "referenc_refine": 2}}
 PINNED_CASES["wedge-stability"] = {**_wedge([4.0, 4.0]), "x0": [[0.0, 0.0], [-1.0, 0.0]]}
 PINNED_CASES["wedge-stability"]["model"]["constants"]["ell"] = 0.0
+# a study that starts at the equilibrium x = 1 of the README model, so every
+# level's sup_error is 0 and the empirical order is null
+PINNED_CASES["rest-study"] = {**PINNED_CASES["study-typo"], "x0": [1.0],
+                              "study": {"levels": [0.04, 0.02, 0.01]}}
+# a declared growth constant a = 1e308 makes the selection bound M_T = a + b R_T
+# about 1e308, so M_T^2 leaves float range in the energy certificate.  Not
+# onedim with a = 1e308: its steps overflow too, and numpy's warnings on
+# stderr name each tree's source path, so that case would always differ
+PINNED_CASES["bound-overflow"] = {**PINNED_CASES["record-kinds"], "T": 0.1,
+                                  "schedule": {"kind": "uniform", "mu0": 0.02}}
+PINNED_CASES["bound-overflow"]["model"] = {**PINNED_CASES["record-kinds"]["model"],
+                                           "constants": {"a": 1e308, "b": 2.0, "r_star": 1.0,
+                                                         "M": 1.0, "gamma": 1.0}}
 # one-dimensional runs through every branch of a step in Python floats: a
 # zero G pushed onto the upper end of [-1, 2]; f(x) = 0.3 - x less the l1
 # part |x| on [0, 2], which sticks at the exact 0 of the lower end under
@@ -267,7 +284,8 @@ PINNED_CASES["box-lower-infinite"]["model"]["G"] = {"type": "linear", "matrix": 
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
                "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
-               "wedge-stability": ["stability"]}
+               "wedge-stability": ["stability"], "rest-study": ["study"],
+               "bound-overflow": ["run"]}
 
 
 def cases(src: Path) -> list[tuple[str, dict[str, bytes], list[str]]]:
