@@ -7,8 +7,8 @@ systems.  Outputs are plain CSV and JSON with no timestamps, so the same
 config and seed produce bit-identical files.
 
 Exit codes: 0 all certificates pass, 1 a certificate failed, 2 the config
-is invalid, 3 the geometry or the stepping loop failed, or a certificate's
-bound overflowed.
+is invalid, 3 the geometry or the stepping loop failed, or a step's
+contract or a certificate's bound overflowed.
 """
 
 from __future__ import annotations
@@ -206,17 +206,16 @@ def _failure(out: Path, command: str, error: Exception) -> int:
     """Write the failure manifest of a scheme or geometry error and return
     its exit code.  An error carrying a partial run stopped on a failed
     per-step check: `certificate`, exit 1, with the partial trajectory.
-    Anything else failed outside the checks: `scheme` or `geometry`, exit 3.
-    `reason` is the `SchemeError.kind` of the failed check (null for an
-    error without one)."""
-    partial = getattr(error, "partial_run", None)
-    if partial is not None:
+    Anything else failed outside the checks, as does an overflow wherever
+    it stopped: `scheme` or `geometry`, exit 3.  `reason` is the
+    `SchemeError.kind` of the failed check (null for an error without one)."""
+    partial, reason = getattr(error, "partial_run", None), getattr(error, "kind", None)
+    if partial is not None and reason != "overflow":
         kind, code = "certificate", EXIT_CERTIFICATE
     else:
         kind = "scheme" if isinstance(error, SchemeError) else "geometry"
         code = EXIT_RUNTIME
-    payload = {"command": command, "failed": kind, "reason": getattr(error, "kind", None),
-               "error": str(error)}
+    payload = {"command": command, "failed": kind, "reason": reason, "error": str(error)}
     if partial is not None:
         payload["partial"] = partial.to_manifest()
         partial.to_csv(out / "trajectory.csv")

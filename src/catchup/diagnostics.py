@@ -145,14 +145,18 @@ def check_discrete_energy(run: DiscreteRun) -> CertificateEntry:
     Verifies |x_{k+1}|^2 <= (1 - c mu_k) |x_k|^2 + C0 mu_k + C1 mu_k^2 at
     every step, with C0 = 2 M~ + (1/delta + 1/eta) M_T^2 + q_T/delta and
     C1 = 4 M_T^2 + 2 q_T.  The measured value is the worst residual
-    (positive = violation); the bound is zero.
+    (positive = violation); the bound is zero.  A finite state whose square
+    leaves float range raises OverflowError, where the residual would be NaN.
     """
     k = run_constants(run)
     C0 = 2.0 * k["M_tilde"] + (1.0 / k["delta"] + 1.0 / k["eta"]) * k["M_T"] ** 2 \
         + k["q_T"] / k["delta"]
     C1 = 4.0 * k["M_T"] ** 2 + 2.0 * k["q_T"]
     mus = run.schedule.mus
-    a2 = np.sum(run.X * run.X, axis=1)
+    with np.errstate(over="ignore"):  # raised below
+        a2 = np.sum(run.X * run.X, axis=1)
+    if not np.isfinite(a2).all() and np.isfinite(run.X).all():
+        raise OverflowError("a squared state |x_k|^2 leaves the float range")
     rhs = (1.0 - k["c"] * mus) * a2[:-1] + C0 * mus + C1 * mus ** 2
     residuals = a2[1:] - rhs
     worst = float(np.max(residuals)) if residuals.size else 0.0

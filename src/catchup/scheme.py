@@ -36,7 +36,7 @@ from .geometry import (
     probe_count,
     probe_stack,
 )
-from .operators import MinimalNorm, MonotoneModel, clip_float, select_F
+from .operators import MinimalNorm, MonotoneModel, select_F
 
 __all__ = [
     "SchemeError",
@@ -64,10 +64,11 @@ class SchemeError(Exception):
     attached as `partial_run` for diagnosis.  `kind` says which check of
     the stepping loop failed: `projection_budget` (the projection policy
     could not certify its output within budget), `contract` (the defect
-    contract), `infeasible` (the projected point left the set) or
-    `normal_cone` (a normal term failed its cone certificate under exact
-    projection); it is None for a failure outside the loop, except
-    `overflow`, a certificate bound beyond float range in the CLI's report.
+    contract), `overflow` (both sides of the contract beyond float range),
+    `infeasible` (the projected point left the set) or `normal_cone` (a
+    normal term failed its cone certificate under exact projection); it is
+    None for a failure outside the loop, except `overflow`, also a
+    certificate bound beyond float range in the CLI's report.
     """
 
     def __init__(self, message, partial_run=None, kind: str | None = None):
@@ -310,43 +311,23 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 
 def _defect_contract(p, w, x, mu, eps):
     """(|p|^2, mu^2 |w|^2 + eps, verdict) of the eps-contract on the defect
-    p of a step from x, with roundoff slack scaled to the step's sizes.
+    p of a step from x, with roundoff slack scaled to the step's sizes; the
+    verdict fails where both sides overflow, since inf <= inf proves nothing.
     One step gives Python floats; stacked steps (one per row, with arrays of
     mu and eps) give arrays, each row with the bits of its step alone."""
-    if type(p) is float:  # a one-coordinate dot product is the square
-        lhs, ww, xx = p * p, w * w, x * x
-    elif p.ndim == 1:
+    if p.ndim == 1:
         lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
     else:
         lhs, ww, xx = np.vecdot(p, p), np.vecdot(w, w), np.vecdot(x, x)
     rhs = mu * mu * ww + eps
-    return lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs + xx)
+    return lhs, rhs, (lhs <= rhs + 1e-9 * (1.0 + rhs + xx)) & ((lhs < math.inf) | (rhs < math.inf))
 
 
 def _float_form(model: MonotoneModel, selection, projection) -> tuple | None:
     """`model.float_form` when the rules have one too: a selection with
-    `pick_float` and the exact projection; else None."""
+    `pick_float` and the exact projection; else None.  `step` inlines it."""
     return (getattr(selection, "pick_float", None) and type(projection) is ExactProjection
             and model.float_form) or None
-
-
-def _float_values(form: tuple, pick, x: float, mu: float) -> tuple | None:
-    """(x_next, w, p) of the step from the float x of a model of float form
-    `form` under a rule's `pick_float`, with the bits of the step from [x];
-    None where a square of x, w, x_next or p is not finite (that step warns)."""
-    a, b, m, weight, lower, upper = form
-    f = a * x + b
-    if weight is None:
-        g_lo = g_hi = m * x + 0.0  # {m x}, which `@` sums from 0.0
-    elif x:
-        g_lo = g_hi = weight if x > 0 else -weight  # {weight sign(x)}
-    else:
-        g_lo, g_hi = -weight, weight
-    w = f - pick(g_lo, g_hi, f)
-    y = x + mu * w
-    x_next = clip_float(lower, upper, y)
-    p = x_next - y
-    return (x_next, w, p) if math.isfinite(x * x + w * w + x_next * x_next + p * p) else None
 
 
 def step(model: MonotoneModel, x, mu: float, eps: float,
@@ -356,32 +337,54 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     Returns (x_next, w, p); the predictor x + mu w and the normal term
     -p / mu follow from them.  Raises SchemeError if the defect violates
     the eps-contract |p|^2 <= mu^2 |w|^2 + eps (which any valid relaxed
-    projection must satisfy, since x itself is feasible) or if the
-    projection judged the produced point infeasible.
+    projection must satisfy, since x itself is feasible), kind `overflow`
+    where both of its sides leave float range, or if the projection judged
+    the produced point infeasible.
 
     A Python float x with a Python float mu steps in Python floats when the
     model and the rules have a float form (see `_float_form`): x_next, w and
     p are then Python floats with the bits of the step from [x], which runs
-    in their place where its numpy calls would warn.  Any other x is read as
-    a vector, a float without a float form as [x].
+    in their place where its numpy calls would warn or a check fails.  Any
+    other x is read as a vector, a float without a float form as [x].
     """
     selection, projection = selection or MinimalNorm(), projection or ExactProjection()
-    form = type(x) is float and type(mu) is float and _float_form(model, selection, projection)
-    values = form and mu > 0 and eps >= 0 and _float_values(form, selection.pick_float, x, mu)
-    if values:
-        (x_next, w, p), member = values, True
-    else:
-        x = _as_vector(x, model.dim)
-        if not mu > 0:  # NaN too
-            raise ValueError(f"mu must be positive, got {mu}")
-        w = select_F(model, x, rule=selection, rng=sel_rng)
+    pick = type(projection) is ExactProjection and getattr(selection, "pick_float", None)
+    form = pick and type(x) is float and type(mu) is float and model.float_form
+    if form and mu > 0 and eps >= 0:
+        a, b, m, weight, lower, upper = form
+        f = a * x + b
+        if weight is None:
+            g_lo = g_hi = m * x + 0.0  # {m x}, which `@` sums from 0.0
+        elif x:
+            g_lo = g_hi = weight if x > 0 else -weight  # {weight sign(x)}
+        else:
+            g_lo, g_hi = -weight, weight
+        w = f - pick(g_lo, g_hi, f)
         y = x + mu * w
-        try:
-            x_next, member = approx_project(model.C, y, eps, policy=projection, rng=proj_rng)
-        except GeometryError as exc:
-            raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
+        x_next = y if y > lower else lower  # np.clip's bits: a tie takes the bound
+        x_next = x_next if x_next < upper else upper
         p = x_next - y
+        # the contract of `_defect_contract`; a failed contract, or a square
+        # beyond float range, takes the vector step below, which raises or warns
+        lhs, ww, xx = p * p, w * w, x * x
+        rhs = mu * mu * ww + eps
+        finite = xx + ww + x_next * x_next + lhs < math.inf  # False for NaN too
+        if finite and lhs <= rhs + 1e-9 * (1.0 + rhs + xx):
+            return x_next, w, p
+    x = _as_vector(x, model.dim)
+    if not mu > 0:  # NaN too
+        raise ValueError(f"mu must be positive, got {mu}")
+    w = select_F(model, x, rule=selection, rng=sel_rng)
+    y = x + mu * w
+    try:
+        x_next, member = approx_project(model.C, y, eps, policy=projection, rng=proj_rng)
+    except GeometryError as exc:
+        raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
+    p = x_next - y
     lhs, rhs, ok = _defect_contract(p, w, x, mu, eps)
+    if not ok and lhs == rhs == math.inf:
+        raise SchemeError("defect contract leaves the float range: "
+                          "|p|^2 = mu^2|w|^2 + eps = inf", kind="overflow")
     if not ok:
         raise SchemeError(
             f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}",
@@ -390,7 +393,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     if not member:
         raise SchemeError(f"projected point left the set (distance "
                           f"{model.C.distance(x_next):.3e})", kind="infeasible")
-    if form and not values:  # a float state stepped as the vector [x]
+    if form:  # a float state stepped as the vector [x]
         return x_next.item(), w.item(), p.item()
     return x_next, w, p
 
@@ -606,8 +609,8 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         x, Xs, Ws, Ps = x0.item(), *(memoryview(A.reshape(-1)) for A in (X, W, P))
     for k in range(n):
         try:
-            x, Ws[k], Ps[k] = step(model, x, mus[k], eps[k], selection=selection,
-                                   projection=projection, sel_rng=sel_rng, proj_rng=proj_rng)
+            x, Ws[k], Ps[k] = step(model, x, mus[k], eps[k], selection, projection,
+                                   sel_rng, proj_rng)
         except Exception as exc:
             failure, done = exc, k
             break
@@ -655,6 +658,23 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
 CSV_BLOCK_ROWS = 256
 
 
+def _cells(col: NDArray):
+    """The cell texts of a block of a column.  A float column formats each
+    run of equal bit patterns once (so +0.0 and -0.0, or NaNs of different
+    payloads, are runs of their own), unless its runs are mostly one row."""
+    if col.dtype == np.float64:
+        bits = col.view(np.int64)
+        edges = np.empty(len(col) + 1, dtype=bool)  # the start of each run, and the end
+        edges[0] = edges[-1] = True
+        np.not_equal(bits[1:], bits[:-1], out=edges[1:-1])
+        edges = np.flatnonzero(edges)
+        if 2 * (len(edges) - 1) <= len(col):
+            texts = map(repr, col[edges[:-1]].tolist())
+            return itertools.chain.from_iterable(map(itertools.repeat, texts,
+                                                     np.diff(edges).tolist()))
+    return map(repr, col.tolist())
+
+
 def write_csv(path, header, columns, last=None) -> str | None:
     """The table format of every CSV file the package writes: a header
     line, then one line per row of `columns` (numpy arrays of one length),
@@ -666,8 +686,8 @@ def write_csv(path, header, columns, last=None) -> str | None:
     def blocks():
         yield ",".join(header) + "\n"
         for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            cells = [map(repr, col[i: i + CSV_BLOCK_ROWS].tolist()) for col in columns]
-            yield "".join(",".join(row) + "\n" for row in zip(*cells))
+            cells = [_cells(col[i: i + CSV_BLOCK_ROWS]) for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
         if last is not None:
             yield ",".join("" if v is None else repr(v) for v in last) + "\n"
 

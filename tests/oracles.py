@@ -343,8 +343,10 @@ def reference_step(model, x, mu, eps, selection, projection, sel_rng=None, proj_
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
-    rhs = mu * mu * float(w @ w) + eps
-    if not float(p @ p) <= rhs + 1e-9 * (1.0 + rhs + float(x @ x)):
+    lhs, rhs = float(p @ p), mu * mu * float(w @ w) + eps
+    if lhs == rhs == np.inf:  # inf <= inf would prove nothing
+        raise SchemeError("defect contract leaves the float range", kind="overflow")
+    if not lhs <= rhs + 1e-9 * (1.0 + rhs + float(x @ x)):
         raise SchemeError("defect contract violated", kind="contract")
     if not C.contains(x_next):
         raise SchemeError("projected point left the set", kind="infeasible")

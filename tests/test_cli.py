@@ -857,6 +857,38 @@ class TestBoundaryValidation:
         assert err.startswith("scheme failure: ") and "leaves the float range" in err
         assert "Traceback" not in err
 
+    def test_overflowing_step_fails_at_step_zero(self, tmp_path):
+        # onedim with a = 1e308 moves by 1e306 in its first step, so |p|^2 and
+        # mu^2 |w|^2 both leave float range; the contract used to pass that
+        # step as inf <= inf, and the run failed later, at its energy bound
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            model={"model": "onedim", "a": 1e308, "b": 2.0}, x0=[0.5], T=0.1,
+            schedule={"kind": "uniform", "mu0": 0.02}))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", cfg, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failed"], manifest["reason"]) == ("scheme", "overflow")
+        assert manifest["error"] == ("step 0 failed: defect contract leaves the float range: "
+                                     "|p|^2 = mu^2|w|^2 + eps = inf")
+        assert read_run_csv(str(out / "trajectory.csv"))["X"].tolist() == [[0.5]]
+
+    def test_overflowing_square_fails_the_energy_check(self, tmp_path):
+        # f(x) = -x from 1e200 steps within float range, but |x_k|^2 leaves
+        # it; the energy certificate used to print a NaN residual and exit 1
+        cfg = write_config(tmp_path / "c.json", {
+            "model": {"f": {"type": "affine", "A": [[-1.0]], "b": [0.0]},
+                      "G": {"type": "zero", "dim": 1}, "C": {"type": "halfline"},
+                      "constants": {"a": 0.0, "b": 1.0, "r_star": 1.0, "M": 1.0,
+                                    "gamma": 0.5}},
+            "x0": [1e200], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.02}})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", cfg, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failed"], manifest["reason"]) == ("scheme", "overflow")
+        assert manifest["error"] == "energy: a bound of the check leaves the float range"
+
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so
         # exp(Lambda_T T) leaves float range at T = 20

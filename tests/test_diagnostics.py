@@ -1,10 +1,13 @@
 """Certificate checkers: frozen examples plus the inequalities as properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catchup.diagnostics as diagnostics
 from catchup.diagnostics import (
     CertificateEntry,
     certificate_table,
@@ -20,7 +23,8 @@ from catchup.diagnostics import (
 )
 from catchup.geometry import GeometryError, Halfline, PerturbedProjection, in_approx_normal_cone
 from catchup.models import OneDimModel
-from catchup.operators import AffineField, LinearPart, MonotoneModel, globalize_constants
+from catchup.operators import (AffineField, LinearPart, MonotoneModel, ZeroPart,
+                                globalize_constants)
 from catchup.scheme import DiscreteRun, Uniform, make_schedule, run
 
 from oracles import reference_young_split
@@ -132,6 +136,19 @@ class TestDiscreteEnergy:
         assert not entry.passed
         assert entry.measured > 100.0
         assert entry.detail["worst_step"] == r.n_steps - 1
+
+    def test_overflowing_square_raises(self):
+        # f(x) = -x from 1e200: the states stay finite, their squares do not
+        model = MonotoneModel(AffineField([[-1.0]], [0.0]), ZeroPart(1), Halfline(),
+                              growth=(0.0, 1.0), dissipativity=(1.0, 1.0, 0.5))
+        with np.errstate(over="ignore"):  # the steps' own squares
+            r = run(model, [1e200], make_schedule(0.1, Uniform(0.02)))
+        assert np.isfinite(r.X).all()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError, match="leaves the float range"):
+                check_discrete_energy(r)
+        assert [w for w in caught if w.filename == diagnostics.__file__] == []
 
 
 class TestBetaDomination:

@@ -295,6 +295,75 @@ class TestDefectContract:
             assert np.array(one[:2]).tobytes() == np.array([lhs[i], rhs[i]]).tobytes()
             assert one[2] == ok[i]
 
+    def test_both_sides_overflowing_fail(self):
+        # |p|^2 and mu^2 |w|^2 + eps both beyond float range fail, stacked or
+        # one at a time; one side beyond it is judged as before
+        p = np.array([[1e200], [1e200], [1.0], [1e200]])
+        w = np.array([[1e171], [1e171], [1e171], [1.0]])
+        x = np.zeros((4, 1))
+        mu, eps = np.array([0.1, 0.1, 0.1, 0.1]), np.array([0.0, np.inf, 0.0, 0.0])
+        with np.errstate(over="ignore"):
+            lhs, rhs, ok = scheme._defect_contract(p, w, x, mu, eps)
+            for i in range(4):
+                one = scheme._defect_contract(p[i], w[i], x[i], float(mu[i]), float(eps[i]))
+                assert np.array(one[:2]).tobytes() == np.array([lhs[i], rhs[i]]).tobytes()
+                assert one[2] == ok[i]
+        assert ok.tolist() == [False, False, True, False]
+
+
+class ScriptedShift:
+    """A projection policy that moves every predictor by a fixed vector
+    and calls the result a member."""
+
+    name, seed, exact = "scripted", None, False
+
+    def __init__(self, shift):
+        self.shift = np.asarray(shift, dtype=float)
+
+    def project(self, C, y, eps, rng=None):
+        return y + self.shift, True
+
+
+class TestOverflowingContract:
+    """A step whose defect and predictor step both square beyond float
+    range fails as an overflow, not as a pass of inf <= inf."""
+
+    def model(self):
+        # a constant drift of 1e171, so mu = 0.1 gives a predictor step of 1e170
+        return MonotoneModel(AffineField(np.zeros((2, 2)), [1e171, 0.0]), ZeroPart(2),
+                             Box([-np.inf, -np.inf], [np.inf, np.inf]),
+                             growth=(1e171, 0.0), dissipativity=(1.0, 1e171, 1.0))
+
+    def test_policy_moving_far_fails_the_step(self):
+        with np.errstate(over="ignore"), pytest.raises(SchemeError) as info:
+            step(self.model(), [0.0, 0.0], 0.1, 0.0, projection=ScriptedShift([0.0, 1e200]))
+        assert info.value.kind == "overflow"
+        assert str(info.value) == ("defect contract leaves the float range: "
+                                   "|p|^2 = mu^2|w|^2 + eps = inf")
+
+    def test_run_stops_at_the_step(self):
+        schedule = make_schedule(0.3, Uniform(0.1))
+        with np.errstate(over="ignore"), pytest.raises(SchemeError) as info:
+            run(self.model(), [0.0, 0.0], schedule, projection=ScriptedShift([0.0, 1e200]))
+        assert info.value.kind == "overflow"
+        assert str(info.value).startswith("step 0 failed: defect contract leaves the float range")
+        assert info.value.partial_run.n_steps == 0
+
+    def test_audit_flags_the_row(self):
+        # step 1 of a hand-made table moves by 1e200 against a predictor step of 1e170
+        mus = np.full(2, 0.1)
+        W = np.array([[1.0, 0.0], [1e171, 0.0]])
+        P = np.array([[0.0, 0.0], [0.0, 1e200]])
+        X = np.zeros((3, 2))
+        X[1] = X[0] + mus[0] * W[0] + P[0]
+        X[2] = X[1] + mus[1] * W[1] + P[1]
+        data = {"times": np.array([0.0, 0.1, 0.2]), "X": X, "W": W, "P": P,
+                "V": P / -mus[:, None], "mus": mus, "eps": np.zeros(2)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify_run_invariants(data)
+        assert report["defect_contract"] is False
+        assert report["first_violation"] == {"check": "defect_contract", "k": 1}
+
 
 class TestStepMatchesReference:
     """The step's (x_next, w, p) has the bytes of the reference step's,
@@ -665,6 +734,25 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# NaNs whose sign and payload differ; repr writes each of them as nan
+RUN_NANS = [float(v) for v in np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                                        0x7FF0000000000001, 0x7FF4000000000000],
+                                       dtype=np.uint64).view(np.float64)]
+
+
+def _run_column(data, n: int) -> np.ndarray:
+    """n floats in runs of equal bits: adjacent 0.0 and -0.0, NaNs of
+    different payloads, runs of any length up to past two blocks of
+    CSV_BLOCK_ROWS, and sometimes one value all the way down."""
+    values = st.one_of(csv_floats, st.sampled_from([0.0, -0.0, *RUN_NANS]))
+    if data.draw(st.booleans()):
+        return np.full(n, data.draw(values))
+    runs = data.draw(st.lists(st.tuples(values, st.integers(1, 2 * scheme.CSV_BLOCK_ROWS + 50)),
+                              min_size=1, max_size=8))
+    column = np.concatenate([np.full(length, v) for v, length in runs])
+    return np.resize(column, n)
+
+
 class TestColumnwiseCSV:
     """`write_csv` formats a block of rows a column at a time and writes the
     text of the writer that formats each cell on its own; `read_run_csv`
@@ -716,6 +804,44 @@ class TestColumnwiseCSV:
                 for key, value in [("times", schedule.times), ("X", X), ("W", W), ("P", P),
                                    ("V", V), ("mus", schedule.mus), ("eps", schedule.eps)]:
                     assert _same_bits(parsed[key], value), key
+
+    @pytest.mark.parametrize("block", [1, 3, scheme.CSV_BLOCK_ROWS])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_runs_of_equal_cells(self, block, data):
+        # columns of runs of equal bits, some longer than a block; the
+        # writer formats a run once, and neither 0.0 and -0.0 nor NaNs of
+        # different payloads may share a text with their neighbours
+        n, d = data.draw(st.integers(1, 600)), data.draw(st.integers(1, 2))
+        schedule = SimpleNamespace(times=np.arange(n + 1) * 0.5, mus=_run_column(data, n),
+                                   eps=np.zeros(n))
+        X = np.column_stack([_run_column(data, n + 1) for _ in range(d)])
+        W, P, V = (np.column_stack([_run_column(data, n) for _ in range(d)])
+                   for _ in range(3))
+        header = ["k", "t"] + [f"{name}{i}" for name in "xwpv" for i in range(d)] + ["mu", "eps"]
+        rows = [(k, schedule.times[k], *X[k], *W[k], *P[k], *V[k], schedule.mus[k],
+                 schedule.eps[k]) for k in range(n)]
+        rows.append((n, schedule.times[n], *X[n], *[None] * (3 * d + 2)))
+        want = reference_csv_text(header, rows)
+        with mock.patch.object(scheme, "CSV_BLOCK_ROWS", block):
+            assert run_table(schedule, X, W, P, V) == want
+        parsed = read_run_csv(want)
+        for key, value in [("times", schedule.times), ("X", X), ("W", W), ("P", P), ("V", V),
+                           ("mus", schedule.mus), ("eps", schedule.eps)]:
+            assert _same_bits(parsed[key], value), key
+
+    @pytest.mark.parametrize("block", [1, 3, scheme.CSV_BLOCK_ROWS])
+    def test_pinned_runs(self, block):
+        # a run across two blocks of 256, then 0.0 against -0.0, then NaNs
+        # of four payloads, beside a constant column and a column of distinct values
+        runs = np.concatenate([np.full(300, 0.1), np.full(3, 0.0), np.full(4, -0.0),
+                               np.repeat(RUN_NANS, 2), [-0.0, 0.0, 0.0, 5e-324]])
+        columns = [np.arange(runs.size), runs, np.full(runs.size, -0.0),
+                   np.linspace(0.0, 1.0, runs.size), np.full(runs.size, 0.001)]
+        header = [f"c{i}" for i in range(len(columns))]
+        want = reference_csv_text(header, zip(*(c.tolist() for c in columns)))
+        with mock.patch.object(scheme, "CSV_BLOCK_ROWS", block):
+            assert write_csv(None, header, columns) == want
 
 
 class TestProperties:
@@ -1047,7 +1173,7 @@ class TestFloatStep:
                                lambda v: ExplicitSteps(sorted(v, reverse=True)))),
            errors=st.sampled_from([ZeroError(), PowerOfStep(0.1, 1.0)]))
     @example(model=OneDimModel(1e308, 2.0), x0=10.0, rule="minimal_norm",
-             steps=Uniform(0.1), errors=ZeroError())  # w = -inf passes the contract
+             steps=Uniform(0.1), errors=ZeroError())  # w = -inf overflows the contract
     @example(model=OneDimModel(1.0, -1.0), x0=-0.0, rule="sign0",
              steps=Uniform(0.1), errors=ZeroError())
     @settings(max_examples=300, deadline=None)

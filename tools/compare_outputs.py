@@ -15,8 +15,10 @@ The matrix: for seeds 1-3, the configs `bench/workloads.generate` makes
 for every benchmark workload, run as `run` and
 `run --diagnostics all --strict` (each run.json), `stability` and
 `stability --strict` (the scalar stability.json) and `study` (the polygon
-study.json); plus runs with `--diagnostics all` of pinned configs: four
-onedim runs (the README example, a sticking run with b < 0, a
+study.json); plus runs with `--diagnostics all` of pinned configs: five
+onedim runs (the README example, a sticking run with b < 0, the same
+run for T 8, 800 steps whose x, w and p stay constant from step 35 on,
+across the 256-row blocks of the CSV writer, a
 polynomial schedule with perturbed projection and randomized selection,
 and explicit step and error lists under perturbed projection, whose
 errors keep eps_k / mu_k^2 at 0.1, so the schedule records the warning
@@ -153,6 +155,8 @@ PINNED_CASES = {
                       "schedule": {"kind": "uniform", "mu0": 0.01}},
     "onedim-sticking": {"model": {"model": "onedim", "a": 1, "b": -1}, "x0": [0.5], "T": 2.0,
                         "schedule": {"kind": "uniform", "mu0": 0.01}},
+    "onedim-sticking-long": {"model": {"model": "onedim", "a": 1, "b": -1}, "x0": [0.5],
+                             "T": 8.0, "schedule": {"kind": "uniform", "mu0": 0.01}},
     "onedim-randomized": {"model": {"model": "onedim", "a": 1, "b": 2}, "x0": [0.0], "T": 2.0,
                           "schedule": {"kind": "polynomial", "mu0": 0.05, "alpha": 0.5},
                           "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0},
