@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .diagnostics import (
+    apriori_envelope,
     certificate_table,
     check_beta_domination,
     check_discrete_energy,
@@ -301,7 +302,7 @@ def cmd_run(args) -> int:
         "command": "run",
         "config": _config_record(cfg, x0, schedule.horizon, strict=args.strict,
                                  schedule=schedule.to_config(), diagnostics=list(tags)),
-        "run": completed.to_manifest(),
+        "run": completed.to_manifest(apriori_envelope(completed)),
         "certificates": certificates,
         "hard_failures": hard,
         "informational_failures": soft,

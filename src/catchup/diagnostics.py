@@ -3,9 +3,10 @@
 Every check returns a CertificateEntry holding the measured quantity, the
 assembled theoretical bound, their margin, and a pass flag.  The bounds of
 a run's checks are assembled from measured run constants (radius, selection
-bound) rather than the a-priori growth chain, which is also reported but
-can be astronomically loose; integrals over the interpolants are computed
-cell by cell in closed form, so the margins contain no quadrature error.
+bound) rather than the a-priori growth chain of `apriori_envelope`, which a
+run's manifest reports but can be astronomically loose; integrals over the
+interpolants are computed cell by cell in closed form, so the margins
+contain no quadrature error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "local_truncation",
     "corrector_stability_check",
     "run_constants",
+    "apriori_envelope",
 ]
 
 # float fuzz added to bounds before comparing; certificates must hold
@@ -100,26 +102,52 @@ def certificate_table(entries) -> str:
     return "\n".join(lines)
 
 
+def _energy_split(run: DiscreteRun) -> dict:
+    """The constants every energy bound of a run shares: the model's Young
+    split (c, delta, eta), the schedule's q_T and the globalized level M~."""
+    c, delta, eta = run.model.young_split
+    return {"c": c, "delta": delta, "eta": eta, "q_T": float(run.schedule.q_T),
+            "M_tilde": float(run.model.M_global)}
+
+
 def run_constants(run: DiscreteRun) -> dict:
-    """Measured constants of a run plus the model's Young split (c, delta,
-    eta): R_T is the measured radius, M_T = a + b R_T its induced selection
-    bound, q_T comes from the schedule, and C_T = M_T^2 sum(mu^2) + sum(eps)
-    is the defect budget (OverflowError where M_T^2 leaves float range)."""
-    model = run.model
-    c, delta, eta = model.young_split
-    R_T = run.measured_radius()
-    M_T = float(model.growth_bound(R_T))
-    q_T = run.schedule.q_T
-    return {
-        "c": c,
-        "delta": delta,
-        "eta": eta,
-        "R_T": float(R_T),
-        "M_T": M_T,
-        "q_T": float(q_T),
-        "M_tilde": float(model.M_global),
+    """`_energy_split` and the measured constants of a run: R_T is the
+    measured radius, M_T = a + b R_T its induced selection bound, and
+    C_T = M_T^2 sum(mu^2) + sum(eps) the defect budget (OverflowError where
+    |x_k|^2 or M_T^2 leaves float range)."""
+    R_T = float(np.sqrt(np.max(run.squared_norms())))
+    M_T = float(run.model.growth_bound(R_T))
+    return _energy_split(run) | {
+        "R_T": R_T, "M_T": M_T,
         "C_T": M_T ** 2 * run.schedule.sum_mu_sq + float(np.sum(run.schedule.eps)),
     }
+
+
+def apriori_envelope(run: DiscreteRun) -> dict:
+    """The rough growth chain of a completed run, with `_energy_split`: the
+    recursion a_{k+1} <= (1 + Lam mu) a_k + A mu + B mu^2 integrates to the
+    exponential envelope K(T) bounding max_k |x_k|^2 ahead of the run, and
+    `within_bound` says whether the run's squares stay under it (one beyond
+    float range does not).  An envelope beyond float range is vacuous: its
+    K_T, R_T, M_T, L_T and within_bound are None."""
+    model, schedule, x0 = run.model, run.schedule, run.X[0]
+    k = _energy_split(run)
+    a, b, q_T = model.a, model.b, k["q_T"]
+    coupling = 1.0 / k["delta"] + 1.0 / k["eta"]
+    Lam = -k["c"] + 2.0 * b * b * coupling + 8.0 * b * b * schedule.mu_norm
+    A = 2.0 * k["M_tilde"] + 2.0 * a * a * coupling + q_T / k["delta"]
+    B = 8.0 * a * a + 2.0 * q_T
+    T = schedule.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = float(np.exp(max(Lam, 0.0) * T) * (float(x0 @ x0) + A * T + B * schedule.sum_mu_sq))
+    k |= {"Lambda_T": float(Lam), "A_T": float(A), "B_T": float(B)}
+    if not np.isfinite(K):
+        return k | dict.fromkeys(("K_T", "R_T", "M_T", "L_T", "within_bound")) | {"vacuous": True}
+    R = float(np.sqrt(K))
+    M_T = model.growth_bound(R)
+    within = bool(np.max(run.squared_norms(overflow_ok=True)) <= K * (1.0 + 1e-9))
+    return k | {"K_T": K, "R_T": R, "M_T": float(M_T), "L_T": float(2.0 * M_T + np.sqrt(q_T)),
+                "within_bound": within}
 
 
 def continuous_energy_bound(x0, M_tilde: float, gamma: float, t) -> NDArray:
@@ -153,10 +181,7 @@ def check_discrete_energy(run: DiscreteRun) -> CertificateEntry:
         + k["q_T"] / k["delta"]
     C1 = 4.0 * k["M_T"] ** 2 + 2.0 * k["q_T"]
     mus = run.schedule.mus
-    with np.errstate(over="ignore"):  # raised below
-        a2 = np.sum(run.X * run.X, axis=1)
-    if not np.isfinite(a2).all() and np.isfinite(run.X).all():
-        raise OverflowError("a squared state |x_k|^2 leaves the float range")
+    a2 = run.squared_norms()
     rhs = (1.0 - k["c"] * mus) * a2[:-1] + C0 * mus + C1 * mus ** 2
     residuals = a2[1:] - rhs
     worst = float(np.max(residuals)) if residuals.size else 0.0
@@ -177,15 +202,16 @@ def check_beta_domination(run: DiscreteRun, level: float | None = None,
     with a sharper level valid at every feasible point (the scalar model's
     local M is one) may pass it explicitly.  The measured value is the
     worst overshoot max_k (|x_k|^2 - beta(t_k)), clamped at zero from
-    below in the margin so refinement studies can compare slacks.
+    below in the margin so refinement studies can compare slacks.  A finite
+    state whose square leaves float range raises OverflowError.
     """
     model = run.model
     if level is None:
         level = model.M_global
     if gamma is None:
         gamma = model.gamma
+    a2 = run.squared_norms()
     beta = continuous_energy_bound(run.X[0], level, gamma, run.times)
-    a2 = np.sum(run.X * run.X, axis=1)
     overshoot = a2 - beta
     worst = float(np.max(overshoot))
     k_worst = int(np.argmax(overshoot))

@@ -286,6 +286,10 @@ class ConvexSet(ConfigRecord):
 
     def tangent_project(self, x, u) -> NDArray:
         """Project u onto the tangent cone of the set at the feasible point x."""
+        return self._tangent(self.require_member(x), _as_vector(u, self.dim))
+
+    def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
+        """`tangent_project` of a checked member x and vector u."""
         raise NotImplementedError
 
     def require_member(self, x) -> NDArray:
@@ -336,9 +340,7 @@ class Box(ConvexSet):
         z = self.project(y)
         return z, math.isfinite(z.dot(z)) or bool(np.isfinite(z).all())
 
-    def tangent_project(self, x, u) -> NDArray:
-        x = self.require_member(x)
-        u = _as_vector(u, self.dim)
+    def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
         out = u.copy()
         tol = membership_tol(x)
         at_lower = x <= self.lower + tol
@@ -402,9 +404,7 @@ class Ball(ConvexSet):
         # max keeps a NaN and a -0.0 gap as np.maximum does
         return max(gap, 0.0) if y.ndim == 1 else np.maximum(gap, 0.0)
 
-    def tangent_project(self, x, u) -> NDArray:
-        x = self.require_member(x)
-        u = _as_vector(u, self.dim)
+    def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
         d = x - self.center
         nrm = float(np.linalg.norm(d))
         if nrm < self.radius - membership_tol(x):
@@ -460,9 +460,7 @@ class Halfspace(ConvexSet):
             return float(y.dot(self.normal)) + 0.0 - self.offset
         return np.vecdot(y, self.normal) - self.offset
 
-    def tangent_project(self, x, u) -> NDArray:
-        x = self.require_member(x)
-        u = _as_vector(u, self.dim)
+    def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
         if float(self.normal @ x) - self.offset < -membership_tol(x):
             return u.copy()
         return u - max(float(self.normal @ u), 0.0) / self.norm_sq * self.normal
@@ -645,13 +643,12 @@ class Intersection(ConvexSet):
         y = _as_vector(y, self.dim)
         return max(m.distance(y) for m in self.members)
 
-    def tangent_project(self, x, u) -> NDArray:
+    def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
         # The tangent cone of the intersection is the intersection of the
         # members' tangent cones (nonempty-interior contract), each of which
-        # we can project onto, so Dykstra applies verbatim.
-        x = self.require_member(x)
-        u = _as_vector(u, self.dim)
-        projectors = [lambda v, m=m: m.tangent_project(x, v) for m in self.members]
+        # we can project onto, so Dykstra applies verbatim; x is a member of
+        # every member, so their projections take it unchecked.
+        projectors = [lambda v, m=m: m._tangent(x, v) for m in self.members]
         tol = 1e-14 * (1.0 + float(np.linalg.norm(u)))
         return _dykstra_limit(projectors, u, self.budget, tol)
 

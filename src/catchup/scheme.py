@@ -416,7 +416,7 @@ class DiscreteRun:
 
     def __init__(self, model, schedule, X, W, P,
                  selection_name="minimal_norm", projection_name="exact",
-                 seeds=None, certificates=None, apriori=None):
+                 seeds=None, certificates=None):
         self.model = model
         self.schedule = schedule
         self.X = np.asarray(X, dtype=float)
@@ -426,7 +426,6 @@ class DiscreteRun:
         self.projection_name = projection_name
         self.seeds = dict(seeds or {})
         self.certificates = list(certificates or [])
-        self.apriori = dict(apriori or {})
 
     @property
     def times(self) -> NDArray:
@@ -444,8 +443,18 @@ class DiscreteRun:
     def T(self) -> float:
         return float(self.times[self.n_steps])
 
+    def squared_norms(self, overflow_ok: bool = False) -> NDArray:
+        """|x_k|^2 of each state, with no RuntimeWarning.  Where a finite
+        state's square leaves float range it is inf if `overflow_ok`, else
+        an OverflowError, since a bound read from it would be inf or NaN."""
+        with np.errstate(over="ignore"):
+            a2 = np.sum(self.X * self.X, axis=1)
+        if not (overflow_ok or np.isfinite(a2).all()) and np.isfinite(self.X).all():
+            raise OverflowError("a squared state |x_k|^2 leaves the float range")
+        return a2
+
     def measured_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.X, axis=1)))
+        return float(np.sqrt(np.max(self.squared_norms(overflow_ok=True))))
 
     def measured_sup_w(self) -> float:
         return float(np.max(np.linalg.norm(self.W, axis=1), initial=0.0))
@@ -465,7 +474,8 @@ class DiscreteRun:
         lam = np.clip((t - self.times[k]) / self.schedule.mus[k], 0.0, 1.0)[..., None]
         return (1.0 - lam) * self.X[k] + lam * self.X[k + 1]
 
-    def to_manifest(self) -> dict:
+    def to_manifest(self, apriori: dict | None = None) -> dict:
+        """The run's record, with `diagnostics.apriori_envelope` or {} as `apriori`."""
         cert_summary = summarize_certificates(self.certificates)
         return {
             "model": self.model.to_config(),
@@ -476,7 +486,7 @@ class DiscreteRun:
             },
             "seeds": self.seeds,
             "certificates": cert_summary,
-            "apriori": self.apriori,
+            "apriori": apriori or {},
             "warnings": list(self.schedule.warnings),
             "measured": {
                 "radius": self.measured_radius(),
@@ -517,42 +527,6 @@ def summarize_certificates(certificates) -> dict:
     }
 
 
-def _apriori_constants(model: MonotoneModel, schedule: StepSchedule, x0: NDArray) -> dict:
-    """The rough growth chain: the model's Young split (c, delta, eta) and
-    the recursion a_{k+1} <= (1 + Lam mu) a_k + A mu + B mu^2 integrate to
-    the exponential envelope K(T) bounding max_k |x_k|^2 ahead of the run.
-    An envelope beyond float range is vacuous: its K_T, R_T, M_T and L_T
-    are recorded as None."""
-    c, delta, eta = model.young_split
-    a, b = model.a, model.b
-    q_T = schedule.q_T
-    mu_T = schedule.mu_norm
-    M_tilde = model.M_global
-    coupling = 1.0 / delta + 1.0 / eta
-    Lam = -c + 2.0 * b * b * coupling + 8.0 * b * b * mu_T
-    A = 2.0 * M_tilde + 2.0 * a * a * coupling + q_T / delta
-    B = 8.0 * a * a + 2.0 * q_T
-    T = schedule.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = float(np.exp(max(Lam, 0.0) * T) * (float(x0 @ x0) + A * T + B * schedule.sum_mu_sq))
-    constants = {
-        "c": c,
-        "delta": delta,
-        "eta": eta,
-        "Lambda_T": float(Lam),
-        "A_T": float(A),
-        "B_T": float(B),
-        "q_T": float(q_T),
-        "M_tilde": float(M_tilde),
-    }
-    if not np.isfinite(K):
-        return constants | {"K_T": None, "R_T": None, "M_T": None, "L_T": None, "vacuous": True}
-    R = float(np.sqrt(K))
-    M_T = model.growth_bound(R)
-    return constants | {"K_T": K, "R_T": R, "M_T": float(M_T),
-                        "L_T": float(2.0 * M_T + np.sqrt(q_T))}
-
-
 def run(model: MonotoneModel, x0, schedule: StepSchedule,
         selection=None, projection=None,
         certify_normals: bool = True) -> DiscreteRun:
@@ -591,12 +565,12 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         seeds["probes"] = PROBE_SEED
     certificates = []
 
-    def result(k, apriori=None):
+    def result(k):
         """The run over its first k steps."""
         return DiscreteRun(
             model, schedule, X[: k + 1], W[:k], P[:k],
             selection_name=selection.name, projection_name=projection.name,
-            seeds=seeds, certificates=certificates, apriori=apriori,
+            seeds=seeds, certificates=certificates,
         )
 
     # steps, tolerances and normal-cone slacks delta_k = eps_k / (2 mu_k), read
@@ -643,12 +617,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
                           kind=failure.kind) from failure
     if failure is not None:
         raise failure
-
-    apriori = _apriori_constants(model, schedule, x0)
-    apriori["within_bound"] = None if apriori.get("vacuous") else bool(
-        np.max(np.sum(X * X, axis=1)) <= apriori["K_T"] * (1.0 + 1e-9)
-    )
-    return result(n, apriori)
+    return result(n)
 
 
 # --- serialization round trip ----------------------------------------------

@@ -27,7 +27,9 @@ give G(x) and the point a rule picks from it as they were while every
 minimal-norm selection clipped.  `reference_equilibrium_residual` is the
 equilibrium residual as it was while it widened G(x) by the normal-cone
 rays of the active faces itself, and `reference_young_split` the Young
-split as it was while its rate c was an option.
+split as it was while its rate c was an option.  `reference_apriori` is the
+a-priori envelope and its `within_bound` verdict as the stepping loop
+computed them at the end of every run.
 """
 
 import itertools
@@ -540,3 +542,41 @@ def reference_young_split(gamma: float, c: float | None = None):
         raise ValueError(f"c must lie in (0, {2.0 * gamma}), got {c}")
     delta = (2.0 * gamma - c) / 2.0
     return float(c), float(delta), float(delta)
+
+
+def reference_apriori(model, schedule, x0, X) -> dict:
+    """The growth chain a_{k+1} <= (1 + Lam mu) a_k + A mu + B mu^2 and its
+    exponential envelope K(T) of max_k |x_k|^2, None where K leaves float
+    range, with the verdict of the states X under it.  The squares of X are
+    taken with overflow ignored, where the loop let numpy warn."""
+    c, delta, eta = model.young_split
+    a, b = model.a, model.b
+    q_T = schedule.q_T
+    mu_T = schedule.mu_norm
+    M_tilde = model.M_global
+    coupling = 1.0 / delta + 1.0 / eta
+    Lam = -c + 2.0 * b * b * coupling + 8.0 * b * b * mu_T
+    A = 2.0 * M_tilde + 2.0 * a * a * coupling + q_T / delta
+    B = 8.0 * a * a + 2.0 * q_T
+    T = schedule.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = float(np.exp(max(Lam, 0.0) * T) * (float(x0 @ x0) + A * T + B * schedule.sum_mu_sq))
+    constants = {
+        "c": c,
+        "delta": delta,
+        "eta": eta,
+        "Lambda_T": float(Lam),
+        "A_T": float(A),
+        "B_T": float(B),
+        "q_T": float(q_T),
+        "M_tilde": float(M_tilde),
+    }
+    if not np.isfinite(K):
+        return constants | {"K_T": None, "R_T": None, "M_T": None, "L_T": None,
+                            "vacuous": True, "within_bound": None}
+    R = float(np.sqrt(K))
+    M_T = model.growth_bound(R)
+    with np.errstate(over="ignore"):
+        within = bool(np.max(np.sum(X * X, axis=1)) <= K * (1.0 + 1e-9))
+    return constants | {"K_T": K, "R_T": R, "M_T": float(M_T),
+                        "L_T": float(2.0 * M_T + np.sqrt(q_T)), "within_bound": within}

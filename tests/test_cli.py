@@ -546,6 +546,15 @@ class TestConfigKinds:
 def _reject_constant(token):
     raise ValueError(f"non-JSON constant {token}")
 
+# f(x) = -x on the halfline from 1e200: the steps stay within float range,
+# the squares |x_k|^2 do not
+FAR_HALFLINE = {
+    "model": {"f": {"type": "affine", "A": [[-1.0]], "b": [0.0]},
+              "G": {"type": "zero", "dim": 1}, "C": {"type": "halfline"},
+              "constants": {"a": 0.0, "b": 1.0, "r_star": 1.0, "M": 1.0, "gamma": 0.5}},
+    "x0": [1e200], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.02},
+}
+
 
 class TestBoundaryValidation:
     GENERIC = {
@@ -876,18 +885,28 @@ class TestBoundaryValidation:
     def test_overflowing_square_fails_the_energy_check(self, tmp_path):
         # f(x) = -x from 1e200 steps within float range, but |x_k|^2 leaves
         # it; the energy certificate used to print a NaN residual and exit 1
-        cfg = write_config(tmp_path / "c.json", {
-            "model": {"f": {"type": "affine", "A": [[-1.0]], "b": [0.0]},
-                      "G": {"type": "zero", "dim": 1}, "C": {"type": "halfline"},
-                      "constants": {"a": 0.0, "b": 1.0, "r_star": 1.0, "M": 1.0,
-                                    "gamma": 0.5}},
-            "x0": [1e200], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.02}})
+        cfg = write_config(tmp_path / "c.json", FAR_HALFLINE)
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
             assert main(["run", cfg, "--out", str(out)]) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["failed"], manifest["reason"]) == ("scheme", "overflow")
         assert manifest["error"] == "energy: a bound of the check leaves the float range"
+
+    @pytest.mark.parametrize("tags", ["defect_sum,feas_L2", "beta_bound"])
+    def test_overflowing_square_fails_every_bound(self, tmp_path, capsys, tags):
+        # on the same run, defect_sum and feas_L2 passed against an inf bound
+        # and beta_bound printed a NaN overshoot, all with exit 0
+        cfg = write_config(tmp_path / "c.json", FAR_HALFLINE)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["run", cfg, "--out", str(out), "--diagnostics", tags]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failed"], manifest["reason"]) == ("scheme", "overflow")
+        first = tags.split(",")[0]
+        assert manifest["error"] == f"{first}: a bound of the check leaves the float range"
+        assert not (out / "diagnostics.json").exists()
+        assert capsys.readouterr().out == ""
 
     def test_overflowing_envelope_is_vacuous(self, tmp_path):
         # b = |K| = 3 makes the a-priori rate Lambda_T about 71, so

@@ -1,15 +1,17 @@
 """Certificate checkers: frozen examples plus the inequalities as properties."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import catchup.diagnostics as diagnostics
 from catchup.diagnostics import (
     CertificateEntry,
+    apriori_envelope,
     certificate_table,
     check_beta_domination,
     check_discrete_energy,
@@ -22,12 +24,12 @@ from catchup.diagnostics import (
     stability_experiment,
 )
 from catchup.geometry import GeometryError, Halfline, PerturbedProjection, in_approx_normal_cone
-from catchup.models import OneDimModel
+from catchup.models import DryFrictionModel, OneDimModel
 from catchup.operators import (AffineField, LinearPart, MonotoneModel, ZeroPart,
                                 globalize_constants)
-from catchup.scheme import DiscreteRun, Uniform, make_schedule, run
+from catchup.scheme import DiscreteRun, PowerOfStep, Uniform, make_schedule, run
 
-from oracles import reference_young_split
+from oracles import reference_apriori, reference_young_split
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,17 @@ def relaxing_run():
     model = OneDimModel(a=1.0, b=2.0)
     sched = make_schedule(T=2.0, steps=Uniform(0.01))
     return model, run(model, [0.0], sched, certify_normals=False)
+
+
+@pytest.fixture(scope="module")
+def far_run():
+    """f(x) = -x from 1e200: the states stay finite, their squares do not."""
+    model = MonotoneModel(AffineField([[-1.0]], [0.0]), ZeroPart(1), Halfline(),
+                          growth=(0.0, 1.0), dissipativity=(1.0, 1.0, 0.5))
+    with np.errstate(over="ignore"):  # the steps' own squares
+        r = run(model, [1e200], make_schedule(0.1, Uniform(0.02)))
+    assert np.isfinite(r.X).all()
+    return r
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +115,70 @@ class TestRunConstants:
         assert predictor_feasibility(r)[0].detail["C_T"] == C_T
 
 
+def _bits(record: dict) -> dict:
+    """The record with each float as its type and its bits."""
+    return {key: (type(v), float(v).hex()) if isinstance(v, float) else v
+            for key, v in record.items()}
+
+
+class TestAprioriEnvelope:
+    """`apriori_envelope` against the envelope and verdict the stepping loop
+    computed at the end of every run, bit for bit, vacuous ones included."""
+
+    def _check(self, model, x0, T, mu, errors=None):
+        schedule = make_schedule(T, Uniform(mu), errors)
+        r = run(model, x0, schedule, certify_normals=False)
+        got = apriori_envelope(r)
+        assert _bits(got) == _bits(reference_apriori(model, schedule, r.X[0], r.X))
+        return got
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.1, 5.0), b=st.floats(-3.0, 3.0), x0=st.floats(0.0, 3.0),
+           T=st.floats(0.25, 40.0), mu=st.floats(0.01, 0.2),
+           eps0=st.sampled_from([None, 0.1, 3.0]))
+    @example(a=1.0, b=-1.0, x0=0.5, T=2.0, mu=0.01, eps0=None)  # sticks at 0
+    @example(a=1.0, b=2.0, x0=0.0, T=30.0, mu=0.1, eps0=None)  # vacuous
+    def test_onedim_matches_the_oracle(self, a, b, x0, T, mu, eps0):
+        errors = None if eps0 is None else PowerOfStep(eps0, 1.0)
+        self._check(OneDimModel(a=a, b=b), [x0], T, mu, errors)
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), k=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+           rho=st.floats(-0.9, 0.9), tau=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+           weight=st.floats(0.1, 2.0), at=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           T=st.floats(0.5, 30.0), mu=st.floats(0.01, 0.2))
+    def test_dry_friction_matches_the_oracle(self, dim, k, rho, tau, weight, at, T, mu):
+        K = np.diag(k[:dim])
+        if dim == 2:
+            K[0, 1] = K[1, 0] = rho * math.sqrt(k[0] * k[1])
+        model = DryFrictionModel(K, tau[:dim], [weight] * dim, [-1.0] * dim, [1.0] * dim)
+        self._check(model, [2.0 * v - 1.0 for v in at[:dim]], T, mu)
+
+    def test_vacuous_envelope(self):
+        # Lambda_T is about 78, so exp(Lambda_T T) leaves float range at T = 20
+        got = self._check(DryFrictionModel([[3.0]], [0.0], [1.0], [-1.0], [1.0]), [0.5],
+                          20.0, 0.1)
+        assert got["vacuous"] is True
+        assert all(got[key] is None for key in ("K_T", "R_T", "M_T", "L_T", "within_bound"))
+
+    def test_overflowing_square_is_outside_the_envelope(self, relaxing_run):
+        model, r = relaxing_run
+        X = r.X.copy()
+        X[-1] = 1e200
+        got = apriori_envelope(DiscreteRun(model, r.schedule, X, r.W, r.P))
+        assert got["K_T"] < math.inf
+        assert got["within_bound"] is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 30), dim=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+           scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e100, 1e150]))
+    def test_radius_keeps_the_bits_of_the_norm(self, rows, dim, seed, scale):
+        X = np.random.default_rng(seed).standard_normal((rows, dim)) * scale
+        run_ = DiscreteRun(None, None, X, np.empty((0, dim)), np.empty((0, dim)))
+        want = float(np.max(np.linalg.norm(X, axis=1)))
+        assert run_.measured_radius().hex() == want.hex()
+
+
 class TestDiscreteEnergy:
     def test_holds_on_relaxing_run(self, relaxing_run):
         _, r = relaxing_run
@@ -137,18 +214,26 @@ class TestDiscreteEnergy:
         assert entry.measured > 100.0
         assert entry.detail["worst_step"] == r.n_steps - 1
 
-    def test_overflowing_square_raises(self):
-        # f(x) = -x from 1e200: the states stay finite, their squares do not
-        model = MonotoneModel(AffineField([[-1.0]], [0.0]), ZeroPart(1), Halfline(),
-                              growth=(0.0, 1.0), dissipativity=(1.0, 1.0, 0.5))
-        with np.errstate(over="ignore"):  # the steps' own squares
-            r = run(model, [1e200], make_schedule(0.1, Uniform(0.02)))
-        assert np.isfinite(r.X).all()
+    def test_overflowing_square_raises(self, far_run):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(OverflowError, match="leaves the float range"):
-                check_discrete_energy(r)
+                check_discrete_energy(far_run)
         assert [w for w in caught if w.filename == diagnostics.__file__] == []
+
+
+@pytest.mark.parametrize("check", [check_beta_domination, defect_summability,
+                                   predictor_feasibility, run_constants],
+                         ids=lambda check: check.__name__)
+def test_every_bound_raises_on_an_overflowing_square(far_run, check):
+    # beta_bound read NaN there, and defect_sum and feas_L2 passed against
+    # the inf bound of an inf radius; the radius itself stays inf
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            check(far_run)
+    assert [w for w in caught if w.filename == diagnostics.__file__] == []
+    assert far_run.measured_radius() == math.inf
 
 
 class TestBetaDomination:

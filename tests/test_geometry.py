@@ -924,6 +924,17 @@ class TestDykstraRowRetirement:
         want = reference_dykstra_limit(projectors, u, budget, 1e-14 * (1.0 + np.linalg.norm(u)))
         assert C.tangent_project(x, u).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("budget", [1, 200])
+    def test_tangent_project_judges_its_point_once(self, monkeypatch, budget):
+        # the members' tangent projections take x as checked, sweep after sweep
+        calls = []
+        judge = ConvexSet.require_member
+        monkeypatch.setattr(ConvexSet, "require_member",
+                            lambda C, x: calls.append(type(C).__name__) or judge(C, x))
+        C = Intersection(CAP, budget=budget)
+        C.tangent_project([0.5, np.sqrt(0.75)], [1.0, 1.0])
+        assert calls == ["Intersection"]
+
     def test_empty_stack_sweeps_once(self):
         calls = []
         projectors = [lambda v, p=m.project: calls.append(v.shape) or p(v) for m in CAP]

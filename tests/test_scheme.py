@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import catchup.scheme as scheme
-from catchup.diagnostics import predictor_feasibility
+from catchup.diagnostics import apriori_envelope, predictor_feasibility
 from catchup.models import OneDimModel
 from catchup.geometry import (
     Ball,
@@ -471,9 +471,10 @@ class TestRun:
         m = scalar_model(a=1.0, b=2.0)
         s = make_schedule(2.0, Uniform(0.01), PowerOfStep(1.0, beta=1.0))
         r = run(m, [0.5], s)
-        assert r.apriori["within_bound"]
-        assert r.measured_radius() ** 2 <= r.apriori["K_T"]
-        assert r.apriori["M_T"] >= r.measured_sup_w() - 1e-12
+        apriori = apriori_envelope(r)
+        assert apriori["within_bound"]
+        assert r.measured_radius() ** 2 <= apriori["K_T"]
+        assert apriori["M_T"] >= r.measured_sup_w() - 1e-12
 
     def test_partial_run_attached_on_failure(self):
         # one Dykstra sweep cannot certify eps = 0 when both members bind
@@ -697,6 +698,9 @@ class TestSerialization:
         assert man["policies"] == {"selection": "minimal_norm", "projection": "perturbed"}
         assert man["seeds"]["projection"] == 4
         assert man["schedule"]["n_steps"] == r.n_steps
+        # a run carries no a-priori envelope; the manifest writes the one given
+        assert man["apriori"] == {} and not hasattr(r, "apriori")
+        assert r.to_manifest({"K_T": 1.0})["apriori"] == {"K_T": 1.0}
 
     def test_csv_file_output(self, tmp_path):
         r = self.make_run()

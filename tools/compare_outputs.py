@@ -85,10 +85,13 @@ step in Python floats through every branch: a zero G on the interval
 [-1, 2], an l1 G that sticks at an exact 0 under minimal norm and under
 the sign conventions -1, 0 and +1, and a linear G on a box whose lower
 end is -inf; a `study` of the README model from its equilibrium x = 1,
-whose every sup_error is 0, so its empirical order is null; and the
+whose every sup_error is 0, so its empirical order is null; the
 record-kinds model declaring a growth constant a = 1e308, run for T 0.1
 with mu0 0.02, whose energy bound squares an M_T of about 1e308 (a
-failure manifest, reason overflow, exit 3).
+failure manifest, reason overflow, exit 3); and a one-dimensional
+dry-friction run (K 3, tau 0, weight 1, box [-1, 1]) from 0.5 for T 20
+with mu0 0.1, whose a-priori envelope exp(Lambda_T T) leaves float
+range, so the manifest records it as vacuous (exit 0, nothing on stderr).
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -285,6 +288,11 @@ PINNED_CASES.update({
                                               "upper": [1.0]}, [-1.0]),
 })
 PINNED_CASES["box-lower-infinite"]["model"]["G"] = {"type": "linear", "matrix": [[0.5]]}
+# Lambda_T is about 78, so exp(Lambda_T T) leaves float range at T = 20
+PINNED_CASES["envelope-vacuous"] = {
+    "model": {"model": "dry_friction", "K": [[3.0]], "tau": [0.0], "weights": [1.0],
+              "lower": [-1.0], "upper": [1.0]},
+    "x0": [0.5], "T": 20.0, "schedule": {"kind": "uniform", "mu0": 0.1}}
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
                "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
