@@ -335,7 +335,8 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
     mu_k + sqrt(eps_k), and the worst ratio is compared with the assembled
     constant max{3 M_T, 1} (the field bound enters twice, once through
     the step and once through the solution's own speed).  The reference
-    mesh must be at least 32x finer than the coarse one.
+    mesh must be at least 32x finer than the coarse one.  A reference
+    state whose square leaves float range raises OverflowError.
     """
     ref_mu = float(np.max(reference.schedule.mus))
     coarse_min = float(np.min(schedule.mus))
@@ -348,7 +349,7 @@ def local_truncation(model: MonotoneModel, reference: DiscreteRun,
         raise ValueError("reference run is shorter than the coarse schedule")
     C = model.C
     ratios = np.empty(schedule.n_steps)
-    radius = reference.measured_radius()
+    radius = float(np.sqrt(np.max(reference.squared_norms())))
     ref_states = reference.interpolate_state(schedule.times)
     starts = C.project(ref_states[:-1])
     for k in range(schedule.n_steps):

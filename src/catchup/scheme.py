@@ -86,9 +86,9 @@ class SchemeError(Exception):
 # converts and checks.
 
 # The most steps a schedule may have.  A run keeps three (n, dim) arrays,
-# and a step takes about 1 us (a float state) to 15 us (a vector in R^8) on
-# a 2-vCPU Xeon, so 10**7 steps are seconds to minutes of stepping and
-# gigabytes of CSV; without a cap, a horizon the steps cannot fill
+# and a step takes about 1 us (the float body of `step`) to 15 us (a vector
+# in R^8) on a 2-vCPU Xeon, so 10**7 steps are seconds to minutes of stepping
+# and gigabytes of CSV; without a cap, a horizon the steps cannot fill
 # (polynomial steps over T = 1e308) grows its step list until memory runs out.
 MAX_STEPS = 10 ** 7
 
@@ -323,13 +323,6 @@ def _defect_contract(p, w, x, mu, eps):
     return lhs, rhs, (lhs <= rhs + 1e-9 * (1.0 + rhs + xx)) & ((lhs < math.inf) | (rhs < math.inf))
 
 
-def _float_form(model: MonotoneModel, selection, projection) -> tuple | None:
-    """`model.float_form` when the rules have one too: a selection with
-    `pick_float` and the exact projection; else None.  `step` inlines it."""
-    return (getattr(selection, "pick_float", None) and type(projection) is ExactProjection
-            and model.float_form) or None
-
-
 def step(model: MonotoneModel, x, mu: float, eps: float,
          selection=None, projection=None, sel_rng=None, proj_rng=None):
     """One predictor-projection update from a feasible point.
@@ -341,15 +334,17 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     where both of its sides leave float range, or if the projection judged
     the produced point infeasible.
 
-    A Python float x with a Python float mu steps in Python floats when the
-    model and the rules have a float form (see `_float_form`): x_next, w and
-    p are then Python floats with the bits of the step from [x], which runs
-    in their place where its numpy calls would warn or a check fails.  Any
-    other x is read as a vector, a float without a float form as [x].
+    A Python float x steps to Python floats x_next, w and p, with the bits
+    of the step from [x].  Under a model of float form (`model.float_form`),
+    a selection with `pick_float`, the exact projection and a Python float
+    mu, they come from one frame of float arithmetic, and the step from [x]
+    runs in its place where its numpy calls would warn or a check fails.
+    Any other x is read as a vector.
     """
     selection, projection = selection or MinimalNorm(), projection or ExactProjection()
+    scalar = type(x) is float
     pick = type(projection) is ExactProjection and getattr(selection, "pick_float", None)
-    form = pick and type(x) is float and type(mu) is float and model.float_form
+    form = pick and scalar and type(mu) is float and model.float_form
     if form and mu > 0 and eps >= 0:
         a, b, m, weight, lower, upper = form
         f = a * x + b
@@ -393,7 +388,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     if not member:
         raise SchemeError(f"projected point left the set (distance "
                           f"{model.C.distance(x_next):.3e})", kind="infeasible")
-    if form:  # a float state stepped as the vector [x]
+    if scalar:  # a float state stepped as the vector [x]
         return x_next.item(), w.item(), p.item()
     return x_next, w, p
 
@@ -532,8 +527,8 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
         certify_normals: bool = True) -> DiscreteRun:
     """Iterate the scheme over the whole grid.
 
-    Under a model and rules of float form (see `step`), the state is a
-    Python float, and the steps' values go into X, W and P through memoryviews.
+    In one dimension the state is a Python float (see `step`), and the
+    steps' values go into X, W and P through memoryviews.
     A failed step raises SchemeError with the partial run attached.  When
     `certify_normals` is set, every completed step with a nonzero defect
     then gets a sampled normal-cone certificate for v_k at slack delta_k;
@@ -579,7 +574,7 @@ def run(model: MonotoneModel, x0, schedule: StepSchedule,
     mus, eps = memoryview(schedule.mus), memoryview(schedule.eps)
     deltas = memoryview(schedule.eps / (2.0 * schedule.mus))
     failure, done, x, (Xs, Ws, Ps) = None, n, x0, (X, W, P)
-    if _float_form(model, selection, projection):  # float states, written through memoryviews
+    if d == 1:  # float states, written through memoryviews
         x, Xs, Ws, Ps = x0.item(), *(memoryview(A.reshape(-1)) for A in (X, W, P))
     for k in range(n):
         try:

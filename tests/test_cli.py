@@ -893,10 +893,10 @@ class TestBoundaryValidation:
         assert (manifest["failed"], manifest["reason"]) == ("scheme", "overflow")
         assert manifest["error"] == "energy: a bound of the check leaves the float range"
 
-    @pytest.mark.parametrize("tags", ["defect_sum,feas_L2", "beta_bound"])
+    @pytest.mark.parametrize("tags", ["defect_sum,feas_L2", "beta_bound", "truncation"])
     def test_overflowing_square_fails_every_bound(self, tmp_path, capsys, tags):
-        # on the same run, defect_sum and feas_L2 passed against an inf bound
-        # and beta_bound printed a NaN overshoot, all with exit 0
+        # on the same run, defect_sum, feas_L2 and truncation passed against
+        # an inf bound and beta_bound printed a NaN overshoot, all with exit 0
         cfg = write_config(tmp_path / "c.json", FAR_HALFLINE)
         out = tmp_path / "out"
         with np.errstate(all="ignore"):

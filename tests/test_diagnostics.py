@@ -236,6 +236,20 @@ def test_every_bound_raises_on_an_overflowing_square(far_run, check):
     assert far_run.measured_radius() == math.inf
 
 
+def test_truncation_raises_on_an_overflowing_square(far_run):
+    # against a reference 32x finer than far_run's grid, the check read an
+    # inf radius and passed with an inf bound and a NaN margin
+    with np.errstate(over="ignore"):  # the steps' own squares
+        reference = run(far_run.model, [1e200], make_schedule(0.1, Uniform(0.02 / 32)),
+                        certify_normals=False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            local_truncation(far_run.model, reference, far_run.schedule)
+    assert [w for w in caught if w.filename == diagnostics.__file__] == []
+    assert reference.measured_radius() == math.inf
+
+
 class TestBetaDomination:
     def test_sharp_level_zero_slack_from_corner(self, relaxing_run):
         # iterates approach the equilibrium from below, so the only

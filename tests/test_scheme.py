@@ -1124,11 +1124,16 @@ SIGN_RULES = {"minimal_norm": MinimalNorm(), "sign-1": SignConvention(-1),
               "sign0": SignConvention(0), "sign+1": SignConvention(1)}
 
 
+# [-1, 0.5], the unit ball of R^1 cut by a halfspace: a set of no float form
+INTERVAL_CAP = Intersection([Ball([0.0], 1.0), Halfspace([1.0], 0.5)])
+
+
 @st.composite
-def float_form_models(draw):
-    """A one-dimensional model of float form: f(x) = a x + b, a zero, linear
-    or l1 G, on the halfline or on a box whose ends may be infinite or
-    signed zeros."""
+def one_dim_models(draw):
+    """A one-dimensional model: f(x) = a x + b, a zero, linear or l1 G, on
+    the halfline or on a box whose ends may be infinite or signed zeros,
+    which have a float form, or on a ball cut by a halfspace, which has
+    none."""
     nonneg = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.sampled_from([1e200, 1e308]))
     G = draw(st.sampled_from([ZeroPart(1), "linear", "l1"]))
     if G == "linear":
@@ -1138,23 +1143,28 @@ def float_form_models(draw):
     ends = st.one_of(FLOAT_NUMBERS, st.sampled_from([-np.inf, np.inf]))
     lower, upper = sorted([draw(ends), draw(ends)])
     assume(lower < np.inf and upper > -np.inf)
-    C = draw(st.sampled_from([Halfline(), Box([lower], [upper])]))
+    center, radius = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 2.0))
+    normal, cut = draw(st.sampled_from([-1.0, 1.0])), draw(st.floats(-0.9, 0.9))
+    cap = Intersection([Ball([center], radius),
+                        Halfspace([normal], normal * center + cut * radius)])
+    C = draw(st.sampled_from([Halfline(), Box([lower], [upper]), cap]))
     return MonotoneModel(AffineField([[draw(FLOAT_NUMBERS)]], [draw(FLOAT_NUMBERS)]), G, C,
                          growth=(1.0, 1.0), dissipativity=(1.0, 1.0, 1.0))
 
 
-def float_run_outcome(runner, model, x0, schedule, selection):
+def float_run_outcome(runner, model, x0, schedule, selection, projection):
     """A run's X, W and P as bytes with its certificate records, or the
     error it raises, with the kind, message and partial run of a
     SchemeError; records are compared by repr, so that a NaN equals itself."""
     try:
         with np.errstate(all="ignore"):
-            out = runner(model, np.array([x0]), schedule, selection=selection)
+            out = runner(model, np.array([x0]), schedule, selection=selection,
+                         projection=projection)
     except SchemeError as exc:
         part = exc.partial_run
         return ("SchemeError", exc.kind, str(exc),
                 [a.tobytes() for a in (part.X, part.W, part.P)], repr(part.certificates))
-    except (GeometryError, ValueError) as exc:
+    except (GeometryError, ValueError, OverflowError) as exc:
         return (type(exc).__name__, str(exc))
     if isinstance(out, DiscreteRun):
         out = (out.X, out.W, out.P, out.certificates)
@@ -1164,40 +1174,53 @@ def float_run_outcome(runner, model, x0, schedule, selection):
 
 
 class TestFloatStep:
-    """A one-dimensional model of float form (`MonotoneModel.float_form`)
-    under minimal norm or a sign convention and exact projection steps a
-    Python float state in Python floats, with the bits of the vector step:
-    a run writes the bytes of `reference_run`, which steps vectors, and
-    one step returns, raises and warns as the step from [x] does."""
+    """A one-dimensional run steps a Python float state, and a step from a
+    Python float returns Python floats with the bits of the vector step.  A
+    model of float form (`MonotoneModel.float_form`) under minimal norm or a
+    sign convention and exact projection takes them from one frame of float
+    arithmetic; any other model or rule from the step from [x].  A run
+    writes the bytes of `reference_run`, which steps vectors, and one step
+    returns, raises and warns as the step from [x] does."""
 
-    @given(model=float_form_models(), x0=FLOAT_NUMBERS, rule=st.sampled_from(sorted(SIGN_RULES)),
+    SELECTIONS = {**SIGN_RULES, "randomized": Randomized(3)}
+    PROJECTIONS = {"exact": ExactProjection(), "perturbed": PerturbedProjection(5),
+                   "iterative": IterativeProjection()}
+
+    @given(model=one_dim_models(), x0=FLOAT_NUMBERS,
+           rule=st.sampled_from(sorted(SELECTIONS)), policy=st.sampled_from(sorted(PROJECTIONS)),
            steps=st.one_of(st.builds(Uniform, st.floats(0.02, 0.5)),
                            st.builds(Polynomial, st.floats(0.05, 0.5), st.floats(0.1, 0.5)),
                            st.lists(st.floats(0.02, 0.5), min_size=1, max_size=12).map(
                                lambda v: ExplicitSteps(sorted(v, reverse=True)))),
            errors=st.sampled_from([ZeroError(), PowerOfStep(0.1, 1.0)]))
-    @example(model=OneDimModel(1e308, 2.0), x0=10.0, rule="minimal_norm",
+    @example(model=OneDimModel(1e308, 2.0), x0=10.0, rule="minimal_norm", policy="exact",
              steps=Uniform(0.1), errors=ZeroError())  # w = -inf overflows the contract
-    @example(model=OneDimModel(1.0, -1.0), x0=-0.0, rule="sign0",
+    @example(model=OneDimModel(1.0, -1.0), x0=-0.0, rule="sign0", policy="exact",
              steps=Uniform(0.1), errors=ZeroError())
+    @example(model=pushed_out([3.0], INTERVAL_CAP, [-0.5])[0], x0=-0.5, rule="randomized",
+             policy="iterative", steps=Uniform(0.05), errors=PowerOfStep(0.1, 1.0))
     @settings(max_examples=300, deadline=None)
-    def test_run_has_the_bytes_of_the_vector_run(self, model, x0, rule, steps, errors):
+    def test_run_has_the_bytes_of_the_vector_run(self, model, x0, rule, policy, steps, errors):
         C = model.C
-        x0 = float(np.clip(x0, C.lower, C.upper)[0])  # a member
+        # the cap lies within [-4, 4], and its closed form loses a far point's offset
+        if isinstance(C, Intersection):
+            x0 = min(max(x0, -4.0), 4.0)
+        x0 = float(C.project(np.array([x0]))[0])  # a member
         schedule = make_schedule(1.0, steps, errors)
-        selection = SIGN_RULES[rule]
-        assert scheme._float_form(model, selection, ExactProjection())
-        assert float_run_outcome(run, model, x0, schedule, selection) == \
-            float_run_outcome(reference_run, model, x0, schedule, selection)
+        selection, projection = self.SELECTIONS[rule], self.PROJECTIONS[policy]
+        assert float_run_outcome(run, model, x0, schedule, selection, projection) == \
+            float_run_outcome(reference_run, model, x0, schedule, selection, projection)
 
     @staticmethod
-    def outcome(model, x, mu, eps, selection):
-        """What a step returns, as bytes, or raises, with every warning."""
+    def outcome(model, x, mu, eps, selection, projection):
+        """What a step returns, as bytes, or raises, with every warning;
+        each call draws from fresh generators."""
+        sel_rng, proj_rng = np.random.default_rng(11), np.random.default_rng(13)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                out = step(model, x, mu, eps, selection=selection)
-            except (SchemeError, ValueError) as exc:
+                out = step(model, x, mu, eps, selection, projection, sel_rng, proj_rng)
+            except (SchemeError, ValueError, OverflowError) as exc:
                 out = (type(exc).__name__, getattr(exc, "kind", None), str(exc))
             else:
                 if type(x) is float:
@@ -1205,23 +1228,34 @@ class TestFloatStep:
                 out = np.array(out, dtype=float).tobytes()
         return out, [str(w.message) for w in caught]
 
-    @given(model=float_form_models(), x=st.one_of(FLOAT_NUMBERS, st.floats()),
+    @given(model=one_dim_models(), x=st.one_of(FLOAT_NUMBERS, st.floats()),
            mu=st.one_of(st.floats(0.01, 1.0), st.floats()),
            eps=st.one_of(st.just(0.0), st.floats()),
-           rule=st.sampled_from(sorted(SIGN_RULES)))
-    @example(model=OneDimModel(1e308, 2.0), x=10.0, mu=0.1, eps=0.0, rule="minimal_norm")
-    @example(model=OneDimModel(1.0, 2.0), x=0.5, mu=0.1, eps=float("nan"), rule="minimal_norm")
-    @example(model=OneDimModel(1.0, 2.0), x=-1.0, mu=0.5, eps=0.0, rule="minimal_norm")
+           rule=st.sampled_from(sorted(SELECTIONS)), policy=st.sampled_from(sorted(PROJECTIONS)))
+    @example(model=OneDimModel(1e308, 2.0), x=10.0, mu=0.1, eps=0.0, rule="minimal_norm",
+             policy="exact")
+    @example(model=OneDimModel(1.0, 2.0), x=0.5, mu=0.1, eps=float("nan"), rule="minimal_norm",
+             policy="exact")
+    @example(model=OneDimModel(1.0, 2.0), x=-1.0, mu=0.5, eps=0.0, rule="minimal_norm",
+             policy="exact")
+    @example(model=OneDimModel(1.0, 2.0), x=0.5, mu=0.1, eps=0.01, rule="randomized",
+             policy="perturbed")
     @settings(max_examples=400, deadline=None)
-    def test_step_is_the_step_from_the_vector(self, model, x, mu, eps, rule):
-        selection = SIGN_RULES[rule]
-        assert self.outcome(model, x, mu, eps, selection) == \
-            self.outcome(model, np.array([x]), mu, eps, selection)
+    def test_step_is_the_step_from_the_vector(self, model, x, mu, eps, rule, policy):
+        selection, projection = self.SELECTIONS[rule], self.PROJECTIONS[policy]
+        assert self.outcome(model, x, mu, eps, selection, projection) == \
+            self.outcome(model, np.array([x]), mu, eps, selection, projection)
 
-    def test_run_steps_floats_only_in_float_form(self):
-        model, schedule = OneDimModel(1.0, -1.0), make_schedule(0.5, Uniform(0.1))
-        for selection, kind in [(MinimalNorm(), float), (Randomized(3), np.ndarray)]:
+    def test_every_one_dimensional_run_steps_floats(self):
+        schedule = make_schedule(0.5, Uniform(0.1), PowerOfStep(0.1, 1.0))
+        for model, x0, selection, projection, kind in [
+                (OneDimModel(1.0, -1.0), [0.5], MinimalNorm(), ExactProjection(), float),
+                (OneDimModel(1.0, -1.0), [0.5], Randomized(3), PerturbedProjection(5), float),
+                (pushed_out([3.0], INTERVAL_CAP, [-0.5])[0], [-0.5], MinimalNorm(),
+                 IterativeProjection(), float),
+                (pushed_out([3.0, 1.0], Box([-1.0, -1.0], [1.0, 1.0]), [0.0, 0.0])[0],
+                 [0.0, 0.0], MinimalNorm(), ExactProjection(), np.ndarray)]:
             with mock.patch.object(scheme, "step", wraps=scheme.step) as stepper:
-                run(model, [0.5], schedule, selection=selection)
+                run(model, x0, schedule, selection=selection, projection=projection)
             assert {type(c.args[1]) for c in stepper.call_args_list} == {kind}
             assert stepper.call_count == schedule.n_steps

@@ -91,7 +91,11 @@ with mu0 0.02, whose energy bound squares an M_T of about 1e308 (a
 failure manifest, reason overflow, exit 3); and a one-dimensional
 dry-friction run (K 3, tau 0, weight 1, box [-1, 1]) from 0.5 for T 20
 with mu0 0.1, whose a-priori envelope exp(Lambda_T T) leaves float
-range, so the manifest records it as vacuous (exit 0, nothing on stderr).
+range, so the manifest records it as vacuous (exit 0, nothing on stderr);
+and f(x) = 3 - x less the l1 part 0.2 |x| on the unit ball of R^1 cut by
+{x <= 0.5}, from -0.5 for T 2 with mu0 0.02, a one-dimensional set with no
+float form, by the cap's closed form and under the Iterative policy with
+power_of_step errors (eps0 0.1, beta 1).
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -293,6 +297,20 @@ PINNED_CASES["envelope-vacuous"] = {
     "model": {"model": "dry_friction", "K": [[3.0]], "tau": [0.0], "weights": [1.0],
               "lower": [-1.0], "upper": [1.0]},
     "x0": [0.5], "T": 20.0, "schedule": {"kind": "uniform", "mu0": 0.1}}
+# f(x) = 3 - x less the l1 part 0.2 |x| on [-1, 0.5], the unit ball of R^1 cut
+# by {x <= 0.5}: a one-dimensional set of no float form, whose float states
+# step as vectors, by the cap's closed form and under the Iterative policy
+INTERVAL_CAP = {**_pushed_out([3.0], {"type": "intersection", "members": [
+    {"type": "ball", "center": [0.0], "radius": 1.0},
+    {"type": "halfspace", "normal": [1.0], "offset": 0.5}]}, [-0.5]),
+    "schedule": {"kind": "uniform", "mu0": 0.02}}
+INTERVAL_CAP["model"]["G"] = {"type": "l1", "weights": [0.2]}
+INTERVAL_CAP["model"]["constants"]["a"] = 3.2
+PINNED_CASES.update({
+    "interval-cap": INTERVAL_CAP,
+    "interval-cap-iterative": {**INTERVAL_CAP, "projection": {"kind": "iterative"},
+                               "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}},
+})
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
                "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
