@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import approx_project
+from .geometry import _norm, approx_project
 from .operators import MonotoneModel, select_F
 from .scheme import DiscreteRun, StepSchedule, run as run_scheme, step as scheme_step
 
@@ -242,21 +242,19 @@ def defect_summability(run: DiscreteRun) -> CertificateEntry:
 
 
 def predictor_feasibility(run: DiscreteRun) -> list[CertificateEntry]:
-    """Infeasibility of the predictor in three integrated senses.
-
-    The predictor interpolant is constant on cells, so all integrals are
-    exact sums: L2 = sum mu_k d_k^2, its bound 2 M_T^2 T |mu|^2
-    + 2 C(T) |mu| with C(T) the defect-sum bound; the Cesaro mean
-    (1/T) sum mu_k d_k against sqrt(L2/T); and for each threshold the
-    normalized measure of cells with d_k above it against the Chebyshev
-    ratio cesaro/threshold.
+    """Infeasibility of the predictor in three integrated senses, from the
+    defects alone: d_k = |p_k| bounds the predictor's distance to C up to
+    the membership tolerance of x_{k+1}, and is that distance under an
+    exact projection.  All integrals are exact sums over the cells:
+    L2 = sum mu_k d_k^2, its bound 2 M_T^2 T |mu|^2 + 2 C(T) |mu| with
+    C(T) the defect-sum bound; the Cesaro mean (1/T) sum mu_k d_k against
+    sqrt(L2/T); and for each threshold the normalized measure of cells
+    with d_k above it against the Chebyshev ratio cesaro/threshold.
     """
     k = run_constants(run)
-    C = run.model.C
     sched = run.schedule
     T = run.T
-    # d_k, the distance of the predictor y_{k+1} = x_k + mu_k w_k
-    d = C.distance(run.X[:-1] + sched.mus[:run.n_steps, None] * run.W)
+    d = _norm(run.P)
     L2 = float(np.sum(sched.mus * d * d))
     mu_norm = sched.mu_norm
     L2_bound = 2.0 * k["M_T"] ** 2 * T * mu_norm ** 2 + 2.0 * k["C_T"] * mu_norm

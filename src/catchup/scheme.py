@@ -64,7 +64,7 @@ class SchemeError(Exception):
     attached as `partial_run` for diagnosis.  `kind` says which check of
     the stepping loop failed: `projection_budget` (the projection policy
     could not certify its output within budget), `contract` (the defect
-    contract), `overflow` (both sides of the contract beyond float range),
+    contract), `overflow` (the contract or the selection beyond float range),
     `infeasible` (the projected point left the set) or `normal_cone` (a
     normal term failed its cone certificate under exact projection); it is
     None for a failure outside the loop, except `overflow`, also a
@@ -312,15 +312,16 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 def _defect_contract(p, w, x, mu, eps):
     """(|p|^2, mu^2 |w|^2 + eps, verdict) of the eps-contract on the defect
     p of a step from x, with roundoff slack scaled to the step's sizes; the
-    verdict fails where both sides overflow, since inf <= inf proves nothing.
-    One step gives Python floats; stacked steps (one per row, with arrays of
-    mu and eps) give arrays, each row with the bits of its step alone."""
+    verdict fails where both sides overflow, or |x|^2 does and |p|^2 needs
+    the slack, since inf <= inf proves nothing.  One step gives Python
+    floats, stacked steps (one per row) arrays, each row with its step's bits."""
     if p.ndim == 1:
         lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
     else:
         lhs, ww, xx = np.vecdot(p, p), np.vecdot(w, w), np.vecdot(x, x)
     rhs = mu * mu * ww + eps
-    return lhs, rhs, (lhs <= rhs + 1e-9 * (1.0 + rhs + xx)) & ((lhs < math.inf) | (rhs < math.inf))
+    return lhs, rhs, ((lhs <= rhs + 1e-9 * (1.0 + rhs + xx))
+                      & ((lhs < math.inf) | (rhs < math.inf)) & ((xx < math.inf) | (lhs <= rhs)))
 
 
 def step(model: MonotoneModel, x, mu: float, eps: float,
@@ -331,8 +332,9 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     -p / mu follow from them.  Raises SchemeError if the defect violates
     the eps-contract |p|^2 <= mu^2 |w|^2 + eps (which any valid relaxed
     projection must satisfy, since x itself is feasible), kind `overflow`
-    where both of its sides leave float range, or if the projection judged
-    the produced point infeasible.
+    where it cannot be judged in float range (see `_defect_contract`) or
+    the selection leaves it, or if the projection judged the produced
+    point infeasible.
 
     A Python float x steps to Python floats x_next, w and p, with the bits
     of the step from [x].  Under a model of float form (`model.float_form`),
@@ -369,7 +371,10 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     x = _as_vector(x, model.dim)
     if not mu > 0:  # NaN too
         raise ValueError(f"mu must be positive, got {mu}")
-    w = select_F(model, x, rule=selection, rng=sel_rng)
+    try:
+        w = select_F(model, x, rule=selection, rng=sel_rng)
+    except OverflowError as exc:  # a random draw from an interval wider than float range
+        raise SchemeError(f"selection leaves the float range: {exc}", kind="overflow") from exc
     y = x + mu * w
     try:
         x_next, member = approx_project(model.C, y, eps, policy=projection, rng=proj_rng)
@@ -377,10 +382,13 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
     lhs, rhs, ok = _defect_contract(p, w, x, mu, eps)
-    if not ok and lhs == rhs == math.inf:
-        raise SchemeError("defect contract leaves the float range: "
-                          "|p|^2 = mu^2|w|^2 + eps = inf", kind="overflow")
     if not ok:
+        with np.errstate(over="ignore"):  # the contract warned of it already
+            far = x.dot(x) == math.inf
+        if far or lhs == rhs == math.inf:
+            raise SchemeError("defect contract leaves the float range: " + (
+                f"|x|^2 = inf, |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}" if far
+                else "|p|^2 = mu^2|w|^2 + eps = inf"), kind="overflow")
         raise SchemeError(
             f"defect contract violated: |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}",
             kind="contract",

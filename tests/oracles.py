@@ -338,17 +338,21 @@ def reference_step(model, x, mu, eps, selection, projection, sel_rng=None, proj_
     if mu <= 0:
         raise ValueError("mu must be positive")
     C = model.C
-    w = reference_select_F(model, x, selection, sel_rng)
+    try:
+        w = reference_select_F(model, x, selection, sel_rng)
+    except OverflowError as exc:
+        raise SchemeError("selection leaves the float range", kind="overflow") from exc
     y = x + mu * w
     try:
         x_next, _ = projection.project(C, y, eps, proj_rng)
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
-    lhs, rhs = float(p @ p), mu * mu * float(w @ w) + eps
-    if lhs == rhs == np.inf:  # inf <= inf would prove nothing
+    lhs, rhs, xx = float(p @ p), mu * mu * float(w @ w) + eps, float(x @ x)
+    # inf <= inf would prove nothing, nor would a slack of inf
+    if lhs == rhs == np.inf or (xx == np.inf and not lhs <= rhs):
         raise SchemeError("defect contract leaves the float range", kind="overflow")
-    if not lhs <= rhs + 1e-9 * (1.0 + rhs + float(x @ x)):
+    if not lhs <= rhs + 1e-9 * (1.0 + rhs + xx):
         raise SchemeError("defect contract violated", kind="contract")
     if not C.contains(x_next):
         raise SchemeError("projected point left the set", kind="infeasible")

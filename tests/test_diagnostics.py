@@ -23,7 +23,8 @@ from catchup.diagnostics import (
     run_constants,
     stability_experiment,
 )
-from catchup.geometry import GeometryError, Halfline, PerturbedProjection, in_approx_normal_cone
+from catchup.geometry import (Box, GeometryError, Halfline, PerturbedProjection,
+                              in_approx_normal_cone)
 from catchup.models import DryFrictionModel, OneDimModel
 from catchup.operators import (AffineField, LinearPart, MonotoneModel, ZeroPart,
                                 globalize_constants)
@@ -316,6 +317,15 @@ class TestDefectSummability:
         assert not defect_summability(bad).passed
 
 
+class NoGeometryBox(Box):
+    """A box whose projection, distance and membership test must not run."""
+
+    def project(self, y):
+        raise AssertionError("the set was asked about a point")
+
+    distance = contains = project
+
+
 class TestPredictorFeasibility:
     def test_interior_run_all_zero(self, relaxing_run):
         _, r = relaxing_run
@@ -360,6 +370,21 @@ class TestPredictorFeasibility:
         # integral drops nearly 4x per halving
         assert values[1] <= 0.3 * values[0]
         assert values[2] <= 0.3 * values[1]
+
+    def test_reads_only_the_record(self):
+        # the distances are the defects' norms, so a box that refuses to
+        # project, measure or judge a point gives the same three entries
+        def pushed_out(C):
+            return MonotoneModel(AffineField(-np.eye(2), [3.0, 0.5]), ZeroPart(2), C,
+                                 growth=(3.1, 1.0), dissipativity=(1.0, 4.7, 0.5))
+
+        r = run(pushed_out(Box([-1.0, -1.0], [1.0, 1.0])), [0.0, 0.0],
+                make_schedule(1.0, Uniform(0.02)), certify_normals=False)
+        assert r.P.any()
+        blind = DiscreteRun(pushed_out(NoGeometryBox([-1.0, -1.0], [1.0, 1.0])),
+                            r.schedule, r.X, r.W, r.P)
+        assert [e.to_record() for e in predictor_feasibility(blind)] == \
+            [e.to_record() for e in predictor_feasibility(r)]
 
 
 class TestStabilityExperiment:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import catchup.scheme as scheme
-from catchup.diagnostics import apriori_envelope, predictor_feasibility
+from catchup.diagnostics import apriori_envelope
 from catchup.models import OneDimModel
 from catchup.geometry import (
     Ball,
@@ -22,6 +22,8 @@ from catchup.geometry import (
     IterativeProjection,
     PerturbedProjection,
     ProjectionError,
+    _norm,
+    membership_tol,
 )
 from catchup.operators import (
     AffineField,
@@ -340,6 +342,23 @@ class TestOverflowingContract:
         assert info.value.kind == "overflow"
         assert str(info.value) == ("defect contract leaves the float range: "
                                    "|p|^2 = mu^2|w|^2 + eps = inf")
+
+    def test_policy_moving_a_far_state_fails_the_step(self):
+        # from x = (1e160, 0), |x|^2 and with it the contract's slack are inf:
+        # a defect of 1e150 against a predictor step of 1e-12 used to pass,
+        # while a zero defect, which needs no slack, still does
+        model = MonotoneModel(AffineField(np.zeros((2, 2)), [1e-10, 0.0]), ZeroPart(2),
+                              Box([-np.inf, -np.inf], [np.inf, np.inf]),
+                              growth=(1e-10, 0.0), dissipativity=(1.0, 1.0, 1.0))
+        x = np.array([1e160, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(SchemeError) as info:
+            step(model, x, 0.01, 0.0, projection=ScriptedShift([0.0, 1e150]))
+        assert info.value.kind == "overflow"
+        assert str(info.value) == ("defect contract leaves the float range: |x|^2 = inf, "
+                                   "|p|^2 = 1.000000e+300 > mu^2|w|^2 + eps = 1.000000e-24")
+        with np.errstate(over="ignore"):
+            x_next, _, p = step(model, x, 0.01, 0.0, projection=ScriptedShift([0.0, 0.0]))
+        assert not p.any() and x_next[0] == 1e160
 
     def test_run_stops_at_the_step(self):
         schedule = make_schedule(0.3, Uniform(0.1))
@@ -1070,14 +1089,14 @@ DERIVED_RUNS = {
 
 
 class TestDerivedColumns:
-    """The normal terms a run's CSV writes and the predictors that
-    `predictor_feasibility` measures, derived from the run's selections and
-    defects, have the bytes of the ones the reference loop stores step by
-    step."""
+    """The normal terms a run's CSV writes, derived from the run's defects,
+    have the bytes of the ones the reference loop stores step by step, and
+    the defect's norm, which `predictor_feasibility` takes for the
+    predictor's distance to the set, bounds that distance."""
 
     @pytest.mark.parametrize("policy", sorted(STEP_PROJECTIONS))
     @pytest.mark.parametrize("case", sorted(DERIVED_RUNS))
-    def test_v_columns_and_predictors(self, monkeypatch, case, policy):
+    def test_v_columns_and_predictors(self, case, policy):
         model, x0 = DERIVED_RUNS[case]()
         schedule = make_schedule(1.0, Uniform(0.02), PowerOfStep(0.1, beta=1.0))
         r = run(model, x0, schedule, projection=STEP_PROJECTIONS[policy](3))
@@ -1085,11 +1104,13 @@ class TestDerivedColumns:
                                          projection=STEP_PROJECTIONS[policy](3))
         assert [a.tobytes() for a in (r.X, r.W, r.P)] == [a.tobytes() for a in (X, W, P)]
         assert read_run_csv(r.to_csv())["V"].tobytes() == V.tobytes()
-        measured = []
-        distance = model.C.distance
-        monkeypatch.setattr(model.C, "distance", lambda y: measured.append(y) or distance(y))
-        predictor_feasibility(r)
-        assert measured[0].tobytes() == Y.tobytes()
+        # x_{k+1} lies in C up to its membership tolerance, so
+        # d_C(y_k) <= |p_k| + tol(x_{k+1}); the exact policy projects y_k
+        # onto C, so there the two are the same number
+        distance, defect = model.C.distance(Y), _norm(P)
+        assert (distance <= defect + membership_tol(X[1:])).all()
+        if policy == "exact":
+            assert distance.tobytes() == defect.tobytes()
         if policy != "perturbed":  # which moves every projection
             zero = ~P.any(axis=1)
             assert zero.any() and not zero.all()

@@ -95,7 +95,16 @@ range, so the manifest records it as vacuous (exit 0, nothing on stderr);
 and f(x) = 3 - x less the l1 part 0.2 |x| on the unit ball of R^1 cut by
 {x <= 0.5}, from -0.5 for T 2 with mu0 0.02, a one-dimensional set with no
 float form, by the cap's closed form and under the Iterative policy with
-power_of_step errors (eps0 0.1, beta 1).
+power_of_step errors (eps0 0.1, beta 1); f(x) = 1 - x less an l1 part of
+weight 1e308 on the halfline, from 0 for T 0.1 with mu0 0.02 under
+randomized selection, whose first draw from G(0) = [-1e308, 1e308] leaves
+float range (a failure manifest, reason overflow, exit 3, and its partial
+trajectory); and the README model from 1e160 for T 1, whose |x|^2 leaves
+float range: its steps have zero defects, which need no slack of the
+contract, so they pass, and the energy bound overflows (exit 3).
+
+numpy's warnings name the file that raised them, so stderr has each
+tree's source directory replaced by `SRC` before it is compared.
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -266,8 +275,7 @@ PINNED_CASES["rest-study"] = {**PINNED_CASES["study-typo"], "x0": [1.0],
                               "study": {"levels": [0.04, 0.02, 0.01]}}
 # a declared growth constant a = 1e308 makes the selection bound M_T = a + b R_T
 # about 1e308, so M_T^2 leaves float range in the energy certificate.  Not
-# onedim with a = 1e308: its steps overflow too, and numpy's warnings on
-# stderr name each tree's source path, so that case would always differ
+# onedim with a = 1e308: its steps overflow too, so it fails at step 0
 PINNED_CASES["bound-overflow"] = {**PINNED_CASES["record-kinds"], "T": 0.1,
                                   "schedule": {"kind": "uniform", "mu0": 0.02}}
 PINNED_CASES["bound-overflow"]["model"] = {**PINNED_CASES["record-kinds"]["model"],
@@ -310,6 +318,15 @@ PINNED_CASES.update({
     "interval-cap": INTERVAL_CAP,
     "interval-cap-iterative": {**INTERVAL_CAP, "projection": {"kind": "iterative"},
                                "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}},
+})
+PINNED_CASES.update({
+    "randomized-overflow": {
+        "model": {"f": {"type": "affine", "A": [[-1.0]], "b": [1.0]},
+                  "G": {"type": "l1", "weights": [1e308]}, "C": {"type": "halfline"},
+                  "constants": {"a": 1.0, "b": 1.0, "r_star": 1.0, "M": 1.0, "gamma": 1.0}},
+        "x0": [0.0], "T": 0.1, "schedule": {"kind": "uniform", "mu0": 0.02},
+        "selection": {"kind": "randomized"}},
+    "onedim-far": {**PINNED_CASES["onedim-readme"], "x0": [1e160], "T": 1.0},
 })
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
@@ -363,7 +380,8 @@ def run_case(src: Path, where: Path, files: dict[str, bytes], argv: list[str]) -
                           cwd=where, env=env, capture_output=True)
     written = {str(p.relative_to(where)): p.read_bytes()
                for p in sorted(where.rglob("*")) if p.is_file()}
-    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+    return {"exit code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr.replace(str(src).encode(), b"SRC"),
             **{f"file {k}": v for k, v in written.items()}}
 
 
