@@ -251,10 +251,10 @@ class ConvexSet(ConfigRecord):
     """Base class: a nonempty closed convex subset of R^dim.
 
     `project`, `distance` and `contains` take a vector (dim,) or a stack of
-    vectors (m, dim).  Row i of a stacked result equals, bit for bit, the
-    result of the call on row i alone; a vector gives an array, a float
-    and a bool, its scalars computed in Python floats, a stack an (m, dim)
-    array, an (m,) float array and an (m,) bool array.
+    vectors (m, dim).  A finite row of a stacked result has the bits of the
+    call on that row alone, and a row with a non-finite coordinate has NaNs
+    in the same places.  A vector gives an array, a float and a bool, in
+    Python floats; a stack (m, dim), (m,) float and (m,) bool arrays.
     """
 
     dim: int
@@ -486,35 +486,20 @@ def _sweep(projectors, z: NDArray, corrections: list) -> tuple[NDArray, list]:
 def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
     """For a vector y, or for each row of a stack: the first Dykstra iterate
     that moved by at most tol (a float, or one per row) in its sweep, or
-    the last one when the budget runs out.  A stack's settled rows leave
-    the sweeps, and the sweeps stop once none is left."""
+    the last one when the budget runs out.  Every row sweeps until no row
+    is pending, and a row's limit is copied while it is pending."""
     corrections = [np.zeros(y.shape) for _ in projectors]
+    limit = y.copy()
+    pending = np.ones(y.shape[:-1], dtype=bool)
     z_prev = y
-    if y.ndim == 1:
-        for _ in range(budget):
-            z = _sweep(projectors, z_prev, corrections)[0]
-            if _norm(z - z_prev) <= tol:
-                return z
-            z_prev = z
-        return z_prev
-    # rows: the stack rows still sweeping, z_prev their latest iterate; rows
-    # never mix, so a row goes on bit for bit as in the full stack
-    limit = np.empty_like(y)
-    rows = np.arange(y.shape[0])
     for _ in range(budget):
         z = _sweep(projectors, z_prev, corrections)[0]
-        moving = ~(_norm(z - z_prev) <= tol)
-        if not moving.any():  # also an empty stack, after its one sweep
-            limit[rows] = z
-            return limit
-        if not moving.all():
-            limit[rows[~moving]] = z[~moving]
-            rows, z = rows[moving], z[moving]
-            corrections = [q[moving] for q in corrections]
-            if np.ndim(tol):
-                tol = tol[moving]
+        np.copyto(limit, z, where=pending[..., None])
+        # logical_not takes a vector's bool too, and keeps a NaN move pending
+        pending &= np.logical_not(_norm(z - z_prev) <= tol)
+        if not pending.any():  # also an empty stack, after its one sweep
+            break
         z_prev = z
-    limit[rows] = z_prev
     return limit
 
 
@@ -583,8 +568,7 @@ class Intersection(ConvexSet):
         P_B(y) if it lies in H, else P_H(y) if it lies in B, else the point
         of the rim circle (centre c', radius rho, in the hyperplane) nearest
         the hyperplane projection p of y.  Rows take their cases by masks, so
-        a row keeps the bits of `_cap_judged` on its point alone, NaNs made
-        canonical."""
+        a row keeps the bits of `_cap_judged` on its point alone."""
         ball, half, rim_centre, rho = self._cap
         on_ball = ball.project(y)
         in_half = half._slack(on_ball) <= 0
@@ -597,13 +581,7 @@ class Intersection(ConvexSet):
         # only rim rows divide, and a zero norm never (as in Ball.project)
         scale = rho / np.where(~(in_half | in_ball) & (nrm != 0), nrm, np.inf)
         rim = rim_centre + scale[:, None] * d
-        z = np.where(in_half[:, None], on_ball, np.where(in_ball[:, None], on_half, rim))
-        # numpy's vector loops and scalar tails carry NaN payloads apart, so a
-        # row's NaNs are made canonical, as `_cap_judged` makes them
-        nan = np.isnan(z)
-        if nan.any():
-            z[nan] = np.nan
-        return z
+        return np.where(in_half[:, None], on_ball, np.where(in_ball[:, None], on_half, rim))
 
     def _cap_judged(self, y: NDArray) -> tuple[NDArray, float]:
         """`_cap_project` of a vector, with its larger member distance from
@@ -631,10 +609,7 @@ class Intersection(ConvexSet):
                 dn = _norm(d)
                 z = rim_centre + (rho / dn if dn != 0 else 0.0) * d
                 nrm, slack = _norm(z - ball.center), half._slack(z)
-        bound = max(max(nrm - ball.radius, 0.0), max(slack, 0.0) / half.norm)
-        if bound != bound:  # z has a NaN: canonical ones, as in `_cap_project`
-            z = np.where(np.isnan(z), np.nan, z)
-        return z, bound
+        return z, max(max(nrm - ball.radius, 0.0), max(slack, 0.0) / half.norm)
 
     def distance_lower_bound(self, y) -> float:
         """max_i d_{C_i}(y), a certified lower bound on the intersection distance.
@@ -892,9 +867,8 @@ def probe_stack(C: ConvexSet, X) -> tuple[NDArray, NDArray]:
     onto C, the window's axis extremes x_i -+ W_i e_j, its corners
     x_i + W_i s (for dim <= MAX_CORNER_DIM) and PROBE_DRAWS uniform
     draws from it, the same draws for every row.  A finite row i is bit for
-    bit what the certificate at x_i alone probes; in a row with a NaN or
-    infinite coordinate, the sign bit of a NaN probe coordinate may depend
-    on the stack's length.
+    bit what the certificate at x_i alone probes; a row with a NaN or
+    infinite coordinate has its NaNs in the same places (see `ConvexSet`).
     """
     X = _as_points(X, C.dim)
     m, dim = X.shape

@@ -244,7 +244,10 @@ class Randomized:
     def pick(self, lower: NDArray, upper: NDArray, f_val: NDArray, rng=None) -> NDArray:
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        return rng.uniform(lower, upper)
+        # an interval wider than float range raises OverflowError, which the
+        # step reports, with no warning of the overflow first
+        with np.errstate(over="ignore"):
+            return rng.uniform(lower, upper)
 
 
 # config kind -> rule

@@ -901,6 +901,21 @@ class TestBoundaryValidation:
         assert read_run_csv(str(out / "trajectory.csv"))["X"].tolist() == [[0.0]]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_overflowing_random_draw_warns_of_nothing(self, tmp_path, capsys):
+        # the same draw with RuntimeWarnings as errors: numpy warned of the
+        # overflow before it raised, and the warning escaped as a traceback
+        cfg = write_config(tmp_path / "c.json", onedim_config(
+            model={"f": {"type": "affine", "A": [[-1.0]], "b": [1.0]},
+                   "G": {"type": "l1", "weights": [1e308]}, "C": {"type": "halfline"},
+                   "constants": {"a": 1.0, "b": 1.0, "r_star": 1.0, "M": 1.0, "gamma": 1.0}},
+            x0=[0.0], T=0.1,
+            schedule={"kind": "uniform", "mu0": 0.02}, selection={"kind": "randomized"}))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failed"], manifest["reason"]) == ("scheme", "overflow")
+        assert capsys.readouterr().err == f"scheme failure: {manifest['error']}\n"
+
     def test_overflowing_square_fails_the_energy_check(self, tmp_path):
         # f(x) = -x from 1e200 steps within float range, but |x_k|^2 leaves
         # it; the energy certificate used to print a NaN residual and exit 1

@@ -888,9 +888,9 @@ POLYGON_RUN = {
 }
 
 
-class TestDykstraRowRetirement:
-    """The limits of the row-retiring Dykstra stop equal, bit for bit, those of
-    the stop that swept every row until the last one settled."""
+class TestDykstraStop:
+    """The Dykstra stop gives, bit for bit, the limits of the oracle's stop,
+    for a vector and for each row of a stack alike."""
 
     @given(rows=dykstra_rows, thin=st.booleans(), budget=st.sampled_from([1, 2, 3, 4, 5, 200]),
            scale=st.sampled_from([1e-13, 1e-6, 1e-3, 1e-1]), per_row=st.booleans())
@@ -942,10 +942,9 @@ class TestDykstraRowRetirement:
         got = _dykstra_limit(projectors, Y, 200, 1e-13)
         assert got.shape == (0, 2) and calls == [(0, 2), (0, 2)]
 
-    def test_polygon_run_retires_two_thirds_of_the_member_rows(self, tmp_path, monkeypatch):
+    def test_polygon_run_keeps_the_oracles_bytes_and_calls(self, tmp_path, monkeypatch):
         # a polygon run config (a cap of the unit disc, l1 friction): its
-        # certificates project one stack of probe points, where one stalled
-        # row kept every row sweeping
+        # certificates project stacks of probe points by Dykstra
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(POLYGON_RUN))
         work = {}
@@ -963,12 +962,12 @@ class TestDykstraRowRetirement:
             assert main(["run", str(cfg), "--seed", "1", "--out", str(out)]) == 0
             return dict(work), (out / "trajectory.csv").read_bytes()
 
-        retired, trajectory = run("retired")
+        stopped, trajectory = run("stopped")
         monkeypatch.setattr("catchup.geometry._dykstra_limit", reference_dykstra_limit)
         swept, reference = run("swept")
         assert trajectory == reference
-        assert retired["calls"] == swept["calls"]
-        assert retired["rows"] < 0.4 * swept["rows"]
+        # every row sweeps until none is pending, as in the oracle
+        assert stopped == swept
 
 
 def _projection_outcome(project, C, y, eps):
@@ -1354,10 +1353,12 @@ class TestJudgedProjection:
 
 
 class TestCapVectorPath:
-    """The vector path of a ball cut by a halfspace gives the bytes of its
-    row in the stacked closed form, and its bound, the larger member
-    distance, passes the membership tolerance just when `contains` does on
-    its point, with the bits of `_worst_distance` on a member."""
+    """The vector path of a ball cut by a halfspace gives its row in the
+    stacked closed form, as `ConvexSet` promises a stack's rows: the bytes
+    of a finite row, and NaNs in the same places otherwise.  Its bound, the
+    larger member distance, passes the membership tolerance just when
+    `contains` does on its point, with the bits of `_worst_distance` on a
+    member."""
 
     @given(case=caps_with_points(), swap=st.booleans(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -1370,7 +1371,9 @@ class TestCapVectorPath:
         with np.errstate(all="ignore"):  # inf - inf and overflowing norms
             for y, row in zip(Y, C._cap_project(Y)):
                 z, bound = C._cap_judged(y)
-                assert z.tobytes() == row.tobytes()
+                nan = np.isnan(z)
+                assert (nan == np.isnan(row)).all()
+                assert z[~nan].tobytes() == row[~nan].tobytes()
                 tol = membership_tol(z)
                 inside = C.contains(z)
                 assert (bound <= tol) == inside
@@ -1379,13 +1382,20 @@ class TestCapVectorPath:
 
     @pytest.mark.parametrize("rows", range(10))
     def test_nan_payload_after_any_rows(self, rows):
-        # a NaN with payload 1 came out of a stack canonical after 4-6, 8 or 9
-        # finite rows and kept its payload after the others, as alone
+        # a NaN with payload 1 comes out of a stack with its payload or a
+        # canonical one, by the number of finite rows before it; a caller
+        # sees neither, since a projection with a NaN raises
         C = Intersection([Ball([0.0, 0.0], 1.0), Halfspace([0.6, 0.8], 0.5)])
         y = np.array([np.nan, np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]])
-        Y = np.vstack([np.random.default_rng(rows).uniform(-2.0, 2.0, (rows, 2)), y])
+        finite = np.random.default_rng(rows).uniform(-2.0, 2.0, (rows, 2))
+        Y = np.vstack([finite, y])
         with np.errstate(invalid="ignore"):
-            row = C._cap_project(Y)[-1]
+            for query in (Y, y):
+                with pytest.raises(ProjectionError):
+                    C.project(query)
+            Z = C._cap_project(Y)
             z, bound = C._cap_judged(y)
-        assert z.tobytes() == row.tobytes() == np.array([np.nan, np.nan]).tobytes()
-        assert np.isnan(bound)
+        assert np.isnan(Z[-1]).all() and np.isnan(z).all() and np.isnan(bound)
+        assert Z[:-1].tobytes() == C._cap_project(finite).tobytes()
+        for x, row in zip(finite, Z):
+            assert C._cap_judged(x)[0].tobytes() == row.tobytes()

@@ -101,7 +101,12 @@ randomized selection, whose first draw from G(0) = [-1e308, 1e308] leaves
 float range (a failure manifest, reason overflow, exit 3, and its partial
 trajectory); and the README model from 1e160 for T 1, whose |x|^2 leaves
 float range: its steps have zero defects, which need no slack of the
-contract, so they pass, and the energy bound overflows (exit 3).
+contract, so they pass, and the energy bound overflows (exit 3); and
+the polygon run config of workload seed 4301 with a redundant box
+[-2, 2]^2 among its members, under the Iterative policy with power_of_step
+errors: the box keeps the disc cut by a halfspace off the cap's closed
+form, so its 84 normal-cone certificates project their probe stacks by
+the Dykstra stop (`boxed-polygon`).
 
 numpy's warnings name the file that raised them, so stderr has each
 tree's source directory replaced by `SRC` before it is compared.
@@ -328,6 +333,28 @@ PINNED_CASES.update({
         "selection": {"kind": "randomized"}},
     "onedim-far": {**PINNED_CASES["onedim-readme"], "x0": [1e160], "T": 1.0},
 })
+# the polygon workload's run config for seed 4301, as tests/test_geometry.py
+# pins it: its redundant box keeps the cap off the closed form, so every
+# certificate projects a stack of probe points by Dykstra
+PINNED_CASES["boxed-polygon"] = {
+    "T": 2.0,
+    "errors": {"beta": 1.0, "eps0": 0.1, "kind": "power_of_step"},
+    "model": {
+        "C": {"type": "intersection", "members": [
+            {"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            {"type": "halfspace", "normal": [0.920378684104825, 0.3910282315197595],
+             "offset": 0.5},
+            {"type": "box", "lower": [-2.0, -2.0], "upper": [2.0, 2.0]}]},
+        "G": {"type": "l1", "weights": [0.2, 0.2]},
+        "constants": {"M": 4.560752510029523, "a": 2.442718521279629,
+                      "b": 1.118033988749895, "ell": -1.0, "gamma": 1.0, "r_star": 1.0},
+        "f": {"type": "affine", "A": [[-1.0, -0.5], [0.5, -1.0]],
+              "b": [1.6188137464568788, 1.4298620785737837]},
+    },
+    "projection": {"kind": "iterative"},
+    "schedule": {"kind": "uniform", "mu0": 0.02},
+    "x0": [0.0, 0.0],
+}
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
                "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
