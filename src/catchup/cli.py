@@ -14,6 +14,7 @@ contract or a certificate's bound overflowed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -452,6 +453,7 @@ def cmd_models(args) -> int:
 
 # --- entry point ---------------------------------------------------------------
 
+@functools.cache  # built once per process; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catchup",

@@ -93,9 +93,9 @@ _FLOAT = np.dtype(float)
 
 
 def _as_vector(y, dim: int) -> NDArray:
-    v = y
-    if not (type(y) is np.ndarray and y.dtype is _FLOAT and y.ndim):
-        v = np.atleast_1d(np.asarray(y, dtype=float))
+    if type(y) is np.ndarray and y.dtype is _FLOAT and y.shape == (dim,):
+        return y
+    v = np.atleast_1d(np.asarray(y, dtype=float))
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     if v.shape[0] != dim:
@@ -105,9 +105,9 @@ def _as_vector(y, dim: int) -> NDArray:
 
 def _as_points(y, dim: int) -> NDArray:
     """y as a vector (dim,) or a stack of vectors (m, dim)."""
-    p = y
-    if not (type(y) is np.ndarray and y.dtype is _FLOAT and y.ndim):
-        p = np.atleast_1d(np.asarray(y, dtype=float))
+    if type(y) is np.ndarray and y.dtype is _FLOAT and 0 < y.ndim < 3 and y.shape[-1] == dim:
+        return y
+    p = np.atleast_1d(np.asarray(y, dtype=float))
     if p.ndim > 2:
         raise ValueError(f"expected a vector or a stack of vectors, got shape {p.shape}")
     if p.shape[-1] != dim:
@@ -210,7 +210,7 @@ def build_record(family: str, registry: dict, spec, tag: str | None, default=Non
         raise ConfigError(f"{family}: unknown {tag} {kind!r} (known: {sorted(registry)})") from None
     of = f" for {tag} {kind!r}" if tag else ""
     fields = {k: v for k, v in spec.items() if k != tag}
-    params = inspect.signature(build).parameters
+    params = _parameters(build)
     for name in fields:
         if name not in params:
             raise ConfigError(f"{family}: unknown field {name!r}{of}")
@@ -227,6 +227,11 @@ def build_record(family: str, registry: dict, spec, tag: str | None, default=Non
         raise ConfigError(f"{family}: {e}") from None
 
 
+@functools.cache  # registries hold module-level builders, never a lambda made per call
+def _parameters(build):
+    return inspect.signature(build).parameters
+
+
 class ConfigRecord:
     """What a tagged config record builds, written back through the
     signature `build_record` reads it with: `to_config` gives the class's
@@ -235,7 +240,7 @@ class ConfigRecord:
     records."""
 
     def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in inspect.signature(type(self)).parameters}
+        return {name: getattr(self, name) for name in _parameters(type(self))}
 
     def to_config(self) -> dict:
         return {"type": self.variant, **{k: _record_value(v) for k, v in self._fields().items()}}
@@ -488,7 +493,7 @@ def _dykstra_limit(projectors, y: NDArray, budget: int, tol) -> NDArray:
     that moved by at most tol (a float, or one per row) in its sweep, or
     the last one when the budget runs out.  Every row sweeps until no row
     is pending, and a row's limit is copied while it is pending."""
-    corrections = [np.zeros(y.shape) for _ in projectors]
+    corrections = [0.0] * len(projectors)  # z + 0.0 has the bits of z + zeros
     limit = y.copy()
     pending = np.ones(y.shape[:-1], dtype=bool)
     z_prev = y
@@ -591,8 +596,8 @@ class Intersection(ConvexSet):
         ball, half, rim_centre, rho = self._cap
         d = y - ball.center
         nrm, s = _norm(d), half._slack(y)
-        if nrm <= ball.radius:  # P_B(y) is y, with y's norm and slack
-            z, slack = y.copy(), s
+        if nrm <= ball.radius:  # P_B(y) is y, with y's norm and slack; copied if returned
+            z, slack = y.copy() if s <= 0 else y, s
         else:
             z = ball.center + (ball.radius / nrm) * d
             slack = half._slack(z)
@@ -751,7 +756,7 @@ class IterativeProjection:
         if not isinstance(C, Intersection):
             return C.project_judged(y)
         projectors = [m.project for m in C.members]
-        corrections = [np.zeros(y.shape) for _ in projectors]
+        corrections = [0.0] * len(projectors)  # z + 0.0 has the bits of z + zeros
         # the separating bound; the member bound d joins it as d * d (a float
         # power would raise OverflowError, not give inf), first so that a
         # NaN stays, once a feasible iterate or the message needs it

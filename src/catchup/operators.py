@@ -110,7 +110,7 @@ class SeparableL1(RegularPart):
     def value(self, x) -> tuple[NDArray, NDArray]:
         x = _as_vector(x, self.dim)
         slope = self.weights * np.sign(x)
-        if np.count_nonzero(x) == self.dim:  # no coordinate is zero: the singleton
+        if 0.0 not in x.tolist():  # no coordinate is zero (-0.0 == 0.0): the singleton
             return slope, slope
         zero = x == 0.0
         return np.where(zero, -self.weights, slope), np.where(zero, self.weights, slope)
@@ -170,8 +170,11 @@ class AffineField:
         return {"type": "affine", "A": self.matrix.tolist(), "b": self.offset.tolist()}
 
 
+_FIELD_BUILDERS = {"affine": lambda A, b: AffineField(A, b)}  # built once: by the record's keys
+
+
 def field_from_config(cfg: dict):
-    return build_record("f", {"affine": lambda A, b: AffineField(A, b)}, cfg, "type")
+    return build_record("f", _FIELD_BUILDERS, cfg, "type")
 
 
 # --- selection rules for set-valued G -------------------------------------

@@ -36,7 +36,7 @@ from .geometry import (
     probe_count,
     probe_stack,
 )
-from .operators import MinimalNorm, MonotoneModel, select_F
+from .operators import MinimalNorm, MonotoneModel, select_F  # noqa: F401 (bench/tracing.py wraps)
 
 __all__ = [
     "SchemeError",
@@ -310,18 +310,22 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 # --- single step -----------------------------------------------------------
 
 def _defect_contract(p, w, x, mu, eps):
-    """(|p|^2, mu^2 |w|^2 + eps, verdict) of the eps-contract on the defect
-    p of a step from x, with roundoff slack scaled to the step's sizes; the
-    verdict fails where both sides overflow, or |x|^2 does and |p|^2 needs
-    the slack, since inf <= inf proves nothing.  One step gives Python
-    floats, stacked steps (one per row) arrays, each row with its step's bits."""
+    """(|p|^2, mu^2 |w|^2 + eps, `_contract_holds`) for the defect p of a
+    step from x.  One step gives Python floats, stacked steps (one per row)
+    arrays, each row with its step's bits."""
     if p.ndim == 1:
         lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
     else:
         lhs, ww, xx = np.vecdot(p, p), np.vecdot(w, w), np.vecdot(x, x)
     rhs = mu * mu * ww + eps
-    return lhs, rhs, ((lhs <= rhs + 1e-9 * (1.0 + rhs + xx))
-                      & ((lhs < math.inf) | (rhs < math.inf)) & ((xx < math.inf) | (lhs <= rhs)))
+    return lhs, rhs, _contract_holds(lhs, rhs, xx)
+
+
+def _contract_holds(lhs, rhs, xx):
+    """lhs = |p|^2 <= rhs = mu^2 |w|^2 + eps up to a roundoff slack scaled to xx = |x|^2; false
+    where both sides overflow or |x|^2 does and |p|^2 needs slack, true if lhs <= rhs < inf."""
+    return ((lhs <= rhs + 1e-9 * (1.0 + rhs + xx))
+            & ((lhs < math.inf) | (rhs < math.inf)) & ((xx < math.inf) | (lhs <= rhs)))
 
 
 def step(model: MonotoneModel, x, mu: float, eps: float,
@@ -332,7 +336,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     -p / mu follow from them.  Raises SchemeError if the defect violates
     the eps-contract |p|^2 <= mu^2 |w|^2 + eps (which any valid relaxed
     projection must satisfy, since x itself is feasible), kind `overflow`
-    where it cannot be judged in float range (see `_defect_contract`) or
+    where it cannot be judged in float range (see `_contract_holds`) or
     the selection leaves it, or if the projection judged the produced
     point infeasible.
 
@@ -345,8 +349,8 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     """
     selection, projection = selection or MinimalNorm(), projection or ExactProjection()
     scalar = type(x) is float
-    pick = type(projection) is ExactProjection and getattr(selection, "pick_float", None)
-    form = pick and scalar and type(mu) is float and model.float_form
+    pick = scalar and type(projection) is ExactProjection and getattr(selection, "pick_float", None)
+    form = pick and type(mu) is float and model.float_form
     if form and mu > 0 and eps >= 0:
         a, b, m, weight, lower, upper = form
         f = a * x + b
@@ -361,18 +365,19 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
         x_next = y if y > lower else lower  # np.clip's bits: a tie takes the bound
         x_next = x_next if x_next < upper else upper
         p = x_next - y
-        # the contract of `_defect_contract`; a failed contract, or a square
-        # beyond float range, takes the vector step below, which raises or warns
+        # the contract; a failed one, or a square beyond float range, takes
+        # the vector step below, which raises or warns
         lhs, ww, xx = p * p, w * w, x * x
         rhs = mu * mu * ww + eps
         finite = xx + ww + x_next * x_next + lhs < math.inf  # False for NaN too
-        if finite and lhs <= rhs + 1e-9 * (1.0 + rhs + xx):
+        if finite and (lhs <= rhs or _contract_holds(lhs, rhs, xx)):
             return x_next, w, p
     x = _as_vector(x, model.dim)
     if not mu > 0:  # NaN too
         raise ValueError(f"mu must be positive, got {mu}")
-    try:
-        w = select_F(model, x, rule=selection, rng=sel_rng)
+    try:  # `select_F`, in this frame
+        f_val = model.f(x)
+        w = f_val - selection.pick(*model.G.value(x), f_val, sel_rng)
     except OverflowError as exc:  # a random draw from an interval wider than float range
         raise SchemeError(f"selection leaves the float range: {exc}", kind="overflow") from exc
     y = x + mu * w
@@ -381,11 +386,10 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
     except GeometryError as exc:
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
-    lhs, rhs, ok = _defect_contract(p, w, x, mu, eps)
-    if not ok:
-        with np.errstate(over="ignore"):  # the contract warned of it already
-            far = x.dot(x) == math.inf
-        if far or lhs == rhs == math.inf:
+    lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
+    rhs = mu * mu * ww + eps  # as `_defect_contract` gives them
+    if not (lhs <= rhs < math.inf or _contract_holds(lhs, rhs, xx)):
+        if (far := xx == math.inf) or lhs == rhs == math.inf:
             raise SchemeError("defect contract leaves the float range: " + (
                 f"|x|^2 = inf, |p|^2 = {lhs:.6e} > mu^2|w|^2 + eps = {rhs:.6e}" if far
                 else "|p|^2 = mu^2|w|^2 + eps = inf"), kind="overflow")

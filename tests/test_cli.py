@@ -1,14 +1,20 @@
 """Driver behavior: exit codes, output files, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catchup
 from catchup.cli import main
-from catchup.geometry import Halfline, Intersection, NonnegOrthant, PerturbedProjection
-from catchup.operators import CustomPart, Randomized, SignConvention, ZeroPart
+from catchup.geometry import (Halfline, Intersection, NonnegOrthant, PerturbedProjection,
+                              _parameters)
+from catchup.operators import CustomPart, Randomized, SignConvention, ZeroPart, field_from_config
 from catchup.scheme import read_run_csv, verify_run_invariants
 
 
@@ -1200,3 +1206,54 @@ class TestConfigFields:
                 if code not in (0, 1, 2, 3):
                     escaped.append((path, value, code))
         assert not escaped
+
+
+class TestCaches:
+    """The parser is built once per process and each builder's signature
+    read once; neither may carry state from one command to the next."""
+
+    # the understated-rate stability config, its ratio advisory unless
+    # --strict, under perturbed projection so that the seed moves the runs
+    PAYLOAD = {
+        "model": {
+            "f": {"type": "affine", "A": [[-1.0]], "b": [2.0]},
+            "G": {"type": "linear", "matrix": [[1.0]]},
+            "C": {"type": "halfline"},
+            "constants": {"a": 2.0, "b": 2.0, "r_star": 1.0, "M": 1.0, "gamma": 1.0,
+                          "ell": -3.0},
+        },
+        "x0": [[0.0], [1.0]],
+        "T": 1.0,
+        "schedule": {"kind": "uniform", "mu0": 0.2},
+        "errors": {"kind": "power_of_step", "eps0": 0.01, "beta": 1.0},
+        "projection": {"kind": "perturbed"},
+    }
+
+    def test_two_commands_in_one_process_write_what_two_processes_write(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", self.PAYLOAD)
+        argvs = [["stability", "c.json", "--strict", "--seed", "5"], ["stability", "c.json"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(catchup.__file__).parents[1])}
+        codes = []
+        for i, argv in enumerate(argvs):
+            codes.append(main([argv[0], cfg, *argv[2:], "--out", str(tmp_path / f"one{i}")]))
+            proc = subprocess.run([sys.executable, "-m", "catchup.cli", *argv,
+                                   "--out", f"fresh{i}"], cwd=tmp_path, env=env,
+                                  capture_output=True)
+            assert proc.returncode == codes[-1]
+        assert codes == [1, 0]
+        for i in range(len(argvs)):
+            one, fresh = tmp_path / f"one{i}", tmp_path / f"fresh{i}"
+            names = sorted(p.name for p in one.iterdir())
+            assert names == sorted(p.name for p in fresh.iterdir())
+            for name in names:
+                assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert (tmp_path / "one0" / "stability.csv").read_bytes() != \
+            (tmp_path / "one1" / "stability.csv").read_bytes()
+
+    def test_field_records_leave_the_signature_cache_as_it_was(self):
+        cfg = {"type": "affine", "A": [[-1.0]], "b": [2.0]}
+        field_from_config(cfg)
+        size = _parameters.cache_info().currsize
+        for _ in range(1000):
+            field_from_config(cfg)
+        assert _parameters.cache_info().currsize == size

@@ -227,10 +227,15 @@ class TestStep:
             step(m, [-1.0], mu=0.1, eps=0.0)
 
 
-# the state space [-0.5, 0.3]^2 lies inside both sets
+# the state space [-0.5, 0.3]^2 lies inside every set; the three members
+# project by Dykstra under the exact policy
 STEP_SETS = {
     "ball_halfspace": Intersection([Ball([0.0, 0.0], 1.5), Halfspace([0.6, 0.8], 0.5)]),
     "box": Box([-0.5, -0.5], [1.0, 0.3]),
+    "ball": Ball([0.1, -0.1], 1.2),
+    "halfspace": Halfspace([0.6, 0.8], 0.5),
+    "ball_halfspace_box": Intersection([Ball([0.0, 0.0], 1.5), Halfspace([0.6, 0.8], 0.5),
+                                        Box([-0.5, -0.5], [1.0, 0.3])]),
 }
 STEP_PARTS = {
     "zero": ZeroPart(2),
@@ -399,12 +404,13 @@ class TestStepMatchesReference:
         st.floats(0.01, 0.5),
         st.sampled_from([0.0, 1e-4, 1e-2]),
         st.integers(0, 2 ** 16),
+        st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_step_bytes(self, part, sel, proj, set_name, x, b, mu, eps, seed):
+    def test_step_bytes(self, part, sel, proj, set_name, x, b, mu, eps, seed, as_list):
         model = MonotoneModel(AffineField(-np.eye(2), b), STEP_PARTS[part], STEP_SETS[set_name],
                               growth=(10.0, 10.0), dissipativity=(1.0, 10.0, 0.5))
-        x = np.array(x)
+        x = list(x) if as_list else np.array(x)
         args = (model, x, mu, eps, sel, proj, seed)
         assert step_outcome(step, *args) == step_outcome(reference_triple, *args)
 

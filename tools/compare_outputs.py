@@ -108,8 +108,10 @@ errors: the box keeps the disc cut by a halfspace off the cap's closed
 form, so its 84 normal-cone certificates project their probe stacks by
 the Dykstra stop (`boxed-polygon`).
 
-numpy's warnings name the file that raised them, so stderr has each
-tree's source directory replaced by `SRC` before it is compared.
+numpy's warnings name the file and line that raised them, so stderr has
+each tree's source directory replaced by `SRC`, and the line number of a
+`SRC/catchup/<module>.py:<n>:` location by `N`, before it is compared; the
+module, the warning and the source line it quotes are still compared.
 
 Last, the line count of each module under `catchup/` in OLD_SRC and
 NEW_SRC is printed, with the net change.
@@ -122,6 +124,7 @@ import concurrent.futures
 import difflib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -408,7 +411,8 @@ def run_case(src: Path, where: Path, files: dict[str, bytes], argv: list[str]) -
     written = {str(p.relative_to(where)): p.read_bytes()
                for p in sorted(where.rglob("*")) if p.is_file()}
     return {"exit code": proc.returncode, "stdout": proc.stdout,
-            "stderr": proc.stderr.replace(str(src).encode(), b"SRC"),
+            "stderr": re.sub(rb"(SRC/catchup/\w+\.py):\d+:", rb"\1:N:",
+                             proc.stderr.replace(str(src).encode(), b"SRC")),
             **{f"file {k}": v for k, v in written.items()}}
 
 
