@@ -283,11 +283,11 @@ class ConvexSet(ConfigRecord):
         return self.distance(x) <= membership_tol(x)
 
     def project_judged(self, y) -> tuple[NDArray, bool]:
-        """The projection z of a vector y and the bool `contains(z)` gives:
-        here d_C(z) <= membership_tol(z).  A box (z finite) and an
-        intersection (always True) take the test their projection made."""
+        """The projection z of a vector y and the bool `contains(z)` gives.
+        A box (z finite) and an intersection (always True) take the test
+        their projection made."""
         z = self.project(y)
-        return z, self.distance(z) <= membership_tol(z)
+        return z, self.contains(z)
 
     def tangent_project(self, x, u) -> NDArray:
         """Project u onto the tangent cone of the set at the feasible point x."""
@@ -544,28 +544,25 @@ class Intersection(ConvexSet):
             self._cap = ball, half, ball.center - (s / half.norm_sq) * half.normal, rho
 
     def project(self, y) -> NDArray:
-        return self._judged(_as_points(y, self.dim))
-
-    def project_judged(self, y) -> tuple[NDArray, bool]:
-        return self._judged(_as_vector(y, self.dim)), True
-
-    def _judged(self, y: NDArray) -> NDArray:
         """The projection of a vector, or of each row of a stack, judged a
         member as `contains` judges it; ProjectionError when it is not."""
+        y = _as_points(y, self.dim)
         if self._cap and y.ndim == 1:
             z, worst = self._cap_judged(y)
             # membership_tol is MEMBERSHIP_RTOL at least, which passes roundoff
-            tol = MEMBERSHIP_RTOL if worst <= MEMBERSHIP_RTOL else membership_tol(z)
+            member = worst <= MEMBERSHIP_RTOL or worst <= membership_tol(z)
         else:
             z = self._cap_project(y) if self._cap else _dykstra_limit(
                 [m.project for m in self.members], y, self.budget, 1e-13 * (1.0 + _norm(y)))
-            tol = membership_tol(z)
-            worst = self._worst_distance(z, tol)
-        if not (worst <= tol if z.ndim == 1 else (worst <= tol).all()):
+            member = self.contains(z)
+        if not (member if z.ndim == 1 else member.all()):
             raise ProjectionError("closed-form projection is not a member" if self._cap else
                                   f"Dykstra sweep budget {self.budget} exhausted before "
                                   "reaching feasibility")
         return z
+
+    def project_judged(self, y) -> tuple[NDArray, bool]:
+        return self.project(y), True
 
     def _cap_project(self, y: NDArray) -> NDArray:
         """The metric projection onto a ball B n halfspace H of each row of
@@ -737,7 +734,7 @@ class PerturbedProjection:
 class IterativeProjection:
     """Dykstra sweeps onto an Intersection with a certified stop.
 
-    Accept the iterate z, judged a member (verdict True), once |z - y|^2 <=
+    Accept the iterate z, judged by `contains` (verdict True), once |z - y|^2 <=
     lb + eps.  lb, a certified lower bound on d_C(y)^2, is the larger of the
     squared worst member distance of y, measured only when a feasible z or
     the budget error needs it, and the squared distances of y to the
@@ -774,8 +771,7 @@ class IterativeProjection:
                 sep = (float(n.dot(y)) - qp) / nn
                 if sep > 0.0:
                     lb = max(lb, sep * sep)
-            tol = membership_tol(z)
-            if C._worst_distance(z, tol) <= tol:
+            if C.contains(z):
                 gap = float(np.add.reduce((z - y) ** 2))
                 if not (gap <= lb + eps or joined):
                     lb, joined = max((d := C.distance_lower_bound(y)) * d, lb), True

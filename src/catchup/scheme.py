@@ -309,18 +309,6 @@ def make_schedule(T: float, steps, errors=None) -> StepSchedule:
 
 # --- single step -----------------------------------------------------------
 
-def _defect_contract(p, w, x, mu, eps):
-    """(|p|^2, mu^2 |w|^2 + eps, `_contract_holds`) for the defect p of a
-    step from x.  One step gives Python floats, stacked steps (one per row)
-    arrays, each row with its step's bits."""
-    if p.ndim == 1:
-        lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
-    else:
-        lhs, ww, xx = np.vecdot(p, p), np.vecdot(w, w), np.vecdot(x, x)
-    rhs = mu * mu * ww + eps
-    return lhs, rhs, _contract_holds(lhs, rhs, xx)
-
-
 def _contract_holds(lhs, rhs, xx):
     """lhs = |p|^2 <= rhs = mu^2 |w|^2 + eps up to a roundoff slack scaled to xx = |x|^2; false
     where both sides overflow or |x|^2 does and |p|^2 needs slack, true if lhs <= rhs < inf."""
@@ -387,7 +375,7 @@ def step(model: MonotoneModel, x, mu: float, eps: float,
         raise SchemeError(f"projection failed: {exc}", kind="projection_budget") from exc
     p = x_next - y
     lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
-    rhs = mu * mu * ww + eps  # as `_defect_contract` gives them
+    rhs = mu * mu * ww + eps
     if not (lhs <= rhs < math.inf or _contract_holds(lhs, rhs, xx)):
         if (far := xx == math.inf) or lhs == rhs == math.inf:
             raise SchemeError("defect contract leaves the float range: " + (
@@ -713,13 +701,15 @@ def verify_run_invariants(data: dict, C: ConvexSet | None = None) -> dict:
     n = W.shape[0]
     x, x_next, mu = data["X"][:n], data["X"][1: n + 1], mus[:, None]
     size = functools.partial(np.linalg.norm, axis=1)
+    # each row has the bits of its step's squares (`np.vecdot` sums as `.dot`)
+    pp, ww, xx = np.vecdot(P, P), np.vecdot(W, W), np.vecdot(x, x)
     # one mask per identity, True at the steps that break it
     failed = {
         "update_identity": size(x_next - (x + mu * W + P)) > 1e-12 * (1.0 + size(x)),
         # the division amplifies the predictor's roundoff by 1/mu
         "velocity_identity": size((x_next - x) / mu - (W - V))
         > 1e-12 * (1.0 + size(W) + size(V)) + 1e-15 * (1.0 + size(x)) / mus,
-        "defect_contract": ~_defect_contract(P, W, x, mus, eps)[2],
+        "defect_contract": ~_contract_holds(pp, mus * mus * ww + eps, xx),
     }
     if C is not None:
         failed["feasibility"] = ~C.contains(x_next)

@@ -1351,6 +1351,27 @@ class TestJudgedProjection:
 
                 assert _outcome(judged) == _outcome(parent), policy.name
 
+    @pytest.mark.parametrize("members", [CAP, BOXED_CAP], ids=["cap", "boxed_cap"])
+    @pytest.mark.parametrize("route, calls", [
+        (lambda C, y: ExactProjection().project(C, y, 1e-3), 1),
+        (lambda C, y: PerturbedProjection(seed=3).project(C, y, 1e-3), 2),
+        (lambda C, y: approx_project(C, y, 1e-3), 1),
+    ], ids=["exact", "perturbed", "approx_project"])
+    def test_exact_route_calls_project(self, monkeypatch, members, route, calls):
+        # every exact projection onto an intersection, the closed form and
+        # Dykstra alike, passes through `Intersection.project`, the method a
+        # tracer or a test wraps
+        C, seen = Intersection(members), []
+        project = Intersection.project
+
+        def counted(self, y):
+            seen.append(project(self, y))
+            return seen[-1]
+
+        monkeypatch.setattr(Intersection, "project", counted)
+        z, member = route(C, np.array([2.0, 1.0]))
+        assert len(seen) == calls and z is seen[-1] and member is True
+
 
 class TestCapVectorPath:
     """The vector path of a ball cut by a halfspace gives its row in the

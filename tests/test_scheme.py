@@ -282,12 +282,46 @@ def reference_triple(model, x, mu, eps, **policies):
     return x_next, w, p
 
 
+def stepwise_contract(p, w, x, mu, eps):
+    """The squares |p|^2, mu^2 |w|^2 + eps and |x|^2 of one step, in the
+    Python floats the vector `step` computes, with its `_contract_holds`."""
+    lhs, ww, xx = float(p.dot(p)), float(w.dot(w)), float(x.dot(x))
+    rhs = mu * mu * ww + eps
+    return lhs, rhs, xx, scheme._contract_holds(lhs, rhs, xx)
+
+
+def audited_contract(P, W, X, mus, eps):
+    """The squares `verify_run_invariants` hands `_contract_holds`, one per
+    step of the rows, the verdict on each, and the audit's report; the
+    other checks of the audit do not read them."""
+    data = {"times": np.concatenate([[0.0], np.cumsum(mus)]),
+            "X": np.concatenate([X, X[-1:]]), "W": W, "P": P, "V": np.zeros_like(W),
+            "mus": mus, "eps": eps}
+    with mock.patch.object(scheme, "_contract_holds", wraps=scheme._contract_holds) as spy:
+        report = verify_run_invariants(data)
+    (lhs, rhs, xx), = [call.args for call in spy.call_args_list]
+    return lhs, rhs, xx, scheme._contract_holds(lhs, rhs, xx), report
+
+
 class TestDefectContract:
+    """The run audit judges the stacked contract; each row must have the
+    squares and the verdict the vector step computes on its own."""
+
+    def assert_rows_are_steps(self, p, w, x, mu, eps):
+        lhs, rhs, xx, ok, report = audited_contract(p, w, x, mu, eps)
+        for i in range(p.shape[0]):
+            one = stepwise_contract(p[i], w[i], x[i], float(mu[i]), float(eps[i]))
+            assert [type(v) for v in one] == [float, float, float, bool]
+            assert np.array(one[:3]).tobytes() == np.array([lhs[i], rhs[i], xx[i]]).tobytes()
+            assert one[3] == ok[i]
+        assert report["defect_contract"] == ok.all()
+        return ok
+
     @given(d=st.integers(1, 13), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_one_step_has_the_bits_of_its_row(self, d, seed):
-        # the one-step contract is computed in Python floats, the stacked one
-        # in numpy arrays; a row must agree to the bit, NaN rows included
+        # the step computes the contract in Python floats, the audit in numpy
+        # arrays; a row must agree to the bit, NaN rows included
         rng = np.random.default_rng(seed)
         p, w, x = (rng.standard_normal((6, d)) * 10.0 ** rng.integers(-8, 8, (6, 1))
                    for _ in range(3))
@@ -295,12 +329,7 @@ class TestDefectContract:
             a[rng.random(a.shape) < 0.05] = np.nan
         mu = rng.uniform(1e-4, 1.0, 6)
         eps = np.where(rng.random(6) < 0.5, 0.0, rng.uniform(0.0, 1e-2, 6))
-        lhs, rhs, ok = scheme._defect_contract(p, w, x, mu, eps)
-        for i in range(6):
-            one = scheme._defect_contract(p[i], w[i], x[i], float(mu[i]), float(eps[i]))
-            assert [type(v) for v in one] == [float, float, bool]
-            assert np.array(one[:2]).tobytes() == np.array([lhs[i], rhs[i]]).tobytes()
-            assert one[2] == ok[i]
+        self.assert_rows_are_steps(p, w, x, mu, eps)
 
     def test_both_sides_overflowing_fail(self):
         # |p|^2 and mu^2 |w|^2 + eps both beyond float range fail, stacked or
@@ -310,11 +339,7 @@ class TestDefectContract:
         x = np.zeros((4, 1))
         mu, eps = np.array([0.1, 0.1, 0.1, 0.1]), np.array([0.0, np.inf, 0.0, 0.0])
         with np.errstate(over="ignore"):
-            lhs, rhs, ok = scheme._defect_contract(p, w, x, mu, eps)
-            for i in range(4):
-                one = scheme._defect_contract(p[i], w[i], x[i], float(mu[i]), float(eps[i]))
-                assert np.array(one[:2]).tobytes() == np.array([lhs[i], rhs[i]]).tobytes()
-                assert one[2] == ok[i]
+            ok = self.assert_rows_are_steps(p, w, x, mu, eps)
         assert ok.tolist() == [False, False, True, False]
 
 

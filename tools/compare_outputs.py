@@ -106,7 +106,10 @@ the polygon run config of workload seed 4301 with a redundant box
 [-2, 2]^2 among its members, under the Iterative policy with power_of_step
 errors: the box keeps the disc cut by a halfspace off the cap's closed
 form, so its 84 normal-cone certificates project their probe stacks by
-the Dykstra stop (`boxed-polygon`).
+the Dykstra stop (`boxed-polygon`); and the run pushed out of the lone
+ball under the perturbed and the Iterative policy with power_of_step
+errors (eps0 0.1, beta 1), whose steps project and judge their point by
+the default of `ConvexSet.project_judged`.
 
 numpy's warnings name the file and line that raised them, so stderr has
 each tree's source directory replaced by `SRC`, and the line number of a
@@ -358,6 +361,12 @@ PINNED_CASES["boxed-polygon"] = {
     "schedule": {"kind": "uniform", "mu0": 0.02},
     "x0": [0.0, 0.0],
 }
+# the lone ball under the other two policies, whose steps take the
+# projection and verdict of `ConvexSet.project_judged`
+PINNED_CASES.update({
+    f"ball-outward-{kind}": {**PINNED_CASES["ball-outward"], "projection": {"kind": kind},
+                             "errors": {"kind": "power_of_step", "eps0": 0.1, "beta": 1.0}}
+    for kind in ("perturbed", "iterative")})
 # the pinned cases run as `run --diagnostics all`, except these
 PINNED_ARGV = {"wedge-truncation": ["run", "--diagnostics", "truncation"],
                "wedge-study": ["study"], "top-level-typo": ["run"], "study-typo": ["study"],
