@@ -411,7 +411,7 @@ class Ball(ConvexSet):
 
     def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
         d = x - self.center
-        nrm = float(np.linalg.norm(d))
+        nrm = _norm(d)
         if nrm < self.radius - membership_tol(x):
             return u.copy()
         if nrm == 0.0:
@@ -466,7 +466,7 @@ class Halfspace(ConvexSet):
         return np.vecdot(y, self.normal) - self.offset
 
     def _tangent(self, x: NDArray, u: NDArray) -> NDArray:
-        if float(self.normal @ x) - self.offset < -membership_tol(x):
+        if self._slack(x) < -membership_tol(x):
             return u.copy()
         return u - max(float(self.normal @ u), 0.0) / self.norm_sq * self.normal
 
@@ -588,8 +588,8 @@ class Intersection(ConvexSet):
     def _cap_judged(self, y: NDArray) -> tuple[NDArray, float]:
         """`_cap_project` of a vector, with its larger member distance from
         the norms and slacks its cases compute: the bits of the stack's row
-        and, on a member, of `_worst_distance`.  z is finite or has a NaN,
-        which makes both distances NaN, so the verdict is that of `contains`."""
+        and, on a member, of `distance_lower_bound`.  z has no inf, and a NaN
+        in it makes both distances NaN, so the verdict is that of `contains`."""
         ball, half, rim_centre, rho = self._cap
         d = y - ball.center
         nrm, s = _norm(d), half._slack(y)
@@ -630,29 +630,18 @@ class Intersection(ConvexSet):
         return _dykstra_limit(projectors, u, self.budget, tol)
 
     def contains(self, x) -> bool | NDArray:
+        """Whether a vector, or each row of a stack, is within its
+        `membership_tol` of each member: a vector stops at the first member
+        it fails, a stack once no row passes; a NaN distance fails."""
         x = _as_points(x, self.dim)
         tol = membership_tol(x)
-        return self._worst_distance(x, tol) <= tol
-
-    def _worst_distance(self, x: NDArray, tol):
-        """The largest member distance of a vector, or of each row of a
-        stack, judged against tol member by member: it stops at the first
-        member a vector fails, or once no row passes, and a NaN distance
-        stays NaN, so `worst <= tol` is the membership verdict."""
-        if x.ndim == 1:
-            worst = 0.0
-            for m in self.members:
-                d = m.distance(x)
-                if not d <= tol:
-                    return d
-                worst = max(worst, d)
-            return worst
-        worst = np.zeros(x.shape[0])
+        vector = x.ndim == 1
+        inside = True if vector else np.ones(x.shape[0], dtype=bool)
         for m in self.members:
-            worst = np.maximum(worst, m.distance(x))
-            if not (worst <= tol).any():
+            inside &= m.distance(x) <= tol
+            if not (inside if vector else inside.any()):
                 break
-        return worst
+        return inside
 
     def bounding_radius(self) -> float:
         return min(m.bounding_radius() for m in self.members)

@@ -1378,8 +1378,8 @@ class TestCapVectorPath:
     stacked closed form, as `ConvexSet` promises a stack's rows: the bytes
     of a finite row, and NaNs in the same places otherwise.  Its bound, the
     larger member distance, passes the membership tolerance just when
-    `contains` does on its point, with the bits of `_worst_distance` on a
-    member."""
+    `contains` does on its point, with the bits of `distance_lower_bound` on
+    a member."""
 
     @given(case=caps_with_points(), swap=st.booleans(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -1399,7 +1399,7 @@ class TestCapVectorPath:
                 inside = C.contains(z)
                 assert (bound <= tol) == inside
                 if inside:
-                    assert same_bits(bound, C._worst_distance(z, tol))
+                    assert same_bits(bound, C.distance_lower_bound(z))
 
     @pytest.mark.parametrize("rows", range(10))
     def test_nan_payload_after_any_rows(self, rows):
@@ -1420,3 +1420,35 @@ class TestCapVectorPath:
         assert Z[:-1].tobytes() == C._cap_project(finite).tobytes()
         for x, row in zip(finite, Z):
             assert C._cap_judged(x)[0].tobytes() == row.tobytes()
+
+
+class TestIntersectionContains:
+    """`Intersection.contains` asks its members in order and stops early: a
+    vector at the first member it fails, a stack once no row passes."""
+
+    @pytest.mark.parametrize("members", [CAP, BOXED_CAP], ids=["cap", "boxed_cap"])
+    @pytest.mark.parametrize("x, inside, asks_all", [
+        ([3.0, 0.0], False, False),
+        ([np.nan, 0.0], False, False),
+        ([0.0, 0.0], True, True),
+        ([[3.0, 0.0], [0.0, 3.0]], [False, False], False),
+        ([[3.0, 0.0], [0.0, 0.0]], [False, True], True),
+        ([[np.nan, 0.0], [0.0, 0.0]], [False, True], True),
+    ], ids=["vector_out", "vector_nan", "vector_in", "stack_out", "stack_mixed",
+            "stack_nan"])
+    def test_members_asked(self, monkeypatch, members, x, inside, asks_all):
+        C, asked = Intersection(members), []
+        for cls in {type(m) for m in members}:
+            def counted(self, y, distance=cls.distance):
+                asked.append(self)
+                return distance(self, y)
+
+            monkeypatch.setattr(cls, "distance", counted)
+        with np.errstate(invalid="ignore"):
+            got = C.contains(np.array(x))
+        if np.ndim(x) == 1:
+            assert got is inside
+        else:
+            assert got.dtype == bool and got.tolist() == inside
+        want = members if asks_all else members[:1]
+        assert [id(m) for m in asked] == [id(m) for m in want]
